@@ -98,6 +98,7 @@ from .rewrite import (
     expand,
     find_compress_sites,
     find_expand_sites,
+    transpile,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .equations import pentagon_residual
 from .errors import DimensionError, GridError, NonUnitaryError
 from .gates import FOUR_PI, AGateParams, HeisenbergParams, a_gate, heisenberg_evolution
 from .jsonio import complex_pair
-from .linalg import DEFAULT_TOLERANCE, as_matrix, frobenius_norm, is_unitary
+from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, frobenius_norm, is_unitary
 
 #: Default grid-scan tolerance on the pentagon residual.
 SCAN_TOLERANCE = 1e-9
@@ -100,6 +100,7 @@ def certify(
     unitary gate, so a non-unitary candidate gets a distinct error rather
     than a not_fusion verdict.
     """
+    tol = check_tolerance(tol)
     t = as_matrix(t)
     if t.shape != (d * d, d * d):
         raise DimensionError(
@@ -162,6 +163,7 @@ class ConstraintResiduals:
 
 
 def _constraints(point, matrix, tol: float) -> ConstraintResiduals:
+    tol = check_tolerance(tol)
     res = pentagon_residual(matrix, 2)
     entries = np.abs(res.lhs - res.rhs)
     return ConstraintResiduals(
@@ -255,6 +257,7 @@ def scan_fusion_solutions(
     represented by its lexicographically smallest canonical parameters. The
     result ordering is deterministic and independent of evaluation order.
     """
+    tol = check_tolerance(tol)
     try:
         build = _FAMILIES[family]
     except KeyError:
@@ -335,6 +338,7 @@ def refine(
     or the iteration budget runs out while the residual is still above
     tolerance.
     """
+    tol = check_tolerance(tol)
     try:
         build = _FAMILIES[family]
     except KeyError:

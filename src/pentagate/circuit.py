@@ -11,10 +11,15 @@ JSON schema (UTF-8, no comments):
 Gate order is execution order: ``gates[0]`` acts first, so the register
 unitary is the reverse-order product of the embedded gate matrices.
 Serialization is canonical: fixed field order, floats with 17 significant
-digits, so equal circuits serialize to identical bytes.
+digits, so equal circuits serialize to identical bytes. Parameters and
+custom-matrix entries must be finite.
 
-Registers are capped at 12 qubits so every circuit stays within dense
-simulation range.
+Simulation builds the full register unitary by tensor contraction: the
+unitary is held as a ``(2,) * n + (2**n,)`` tensor and each k-qubit gate
+is contracted into the axes of its wires, costing O(2**k * 4**n) per gate
+instead of the O(8**n) of multiplying by an embedded 2**n x 2**n gate.
+Registers stay capped at 12 qubits, because the result is still a dense
+2**n x 2**n matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import json
+import math
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     MAX_QUBITS,
     as_matrix,
-    embed,
+    check_tolerance,
     is_unitary,
     phase_distance,
 )
@@ -55,8 +61,12 @@ class GateInstance:
     def __post_init__(self):
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(map(math.isfinite, self.params)):
+            raise SchemaError(f"params: must be finite, got {list(self.params)}")
         if self.matrix is not None:
             object.__setattr__(self, "matrix", as_matrix(self.matrix))
+            if not np.isfinite(self.matrix).all():
+                raise SchemaError("matrix: entries must be finite")
 
 
 def resolved_matrix(gate: GateInstance) -> np.ndarray:
@@ -137,7 +147,10 @@ def _require(condition: bool, message: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+    return value
 
 
 def _decode_matrix(raw, where: str) -> np.ndarray:
@@ -237,16 +250,27 @@ def circuits_identical(a: Circuit, b: Circuit) -> bool:
 
 
 def to_unitary(circuit: Circuit) -> np.ndarray:
-    """Full register unitary; gate 0 is applied first."""
-    dim = 2**circuit.num_qubits
-    u = np.eye(dim, dtype=np.complex128)
+    """Full register unitary; gate 0 is applied first.
+
+    Row axis j of the ``(2,) * n + (2**n,)`` tensor is wire j. A k-qubit
+    gate, reshaped to ``(2,) * 2k``, contracts its k input axes with the
+    axes of its wires; the k output axes land in front and move back to
+    those wire positions.
+    """
+    n = circuit.num_qubits
+    dim = 2**n
+    u = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
     for gate in circuit.gates:
-        u = embed(resolved_matrix(gate), gate.wires, circuit.num_qubits) @ u
-    return u
+        k = len(gate.wires)
+        g = resolved_matrix(gate).reshape((2,) * (2 * k))
+        u = np.tensordot(g, u, axes=(range(k, 2 * k), gate.wires))
+        u = np.moveaxis(u, range(k), gate.wires)
+    return u.reshape(dim, dim)
 
 
 def equivalent_up_to_phase(a: Circuit, b: Circuit, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True iff the two circuit unitaries agree up to a global phase."""
+    check_tolerance(tol)
     if a.num_qubits != b.num_qubits:
         raise DimensionError(
             f"register mismatch: {a.num_qubits} vs {b.num_qubits} qubits"

@@ -32,16 +32,7 @@ from .certify import (
     heisenberg_constraints,
     scan_fusion_solutions,
 )
-from .circuit import (
-    Circuit,
-    circuit_stats,
-    depth as circuit_depth,
-    equivalent_up_to_phase,
-    parse,
-    route_line,
-    serialize,
-    to_unitary,
-)
+from .circuit import Circuit, circuit_stats, parse, route_line, serialize, to_unitary
 from .errors import (
     GridError,
     PentagateError,
@@ -49,8 +40,8 @@ from .errors import (
     UncertifiedGateError,
 )
 from .gates import gate_arity, gate_matrix
-from .linalg import DEFAULT_TOLERANCE, as_matrix, phase_distance
-from .rewrite import compress, describe_fusion_gate, expand
+from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, phase_distance
+from .rewrite import describe_fusion_gate, transpile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,6 +74,13 @@ def _parse_range(text: str) -> tuple[float, float]:
         return float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"range bounds must be numbers, got {text!r}") from None
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_text(path: str) -> str:
@@ -168,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
         p.add_argument(
-            "--tol", type=float, default=None, help="comparison tolerance"
+            "--tol", type=_parse_tolerance, default=None,
+            help="comparison tolerance (finite, positive)"
         )
         return p
 
@@ -252,10 +251,6 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def phase_distance_of(a: Circuit, b: Circuit) -> float:
-    return phase_distance(to_unitary(a), to_unitary(b))
-
-
 def _cmd_transpile(args) -> int:
     tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
     circuit = _load_circuit(args.input)
@@ -264,34 +259,15 @@ def _cmd_transpile(args) -> int:
         descriptor = describe_fusion_gate(matrix=matrix, tol=tol)
     else:
         descriptor = describe_fusion_gate(name=name, params=params, tol=tol)
-    rule = compress if args.rule == "compress" else expand
-    verify = not args.no_verify
-
-    current, report = rule(circuit, descriptor, verify=verify, tol=tol)
-    found = report.sites_found
-    passes = 1
-    if args.fixed_point:
-        while report.sites_found > 0:
-            current, report = rule(current, descriptor, verify=verify, tol=tol)
-            found += report.sites_found
-            passes += 1
-    distance = None
-    if verify:
-        distance = 0.0 if found == 0 else phase_distance_of(circuit, current)
-    summary = {
-        "sites_found": found,
-        "sites_rewritten": found,
-        "gate_count_before": len(circuit.gates),
-        "gate_count_after": len(current.gates),
-        "depth_before": circuit_depth(circuit),
-        "depth_after": circuit_depth(current),
-        "equivalence_verified": verify,
-        "phase_distance": distance,
-    }
+    current, report = transpile(
+        circuit, descriptor, args.rule,
+        fixed_point=args.fixed_point, verify=not args.no_verify, tol=tol,
+    )
     _write_text(args.output, serialize(current))
-    _emit(summary)
+    _emit(report.to_jsonable())
     _diag(
-        f"{args.rule}: {found} site(s) over {passes} pass(es); wrote {args.output}",
+        f"{args.rule}: {report.sites_found} site(s) over {report.passes} pass(es); "
+        f"wrote {args.output}",
         args.quiet,
     )
     return EXIT_OK
@@ -305,8 +281,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(
             f"register mismatch: {first.num_qubits} vs {second.num_qubits} qubits"
         )
-    equivalent = equivalent_up_to_phase(first, second, tol)
-    distance = phase_distance_of(first, second)
+    distance = phase_distance(to_unitary(first), to_unitary(second))
+    equivalent = distance < tol
     _emit({"equivalent": equivalent, "phase_distance": distance, "tolerance": tol})
     return EXIT_OK if equivalent else EXIT_NEGATIVE
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_TOLERANCE, as_matrix, kron, twist
+from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, kron, twist
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +128,7 @@ def check_street_duality(t, d: int, tol: float = DEFAULT_TOLERANCE) -> bool:
     Tests the biconditional at a shared tolerance; the duality relates
     zero-sets, not residual magnitudes.
     """
+    check_tolerance(tol)
     t = _checked(t, d)
     is_fusion = pentagon_residual(t, d).residual < tol
     is_cocycle = cocycle3_residual(twist(d) @ t, d).residual < tol
@@ -136,6 +137,7 @@ def check_street_duality(t, d: int, tol: float = DEFAULT_TOLERANCE) -> bool:
 
 def check_folklore_duality(r, d: int, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True iff (R solves the braid YBE) == (tau R solves the 13-form YBE)."""
+    check_tolerance(tol)
     r = _checked(r, d)
     is_braid = ybe_residual(r, d).residual < tol
     is_alt = ybe13_residual(twist(d) @ r, d).residual < tol

@@ -24,6 +24,19 @@ DEFAULT_TOLERANCE = 1e-10
 MAX_QUBITS = 12
 
 
+def check_tolerance(tol) -> float:
+    """Return ``tol`` as a float; raise ValueError unless finite and positive.
+
+    Every ``tol`` in the package is a strict bound (``residual < tol``),
+    so zero, negative or non-finite values would silently decide every
+    comparison the same way.
+    """
+    value = float(tol)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    return value
+
+
 def as_matrix(values) -> np.ndarray:
     """Coerce input to a 2-D complex128 array."""
     m = np.asarray(values, dtype=np.complex128)
@@ -66,6 +79,7 @@ def matrices_equal(a, b, tol: float) -> bool:
 
 def is_unitary(a, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True iff ||a' a - I||_F < tol; requires a square matrix."""
+    check_tolerance(tol)
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"is_unitary needs a square matrix, got {a.shape}")
@@ -144,11 +158,13 @@ def phase_distance(a, b) -> float:
     zero exactly when a and b agree up to a global phase. Evaluated as
     ||a - phi* b|| at the optimal phase phi* = tr(b' a) / |tr(b' a)|,
     which avoids the cancellation the raw radicand suffers near zero.
+    The overlap tr(b' a) is the entrywise sum of conj(b) * a, so it costs
+    O(d^2) rather than the O(d^3) of forming b' a.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    overlap = complex(np.trace(adjoint(b) @ a))
+    overlap = complex(np.vdot(b, a))
     if abs(overlap) == 0.0:
         return math.sqrt(frobenius_norm(a) ** 2 + frobenius_norm(b) ** 2)
     return frobenius_norm(a - (overlap / abs(overlap)) * b)

@@ -20,6 +20,10 @@ bound by the template structure. Gates on wires outside {a, b, c} may
 interleave a match; any unmatched gate touching {a, b, c} blocks it.
 Sites are selected leftmost-first and never overlap, so each gate joins
 at most one rewrite per pass.
+
+Verification simulates each distinct circuit once: the input, then the
+output of every rewriting pass, whose unitary is carried into the next
+pass as its input.
 """
 
 from __future__ import annotations
@@ -38,7 +42,13 @@ from .circuit import (
 )
 from .errors import RewriteVerificationError, UncertifiedGateError
 from .gates import gate_arity, gate_matrix
-from .linalg import DEFAULT_TOLERANCE, as_matrix, matrices_equal, phase_distance
+from .linalg import (
+    DEFAULT_TOLERANCE,
+    as_matrix,
+    check_tolerance,
+    matrices_equal,
+    phase_distance,
+)
 
 #: Parameters and custom matrices must match the fusion gate this tightly.
 MATCH_TOLERANCE = 1e-10
@@ -68,6 +78,7 @@ def describe_fusion_gate(
     custom 4x4 matrix. Raises UncertifiedGateError when the pentagon
     residual is at or above ``tol``.
     """
+    check_tolerance(tol)
     params = tuple(float(p) for p in params)
     if matrix is not None:
         matrix = as_matrix(matrix)
@@ -99,7 +110,12 @@ class RewriteSite:
 
 @dataclass(frozen=True)
 class RewriteReport:
-    """Bookkeeping for one rewrite run."""
+    """Bookkeeping for one rewrite run.
+
+    ``passes`` counts the matching passes, including the final one that
+    finds no site in a fixed-point run. It is a diagnostic and stays out
+    of :meth:`to_jsonable`.
+    """
 
     sites_found: int
     sites_rewritten: int
@@ -109,6 +125,7 @@ class RewriteReport:
     depth_after: int
     equivalence_verified: bool
     phase_distance: float | None
+    passes: int
 
     def to_jsonable(self) -> dict:
         return {
@@ -283,41 +300,95 @@ def _apply_sites(circuit, sites, descriptor, replacement):
     return Circuit(circuit.num_qubits, tuple(out))
 
 
-def _rewrite(circuit, descriptor, matcher, replacement, verify, tol):
+_RULES = {
+    "compress": (_match_compress, _compress_replacement),
+    "expand": (_match_expand, _expand_replacement),
+}
+
+
+def transpile(
+    circuit: Circuit,
+    descriptor: FusionGateDescriptor,
+    rule: str,
+    fixed_point: bool = False,
+    verify: bool = True,
+    tol: float = DEFAULT_TOLERANCE,
+) -> tuple[Circuit, RewriteReport]:
+    """Apply ``rule`` ("compress" or "expand") once, or until a pass finds no site.
+
+    With ``verify`` every rewriting pass is checked against its input up
+    to global phase, and the report carries the phase distance between
+    the original circuit and the final one. On failure nothing is
+    returned: :class:`RewriteVerificationError` names the first site whose
+    rewrite alone breaks equivalence, or ``site=None`` when only the
+    sites together do.
+    """
+    tol = check_tolerance(tol)
     _require_certified(descriptor)
-    sites = _find_sites(circuit, descriptor, matcher)
-    rewritten = _apply_sites(circuit, sites, descriptor, replacement) if sites else circuit
-    distance: float | None = None
-    if verify:
-        distance = 0.0
-        if sites:
-            distance = phase_distance(to_unitary(circuit), to_unitary(rewritten))
+    try:
+        matcher, replacement = _RULES[rule]
+    except KeyError:
+        raise ValueError(f"unknown rule {rule!r}, expected 'compress' or 'expand'") from None
+    current = circuit
+    initial = held = None  # unitaries of the input and of ``current``
+    distance = 0.0 if verify else None
+    found = passes = rewriting_passes = 0
+    while True:
+        sites = _find_sites(current, descriptor, matcher)
+        passes += 1
+        if not sites:
+            break
+        rewritten = _apply_sites(current, sites, descriptor, replacement)
+        if verify:
+            if held is None:
+                initial = held = to_unitary(current)
+            after = to_unitary(rewritten)
+            distance = phase_distance(held, after)
             if not distance < tol:
-                failing = _first_failing_site(circuit, sites, descriptor, replacement, tol)
+                failing = _first_failing_site(current, held, sites, descriptor, replacement, tol)
+                where = (
+                    f"at site {failing}" if failing is not None else
+                    "yet no single site fails on its own: the failure only "
+                    "appears when sites interact"
+                )
                 raise RewriteVerificationError(
                     f"rewrite is not equivalent to the input (phase distance "
-                    f"{distance:.6g} >= {tol:.6g}) at site {failing}; rolled back",
+                    f"{distance:.6g} >= {tol:.6g}) {where}; rolled back",
                     site=failing,
                 )
+            held = after
+        found += len(sites)
+        rewriting_passes += 1
+        current = rewritten
+        if not fixed_point:
+            break
+    if verify and rewriting_passes > 1:
+        distance = phase_distance(initial, held)
     report = RewriteReport(
-        sites_found=len(sites),
-        sites_rewritten=len(sites),
+        sites_found=found,
+        sites_rewritten=found,
         gate_count_before=len(circuit.gates),
-        gate_count_after=len(rewritten.gates),
+        gate_count_after=len(current.gates),
         depth_before=depth(circuit),
-        depth_after=depth(rewritten),
+        depth_after=depth(current),
         equivalence_verified=verify,
         phase_distance=distance,
+        passes=passes,
     )
-    return rewritten, report
+    return current, report
 
 
-def _first_failing_site(circuit, sites, descriptor, replacement, tol):
+def _first_failing_site(circuit, unitary, sites, descriptor, replacement, tol):
+    """The first site whose rewrite alone breaks equivalence, else None.
+
+    ``unitary`` is the already simulated unitary of ``circuit``; only the
+    single-site rewrites are simulated here.
+    """
     for site in sites:
         alone = _apply_sites(circuit, [site], descriptor, replacement)
-        if not phase_distance(to_unitary(circuit), to_unitary(alone)) < tol:
+        if not phase_distance(unitary, to_unitary(alone)) < tol:
             return site
-    return sites[-1]
+    return None
 
 
 def compress(
@@ -332,7 +403,7 @@ def compress(
     output is checked against the input up to global phase; on failure the
     rewrite is rolled back and the failing site is raised.
     """
-    return _rewrite(circuit, descriptor, _match_compress, _compress_replacement, verify, tol)
+    return transpile(circuit, descriptor, "compress", verify=verify, tol=tol)
 
 
 def expand(
@@ -346,4 +417,4 @@ def expand(
     Inverse of :func:`compress` on its image; gate count grows by exactly 3
     per rewritten site.
     """
-    return _rewrite(circuit, descriptor, _match_expand, _expand_replacement, verify, tol)
+    return transpile(circuit, descriptor, "expand", verify=verify, tol=tol)

@@ -7,12 +7,33 @@ the suite is deterministic.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pentagate
 from pentagate import Circuit, GateInstance
 from pentagate.gates import parameter_count
+
+#: CLI subprocesses import the same pentagate as the test process.
+_PACKAGE_ROOT = str(Path(pentagate.__file__).resolve().parents[1])
+
+
+def run_cli(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m pentagate`` with text output captured."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_PACKAGE_ROOT + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "pentagate", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        **kwargs,
+    )
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,3 +120,36 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) ->
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def simulations(monkeypatch) -> list:
+    """Every circuit passed to ``to_unitary`` anywhere in the package, in order."""
+    import pentagate.circuit
+    import pentagate.cli
+    import pentagate.rewrite
+
+    calls = []
+    simulate = pentagate.circuit.to_unitary
+
+    def counting(circuit):
+        calls.append(circuit)
+        return simulate(circuit)
+
+    for module in (pentagate.circuit, pentagate.cli, pentagate.rewrite):
+        monkeypatch.setattr(module, "to_unitary", counting, raising=False)
+    return calls
+
+
+def nested_template_circuit(levels: int, name: str = "CNOT", params=()) -> Circuit:
+    """A chain of templates on wires 0..3 that compresses in ``levels`` passes.
+
+    Each pass rewrites one site; its output T(b, c) starts the template the
+    next pass finds.
+    """
+    t = lambda w: GateInstance(name, w, tuple(params))
+    gates = [t((1, 2))]
+    for level in range(levels):
+        a = 0 if level % 2 == 0 else 3
+        gates += [GateInstance("SWAP", (1, 2)), t((a, 1)), GateInstance("SWAP", (1, 2)), t((a, 1))]
+    return Circuit(4, tuple(gates))

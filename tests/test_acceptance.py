@@ -8,8 +8,6 @@ see oracles.py and the inline notes.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
@@ -50,6 +48,7 @@ from pentagate.certify import IDENTITY_CLASS
 from conftest import (
     haar_unitary,
     random_circuit,
+    run_cli,
     seeded_template_circuit,
     template_circuit,
 )
@@ -209,12 +208,6 @@ def test_criterion_9_routing():
         routed = route_line(skip)
         assert len(routed.gates) == 3  # exactly 2 SWAPs around the gate
         assert [g.name for g in routed.gates] == ["SWAP", "XX", "SWAP"]
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "pentagate", *args], capture_output=True, text=True
-    )
 
 
 def test_criterion_10_cli_contract(tmp_path):

@@ -6,17 +6,26 @@ import numpy as np
 import pytest
 
 from pentagate import (
+    Circuit,
     NonUnitaryError,
     a_gate,
     a_gate_constraints,
     certify,
+    check_folklore_duality,
+    check_street_duality,
+    compress,
+    describe_fusion_gate,
+    equivalent_up_to_phase,
+    expand,
     heisenberg_constraints,
+    is_unitary,
     pentagon_residual,
     refine,
     scan_a_gate,
     scan_fusion_solutions,
     scan_heisenberg,
     standard_gate,
+    transpile,
 )
 from pentagate.certify import IDENTITY_CLASS, axis_points
 from pentagate.errors import GridError
@@ -249,3 +258,39 @@ class TestRefine:
         assert set(doc["solution"]) == {
             "parameters", "residual", "canonical_parameters", "operator_class",
         }
+
+
+BAD_TOLERANCES = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _tolerance_takers():
+    cnot = standard_gate("CNOT")
+    empty = Circuit(2, ())
+    descriptor = describe_fusion_gate(name="CNOT")
+    return {
+        "certify": lambda tol: certify(cnot, 2, tol),
+        "a_gate_constraints": lambda tol: a_gate_constraints((0, 0, 0), tol),
+        "heisenberg_constraints": lambda tol: heisenberg_constraints((0, 0, 0), tol),
+        "scan_fusion_solutions": lambda tol: scan_fusion_solutions("a", (0, 0, 1), tol),
+        "scan_a_gate": lambda tol: scan_a_gate((0, 0, 1), tol),
+        "scan_heisenberg": lambda tol: scan_heisenberg((0, 0, 1), tol),
+        "refine": lambda tol: refine((0, 0, 0), "a", tol=tol),
+        "check_street_duality": lambda tol: check_street_duality(cnot, 2, tol),
+        "check_folklore_duality": lambda tol: check_folklore_duality(cnot, 2, tol),
+        "is_unitary": lambda tol: is_unitary(cnot, tol),
+        "equivalent_up_to_phase": lambda tol: equivalent_up_to_phase(empty, empty, tol),
+        "describe_fusion_gate": lambda tol: describe_fusion_gate(name="CNOT", tol=tol),
+        "compress": lambda tol: compress(empty, descriptor, tol=tol),
+        "expand": lambda tol: expand(empty, descriptor, tol=tol),
+        "transpile": lambda tol: transpile(empty, descriptor, "compress", tol=tol),
+    }
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("name", sorted(_tolerance_takers()))
+    def test_rejects_non_finite_or_non_positive(self, name):
+        call = _tolerance_takers()[name]
+        call(1e-10)
+        for tol in BAD_TOLERANCES:
+            with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+                call(tol)

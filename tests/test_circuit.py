@@ -14,14 +14,16 @@ from pentagate import (
     circuit_stats,
     circuits_identical,
     depth,
+    embed,
     equivalent_up_to_phase,
     frobenius_norm,
     parse,
+    resolved_matrix,
     route_line,
     serialize,
     to_unitary,
 )
-from conftest import random_circuit, template_circuit
+from conftest import haar_unitary, random_circuit, template_circuit
 
 PI = math.pi
 
@@ -119,9 +121,80 @@ class TestSerialize:
         assert serialize(c) == serialize(Circuit(c.num_qubits, tuple(c.gates)))
 
 
+def dense_product(circuit: Circuit) -> np.ndarray:
+    """Reference simulator: one embedded 2**n x 2**n matrix per gate."""
+    n = circuit.num_qubits
+    u = np.eye(2**n, dtype=complex)
+    for gate in circuit.gates:
+        u = embed(resolved_matrix(gate), gate.wires, n) @ u
+    return u
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_parse_rejects_non_finite_param(self, value):
+        text = '{"qubits": 1, "gates": [{"name": "RZ", "wires": [0], "params": [%s]}]}' % value
+        with pytest.raises(SchemaError, match=r"gates\[0\]\.params\[0\]"):
+            parse(text)
+
+    @pytest.mark.parametrize("entry", ["[NaN, 0]", "[1, Infinity]", "[1e400, 0]"])
+    def test_parse_rejects_non_finite_matrix_entry(self, entry):
+        text = (
+            '{"qubits": 1, "gates": [{"name": "custom", "wires": [0], '
+            '"matrix": [[%s, [0, 0]], [[0, 0], [1, 0]]]}]}' % entry
+        )
+        with pytest.raises(SchemaError, match=r"gates\[0\]\.matrix"):
+            parse(text)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_gate_instance_rejects_non_finite_param(self, value):
+        with pytest.raises(SchemaError):
+            GateInstance("RZ", (0,), (value,))
+        with pytest.raises(SchemaError):
+            GateInstance("A", (0, 1), (0.1, value, 0.3))
+
+    def test_gate_instance_rejects_non_finite_matrix(self):
+        matrix = np.eye(2, dtype=complex)
+        matrix[1, 0] = complex(0.0, math.nan)
+        with pytest.raises(SchemaError):
+            GateInstance("custom", (0,), (), matrix)
+
+
 class TestToUnitary:
     def test_empty_circuit(self):
-        assert np.array_equal(to_unitary(Circuit(3, ())), np.eye(8, dtype=complex))
+        for n in range(1, 7):
+            assert np.array_equal(to_unitary(Circuit(n, ())), np.eye(2**n, dtype=complex))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_dense_embed_product(self, rng, n):
+        for _ in range(5):
+            if n == 1:
+                gates = [GateInstance("custom", (0,), (), haar_unitary(2, rng)) for _ in range(6)]
+                c = Circuit(1, tuple(gates))
+            else:
+                c = random_circuit(rng, n, 25)
+            assert np.max(np.abs(to_unitary(c) - dense_product(c))) < 1e-12
+
+    def test_reversed_and_scattered_wire_order(self, rng):
+        gates = (
+            GateInstance("CNOT", (3, 0)),
+            GateInstance("custom", (4, 1), (), haar_unitary(4, rng)),
+            GateInstance("A", (2, 1), (0.3, -1.1, 2.0)),
+            GateInstance("custom", (0, 4), (), haar_unitary(4, rng)),
+        )
+        c = Circuit(5, gates)
+        assert np.max(np.abs(to_unitary(c) - dense_product(c))) < 1e-12
+
+    def test_three_qubit_custom_gates(self, rng):
+        for n in (3, 4, 6):
+            for wires in ((0, 1, 2), (2, 0, 1), (n - 1, 0, n // 2)):
+                gates = (
+                    GateInstance("custom", wires, (), haar_unitary(8, rng)),
+                    GateInstance("H", (wires[1],)),
+                    GateInstance("custom", tuple(reversed(wires)), (), haar_unitary(8, rng)),
+                )
+                c = Circuit(n, gates)
+                assert np.max(np.abs(to_unitary(c) - dense_product(c))) < 1e-12
 
     def test_cnot_twice_is_identity(self):
         g = GateInstance("CNOT", (0, 1))

@@ -5,22 +5,12 @@ input, 3 negative verdict.
 """
 
 import json
-import subprocess
-import sys
 
 import pytest
 
 from pentagate import parse, serialize
-from conftest import template_circuit
-
-
-def run_cli(*args, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "pentagate", *args],
-        capture_output=True,
-        text=True,
-        **kwargs,
-    )
+from pentagate.cli import main
+from conftest import nested_template_circuit, run_cli, template_circuit
 
 
 @pytest.fixture
@@ -266,3 +256,42 @@ class TestRoundTripStability:
         run_cli("route", "--in", str(template_file), "--out", str(out1), "--quiet")
         run_cli("route", "--in", str(out1), "--out", str(out2), "--quiet")
         assert out1.read_text() == out2.read_text()
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf", "abc"])
+    def test_bad_tolerance_usage_error(self, tol, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["certify", "--gate", "CNOT", "--tol", tol])
+        assert err.value.code == 1
+        assert capsys.readouterr().out == ""
+
+    def test_bad_tolerance_subprocess(self):
+        result = run_cli("certify", "--gate", "CNOT", "--tol", "-1")
+        assert result.returncode == 1
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_param_invalid_input(self, value, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"qubits": 1, "gates": [{"name": "RZ", "wires": [0], "params": [%s]}]}' % value)
+        assert main(["stats", "--in", str(path), "--quiet"]) == 2
+        assert main(["verify", "--a", str(path), "--b", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestSimulationCounts:
+    def test_verify_simulates_each_circuit_once(self, template_file, simulations, capsys):
+        assert main(["verify", "--a", str(template_file), "--b", str(template_file), "--quiet"]) == 0
+        assert len(simulations) == 2
+        assert json.loads(capsys.readouterr().out)["equivalent"] is True
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_fixed_point_transpile(self, levels, tmp_path, simulations, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text(serialize(nested_template_circuit(levels)) + "\n")
+        code = main(["transpile", "--in", str(path), "--out", str(tmp_path / "out.json"),
+                     "--rule", "compress", "--fusion-gate", "CNOT", "--fixed-point", "--quiet"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["sites_found"] == levels
+        assert len(simulations) == levels + 1

@@ -186,3 +186,23 @@ class TestPhaseDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             phase_distance(I2, I4)
+
+    def test_matches_closed_form(self, rng):
+        # sqrt(||a||^2 + ||b||^2 - 2 |tr(b' a)|), overlap from the full product
+        for dim in (2, 4, 8, 16):
+            for _ in range(10):
+                a = haar_unitary(dim, rng) + 0.5 * haar_unitary(dim, rng)
+                b = haar_unitary(dim, rng)
+                overlap = abs(np.trace(b.conj().T @ a))
+                closed = math.sqrt(
+                    np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2 - 2 * overlap
+                )
+                assert phase_distance(a, b) == pytest.approx(closed, rel=1e-12, abs=1e-12)
+
+    def test_invariant_under_global_phase(self, rng):
+        for _ in range(20):
+            a, b = haar_unitary(8, rng), haar_unitary(8, rng)
+            phi, psi = np.exp(1j * rng.uniform(0, 2 * math.pi, size=2))
+            assert phase_distance(phi * a, psi * b) == pytest.approx(
+                phase_distance(a, b), rel=1e-12
+            )

@@ -19,9 +19,16 @@ from pentagate import (
     find_compress_sites,
     find_expand_sites,
     group_algebra_fusion,
+    transpile,
 )
 from pentagate.rewrite import FusionGateDescriptor
-from conftest import pair_circuit, seeded_template_circuit, template_circuit, template_gates
+from conftest import (
+    nested_template_circuit,
+    pair_circuit,
+    seeded_template_circuit,
+    template_circuit,
+    template_gates,
+)
 
 PI = math.pi
 
@@ -253,3 +260,77 @@ class TestSemanticPreservation:
             assert report.sites_rewritten == blocks
             assert report.gate_count_after == report.gate_count_before - 3 * blocks
             assert equivalent_up_to_phase(circuit, out, 1e-10)
+
+
+class TestTranspileDriver:
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_fixed_point_matches_repeated_passes(self, cnot_descriptor, simulations, levels):
+        circuit = nested_template_circuit(levels)
+        out, report = transpile(circuit, cnot_descriptor, "compress", fixed_point=True)
+        # k rewriting passes simulate the input plus each pass's output
+        assert len(simulations) == levels + 1
+        current, found = circuit, 0
+        while True:
+            current, step = compress(current, cnot_descriptor, verify=False)
+            found += step.sites_found
+            if step.sites_found == 0:
+                break
+        assert circuits_identical(out, current)
+        assert report.sites_found == report.sites_rewritten == found == levels
+        assert report.passes == levels + 1
+        assert (report.gate_count_before, report.gate_count_after) == (1 + 4 * levels, 1 + levels)
+        assert report.phase_distance == 0.0
+
+    def test_single_pass_equals_compress(self, cnot_descriptor):
+        circuit = nested_template_circuit(2)
+        out, report = transpile(circuit, cnot_descriptor, "compress")
+        expected, expected_report = compress(circuit, cnot_descriptor)
+        assert circuits_identical(out, expected)
+        assert report == expected_report
+        assert report.sites_found == 1 and report.passes == 1
+
+    def test_unknown_rule(self, cnot_descriptor):
+        with pytest.raises(ValueError, match="unknown rule"):
+            transpile(template_circuit(), cnot_descriptor, "shuffle")
+
+    def test_no_sites_no_simulation(self, cnot_descriptor, simulations):
+        c = Circuit(3, (GateInstance("H", (0,)),))
+        _, report = transpile(c, cnot_descriptor, "compress", fixed_point=True)
+        assert report.phase_distance == 0.0
+        assert simulations == []
+
+
+#: A(delta, 0, 0) is within 0.0142 of a fusion operator: certified at tol
+#: 0.03, one rewritten site moves the unitary by 0.0141, four by 0.0566.
+NEAR_IDENTITY = (0.01, 0.0, 0.0)
+LOOSE_TOL = 0.03
+
+
+class TestInteractingSiteFailure:
+    @pytest.fixture
+    def four_sites(self):
+        gates = template_gates("A", NEAR_IDENTITY, (0, 1, 2)) * 4
+        return Circuit(3, tuple(gates))
+
+    @pytest.fixture
+    def loose(self):
+        return describe_fusion_gate(name="A", params=NEAR_IDENTITY, tol=LOOSE_TOL)
+
+    def test_no_single_site_is_blamed(self, four_sites, loose):
+        assert len(find_compress_sites(four_sites, loose)) == 4
+        with pytest.raises(RewriteVerificationError) as err:
+            compress(four_sites, loose, verify=True, tol=LOOSE_TOL)
+        assert err.value.site is None
+        assert "only appears when sites interact" in str(err.value)
+
+    def test_each_site_alone_passes(self, loose):
+        one = Circuit(3, tuple(template_gates("A", NEAR_IDENTITY, (0, 1, 2))))
+        _, report = compress(one, loose, verify=True, tol=LOOSE_TOL)
+        assert 0.01 < report.phase_distance < LOOSE_TOL
+
+    def test_failure_simulates_the_input_once(self, four_sites, loose, simulations):
+        with pytest.raises(RewriteVerificationError):
+            compress(four_sites, loose, verify=True, tol=LOOSE_TOL)
+        assert sum(c is four_sites for c in simulations) == 1
+        # the input, the full rewrite, then each single-site rewrite once
+        assert len(simulations) == 2 + 4
