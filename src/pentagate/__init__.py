@@ -10,19 +10,17 @@ applies the rewrite in both directions with full unitary verification.
 """
 
 from .certify import (
+    FAMILIES,
     CertificationReport,
     ConstraintResiduals,
     RefineResult,
     SCAN_TOLERANCE,
     SolutionPoint,
     Witness,
-    a_gate_constraints,
     certify,
-    heisenberg_constraints,
+    constraints,
     refine,
-    scan_a_gate,
     scan_fusion_solutions,
-    scan_heisenberg,
 )
 from .circuit import (
     Circuit,
@@ -42,9 +40,6 @@ from .equations import (
     check_folklore_duality,
     check_street_duality,
     cocycle3_residual,
-    lift12,
-    lift13,
-    lift23,
     pentagon_residual,
     ybe13_residual,
     ybe_residual,
@@ -62,9 +57,7 @@ from .errors import (
     WireError,
 )
 from .gates import (
-    AGateParams,
     CayleyTable,
-    HeisenbergParams,
     a_gate,
     b_gate,
     gate_matrix,
@@ -84,7 +77,6 @@ from .linalg import (
     frobenius_norm,
     is_unitary,
     kron,
-    matmul,
     matrices_equal,
     phase_distance,
     twist,

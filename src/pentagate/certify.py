@@ -1,12 +1,14 @@
 """Fusion-operator certification and parameter-space search.
 
 Certification evaluates the pentagon residual of a candidate unitary and
-issues a verdict. The constraint evaluators instantiate the pentagon
-equation at an A-gate or Heisenberg parameter point and report the
-entrywise residual pattern, which is the numeric form of the scalar
-constraint systems those families must satisfy. The scanner walks a
-parameter grid and reports solution classes; ``refine`` polishes a
-near-solution with a derivative-free compass search.
+issues a verdict. The gate families, the A gate and the Heisenberg
+evolution, share one table, ``FAMILIES``, and every family-level
+function takes a key of it. ``constraints`` instantiates the pentagon
+equation at a parameter point and reports the entrywise residual
+pattern, which is the numeric form of the scalar constraint system the
+family must satisfy. The scanner walks a parameter grid and reports
+solution classes; ``refine`` polishes a near-solution with a
+derivative-free compass search.
 
 Known solution structure of the A-gate family: pentagon solutions on the
 grid are exactly the points where the matrix equals +I (c1 = c2 = 0 and
@@ -25,7 +27,7 @@ import numpy as np
 
 from .equations import pentagon_residual
 from .errors import DimensionError, GridError, NonUnitaryError
-from .gates import FOUR_PI, AGateParams, HeisenbergParams, a_gate, heisenberg_evolution
+from .gates import FOUR_PI, a_gate, heisenberg_evolution
 from .jsonio import complex_pair
 from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, frobenius_norm, is_unitary
 
@@ -35,7 +37,27 @@ SCAN_TOLERANCE = 1e-9
 IDENTITY_CLASS = "identity_up_to_tolerance"
 OTHER_CLASS = "other"
 
-_FAMILIES = {"a": a_gate, "heis": heisenberg_evolution}
+#: Gate families: constructor of a parameter triple, and the triple's names.
+FAMILIES = {
+    "a": (a_gate, ("c1", "c2", "c3")),
+    "heis": (heisenberg_evolution, ("theta_x", "theta_y", "theta_z")),
+}
+
+
+def _family(family: str):
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}, expected 'a' or 'heis'") from None
+
+
+def _triple(params) -> tuple[float, float, float]:
+    values = tuple(float(p) for p in params)
+    if len(values) != 3:
+        raise ValueError(f"expected a parameter triple, got {len(values)} values")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"parameters must be finite, got {list(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -135,26 +157,24 @@ def _witnesses(lhs: np.ndarray, rhs: np.ndarray, limit: int = 5) -> tuple[Witnes
 
 @dataclass(frozen=True, eq=False)
 class ConstraintResiduals:
-    """Entrywise pentagon residuals at one parameter point.
+    """Entrywise pentagon residuals at one parameter point of a family.
 
     ``entry_residuals`` holds |LHS - RHS| of the instantiated equation;
     the positions that are not identically zero across parameter space are
     the scalar constraints the family must satisfy.
     """
 
-    parameter_point: AGateParams | HeisenbergParams
+    family: str
+    parameters: tuple[float, float, float]
     entry_residuals: np.ndarray
     active_count: int
     max_residual: float
     tolerance: float
 
     def to_jsonable(self) -> dict:
-        point = self.parameter_point
-        fields = {
-            name: float(getattr(point, name)) for name in point.__dataclass_fields__
-        }
+        names = FAMILIES[self.family][1]
         return {
-            "parameter_point": fields,
+            "parameter_point": dict(zip(names, self.parameters)),
             "entry_residuals": [[float(x) for x in row] for row in self.entry_residuals],
             "active_count": self.active_count,
             "max_residual": self.max_residual,
@@ -162,43 +182,25 @@ class ConstraintResiduals:
         }
 
 
-def _constraints(point, matrix, tol: float) -> ConstraintResiduals:
+def constraints(family: str, params, tol: float = DEFAULT_TOLERANCE) -> ConstraintResiduals:
+    """Entrywise pentagon residuals of a gate family at a parameter triple.
+
+    ``family`` is a key of ``FAMILIES``. The Heisenberg residuals equal the
+    A-gate residuals at doubled parameters, since the two gate families
+    coincide under that substitution.
+    """
     tol = check_tolerance(tol)
-    res = pentagon_residual(matrix, 2)
+    build, _ = _family(family)
+    parameters = _triple(params)
+    res = pentagon_residual(build(*parameters), 2)
     entries = np.abs(res.lhs - res.rhs)
     return ConstraintResiduals(
-        parameter_point=point,
+        family=family,
+        parameters=parameters,
         entry_residuals=entries,
         active_count=int(np.count_nonzero(entries > tol)),
         max_residual=float(entries.max()),
         tolerance=float(tol),
-    )
-
-
-def _triple(params) -> tuple[float, float, float]:
-    if isinstance(params, (AGateParams, HeisenbergParams)):
-        return params.as_tuple()
-    values = tuple(float(p) for p in params)
-    if len(values) != 3:
-        raise ValueError(f"expected a parameter triple, got {len(values)} values")
-    return values
-
-
-def a_gate_constraints(params, tol: float = DEFAULT_TOLERANCE) -> ConstraintResiduals:
-    """Entrywise pentagon residuals of the A gate at a parameter triple."""
-    c1, c2, c3 = _triple(params)
-    return _constraints(AGateParams(c1, c2, c3), a_gate(c1, c2, c3), tol)
-
-
-def heisenberg_constraints(params, tol: float = DEFAULT_TOLERANCE) -> ConstraintResiduals:
-    """Entrywise pentagon residuals of the Heisenberg evolution operator.
-
-    Equals ``a_gate_constraints`` at doubled parameters since the two gate
-    families coincide under that substitution.
-    """
-    tx, ty, tz = _triple(params)
-    return _constraints(
-        HeisenbergParams(tx, ty, tz), heisenberg_evolution(tx, ty, tz), tol
     )
 
 
@@ -250,7 +252,7 @@ def scan_fusion_solutions(
 ) -> list[SolutionPoint]:
     """Scan a 3-parameter grid for pentagon solutions of a gate family.
 
-    ``family`` is ``"a"`` or ``"heis"``; ``axes`` is a single (lo, hi, step)
+    ``family`` is a key of ``FAMILIES``; ``axes`` is a single (lo, hi, step)
     triple applied to every parameter, or a sequence of three such triples.
     Passing grid points are grouped into operator classes (matrices within
     ``tol`` in Frobenius norm are one class) and each class is reported once,
@@ -258,10 +260,7 @@ def scan_fusion_solutions(
     result ordering is deterministic and independent of evaluation order.
     """
     tol = check_tolerance(tol)
-    try:
-        build = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}, expected 'a' or 'heis'") from None
+    build, _ = _family(family)
     grids = [axis_points(*axis) for axis in _normalize_axes(axes)]
     passing = []
     for p0 in grids[0]:
@@ -284,16 +283,6 @@ def scan_fusion_solutions(
             (matrix, SolutionPoint(params, residual, canonical, kind))
         )
     return [point for _, point in classes]
-
-
-def scan_a_gate(axes, tol: float = SCAN_TOLERANCE) -> list[SolutionPoint]:
-    """Grid scan of the A-gate parameter space."""
-    return scan_fusion_solutions("a", axes, tol)
-
-
-def scan_heisenberg(axes, tol: float = SCAN_TOLERANCE) -> list[SolutionPoint]:
-    """Grid scan of the Heisenberg parameter space."""
-    return scan_fusion_solutions("heis", axes, tol)
 
 
 @dataclass(frozen=True)
@@ -339,13 +328,8 @@ def refine(
     tolerance.
     """
     tol = check_tolerance(tol)
-    try:
-        build = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}, expected 'a' or 'heis'") from None
+    build, _ = _family(family)
     point = np.asarray(_triple(start), dtype=float)
-    if not np.all(np.isfinite(point)):
-        raise ValueError("starting point must be finite")
 
     def objective(p) -> float:
         return pentagon_residual(build(*p), 2).residual

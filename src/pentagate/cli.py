@@ -25,11 +25,11 @@ import time
 
 from . import jsonio
 from .certify import (
+    FAMILIES,
     SCAN_TOLERANCE,
-    a_gate_constraints,
     axis_points,
     certify,
-    heisenberg_constraints,
+    constraints,
     scan_fusion_solutions,
 )
 from .circuit import Circuit, circuit_stats, parse, route_line, serialize, to_unitary
@@ -177,11 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="JSON file with a 4x4 matrix of [re, im] pairs")
 
     p = add("constraints", "evaluate the pentagon constraints at a parameter point")
-    p.add_argument("--family", choices=("a", "heis"), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--params", required=True, help="comma-separated parameter triple")
 
     p = add("scan", "grid-scan a gate family for pentagon solutions")
-    p.add_argument("--family", choices=("a", "heis"), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--range", dest="axis_range", type=_parse_range, required=True,
                    help="per-axis range lo:hi")
     p.add_argument("--step", type=float, required=True, help="per-axis grid step")
@@ -223,9 +223,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_constraints(args) -> int:
     tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
-    values = _parse_params(args.params)
-    evaluate = a_gate_constraints if args.family == "a" else heisenberg_constraints
-    residuals = evaluate(values, tol)
+    residuals = constraints(args.family, _parse_params(args.params), tol)
     _emit(residuals.to_jsonable())
     _diag(
         f"max residual {residuals.max_residual:.6g}, "

@@ -5,13 +5,16 @@ Composition convention: in every equation string the rightmost factor acts
 first, i.e. ordinary matrix-product order. Circuit execution order (first
 gate listed acts first) is confined to :mod:`pentagate.circuit`.
 
-The subscript lifts of an operator T on V (x) V to V (x) V (x) V are
+The subscript lift Tij of an operator T on V (x) V to V (x) V (x) V places
+T on factors i and j and the identity on the third; it is
+``embed(T, (i - 1, j - 1), 3, d)`` with d = dim V, so
 
   T12 = T (x) id,
   T23 = id (x) T,
   T13 = (id (x) tau)^-1 (T (x) id) (id (x) tau),
 
-with tau the twist map. The equations evaluated here are
+with tau the twist map; id (x) tau is ``embed(tau, (1, 2), 3, d)``. The
+equations evaluated here are
 
   pentagon:  T23 T12 = T12 T13 T23
   ybe:       R12 R23 R12 = R23 R12 R23      (braid form)
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, kron, twist
+from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, embed, twist
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,51 +77,34 @@ def _checked(t, d: int) -> np.ndarray:
     return t
 
 
-def lift12(t, d: int) -> np.ndarray:
-    """T (x) id on the triple tensor product."""
-    return kron(_checked(t, d), np.eye(d, dtype=np.complex128))
-
-
-def lift23(t, d: int) -> np.ndarray:
-    """id (x) T on the triple tensor product."""
-    return kron(np.eye(d, dtype=np.complex128), _checked(t, d))
-
-
-def lift13(t, d: int) -> np.ndarray:
-    """Conjugate T (x) id by id (x) tau so T acts on factors 1 and 3."""
-    t = _checked(t, d)
-    mid = kron(np.eye(d, dtype=np.complex128), twist(d))  # involutive, its own inverse
-    return mid @ kron(t, np.eye(d, dtype=np.complex128)) @ mid
-
-
 def pentagon_residual(t, d: int) -> EquationResidual:
     """Residual of T23 T12 = T12 T13 T23."""
     t = _checked(t, d)
-    l12, l23 = lift12(t, d), lift23(t, d)
+    l12, l23 = embed(t, (0, 1), 3, d), embed(t, (1, 2), 3, d)
     lhs = l23 @ l12
-    rhs = l12 @ lift13(t, d) @ l23
+    rhs = l12 @ embed(t, (0, 2), 3, d) @ l23  # T13 is freed before the second product
     return _residual("pentagon", lhs, rhs)
 
 
 def ybe_residual(r, d: int) -> EquationResidual:
     """Residual of the braid-form Yang-Baxter equation R12 R23 R12 = R23 R12 R23."""
     r = _checked(r, d)
-    l12, l23 = lift12(r, d), lift23(r, d)
+    l12, l23 = embed(r, (0, 1), 3, d), embed(r, (1, 2), 3, d)
     return _residual("ybe", l12 @ l23 @ l12, l23 @ l12 @ l23)
 
 
 def ybe13_residual(r, d: int) -> EquationResidual:
     """Residual of the three-lift Yang-Baxter form R12 R13 R23 = R23 R13 R12."""
     r = _checked(r, d)
-    l12, l13, l23 = lift12(r, d), lift13(r, d), lift23(r, d)
+    l12, l13, l23 = (embed(r, wires, 3, d) for wires in ((0, 1), (0, 2), (1, 2)))
     return _residual("ybe13", l12 @ l13 @ l23, l23 @ l13 @ l12)
 
 
 def cocycle3_residual(tp, d: int) -> EquationResidual:
     """Residual of the 3-cocycle condition for an operator T'."""
     tp = _checked(tp, d)
-    l12, l23 = lift12(tp, d), lift23(tp, d)
-    mid = kron(np.eye(d, dtype=np.complex128), twist(d))
+    l12, l23 = embed(tp, (0, 1), 3, d), embed(tp, (1, 2), 3, d)
+    mid = embed(twist(d), (1, 2), 3, d)  # id (x) tau
     return _residual("cocycle3", l12 @ mid @ l12, l23 @ l12 @ l23)
 
 

@@ -138,40 +138,6 @@ def heisenberg_evolution(theta_x: float, theta_y: float, theta_z: float) -> np.n
 
 
 @dataclass(frozen=True)
-class AGateParams:
-    """Parameter triple (c1, c2, c3) of the A gate, in radians."""
-
-    c1: float
-    c2: float
-    c3: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.c1, self.c2, self.c3)
-
-    def canonical(self) -> "AGateParams":
-        """Representative with each coordinate reduced mod 4*pi into [0, 4*pi)."""
-        return AGateParams(self.c1 % FOUR_PI, self.c2 % FOUR_PI, self.c3 % FOUR_PI)
-
-
-@dataclass(frozen=True)
-class HeisenbergParams:
-    """Angle triple (theta_x, theta_y, theta_z) with theta_a = J_a t / hbar."""
-
-    theta_x: float
-    theta_y: float
-    theta_z: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.theta_x, self.theta_y, self.theta_z)
-
-    def canonical(self) -> "HeisenbergParams":
-        """Representative with each coordinate reduced mod 4*pi into [0, 4*pi)."""
-        return HeisenbergParams(
-            self.theta_x % FOUR_PI, self.theta_y % FOUR_PI, self.theta_z % FOUR_PI
-        )
-
-
-@dataclass(frozen=True)
 class CayleyTable:
     """Multiplication table of a finite group.
 
@@ -318,6 +284,8 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
         raise ValueError(
             f"gate {name!r} takes {expected} parameter(s), got {len(params)}"
         )
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"gate {name!r} parameters must be finite, got {list(params)}")
     if name in _FIXED_1Q:
         return _FIXED_1Q[name]()
     if name in _ROTATIONS:

@@ -45,14 +45,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -94,11 +86,8 @@ def twist(d: int) -> np.ndarray:
     """
     if d < 1:
         raise DimensionError("twist needs a positive dimension")
-    t = np.zeros((d * d, d * d), dtype=np.complex128)
-    for x in range(d):
-        for y in range(d):
-            t[y * d + x, x * d + y] = 1.0
-    return t
+    eye = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
+    return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def _check_wires(wires, num_qubits: int) -> None:
@@ -121,34 +110,33 @@ def _check_wires(wires, num_qubits: int) -> None:
         seen.add(w)
 
 
-def embed(u, wires, num_qubits: int) -> np.ndarray:
-    """Embed an operator on the listed wires into an n-qubit register.
+def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
+    """Embed an operator on the listed wires into a register of d-level wires.
 
     Wire order is significant: tensor factor i of ``u`` acts on
     ``wires[i]``; every other wire gets the identity. The result is
-    unitary whenever ``u`` is.
+    unitary whenever ``u`` is. Circuits use qubits (d=2); the equations
+    place a gate on factors (i, j) of C^d (x) C^d (x) C^d with
+    ``embed(t, (i, j), 3, d)``. Only entries move, so the result is exact.
     """
     u = as_matrix(u)
-    wires = [int(w) for w in _checked_wire_list(wires, num_qubits)]
+    wires = list(wires)
+    _check_wires(wires, num_qubits)
+    wires = [int(w) for w in wires]
     k = len(wires)
-    dim = 2**k
-    if u.shape != (dim, dim):
-        raise DimensionError(f"operator of shape {u.shape} does not act on {k} qubits")
+    if u.shape != (d**k, d**k):
+        raise DimensionError(
+            f"operator of shape {u.shape} does not act on {k} wires of dimension {d}"
+        )
     rest = [q for q in range(num_qubits) if q not in wires]
-    full = np.kron(u, np.eye(2 ** len(rest), dtype=np.complex128))
+    full = np.kron(u, np.eye(d ** len(rest), dtype=np.complex128))
     order = wires + rest  # tensor factor j of `full` is register wire order[j]
     if order == list(range(num_qubits)):
         return full
     pos = [order.index(q) for q in range(num_qubits)]
-    tensor = full.reshape([2] * (2 * num_qubits))
+    tensor = full.reshape([d] * (2 * num_qubits))
     tensor = tensor.transpose(pos + [p + num_qubits for p in pos])
-    return np.ascontiguousarray(tensor.reshape(2**num_qubits, 2**num_qubits))
-
-
-def _checked_wire_list(wires, num_qubits: int) -> list:
-    wires = list(wires)
-    _check_wires(wires, num_qubits)
-    return wires
+    return np.ascontiguousarray(tensor.reshape(d**num_qubits, d**num_qubits))
 
 
 def phase_distance(a, b) -> float:

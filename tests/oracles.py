@@ -82,6 +82,11 @@ SWAP_MAP = lambda t: (t[1], t[0])
 IDENTITY_MAP = lambda t: t
 
 
+def permutation_map(perm, d: int):
+    """Basis map of a permutation ``perm`` of the d*d basis states of C^d (x) C^d."""
+    return lambda t: divmod(int(perm[t[0] * d + t[1]]), d)
+
+
 def group_fusion_map(table):
     """Basis map e_g (x) e_h -> e_g (x) e_{gh} of a group multiplication table."""
     return lambda t: (t[0], table[t[0]][t[1]])

@@ -19,27 +19,26 @@ from pentagate import (
     Circuit,
     GateInstance,
     a_gate,
-    a_gate_constraints,
     certify,
     check_folklore_duality,
     check_street_duality,
     circuit_stats,
     circuits_identical,
     compress,
+    constraints,
     depth,
     describe_fusion_gate,
     equivalent_up_to_phase,
     expand,
     frobenius_norm,
     group_algebra_fusion,
-    heisenberg_constraints,
     heisenberg_evolution,
     kron,
     parse,
     pauli,
     pentagon_residual,
     route_line,
-    scan_a_gate,
+    scan_fusion_solutions,
     serialize,
     standard_gate,
     ybe_residual,
@@ -147,14 +146,14 @@ def test_criterion_6_constraint_system_verdicts():
     # pentagon sides differ by a sign: the residual is exactly 2, refuting
     # the odd-k half of the stated solution family; only even k survives.
     with criterion(6, "constraint-system verdicts at the derived points"):
-        assert a_gate_constraints((0, 0, 0), 1e-12).max_residual == 0.0
-        assert a_gate_constraints((0, 0, -4 * PI), 1e-12).max_residual < 1e-12
-        assert a_gate_constraints((0, 0, -2 * PI), 1e-12).max_residual == pytest.approx(
+        assert constraints("a", (0, 0, 0), 1e-12).max_residual == 0.0
+        assert constraints("a", (0, 0, -4 * PI), 1e-12).max_residual < 1e-12
+        assert constraints("a", (0, 0, -2 * PI), 1e-12).max_residual == pytest.approx(
             2.0, abs=1e-12
         )
-        assert heisenberg_constraints((0, 0, 0), 1e-12).max_residual == 0.0
-        assert heisenberg_constraints((0, 0, -2 * PI), 1e-12).max_residual < 1e-12
-        assert heisenberg_constraints((0, 0, -PI), 1e-12).max_residual == pytest.approx(
+        assert constraints("heis", (0, 0, 0), 1e-12).max_residual == 0.0
+        assert constraints("heis", (0, 0, -2 * PI), 1e-12).max_residual < 1e-12
+        assert constraints("heis", (0, 0, -PI), 1e-12).max_residual == pytest.approx(
             2.0, abs=1e-12
         )
 
@@ -162,7 +161,7 @@ def test_criterion_6_constraint_system_verdicts():
 def test_criterion_7_default_grid_scan():
     with criterion(7, "default grid scan finds only the identity class"):
         started = time.perf_counter()
-        solutions = scan_a_gate((-2 * PI, 2 * PI, PI / 8), 1e-9)
+        solutions = scan_fusion_solutions("a", (-2 * PI, 2 * PI, PI / 8), 1e-9)
         elapsed = time.perf_counter() - started
         assert solutions, "scan must return a nonempty solution set"
         for point in solutions:

@@ -6,24 +6,22 @@ import numpy as np
 import pytest
 
 from pentagate import (
+    FAMILIES,
     Circuit,
     NonUnitaryError,
     a_gate,
-    a_gate_constraints,
     certify,
     check_folklore_duality,
     check_street_duality,
     compress,
+    constraints,
     describe_fusion_gate,
     equivalent_up_to_phase,
     expand,
-    heisenberg_constraints,
     is_unitary,
     pentagon_residual,
     refine,
-    scan_a_gate,
     scan_fusion_solutions,
-    scan_heisenberg,
     standard_gate,
     transpile,
 )
@@ -86,35 +84,35 @@ class TestCertify:
 
 class TestConstraintSystems:
     def test_a_gate_identity_point_all_zero(self):
-        res = a_gate_constraints((0, 0, 0), 1e-12)
+        res = constraints("a", (0, 0, 0), 1e-12)
         assert res.max_residual == 0.0
         assert res.active_count == 0
 
     def test_a_gate_minus_two_pi_residual_two_on_diagonal(self):
         # the gate equals -I there; the pentagon sides differ by a sign,
         # putting |1 - (-1)| = 2 on diagonal entries
-        res = a_gate_constraints((0, 0, -2 * PI), 1e-12)
+        res = constraints("a", (0, 0, -2 * PI), 1e-12)
         assert res.max_residual == pytest.approx(2.0, abs=1e-12)
         worst = np.unravel_index(np.argmax(res.entry_residuals), (8, 8))
         assert worst[0] == worst[1]
 
     def test_a_gate_minus_four_pi_all_zero(self):
-        res = a_gate_constraints((0, 0, -4 * PI), 1e-12)
+        res = constraints("a", (0, 0, -4 * PI), 1e-12)
         assert res.max_residual < 1e-12
         assert res.active_count == 0
 
     def test_heisenberg_triple_of_checks(self):
-        assert heisenberg_constraints((0, 0, 0), 1e-12).max_residual == 0.0
-        assert heisenberg_constraints((0, 0, -PI), 1e-12).max_residual == pytest.approx(
+        assert constraints("heis", (0, 0, 0), 1e-12).max_residual == 0.0
+        assert constraints("heis", (0, 0, -PI), 1e-12).max_residual == pytest.approx(
             2.0, abs=1e-12
         )
-        assert heisenberg_constraints((0, 0, -2 * PI), 1e-12).max_residual < 1e-12
+        assert constraints("heis", (0, 0, -2 * PI), 1e-12).max_residual < 1e-12
 
     def test_heisenberg_equals_a_gate_constraints_at_doubled_params(self, rng):
         for _ in range(100):
             tx, ty, tz = rng.uniform(-6, 6, 3)
-            ra = a_gate_constraints((2 * tx, 2 * ty, 2 * tz), 1e-12)
-            rh = heisenberg_constraints((tx, ty, tz), 1e-12)
+            ra = constraints("a", (2 * tx, 2 * ty, 2 * tz), 1e-12)
+            rh = constraints("heis", (tx, ty, tz), 1e-12)
             assert np.max(np.abs(ra.entry_residuals - rh.entry_residuals)) < 1e-12
 
     def test_structurally_nonzero_positions(self, rng):
@@ -139,17 +137,47 @@ class TestConstraintSystems:
     def test_max_residual_consistent_with_certify(self, rng):
         for _ in range(20):
             p = rng.uniform(-6, 6, 3)
-            res = a_gate_constraints(p, 1e-10)
+            res = constraints("a", p, 1e-10)
             report = certify(a_gate(*p), 2, 1e-10, name="A", params=tuple(p))
             assert (res.max_residual < 1e-10) == report.is_fusion
 
     def test_json_shape(self):
-        doc = heisenberg_constraints((0.1, 0.2, 0.3), 1e-10).to_jsonable()
+        doc = constraints("heis", (0.1, 0.2, 0.3), 1e-10).to_jsonable()
         assert set(doc) == {
             "parameter_point", "entry_residuals", "active_count", "max_residual", "tolerance",
         }
         assert set(doc["parameter_point"]) == {"theta_x", "theta_y", "theta_z"}
         assert len(doc["entry_residuals"]) == 8
+
+    def test_parameter_point_names_come_from_the_family_table(self):
+        for family, (build, names) in FAMILIES.items():
+            res = constraints(family, (0.1, -0.2, 0.3), 1e-10)
+            assert (res.family, res.parameters) == (family, (0.1, -0.2, 0.3))
+            assert res.to_jsonable()["parameter_point"] == dict(zip(names, (0.1, -0.2, 0.3)))
+            expected = pentagon_residual(build(0.1, -0.2, 0.3), 2)
+            assert np.array_equal(res.entry_residuals, np.abs(expected.lhs - expected.rhs))
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            constraints("xyz", (0, 0, 0))
+
+    def test_wrong_parameter_count(self):
+        with pytest.raises(ValueError, match="expected a parameter triple"):
+            constraints("a", (0, 0))
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_constraints_reject(self, value):
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match=rf"parameters must be finite, got \[.*{value}"):
+                constraints(family, (0.0, value, 0.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_refine_rejects(self, value):
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match=rf"parameters must be finite, got \[.*{value}"):
+                refine((value, 0.0, 0.0), family)
 
 
 class TestAxisPoints:
@@ -173,18 +201,18 @@ class TestAxisPoints:
 
 class TestScan:
     def test_single_point_grid(self):
-        points = scan_a_gate((0.0, 0.0, 1.0), 1e-9)
+        points = scan_fusion_solutions("a", (0.0, 0.0, 1.0), 1e-9)
         assert len(points) == 1
         assert points[0].parameters == (0.0, 0.0, 0.0)
         assert points[0].residual == 0.0
         assert points[0].operator_class == IDENTITY_CLASS
 
     def test_quarter_turn_grid_finds_only_identity(self):
-        points = scan_a_gate((0.0, PI, PI / 2), 1e-9)
+        points = scan_fusion_solutions("a", (0.0, PI, PI / 2), 1e-9)
         assert [p.parameters for p in points] == [(0.0, 0.0, 0.0)]
 
     def test_coarse_full_period_grid_identity_class_only(self):
-        points = scan_a_gate((-2 * PI, 2 * PI, PI / 2), 1e-9)
+        points = scan_fusion_solutions("a", (-2 * PI, 2 * PI, PI / 2), 1e-9)
         assert points, "expected at least the identity class"
         for p in points:
             assert p.operator_class == IDENTITY_CLASS
@@ -192,23 +220,23 @@ class TestScan:
 
     def test_operator_level_deduplication(self):
         # (0,0,0) and (2pi, 2pi, 0) both build +I and collapse to one class
-        points = scan_a_gate((-2 * PI, 2 * PI, 2 * PI), 1e-9)
+        points = scan_fusion_solutions("a", (-2 * PI, 2 * PI, 2 * PI), 1e-9)
         assert len(points) == 1
         assert points[0].canonical_parameters == (0.0, 0.0, 0.0)
 
     def test_shift_by_four_pi_preserves_classes(self):
-        low = scan_a_gate((0.0, PI, PI / 2), 1e-9)
-        high = scan_a_gate((4 * PI, 5 * PI, PI / 2), 1e-9)
+        low = scan_fusion_solutions("a", (0.0, PI, PI / 2), 1e-9)
+        high = scan_fusion_solutions("a", (4 * PI, 5 * PI, PI / 2), 1e-9)
         assert [p.operator_class for p in low] == [p.operator_class for p in high]
 
     def test_heisenberg_family(self):
-        points = scan_heisenberg((-PI, PI, PI / 2), 1e-9)
+        points = scan_fusion_solutions("heis", (-PI, PI, PI / 2), 1e-9)
         assert points
         for p in points:
             assert p.operator_class == IDENTITY_CLASS
 
     def test_solutions_recertify(self):
-        for p in scan_a_gate((-2 * PI, 2 * PI, PI / 2), 1e-9):
+        for p in scan_fusion_solutions("a", (-2 * PI, 2 * PI, PI / 2), 1e-9):
             report = certify(a_gate(*p.parameters), 2, 1e-9, name="A", params=p.parameters)
             assert report.is_fusion
 
@@ -218,7 +246,7 @@ class TestScan:
 
     def test_empty_grid_error(self):
         with pytest.raises(GridError):
-            scan_a_gate((1.0, 0.0, 0.5))
+            scan_fusion_solutions("a", (1.0, 0.0, 0.5))
 
 
 class TestRefine:
@@ -269,11 +297,12 @@ def _tolerance_takers():
     descriptor = describe_fusion_gate(name="CNOT")
     return {
         "certify": lambda tol: certify(cnot, 2, tol),
-        "a_gate_constraints": lambda tol: a_gate_constraints((0, 0, 0), tol),
-        "heisenberg_constraints": lambda tol: heisenberg_constraints((0, 0, 0), tol),
-        "scan_fusion_solutions": lambda tol: scan_fusion_solutions("a", (0, 0, 1), tol),
-        "scan_a_gate": lambda tol: scan_a_gate((0, 0, 1), tol),
-        "scan_heisenberg": lambda tol: scan_heisenberg((0, 0, 1), tol),
+        # family-level calls: one case per gate family, named after the family
+        "a_gate_constraints": lambda tol: constraints("a", (0, 0, 0), tol),
+        "heisenberg_constraints": lambda tol: constraints("heis", (0, 0, 0), tol),
+        "scan_a_gate": lambda tol: scan_fusion_solutions("a", (0, 0, 1), tol),
+        "scan_heisenberg": lambda tol: scan_fusion_solutions("heis", (0, 0, 1), tol),
+        "scan_fusion_solutions": lambda tol: scan_fusion_solutions("a", [(0, 0, 1)] * 3, tol),
         "refine": lambda tol: refine((0, 0, 0), "a", tol=tol),
         "check_street_duality": lambda tol: check_street_duality(cnot, 2, tol),
         "check_folklore_duality": lambda tol: check_folklore_duality(cnot, 2, tol),

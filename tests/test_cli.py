@@ -279,6 +279,23 @@ class TestInputBoundary:
         assert main(["verify", "--a", str(path), "--b", str(path), "--quiet"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--gate", "A", "--params=nan,0,0"],
+        ["certify", "--gate", "HEIS", "--params=0,inf,0"],
+        ["constraints", "--family", "a", "--params=nan,0,0"],
+        ["constraints", "--family", "heis", "--params=0,0,-inf"],
+        ["transpile", "--in", "empty.json", "--out", "out.json", "--rule", "compress",
+         "--fusion-gate", "A", "--fusion-params=inf,0,0"],
+    ], ids=["certify_a", "certify_heis", "constraints_a", "constraints_heis", "transpile"])
+    def test_non_finite_gate_parameters_invalid_input(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.json").write_text('{"qubits": 3, "gates": []}')
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parameters must be finite" in captured.err
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestSimulationCounts:
     def test_verify_simulates_each_circuit_once(self, template_file, simulations, capsys):

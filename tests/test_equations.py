@@ -19,9 +19,6 @@ from pentagate import (
     embed,
     frobenius_norm,
     group_algebra_fusion,
-    lift12,
-    lift13,
-    lift23,
     pentagon_residual,
     standard_gate,
     twist,
@@ -34,7 +31,9 @@ from oracles import (
     SWAP_MAP,
     braid_ybe_sides,
     group_fusion_map,
+    lift_map,
     pentagon_sides,
+    permutation_map,
     permutation_operator,
     residual_norm,
 )
@@ -49,23 +48,34 @@ FOUR_SQRT_TWO = 4.0 * math.sqrt(2.0)
 TWO_SQRT_THREE = 2.0 * math.sqrt(3.0)
 
 
+LIFT_WIRES = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}
+
+
 class TestLifts:
+    """The subscript lift Tij is ``embed(T, (i - 1, j - 1), 3, d)``."""
+
     def test_lift12_identity(self):
-        assert np.array_equal(lift12(I4, 2), I8)
+        assert np.array_equal(embed(I4, (0, 1), 3), I8)
 
     def test_lifts_match_embed(self, rng):
-        t = haar_unitary(4, rng)
-        assert np.array_equal(lift12(t, 2), embed(t, [0, 1], 3))
-        assert np.allclose(lift23(t, 2), embed(t, [1, 2], 3), atol=1e-15)
-        assert np.allclose(lift13(t, 2), embed(t, [0, 2], 3), atol=1e-15)
+        for d in (2, 3):
+            for _ in range(5):
+                tmap = permutation_map(rng.permutation(d * d), d)
+                t = permutation_operator(tmap, d, 2)
+                for position, wires in LIFT_WIRES.items():
+                    oracle = permutation_operator(lift_map(tmap, position), d, 3)
+                    assert np.array_equal(embed(t, wires, 3, d), oracle)
 
     def test_lift13_of_swap_exchanges_outer_wires(self):
-        exchange = permutation_operator(lambda t: (t[2], t[1], t[0]), 2, 3)
-        assert np.array_equal(lift13(SWAP, 2), exchange)
+        reverse = lambda t: (t[2], t[1], t[0])
+        assert np.array_equal(embed(SWAP, (0, 2), 3), permutation_operator(reverse, 2, 3))
+        assert np.array_equal(embed(twist(3), (0, 2), 3, 3), permutation_operator(reverse, 3, 3))
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
-            lift12(I4, 3)
+            embed(I4, (0, 1), 3, 3)
+        with pytest.raises(DimensionError):
+            pentagon_residual(I4, 3)
 
 
 class TestPentagonResidual:

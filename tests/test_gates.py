@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from pentagate import (
-    AGateParams,
     CayleyTable,
     InvalidGroupError,
     a_gate,
@@ -21,6 +20,7 @@ from pentagate import (
     matrices_equal,
     pauli,
     rotation,
+    scan_fusion_solutions,
     standard_gate,
     xx,
     yy,
@@ -141,11 +141,12 @@ class TestAGate:
             assert matrices_equal(a_gate(c1, c2, c3 + 4 * PI), base, 1e-12)
 
     def test_params_canonicalization(self):
-        p = AGateParams(-2 * PI, 5 * PI, 0.5).canonical()
-        assert p.c1 == pytest.approx(2 * PI)
-        assert p.c2 == pytest.approx(PI)
-        assert p.c3 == pytest.approx(0.5)
-        assert all(0 <= x < 4 * PI for x in p.as_tuple())
+        # A(-2pi, 8pi, 6pi) = +I; a one-point scan reports it reduced mod 4pi
+        axes = [(-2 * PI, -2 * PI, 1.0), (8 * PI, 8 * PI, 1.0), (6 * PI, 6 * PI, 1.0)]
+        (point,) = scan_fusion_solutions("a", axes)
+        assert point.parameters == (-2 * PI, 8 * PI, 6 * PI)
+        assert point.canonical_parameters == pytest.approx((2 * PI, 0.0, 2 * PI))
+        assert all(0 <= x < 4 * PI for x in point.canonical_parameters)
 
 
 class TestBGate:
@@ -294,3 +295,10 @@ class TestGateMatrixDispatch:
     def test_unknown_gate(self):
         with pytest.raises(UnknownGateError):
             gate_matrix("CZ", ())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        for name, params in (("RZ", (value,)), ("XX", (value,)), ("A", (value, 0, 0)),
+                             ("HEIS", (0, 0, value))):
+            with pytest.raises(ValueError, match=rf"parameters must be finite, got \[.*{value}"):
+                gate_matrix(name, params)
