@@ -41,6 +41,7 @@ from .equations import (
     check_street_duality,
     cocycle3_residual,
     pentagon_residual,
+    pentagon_stack,
     ybe13_residual,
     ybe_residual,
 )

@@ -10,6 +10,14 @@ family must satisfy. The scanner walks a parameter grid and reports
 solution classes; ``refine`` polishes a near-solution with a
 derivative-free compass search.
 
+Both evaluate many parameter points through the stacked kernel
+``equations.pentagon_stack``: the scanner builds and evaluates the grid
+in chunks of ``SCAN_CHUNK`` points, one stacked family-constructor call
+and one kernel call per chunk, and ``refine`` evaluates its six compass
+polls in one call per iteration. Each slice is bitwise the one-point
+result, so verdicts, classes, residuals and iterates do not depend on
+the chunking.
+
 Known solution structure of the A-gate family: pentagon solutions on the
 grid are exactly the points where the matrix equals +I (c1 = c2 = 0 and
 c3 = 0 mod 4*pi, up to the 4*pi periodicity of each coordinate). The
@@ -20,12 +28,13 @@ square on the other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import pentagon_residual
+from .equations import pentagon_residual, pentagon_stack
 from .errors import DimensionError, GridError, NonUnitaryError
 from .gates import FOUR_PI, a_gate, heisenberg_evolution
 from .jsonio import complex_pair
@@ -33,6 +42,10 @@ from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, frobenius_nor
 
 #: Default grid-scan tolerance on the pentagon residual.
 SCAN_TOLERANCE = 1e-9
+
+#: Grid points built and evaluated per stacked call. Building the whole
+#: default grid at once costs far more memory for no further speed.
+SCAN_CHUNK = 64
 
 IDENTITY_CLASS = "identity_up_to_tolerance"
 OTHER_CLASS = "other"
@@ -262,15 +275,14 @@ def scan_fusion_solutions(
     tol = check_tolerance(tol)
     build, _ = _family(family)
     grids = [axis_points(*axis) for axis in _normalize_axes(axes)]
+    points = itertools.product(*grids)
     passing = []
-    for p0 in grids[0]:
-        for p1 in grids[1]:
-            for p2 in grids[2]:
-                matrix = build(p0, p1, p2)
-                residual = pentagon_residual(matrix, 2).residual
-                if residual < tol:
-                    params = (p0, p1, p2)
-                    passing.append((_canonical(params), params, residual, matrix))
+    while chunk := list(itertools.islice(points, SCAN_CHUNK)):
+        matrices = build(*np.array(chunk).T)
+        residuals = pentagon_stack(matrices, 2)[2]
+        for params, residual, matrix in zip(chunk, residuals, matrices):
+            if residual < tol:
+                passing.append((_canonical(params), params, float(residual), matrix))
     passing.sort(key=lambda item: (item[0], item[1]))
 
     eye = np.eye(4, dtype=np.complex128)
@@ -310,6 +322,11 @@ class RefineResult:
 #: Compass search stops once the poll step shrinks below this.
 MIN_REFINE_STEP = 1e-12
 
+#: The six compass polls, in the order ties are broken: +step, then -step,
+#: along each axis in turn.
+_POLL_AXES = np.array([0, 0, 1, 1, 2, 2])
+_POLL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
 
 def refine(
     start,
@@ -330,28 +347,20 @@ def refine(
     tol = check_tolerance(tol)
     build, _ = _family(family)
     point = np.asarray(_triple(start), dtype=float)
-
-    def objective(p) -> float:
-        return pentagon_residual(build(*p), 2).residual
-
-    value = objective(point)
+    value = pentagon_residual(build(*point), 2).residual
     evaluations = 1
     step = float(initial_step)
     iterations = 0
     while value >= tol and step >= MIN_REFINE_STEP and iterations < max_iters:
-        best_value, best_point = value, None
-        for axis in range(3):
-            for sign in (1.0, -1.0):
-                trial = point.copy()
-                trial[axis] += sign * step
-                trial_value = objective(trial)
-                evaluations += 1
-                if trial_value < best_value:
-                    best_value, best_point = trial_value, trial
-        if best_point is None:
-            step *= 0.5
+        trials = np.tile(point, (6, 1))
+        trials[np.arange(6), _POLL_AXES] += _POLL_SIGNS * step
+        values = pentagon_stack(build(*trials.T), 2)[2]
+        evaluations += len(values)
+        best = int(np.argmin(values))  # the first poll of least residual
+        if values[best] < value:
+            point, value = trials[best], float(values[best])
         else:
-            point, value = best_point, best_value
+            step *= 0.5
         iterations += 1
 
     converged = value < tol

@@ -60,11 +60,14 @@ class GateInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        # Adding 0.0 turns -0.0 into 0.0: JSON reads the "-0" that -0.0
+        # serializes to as the integer 0, so a signed zero would not
+        # survive a round trip and the serialized form would not be canonical.
+        object.__setattr__(self, "params", tuple(float(p) + 0.0 for p in self.params))
         if not all(map(math.isfinite, self.params)):
             raise SchemaError(f"params: must be finite, got {list(self.params)}")
         if self.matrix is not None:
-            object.__setattr__(self, "matrix", as_matrix(self.matrix))
+            object.__setattr__(self, "matrix", as_matrix(self.matrix) + 0.0)
             if not np.isfinite(self.matrix).all():
                 raise SchemaError("matrix: entries must be finite")
 

@@ -22,6 +22,12 @@ equations evaluated here are
   cocycle3:  (T' (x) id)(id (x) tau)(T' (x) id)
                = (id (x) T')(T' (x) id)(id (x) T')
 
+The pentagon equation is evaluated by one stacked kernel,
+``pentagon_stack``, on a stack of gates of shape ``(n, d*d, d*d)``:
+``embed`` places the whole stack at once and each stacked product runs
+one matrix product per slice, so every slice is bitwise the one-gate
+result. ``pentagon_residual`` is its one-gate case.
+
 Two classical dualities tie these together: R solves the braid YBE iff
 tau R solves ybe13, and T solves the pentagon equation iff tau T solves
 the 3-cocycle condition (Street). Note the pentagon equation is not
@@ -54,12 +60,14 @@ class EquationResidual:
     max_entry_mismatch: tuple[int, int, float]
 
 
-def _residual(equation: str, lhs: np.ndarray, rhs: np.ndarray) -> EquationResidual:
+def _residual(
+    equation: str, lhs: np.ndarray, rhs: np.ndarray, residual: float | None = None
+) -> EquationResidual:
     diff = np.abs(lhs - rhs)
     row, col = np.unravel_index(int(np.argmax(diff)), diff.shape)
     return EquationResidual(
         equation=equation,
-        residual=float(np.linalg.norm(lhs - rhs)),
+        residual=float(np.linalg.norm(lhs - rhs)) if residual is None else residual,
         lhs=lhs,
         rhs=rhs,
         max_entry_mismatch=(int(row), int(col), float(diff[row, col])),
@@ -68,22 +76,43 @@ def _residual(equation: str, lhs: np.ndarray, rhs: np.ndarray) -> EquationResidu
 
 def _checked(t, d: int) -> np.ndarray:
     t = as_matrix(t)
-    if d < 1:
-        raise DimensionError("local dimension must be positive")
-    if t.shape != (d * d, d * d):
-        raise DimensionError(
-            f"operator of shape {t.shape} is not {d * d}x{d * d} (local dimension {d})"
-        )
+    _check_shape(t, d)
     return t
 
 
-def pentagon_residual(t, d: int) -> EquationResidual:
-    """Residual of T23 T12 = T12 T13 T23."""
-    t = _checked(t, d)
-    l12, l23 = embed(t, (0, 1), 3, d), embed(t, (1, 2), 3, d)
+def _check_shape(t: np.ndarray, d: int) -> None:
+    if d < 1:
+        raise DimensionError("local dimension must be positive")
+    if t.shape[-2:] != (d * d, d * d):
+        raise DimensionError(
+            f"operator of shape {t.shape} is not {d * d}x{d * d} (local dimension {d})"
+        )
+
+
+def pentagon_stack(ts, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of T23 T12 = T12 T13 T23 for a stack of gates, and each residual.
+
+    ``ts`` has shape ``(n, d*d, d*d)``. Returns the stacked sides, each of
+    shape ``(n, d**3, d**3)``, and the ``n`` residuals, ``np.linalg.norm``
+    of each slice of their difference. A stacked product runs one matrix
+    product per slice, so every slice is bitwise what ``pentagon_residual``
+    returns for that gate alone.
+    """
+    ts = np.asarray(ts, dtype=np.complex128)
+    if ts.ndim != 3:
+        raise DimensionError(f"expected a stack of matrices, got {ts.ndim} dimensions")
+    _check_shape(ts, d)
+    l12, l23 = embed(ts, (0, 1), 3, d), embed(ts, (1, 2), 3, d)
     lhs = l23 @ l12
-    rhs = l12 @ embed(t, (0, 2), 3, d) @ l23  # T13 is freed before the second product
-    return _residual("pentagon", lhs, rhs)
+    rhs = l12 @ embed(ts, (0, 2), 3, d) @ l23  # T13 is freed before the second product
+    residuals = np.array([np.linalg.norm(diff) for diff in lhs - rhs])
+    return lhs, rhs, residuals
+
+
+def pentagon_residual(t, d: int) -> EquationResidual:
+    """Residual of T23 T12 = T12 T13 T23: the one-gate case of ``pentagon_stack``."""
+    lhs, rhs, residuals = pentagon_stack(_checked(t, d)[np.newaxis], d)
+    return _residual("pentagon", lhs[0], rhs[0], float(residuals[0]))
 
 
 def ybe_residual(r, d: int) -> EquationResidual:

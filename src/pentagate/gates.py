@@ -18,6 +18,10 @@ heisenberg_evolution are 4*pi-periodic in each parameter, and the two
 families coincide under parameter doubling:
 
   heisenberg_evolution(tx, ty, tz) == a_gate(2 tx, 2 ty, 2 tz)
+
+``a_gate`` and ``heisenberg_evolution`` also take arrays of parameters
+and return the stack of gates, slice for slice equal to the scalar calls;
+the grid scanner and the refiner build their points that way.
 """
 
 from __future__ import annotations
@@ -75,10 +79,15 @@ def standard_gate(name: str) -> np.ndarray:
     raise UnknownGateError(f"unknown standard gate {name!r}")
 
 
-def _two_site_exponential(axis: str, theta: float) -> np.ndarray:
-    """exp(i theta sigma_axis (x) sigma_axis), closed form via (s(x)s)^2 = I."""
+def _two_site_exponential(axis: str, theta) -> np.ndarray:
+    """exp(i theta sigma_axis (x) sigma_axis), closed form via (s(x)s)^2 = I.
+
+    ``theta`` may be an array of angles; the result then has shape
+    ``theta.shape + (4, 4)``.
+    """
+    theta = np.asarray(theta, dtype=float)[..., np.newaxis, np.newaxis]
     pp = kron(pauli(axis), pauli(axis))
-    return math.cos(theta) * np.eye(4, dtype=np.complex128) + 1j * math.sin(theta) * pp
+    return np.cos(theta) * np.eye(4, dtype=np.complex128) + 1j * np.sin(theta) * pp
 
 
 def xx(c1: float) -> np.ndarray:
@@ -96,27 +105,27 @@ def zz(c3: float) -> np.ndarray:
     return _two_site_exponential("z", 0.5 * float(c3))
 
 
-def a_gate(c1: float, c2: float, c3: float) -> np.ndarray:
+def a_gate(c1, c2, c3) -> np.ndarray:
     """The three-parameter A gate, zz(c3) yy(c2) xx(c1), in closed form.
 
     Each parameter triple labels a local-equivalence class of two-qubit
-    gates; the matrix is 4*pi-periodic in every parameter.
+    gates; the matrix is 4*pi-periodic in every parameter. The parameters
+    may be arrays of one broadcast shape s; the result is then the stack
+    of shape ``s + (4, 4)``, slice for slice equal to the scalar calls.
     """
-    half_diff = 0.5 * (float(c1) - float(c2))
-    half_sum = 0.5 * (float(c1) + float(c2))
-    ep = np.exp(0.5j * float(c3))
-    em = np.exp(-0.5j * float(c3))
-    cd, sd = math.cos(half_diff), math.sin(half_diff)
-    cs, ss = math.cos(half_sum), math.sin(half_sum)
-    return np.array(
-        [
-            [ep * cd, 0, 0, 1j * ep * sd],
-            [0, em * cs, 1j * em * ss, 0],
-            [0, 1j * em * ss, em * cs, 0],
-            [1j * ep * sd, 0, 0, ep * cd],
-        ],
-        dtype=np.complex128,
-    )
+    c1, c2, c3 = (np.asarray(c, dtype=float) for c in (c1, c2, c3))
+    half_diff = 0.5 * (c1 - c2)
+    half_sum = 0.5 * (c1 + c2)
+    ep = np.exp(0.5j * c3)
+    em = np.exp(-0.5j * c3)
+    cd, sd = np.cos(half_diff), np.sin(half_diff)
+    cs, ss = np.cos(half_sum), np.sin(half_sum)
+    m = np.zeros(np.broadcast(c1, c2, c3).shape + (4, 4), dtype=np.complex128)
+    m[..., 0, 0] = m[..., 3, 3] = ep * cd
+    m[..., 0, 3] = m[..., 3, 0] = 1j * ep * sd
+    m[..., 1, 1] = m[..., 2, 2] = em * cs
+    m[..., 1, 2] = m[..., 2, 1] = 1j * em * ss
+    return m
 
 
 def b_gate() -> np.ndarray:
@@ -124,16 +133,18 @@ def b_gate() -> np.ndarray:
     return xx(0.5 * math.pi) @ yy(0.25 * math.pi)
 
 
-def heisenberg_evolution(theta_x: float, theta_y: float, theta_z: float) -> np.ndarray:
+def heisenberg_evolution(theta_x, theta_y, theta_z) -> np.ndarray:
     """Two-site Heisenberg evolution operator.
 
     Product of the three commuting component exponentials
     exp(i theta_a sigma_a (x) sigma_a); equals a_gate(2 tx, 2 ty, 2 tz).
+    Like ``a_gate``, it takes arrays of angles and returns the stack of
+    operators, one matrix product per slice.
     """
     return (
-        _two_site_exponential("z", float(theta_z))
-        @ _two_site_exponential("y", float(theta_y))
-        @ _two_site_exponential("x", float(theta_x))
+        _two_site_exponential("z", theta_z)
+        @ _two_site_exponential("y", theta_y)
+        @ _two_site_exponential("x", theta_x)
     )
 
 

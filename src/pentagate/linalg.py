@@ -118,25 +118,37 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     unitary whenever ``u`` is. Circuits use qubits (d=2); the equations
     place a gate on factors (i, j) of C^d (x) C^d (x) C^d with
     ``embed(t, (i, j), 3, d)``. Only entries move, so the result is exact.
+
+    ``u`` may also be a stack of operators of shape ``(n, d**k, d**k)``;
+    the result is then the stack of their embeddings, slice for slice
+    equal to embedding each operator on its own.
     """
-    u = as_matrix(u)
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim not in (2, 3):
+        raise DimensionError(
+            f"expected a matrix or a stack of matrices, got {u.ndim} dimensions"
+        )
     wires = list(wires)
     _check_wires(wires, num_qubits)
     wires = [int(w) for w in wires]
     k = len(wires)
-    if u.shape != (d**k, d**k):
+    if u.shape[-2:] != (d**k, d**k):
         raise DimensionError(
             f"operator of shape {u.shape} does not act on {k} wires of dimension {d}"
         )
     rest = [q for q in range(num_qubits) if q not in wires]
-    full = np.kron(u, np.eye(d ** len(rest), dtype=np.complex128))
+    eye = np.eye(d ** len(rest), dtype=np.complex128)
+    # u (x) I slice by slice, as the same broadcast product np.kron forms
+    full = u[..., :, np.newaxis, :, np.newaxis] * eye[:, np.newaxis, :]
+    batch, size = u.shape[:-2], d**num_qubits
     order = wires + rest  # tensor factor j of `full` is register wire order[j]
     if order == list(range(num_qubits)):
-        return full
+        return full.reshape(batch + (size, size))
     pos = [order.index(q) for q in range(num_qubits)]
-    tensor = full.reshape([d] * (2 * num_qubits))
-    tensor = tensor.transpose(pos + [p + num_qubits for p in pos])
-    return np.ascontiguousarray(tensor.reshape(d**num_qubits, d**num_qubits))
+    axes = [len(batch) + p for p in pos]
+    tensor = full.reshape(batch + (d,) * (2 * num_qubits))
+    tensor = tensor.transpose(list(range(len(batch))) + axes + [a + num_qubits for a in axes])
+    return np.ascontiguousarray(tensor.reshape(batch + (size, size)))
 
 
 def phase_distance(a, b) -> float:

@@ -1,6 +1,8 @@
 """Tests for certification, constraint systems, scanning, and refinement."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,21 @@ class TestRefine:
         assert set(doc["solution"]) == {
             "parameters", "residual", "canonical_parameters", "operator_class",
         }
+
+
+#: ``refine(...).to_jsonable()`` for starts near and far from solutions in
+#: both families, including runs that stop on a shrunk step and on the
+#: iteration budget. Recorded with the refine that evaluated its six polls
+#: one call at a time, before they moved onto the stacked kernel.
+REFINE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "refine.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", REFINE_GOLDEN, ids=[c["name"] for c in REFINE_GOLDEN])
+def test_refine_golden_iterates(case):
+    result = refine(tuple(case["start"]), case["family"], **case["kwargs"])
+    assert json.dumps(result.to_jsonable()) == case["result"]
 
 
 BAD_TOLERANCES = [0.0, -1.0, math.nan, math.inf, -math.inf]

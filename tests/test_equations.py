@@ -20,6 +20,7 @@ from pentagate import (
     frobenius_norm,
     group_algebra_fusion,
     pentagon_residual,
+    pentagon_stack,
     standard_gate,
     twist,
     ybe13_residual,
@@ -76,6 +77,12 @@ class TestLifts:
             embed(I4, (0, 1), 3, 3)
         with pytest.raises(DimensionError):
             pentagon_residual(I4, 3)
+        with pytest.raises(DimensionError):
+            pentagon_stack(I4, 2)  # one gate, not a stack
+        with pytest.raises(DimensionError):
+            pentagon_stack(np.stack([I4, I4]), 3)
+        with pytest.raises(DimensionError):
+            embed(np.zeros((1, 1, 4, 4)), (0, 1), 3)
 
 
 class TestPentagonResidual:

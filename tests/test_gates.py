@@ -140,6 +140,14 @@ class TestAGate:
             assert matrices_equal(a_gate(c1, c2 + 4 * PI, c3), base, 1e-12)
             assert matrices_equal(a_gate(c1, c2, c3 + 4 * PI), base, 1e-12)
 
+    def test_parameter_arrays_broadcast_to_a_stack(self):
+        c1 = np.array([0.0, 0.5, -1.0])
+        for build in (a_gate, heisenberg_evolution):
+            stack = build(c1, 0.25, -2.0)
+            assert stack.shape == (3, 4, 4)
+            assert all(np.array_equal(m, build(c, 0.25, -2.0)) for m, c in zip(stack, c1))
+            assert build(0.0, 0.0, 0.0).shape == (4, 4)
+
     def test_params_canonicalization(self):
         # A(-2pi, 8pi, 6pi) = +I; a one-point scan reports it reduced mod 4pi
         axes = [(-2 * PI, -2 * PI, 1.0), (8 * PI, 8 * PI, 1.0), (6 * PI, 6 * PI, 1.0)]

@@ -1,31 +1,74 @@
-"""Hypothesis properties of the equation layer on random basis permutations.
+"""Hypothesis properties of the equation layer, the stacked kernel, the
+circuit serializer and the rewrite rules.
 
 A permutation gate's lifts and both sides of every equation are exact 0/1
 matrices, so the library must agree bitwise with the brute-force oracles
-in oracles.py, which trace basis tuples and never call ``embed``.
+in oracles.py, which trace basis tuples and never call ``embed``. The
+stacked kernel runs one matrix product per slice, so its lifts, sides,
+residuals and stacked gate constructors must equal the one-gate calls
+bitwise as well.
 """
 
+import json
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagate import (
+    Circuit,
+    GateInstance,
+    a_gate,
     check_folklore_duality,
     check_street_duality,
+    compress,
+    describe_fusion_gate,
+    embed,
+    expand,
+    heisenberg_evolution,
+    parse,
     pentagon_residual,
+    pentagon_stack,
+    serialize,
     ybe_residual,
 )
+from pentagate.gates import KNOWN_GATES, gate_arity, parameter_count
+from conftest import haar_unitary, template_gates
 from oracles import braid_ybe_sides, pentagon_sides, permutation_map, permutation_operator
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
+#: Parameters of the A-gate and Heisenberg families: several periods either way.
+ANGLES = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
+
 
 @st.composite
-def permutation_gates(draw):
+def permutation_gates(draw, d=None):
     """(d, basis map, matrix) of a random permutation of C^d (x) C^d, d in {2, 3}."""
-    d = draw(st.sampled_from((2, 3)))
+    d = draw(st.sampled_from((2, 3))) if d is None else d
     tmap = permutation_map(draw(st.permutations(range(d * d))), d)
     return d, tmap, permutation_operator(tmap, d, 2)
+
+
+@st.composite
+def permutation_stacks(draw):
+    """(d, basis maps, stacked matrices) of one to four permutation gates of one d."""
+    d = draw(st.sampled_from((2, 3)))
+    gates = draw(st.lists(permutation_gates(d), min_size=1, max_size=4))
+    return d, [tmap for _, tmap, _ in gates], np.stack([t for _, _, t in gates])
+
+
+def _check_stack_matches_one_gate_calls(stack, d):
+    lhs, rhs, residuals = pentagon_stack(stack, d)
+    assert lhs.shape == rhs.shape == (len(stack), d**3, d**3)
+    assert residuals.shape == (len(stack),)
+    for t, side_l, side_r, residual in zip(stack, lhs, rhs, residuals):
+        res = pentagon_residual(t, d)
+        assert np.array_equal(side_l, res.lhs)
+        assert np.array_equal(side_r, res.rhs)
+        assert residual == res.residual
 
 
 @PROPERTY_SETTINGS
@@ -54,3 +97,148 @@ def test_street_and_folklore_dualities(gate):
     d, _, t = gate
     assert check_street_duality(t, d)
     assert check_folklore_duality(t, d)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from((2, 3)),
+    st.sampled_from(((0, 1), (1, 2), (0, 2))),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_embed_matches_per_slice(d, wires, count, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count, d * d, d * d)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    lifted = embed(stack, wires, 3, d)
+    assert np.array_equal(lifted, np.stack([embed(u, wires, 3, d) for u in stack]))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from((a_gate, heisenberg_evolution)),
+    st.lists(st.tuples(ANGLES, ANGLES, ANGLES), min_size=1, max_size=8),
+)
+def test_stacked_family_points_match_one_gate_calls(build, points):
+    stack = build(*np.array(points).T)
+    assert np.array_equal(stack, np.stack([build(*p) for p in points]))
+    _check_stack_matches_one_gate_calls(stack, 2)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from((2, 3)), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stacked_haar_gates_match_one_gate_calls(d, count, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([haar_unitary(d * d, rng) for _ in range(count)])
+    _check_stack_matches_one_gate_calls(stack, d)
+
+
+@PROPERTY_SETTINGS
+@given(permutation_stacks())
+def test_stacked_sides_match_oracle(gates):
+    d, maps, stack = gates
+    lhs, rhs, residuals = pentagon_stack(stack, d)
+    for tmap, side_l, side_r in zip(maps, lhs, rhs):
+        oracle_l, oracle_r = pentagon_sides(tmap, d)
+        assert np.array_equal(side_l, oracle_l)
+        assert np.array_equal(side_r, oracle_r)
+    assert np.array_equal(residuals == 0.0, [np.array_equal(*pentagon_sides(m, d)) for m in maps])
+
+
+# ---- circuit serialization ---------------------------------------------------
+
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def circuits(draw):
+    """Any circuit the schema accepts: every built-in gate, and custom gates."""
+    n = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(KNOWN_GATES + ("custom",)))
+        arity = draw(st.integers(1, min(n, 3))) if name == "custom" else gate_arity(name)
+        if arity > n:
+            continue
+        wires = tuple(draw(st.permutations(range(n)))[:arity])
+        if name == "custom":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            gates.append(GateInstance(name, wires, (), haar_unitary(2**arity, rng)))
+        else:
+            params = draw(st.lists(NUMBERS, min_size=parameter_count(name), max_size=parameter_count(name)))
+            gates.append(GateInstance(name, wires, tuple(params)))
+    return Circuit(n, tuple(gates))
+
+
+def _same_circuit(a: Circuit, b: Circuit) -> bool:
+    """Field-by-field equality; numbers compare by their bits, so -0.0 != 0.0."""
+    bits = lambda values: np.asarray(values, dtype=np.complex128).tobytes()
+    return a.num_qubits == b.num_qubits and len(a.gates) == len(b.gates) and all(
+        (g.name, g.wires, bits(g.params)) == (h.name, h.wires, bits(h.params))
+        and (g.matrix is None) == (h.matrix is None)
+        and (g.matrix is None or bits(g.matrix) == bits(h.matrix))
+        for g, h in zip(a.gates, b.gates)
+    )
+
+
+def _respelled(text: str, indent, reverse_keys: bool) -> str:
+    """The same JSON document with other whitespace and key order."""
+    doc = json.loads(text)
+    if reverse_keys:
+        doc = {k: doc[k] for k in reversed(doc)}
+        doc["gates"] = [{k: g[k] for k in reversed(g)} for g in doc["gates"]]
+    return json.dumps(doc, indent=indent)
+
+
+@PROPERTY_SETTINGS
+@given(circuits(), st.sampled_from((None, 0, 2)), st.booleans())
+def test_serialize_parse_is_canonical_and_lossless(circuit, indent, reverse_keys):
+    text = serialize(circuit)
+    parsed = parse(text)
+    assert serialize(parsed) == text
+    assert _same_circuit(parsed, circuit)
+    assert serialize(parse(_respelled(text, indent, reverse_keys))) == text
+
+
+@pytest.mark.parametrize("zero", ["-0.0", "-0", "0", "0.0", "-0e5"])
+def test_signed_zero_parses_to_one_canonical_form(zero):
+    text = '{"qubits": 1, "gates": [{"name": "RZ", "wires": [0], "params": [%s]}]}' % zero
+    once = serialize(parse(text))
+    assert serialize(parse(once)) == once
+    assert math.copysign(1.0, parse(text).gates[0].params[0]) == 1.0
+
+
+# ---- rewrite rules -----------------------------------------------------------
+
+CNOT = describe_fusion_gate(name="CNOT", tol=1e-10)
+
+
+@st.composite
+def template_images(draw):
+    """Circuits in the image of ``expand``: CNOT templates among filler gates.
+
+    Filler holds neither the fusion gate nor SWAP, so the templates are
+    exactly the compression sites and their compressed pairs exactly the
+    expansion sites.
+    """
+    n = draw(st.integers(3, 5))
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            a, b, c = draw(st.permutations(range(n)))[:3]
+            gates += template_gates("CNOT", (), (a, b, c))
+        else:
+            name = draw(st.sampled_from(("H", "X", "RZ", "XX", "A")))
+            wires = tuple(draw(st.permutations(range(n)))[: gate_arity(name)])
+            params = tuple(draw(st.lists(ANGLES, min_size=parameter_count(name), max_size=parameter_count(name))))
+            gates.append(GateInstance(name, wires, params))
+    return Circuit(n, tuple(gates))
+
+
+@PROPERTY_SETTINGS
+@given(template_images())
+def test_expand_after_compress_is_identity_on_template_images(circuit):
+    compressed, report = compress(circuit, CNOT)
+    restored, _ = expand(compressed, CNOT)
+    assert report.sites_rewritten == sum(g.name == "SWAP" for g in circuit.gates) // 2
+    assert serialize(restored) == serialize(circuit)
