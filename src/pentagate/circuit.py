@@ -176,17 +176,29 @@ def _decode_matrix(raw, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+def _load_json(text: str):
+    """``json.loads``, raising SchemaError on bad syntax or runaway nesting."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
+
+
+def parse_matrix(text: str, where: str) -> np.ndarray:
+    """Parse a JSON square array of [re, im] pairs, as custom gates hold them."""
+    return _decode_matrix(_load_json(text), where)
+
+
 _GATE_KEYS = {"name", "wires", "params", "matrix"}
 
 
 def parse(text: str) -> Circuit:
     """Parse circuit JSON, with field-level diagnostics on schema errors."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    data = _load_json(text)
     _require(isinstance(data, dict), "top level: expected an object")
     unknown = set(data) - {"qubits", "gates"}
     _require(not unknown, f"top level: unknown field(s) {sorted(unknown)}")

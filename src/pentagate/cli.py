@@ -19,7 +19,6 @@ file and no environment lookup; flags are the whole interface.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -32,7 +31,15 @@ from .certify import (
     constraints,
     scan_fusion_solutions,
 )
-from .circuit import Circuit, circuit_stats, parse, route_line, serialize, to_unitary
+from .circuit import (
+    Circuit,
+    circuit_stats,
+    parse,
+    parse_matrix,
+    route_line,
+    serialize,
+    to_unitary,
+)
 from .errors import (
     GridError,
     PentagateError,
@@ -40,7 +47,7 @@ from .errors import (
     UncertifiedGateError,
 )
 from .gates import gate_arity, gate_matrix
-from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, phase_distance
+from .linalg import DEFAULT_TOLERANCE, check_tolerance, phase_distance
 from .rewrite import describe_fusion_gate, transpile
 
 EXIT_OK = 0
@@ -98,27 +105,17 @@ def _load_circuit(path: str) -> Circuit:
     return parse(_read_text(path))
 
 
-def _load_matrix_file(path: str):
-    data = json.loads(_read_text(path))
-    try:
-        return as_matrix([[complex(e[0], e[1]) for e in row] for row in data])
-    except (TypeError, IndexError, KeyError):
-        raise ValueError(
-            f"{path}: expected a square array of [re, im] pairs"
-        ) from None
-
-
 def _resolve_gate_spec(name: str | None, params: str, matrix_path: str | None):
     """Name + params, or a matrix file, to (display name, params, matrix)."""
     values = _parse_params(params)
     if matrix_path is not None:
         if name is not None:
             raise ValueError("give either a gate name or a matrix file, not both")
-        return "custom", (), _load_matrix_file(matrix_path)
+        return "custom", (), parse_matrix(_read_text(matrix_path), matrix_path)
     if name is None:
         raise ValueError("no gate given")
     if name.startswith("@"):
-        return "custom", (), _load_matrix_file(name[1:])
+        return "custom", (), parse_matrix(_read_text(name[1:]), name[1:])
     if gate_arity(name) != 2:
         raise ValueError(f"certification needs a two-qubit gate; {name!r} is not one")
     return name, values, gate_matrix(name, values)

@@ -1,25 +1,27 @@
 """Pentagon-template rewriting: 5-gate compression and 2-gate expansion.
 
-The compression template, in execution order on a wire triple (a, b, c):
+When T is a certified fusion operator, the pentagon equation with its
+non-adjacent factor conjugated through SWAPs says that two gate sequences
+on a wire triple (a, b, c) are equal. ``_FIVE`` and ``_TWO`` below state
+them, in execution order, and are the only statement of the template:
 
-    T(b, c); SWAP(b, c); T(a, b); SWAP(b, c); T(a, b)
+    _FIVE:  T(b, c); SWAP(b, c); T(a, b); SWAP(b, c); T(a, b)
+    _TWO:   T(a, b); T(b, c)
 
-is replaced by
-
-    T(a, b); T(b, c)
-
-whenever T is a certified fusion operator, and expansion is the inverse
-rewrite. The 5-gate form is one side of the pentagon equation with the
-non-adjacent factor conjugated through SWAPs, so both directions preserve
-the circuit unitary exactly; rewrites are verified up to global phase
+``_RULES`` reads the equation both ways: compress matches ``_FIVE`` and
+writes ``_TWO``, expand matches ``_TWO`` and writes ``_FIVE``. One
+matcher and one instantiator serve both. Both directions preserve the
+circuit unitary exactly; rewrites are verified up to global phase
 because user-supplied gates may carry their own phase conventions.
 
-Matching is syntactic: gate names must agree and parameters (or custom
-matrices) must match the fusion gate within 1e-10, with the wire roles
-bound by the template structure. Gates on wires outside {a, b, c} may
-interleave a match; any unmatched gate touching {a, b, c} blocks it.
-Sites are selected leftmost-first and never overlap, so each gate joins
-at most one rewrite per pass.
+Matching is syntactic. A T slot needs the fusion gate's name, with
+parameters (or a custom matrix) within 1e-10, and takes the gate's wires
+in role order; a SWAP slot takes its two wires in either order. The
+first gate binds the roles of the first slot, and later slots bind the
+rest. Gates on no bound wire may interleave a match. A role bound later
+may not take a wire such a gate touched, and any other gate on a bound
+wire blocks the match. Sites are selected leftmost-first and never
+overlap, so each gate joins at most one rewrite per pass.
 
 Verification simulates each distinct circuit once: the input, then the
 output of every rewriting pass, whose unitary is carried into the next
@@ -30,16 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .certify import CertificationReport, certify
-from .circuit import (
-    Circuit,
-    GateInstance,
-    depth,
-    resolved_matrix,
-    to_unitary,
-)
+from .circuit import Circuit, GateInstance, depth, to_unitary
 from .errors import RewriteVerificationError, UncertifiedGateError
 from .gates import gate_arity, gate_matrix
 from .linalg import (
@@ -53,6 +47,13 @@ from .linalg import (
 #: Parameters and custom matrices must match the fusion gate this tightly.
 MATCH_TOLERANCE = 1e-10
 
+#: The two sides of the pentagon template as (gate, wire roles) slots.
+_FIVE = (("T", "bc"), ("SWAP", "bc"), ("T", "ab"), ("SWAP", "bc"), ("T", "ab"))
+_TWO = (("T", "ab"), ("T", "bc"))
+
+#: rule -> (the side it matches, the side it writes)
+_RULES = {"compress": (_FIVE, _TWO), "expand": (_TWO, _FIVE)}
+
 
 @dataclass(frozen=True, eq=False)
 class FusionGateDescriptor:
@@ -60,10 +61,6 @@ class FusionGateDescriptor:
 
     gate: GateInstance
     certification: CertificationReport
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return resolved_matrix(self.gate)
 
 
 def describe_fusion_gate(
@@ -118,7 +115,6 @@ class RewriteReport:
     """
 
     sites_found: int
-    sites_rewritten: int
     gate_count_before: int
     gate_count_after: int
     depth_before: int
@@ -130,7 +126,7 @@ class RewriteReport:
     def to_jsonable(self) -> dict:
         return {
             "sites_found": self.sites_found,
-            "sites_rewritten": self.sites_rewritten,
+            "sites_rewritten": self.sites_found,
             "gate_count_before": self.gate_count_before,
             "gate_count_after": self.gate_count_after,
             "depth_before": self.depth_before,
@@ -158,86 +154,78 @@ def _matches_fusion_gate(gate: GateInstance, descriptor: FusionGateDescriptor) -
     )
 
 
-def _is_swap_on(gate: GateInstance, b: int, c: int) -> bool:
-    return gate.name == "SWAP" and set(gate.wires) == {b, c}
+def _fill(slot, gate, is_fusion, bound, skipped) -> bool:
+    """Whether ``gate`` fills ``slot``; binds the slot's unbound roles.
+
+    A T slot takes the fusion gate's wires in role order; a SWAP slot
+    takes them in either order. A newly bound role must take a wire that
+    no bound role holds and no skipped gate touched.
+    """
+    kind, roles = slot
+    wires = gate.wires
+    if kind == "SWAP":
+        if gate.name != "SWAP":
+            return False
+        if bound.get(roles[0]) == wires[1]:
+            wires = wires[::-1]
+    elif not is_fusion:
+        return False
+    for role, wire in zip(roles, wires):
+        if role in bound:
+            if bound[role] != wire:
+                return False
+        elif wire in bound.values() or wire in skipped:
+            return False
+        else:
+            bound[role] = wire
+    return True
 
 
-def _match_compress(gates, start, descriptor, consumed):
-    first = gates[start]
-    if start in consumed or not _matches_fusion_gate(first, descriptor):
+def _match(pattern, gates, start, fusion) -> RewriteSite | None:
+    """The site of ``pattern`` whose first gate is ``gates[start]``, or None.
+
+    ``fusion[i]`` says whether gate i is the fusion gate. The first gate
+    binds the roles of the first slot. After it, a gate that touches no
+    bound wire is skipped and the wires it touches are recorded; any
+    other gate must fill the next slot.
+    """
+    bound: dict[str, int] = {}
+    if not _fill(pattern[0], gates[start], fusion[start], bound, ()):
         return None
-    b, c = first.wires
     indices = [start]
-    skipped: list[set[int]] = []  # wire sets of interleaved, unmatched gates
-    watch = {b, c}
-    a = None
-    stage = 0  # 0: SWAP(b,c), 1: T(a,b), 2: SWAP(b,c), 3: T(a,b)
-    i = start + 1
-    while i < len(gates) and stage < 4:
+    watch = set(gates[start].wires)
+    skipped: set[int] = set()
+    for i in range(start + 1, len(gates)):
         gate = gates[i]
-        touched = set(gate.wires)
-        if touched.isdisjoint(watch):
-            skipped.append(touched)
-            i += 1
+        if watch.isdisjoint(gate.wires):
+            skipped.update(gate.wires)
             continue
-        if i in consumed:
+        if not _fill(pattern[len(indices)], gate, fusion[i], bound, skipped):
             return None
-        if stage in (0, 2):
-            if not _is_swap_on(gate, b, c):
-                return None
-        elif stage == 1:
-            if not (_matches_fusion_gate(gate, descriptor) and gate.wires[1] == b):
-                return None
-            candidate = gate.wires[0]
-            if candidate in (b, c) or any(candidate in w for w in skipped):
-                return None
-            a = candidate
-            watch = {a, b, c}
-        else:  # stage 3: the second T(a, b)
-            if not (_matches_fusion_gate(gate, descriptor) and gate.wires == (a, b)):
-                return None
         indices.append(i)
-        stage += 1
-        i += 1
-    if stage != 4:
-        return None
-    return RewriteSite(tuple(indices), (a, b, c))
-
-
-def _match_expand(gates, start, descriptor, consumed):
-    first = gates[start]
-    if start in consumed or not _matches_fusion_gate(first, descriptor):
-        return None
-    a, b = first.wires
-    watch = {a, b}
-    skipped: list[set[int]] = []
-    i = start + 1
-    while i < len(gates):
-        gate = gates[i]
-        touched = set(gate.wires)
-        if touched.isdisjoint(watch):
-            skipped.append(touched)
-            i += 1
-            continue
-        if i in consumed:
-            return None
-        if not (_matches_fusion_gate(gate, descriptor) and gate.wires[0] == b):
-            return None
-        c = gate.wires[1]
-        if c in (a, b) or any(c in w for w in skipped):
-            return None
-        return RewriteSite((start, i), (a, b, c))
+        if len(indices) == len(pattern):
+            return RewriteSite(tuple(indices), (bound["a"], bound["b"], bound["c"]))
+        watch.update(gate.wires)
     return None
 
 
-def _find_sites(circuit: Circuit, descriptor: FusionGateDescriptor, matcher) -> list[RewriteSite]:
+def _find_sites(circuit: Circuit, descriptor: FusionGateDescriptor, pattern) -> list[RewriteSite]:
+    """Leftmost-first, non-overlapping matches of ``pattern``.
+
+    Both template sides begin with a T slot, so only a fusion gate that
+    no earlier site took can start a match. Gates a site skips touch
+    none of its wires, so a later match never reaches a taken gate.
+    """
+    gates = circuit.gates
+    fusion = [_matches_fusion_gate(gate, descriptor) for gate in gates]
     sites: list[RewriteSite] = []
     consumed: set[int] = set()
-    for start in range(len(circuit.gates)):
-        site = matcher(circuit.gates, start, descriptor, consumed)
-        if site is not None:
-            sites.append(site)
-            consumed.update(site.gate_indices)
+    for start in range(len(gates)):
+        if fusion[start] and start not in consumed:
+            site = _match(pattern, gates, start, fusion)
+            if site is not None:
+                sites.append(site)
+                consumed.update(site.gate_indices)
     return sites
 
 
@@ -246,7 +234,7 @@ def find_compress_sites(
 ) -> list[RewriteSite]:
     """All maximal non-overlapping 5-gate template matches, leftmost first."""
     _require_certified(descriptor)
-    return _find_sites(circuit, descriptor, _match_compress)
+    return _find_sites(circuit, descriptor, _FIVE)
 
 
 def find_expand_sites(
@@ -254,7 +242,7 @@ def find_expand_sites(
 ) -> list[RewriteSite]:
     """All maximal non-overlapping T(a,b); T(b,c) pair matches, leftmost first."""
     _require_certified(descriptor)
-    return _find_sites(circuit, descriptor, _match_expand)
+    return _find_sites(circuit, descriptor, _TWO)
 
 
 def _require_certified(descriptor: FusionGateDescriptor) -> None:
@@ -266,44 +254,31 @@ def _require_certified(descriptor: FusionGateDescriptor) -> None:
         )
 
 
-def _fusion_instance(descriptor: FusionGateDescriptor, wires) -> GateInstance:
+def _instantiate(descriptor: FusionGateDescriptor, side, site: RewriteSite) -> list[GateInstance]:
+    """The gates of one template side on the site's wire triple."""
+    wire = dict(zip("abc", site.wires))
     gate = descriptor.gate
-    return GateInstance(gate.name, tuple(wires), gate.params, gate.matrix)
+    out = []
+    for kind, roles in side:
+        wires = tuple(map(wire.__getitem__, roles))
+        if kind == "SWAP":
+            out.append(GateInstance("SWAP", wires))
+        else:
+            out.append(GateInstance(gate.name, wires, gate.params, gate.matrix))
+    return out
 
 
-def _compress_replacement(descriptor, site):
-    a, b, c = site.wires
-    return [_fusion_instance(descriptor, (a, b)), _fusion_instance(descriptor, (b, c))]
-
-
-def _expand_replacement(descriptor, site):
-    a, b, c = site.wires
-    return [
-        _fusion_instance(descriptor, (b, c)),
-        GateInstance("SWAP", (b, c)),
-        _fusion_instance(descriptor, (a, b)),
-        GateInstance("SWAP", (b, c)),
-        _fusion_instance(descriptor, (a, b)),
-    ]
-
-
-def _apply_sites(circuit, sites, descriptor, replacement):
+def _apply_sites(circuit, sites, descriptor, side):
     removed = {i for site in sites for i in site.gate_indices}
     first_index = {site.gate_indices[0]: site for site in sites}
     out: list[GateInstance] = []
     for i, gate in enumerate(circuit.gates):
         if i in first_index:
-            out.extend(replacement(descriptor, first_index[i]))
+            out.extend(_instantiate(descriptor, side, first_index[i]))
         if i in removed:
             continue
         out.append(gate)
     return Circuit(circuit.num_qubits, tuple(out))
-
-
-_RULES = {
-    "compress": (_match_compress, _compress_replacement),
-    "expand": (_match_expand, _expand_replacement),
-}
 
 
 def transpile(
@@ -326,7 +301,7 @@ def transpile(
     tol = check_tolerance(tol)
     _require_certified(descriptor)
     try:
-        matcher, replacement = _RULES[rule]
+        pattern, side = _RULES[rule]
     except KeyError:
         raise ValueError(f"unknown rule {rule!r}, expected 'compress' or 'expand'") from None
     current = circuit
@@ -334,18 +309,18 @@ def transpile(
     distance = 0.0 if verify else None
     found = passes = rewriting_passes = 0
     while True:
-        sites = _find_sites(current, descriptor, matcher)
+        sites = _find_sites(current, descriptor, pattern)
         passes += 1
         if not sites:
             break
-        rewritten = _apply_sites(current, sites, descriptor, replacement)
+        rewritten = _apply_sites(current, sites, descriptor, side)
         if verify:
             if held is None:
                 initial = held = to_unitary(current)
             after = to_unitary(rewritten)
             distance = phase_distance(held, after)
             if not distance < tol:
-                failing = _first_failing_site(current, held, sites, descriptor, replacement, tol)
+                failing = _first_failing_site(current, held, sites, descriptor, side, tol)
                 where = (
                     f"at site {failing}" if failing is not None else
                     "yet no single site fails on its own: the failure only "
@@ -366,7 +341,6 @@ def transpile(
         distance = phase_distance(initial, held)
     report = RewriteReport(
         sites_found=found,
-        sites_rewritten=found,
         gate_count_before=len(circuit.gates),
         gate_count_after=len(current.gates),
         depth_before=depth(circuit),
@@ -378,14 +352,14 @@ def transpile(
     return current, report
 
 
-def _first_failing_site(circuit, unitary, sites, descriptor, replacement, tol):
+def _first_failing_site(circuit, unitary, sites, descriptor, side, tol):
     """The first site whose rewrite alone breaks equivalence, else None.
 
     ``unitary`` is the already simulated unitary of ``circuit``; only the
     single-site rewrites are simulated here.
     """
     for site in sites:
-        alone = _apply_sites(circuit, [site], descriptor, replacement)
+        alone = _apply_sites(circuit, [site], descriptor, side)
         if not phase_distance(unitary, to_unitary(alone)) < tol:
             return site
     return None

@@ -182,7 +182,7 @@ def test_criterion_8_theorem_round_trip():
         for _ in range(200):
             circuit, blocks = seeded_template_circuit(rng)
             compressed, report = compress(circuit, descriptor, verify=True, tol=1e-10)
-            assert report.sites_rewritten == blocks
+            assert report.sites_found == blocks
             assert report.gate_count_after == report.gate_count_before - 3 * blocks
             assert report.phase_distance < 1e-10
             assert equivalent_up_to_phase(circuit, compressed, 1e-10)

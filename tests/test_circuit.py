@@ -52,6 +52,12 @@ class TestParse:
         with pytest.raises(SchemaError, match="line 1"):
             parse('{"qubits": 2,,}')
 
+    @pytest.mark.parametrize("text", ["[" * 200_000, '{"qubits": 1, "gates": ' + "[" * 200_000],
+                             ids=["top_level", "in_gates"])
+    def test_runaway_nesting_is_a_schema_error(self, text):
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            parse(text)
+
     def test_unknown_gate_name(self):
         with pytest.raises(SchemaError, match=r"gates\[0\].name"):
             parse('{"qubits":2,"gates":[{"name":"CZ","wires":[0,1]}]}')

@@ -5,6 +5,7 @@ input, 3 negative verdict.
 """
 
 import json
+import re
 
 import pytest
 
@@ -295,6 +296,43 @@ class TestInputBoundary:
         assert captured.out == ""
         assert "parameters must be finite" in captured.err
         assert not (tmp_path / "out.json").exists()
+
+
+class TestMatrixFiles:
+    """Matrix files follow the circuit schema's rules for custom matrices."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[[[1, 0], [0, 0, 99]], [[0, 0], [1, 0]]]", r"m\.json\[0\]\[1\]: expected an \[re, im\] pair"),
+        ("[[[true, false], [false, false]], [[false, false], [true, false]]]",
+         r"m\.json\[0\]\[0\]\[0\]: expected a number, got True"),
+        ("[[[1, 0], [0, 0]], [[0, 0]]]", r"m\.json: matrix must be square"),
+    ], ids=["triple", "booleans", "ragged"])
+    @pytest.mark.parametrize("flags", [
+        ["certify", "--matrix", "m.json"],
+        ["certify", "--gate", "@m.json"],
+        ["transpile", "--in", "c.json", "--out", "out.json", "--rule", "compress",
+         "--fusion-gate", "@m.json"],
+    ], ids=["matrix", "gate", "fusion_gate"])
+    def test_malformed_matrix_invalid_input(self, flags, text, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text(text)
+        (tmp_path / "c.json").write_text(serialize(template_circuit()))
+        assert main(flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(message, captured.err)
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("flags", [["stats", "--in", "deep.json"],
+                                       ["certify", "--matrix", "deep.json"]],
+                             ids=["stats", "matrix"])
+    def test_runaway_nesting_invalid_input(self, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.json").write_text("[" * 200_000)
+        assert main(flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "nested too deeply" in captured.err
 
 
 class TestSimulationCounts:

@@ -31,11 +31,13 @@ from pentagate import (
     parse,
     pentagon_residual,
     pentagon_stack,
+    phase_distance,
     serialize,
+    to_unitary,
     ybe_residual,
 )
 from pentagate.gates import KNOWN_GATES, gate_arity, parameter_count
-from conftest import haar_unitary, template_gates
+from conftest import haar_unitary, pair_circuit, template_gates
 from oracles import braid_ybe_sides, pentagon_sides, permutation_map, permutation_operator
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -240,5 +242,55 @@ def template_images(draw):
 def test_expand_after_compress_is_identity_on_template_images(circuit):
     compressed, report = compress(circuit, CNOT)
     restored, _ = expand(compressed, CNOT)
-    assert report.sites_rewritten == sum(g.name == "SWAP" for g in circuit.gates) // 2
+    assert report.sites_found == sum(g.name == "SWAP" for g in circuit.gates) // 2
     assert serialize(restored) == serialize(circuit)
+
+
+TOFFOLI = np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]]
+
+
+@st.composite
+def noise_gates(draw, n):
+    """A gate that may block, feed or sit beside a template match."""
+    kind = draw(st.sampled_from(("1q", "RZ", "CNOT", "SWAP", "toffoli")))
+    wires = tuple(draw(st.permutations(range(n))))
+    if kind == "1q":
+        return GateInstance(draw(st.sampled_from(("H", "X"))), wires[:1])
+    if kind == "RZ":
+        return GateInstance("RZ", wires[:1], (draw(ANGLES),))
+    if kind == "toffoli":
+        return GateInstance("custom", wires[:3], (), TOFFOLI)
+    return GateInstance(kind, wires[:2])
+
+
+@st.composite
+def interleaved_templates(draw):
+    """CNOT templates and pairs merged at random with noise gates.
+
+    The noise holds CNOT and SWAP, gates on wires a template binds late,
+    and three-qubit gates on a template's window, so the matcher has to
+    refuse many near matches as well as find the real sites.
+    """
+    n = draw(st.integers(3, 5))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        if draw(st.booleans()):
+            pieces.append(template_gates("CNOT", (), (a, b, c)))
+        else:
+            pieces.append(list(pair_circuit("CNOT", (), (a, b, c), n).gates))
+    pieces.append(draw(st.lists(noise_gates(n), max_size=8)))
+    # a random merge that keeps the order within each piece
+    order = draw(st.permutations([k for k, piece in enumerate(pieces) for _ in piece]))
+    queues = [iter(piece) for piece in pieces]
+    return Circuit(n, tuple(next(queues[k]) for k in order))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(interleaved_templates())
+def test_verified_rewrites_preserve_the_unitary_under_interleaving(circuit):
+    before = to_unitary(circuit)
+    for rewrite in (compress, expand):
+        out, report = rewrite(circuit, CNOT)  # verified: raises on a bad rewrite
+        assert report.equivalence_verified
+        assert phase_distance(before, to_unitary(out)) < 1e-10

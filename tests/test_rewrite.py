@@ -1,7 +1,11 @@
 """Tests for pentagon-template matching and rewriting."""
 
+import json
 import math
+from functools import lru_cache
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pentagate import (
@@ -19,6 +23,7 @@ from pentagate import (
     find_compress_sites,
     find_expand_sites,
     group_algebra_fusion,
+    serialize,
     transpile,
 )
 from pentagate.rewrite import FusionGateDescriptor
@@ -106,7 +111,7 @@ class TestCompress:
     def test_pure_template(self, cnot_descriptor):
         out, report = compress(template_circuit(), cnot_descriptor, verify=True, tol=1e-10)
         assert [(g.name, g.wires) for g in out.gates] == [("CNOT", (0, 1)), ("CNOT", (1, 2))]
-        assert (report.sites_found, report.sites_rewritten) == (1, 1)
+        assert report.sites_found == 1
         assert (report.gate_count_before, report.gate_count_after) == (5, 2)
         assert (report.depth_before, report.depth_after) == (5, 2)
         assert report.equivalence_verified and report.phase_distance < 1e-10
@@ -138,7 +143,7 @@ class TestCompress:
         assert err.value.site.gate_indices == (0, 1, 2, 3, 4)
         # without verification the rewrite goes through
         out, report = compress(circuit, loose, verify=False, tol=1e-10)
-        assert report.sites_rewritten == 1
+        assert report.sites_found == 1
         assert report.phase_distance is None
 
     def test_interleaved_gate_survives(self, cnot_descriptor):
@@ -146,7 +151,7 @@ class TestCompress:
         gates.insert(2, GateInstance("H", (3,)))
         c = Circuit(4, tuple(gates))
         out, report = compress(c, cnot_descriptor, verify=True, tol=1e-10)
-        assert report.sites_rewritten == 1
+        assert report.sites_found == 1
         assert sum(1 for g in out.gates if g.name == "H") == 1
         assert equivalent_up_to_phase(c, out, 1e-10)
 
@@ -162,7 +167,7 @@ class TestCompress:
             gates.append(GateInstance(name, wires, (), matrix))
         c = Circuit(3, tuple(gates))
         out, report = compress(c, descriptor, verify=True, tol=1e-10)
-        assert report.sites_rewritten == 1
+        assert report.sites_found == 1
         assert len(out.gates) == 2
 
 
@@ -170,7 +175,7 @@ class TestExpand:
     def test_pair_expands_to_template(self, cnot_descriptor):
         out, report = expand(pair_circuit(), cnot_descriptor, verify=True, tol=1e-10)
         assert circuits_identical(out, template_circuit())
-        assert report.sites_rewritten == 1
+        assert report.sites_found == 1
         assert (report.gate_count_before, report.gate_count_after) == (2, 5)
 
     def test_expand_then_compress_is_identity(self, cnot_descriptor):
@@ -225,7 +230,7 @@ class TestSemanticPreservation:
     def test_gate_count_arithmetic_expand(self, rng, cnot_descriptor):
         circuit = pair_circuit()
         out, report = expand(circuit, cnot_descriptor, verify=True, tol=1e-10)
-        assert report.gate_count_after == report.gate_count_before + 3 * report.sites_rewritten
+        assert report.gate_count_after == report.gate_count_before + 3 * report.sites_found
 
     def test_depth_monotone_on_templates(self, cnot_descriptor):
         for wires in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
@@ -257,7 +262,7 @@ class TestSemanticPreservation:
                 gates.extend(custom_template((int(w[0]), int(w[1]), int(w[2]))))
             circuit = Circuit(n, tuple(gates))
             out, report = compress(circuit, descriptor, verify=True, tol=1e-10)
-            assert report.sites_rewritten == blocks
+            assert report.sites_found == blocks
             assert report.gate_count_after == report.gate_count_before - 3 * blocks
             assert equivalent_up_to_phase(circuit, out, 1e-10)
 
@@ -276,7 +281,7 @@ class TestTranspileDriver:
             if step.sites_found == 0:
                 break
         assert circuits_identical(out, current)
-        assert report.sites_found == report.sites_rewritten == found == levels
+        assert report.sites_found == found == levels
         assert report.passes == levels + 1
         assert (report.gate_count_before, report.gate_count_after) == (1 + 4 * levels, 1 + levels)
         assert report.phase_distance == 0.0
@@ -334,3 +339,46 @@ class TestInteractingSiteFailure:
         assert sum(c is four_sites for c in simulations) == 1
         # the input, the full rewrite, then each single-site rewrite once
         assert len(simulations) == 2 + 4
+
+
+#: Site lists and fixed-point rewrites of 300 seeded adversarial circuits,
+#: recorded by ``golden/record_sites.py`` with the two hand-written
+#: matchers that preceded the template table.
+SITES_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "sites.json").read_text(encoding="utf-8")
+)
+GOLDEN_MATRICES = {
+    key: np.array([[complex(re, im) for re, im in row] for row in rows])
+    for key, rows in SITES_GOLDEN["matrices"].items()
+}
+
+
+def _golden_gates(entries):
+    gates = []
+    for name, wires, *extra in entries:
+        if name == "custom":
+            gates.append(GateInstance(name, wires, (), GOLDEN_MATRICES[extra[0]]))
+        else:
+            gates.append(GateInstance(name, wires, tuple(extra[0]) if extra else ()))
+    return gates
+
+
+@lru_cache(maxsize=None)
+def _golden_descriptor(name, extra):
+    if name == "custom":
+        return describe_fusion_gate(matrix=GOLDEN_MATRICES[extra], tol=1e-10)
+    return describe_fusion_gate(name=name, params=extra, tol=1e-10)
+
+
+@pytest.mark.parametrize("case", SITES_GOLDEN["cases"], ids=[c["name"] for c in SITES_GOLDEN["cases"]])
+def test_golden_sites_and_fixed_points(case):
+    name, extra = case["fusion"]
+    descriptor = _golden_descriptor(name, extra if name == "custom" else tuple(extra))
+    circuit = Circuit(case["qubits"], tuple(_golden_gates(case["gates"])))
+    for rule, find in (("compress", find_compress_sites), ("expand", find_expand_sites)):
+        sites = [[list(s.gate_indices), list(s.wires)] for s in find(circuit, descriptor)]
+        assert sites == case[f"{rule}_sites"], rule
+        out, report = transpile(circuit, descriptor, rule, fixed_point=True, verify=False)
+        expected = Circuit(case["qubits"], tuple(_golden_gates(case[rule]["gates"])))
+        assert serialize(out) == serialize(expected), rule
+        assert report.sites_found == case[rule]["sites_found"], rule
