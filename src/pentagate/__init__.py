@@ -73,11 +73,9 @@ from .gates import (
 )
 from .linalg import (
     DEFAULT_TOLERANCE,
-    adjoint,
     embed,
     frobenius_norm,
     is_unitary,
-    kron,
     matrices_equal,
     phase_distance,
     twist,

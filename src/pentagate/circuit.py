@@ -27,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import json
-import math
+import sys
 
 import numpy as np
 
 from . import jsonio
-from .errors import DimensionError, SchemaError, UnknownGateError
-from .gates import gate_arity, gate_matrix, parameter_count
+from .errors import DimensionError, SchemaError
+from .gates import GATES, gate_matrix
 from .linalg import (
     DEFAULT_TOLERANCE,
     MAX_QUBITS,
@@ -49,9 +49,36 @@ CUSTOM_UNITARY_TOLERANCE = 1e-10
 CUSTOM = "custom"
 
 
+#: Wire indices and parameters may be Python or numpy numbers, never bools.
+_INTEGER = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+
+#: The largest finite float; comparing with it keeps huge integers exact.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(value, where: str) -> float:
+    """``value`` as a float; SchemaError unless a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class GateInstance:
-    """A named, parametrized gate applied to an ordered tuple of wires."""
+    """A named, parametrized gate applied to an ordered tuple of wires.
+
+    Construction is the one place a gate is checked, in this order: the
+    name is a string; the wires are integers, at least one, no duplicate;
+    the parameters are finite real numbers. A custom gate then needs a
+    finite ``2**k x 2**k`` matrix for its k wires, no parameters, and
+    unitarity within ``CUSTOM_UNITARY_TOLERANCE``. A named gate takes no
+    matrix, and its wire and parameter counts must match ``GATES``. The
+    first failing check raises SchemaError with a message relative to the
+    field, such as ``"params[0]: expected a number, got '1.5'"``.
+    """
 
     name: str
     wires: tuple[int, ...]
@@ -59,17 +86,53 @@ class GateInstance:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
+        name, wires = self.name, tuple(self.wires)
+        if not isinstance(name, str):
+            raise SchemaError("name: expected a string")
+        for j, w in enumerate(wires):
+            if isinstance(w, bool) or not isinstance(w, _INTEGER):
+                raise SchemaError(f"wires[{j}]: expected an integer, got {w!r}")
+        if not wires:
+            raise SchemaError("wires: must list at least one wire")
+        if len(set(wires)) != len(wires):
+            raise SchemaError(f"wires: duplicate wire in {list(wires)}")
+        object.__setattr__(self, "wires", tuple(map(int, wires)))
         # Adding 0.0 turns -0.0 into 0.0: JSON reads the "-0" that -0.0
         # serializes to as the integer 0, so a signed zero would not
         # survive a round trip and the serialized form would not be canonical.
-        object.__setattr__(self, "params", tuple(float(p) + 0.0 for p in self.params))
-        if not all(map(math.isfinite, self.params)):
-            raise SchemaError(f"params: must be finite, got {list(self.params)}")
-        if self.matrix is not None:
-            object.__setattr__(self, "matrix", as_matrix(self.matrix) + 0.0)
-            if not np.isfinite(self.matrix).all():
+        params = tuple(_number(p, f"params[{j}]") + 0.0 for j, p in enumerate(self.params))
+        object.__setattr__(self, "params", params)
+        if name == CUSTOM:
+            if self.matrix is None:
+                raise SchemaError("matrix: required for custom gates")
+            matrix = as_matrix(self.matrix) + 0.0
+            object.__setattr__(self, "matrix", matrix)
+            if not np.isfinite(matrix).all():
                 raise SchemaError("matrix: entries must be finite")
+            dim = 2 ** len(wires)
+            if matrix.shape != (dim, dim):
+                raise SchemaError(
+                    f"matrix: expected {dim}x{dim} for {len(wires)} wires, "
+                    f"got {matrix.shape[0]}x{matrix.shape[1]}"
+                )
+            if params:
+                raise SchemaError("params: custom gates take no parameters")
+            if not is_unitary(matrix, CUSTOM_UNITARY_TOLERANCE):
+                raise SchemaError(f"matrix: not unitary within {CUSTOM_UNITARY_TOLERANCE}")
+            return
+        if self.matrix is not None:
+            raise SchemaError("matrix: only allowed for custom gates")
+        if name not in GATES:
+            raise SchemaError(f"name: unknown gate {name!r}")
+        arity, expected, _ = GATES[name]
+        if len(wires) != arity:
+            raise SchemaError(
+                f"wires: gate {name!r} acts on {arity} wire(s), got {len(wires)}"
+            )
+        if len(params) != expected:
+            raise SchemaError(
+                f"params: gate {name!r} takes {expected} parameter(s), got {len(params)}"
+            )
 
 
 def resolved_matrix(gate: GateInstance) -> np.ndarray:
@@ -79,52 +142,13 @@ def resolved_matrix(gate: GateInstance) -> np.ndarray:
     return gate_matrix(gate.name, gate.params)
 
 
-def _validate_gate(gate: GateInstance, num_qubits: int, where: str) -> None:
-    wires = gate.wires
-    if not wires:
-        raise SchemaError(f"{where}.wires: must list at least one wire")
-    if len(set(wires)) != len(wires):
-        raise SchemaError(f"{where}.wires: duplicate wire in {list(wires)}")
-    for w in wires:
-        if not 0 <= w < num_qubits:
-            raise SchemaError(
-                f"{where}.wires: wire {w} out of range for {num_qubits} qubits"
-            )
-    if gate.name == CUSTOM:
-        if gate.matrix is None:
-            raise SchemaError(f"{where}.matrix: required for custom gates")
-        dim = 2 ** len(wires)
-        if gate.matrix.shape != (dim, dim):
-            raise SchemaError(
-                f"{where}.matrix: expected {dim}x{dim} for {len(wires)} wires, "
-                f"got {gate.matrix.shape[0]}x{gate.matrix.shape[1]}"
-            )
-        if gate.params:
-            raise SchemaError(f"{where}.params: custom gates take no parameters")
-        if not is_unitary(gate.matrix, CUSTOM_UNITARY_TOLERANCE):
-            raise SchemaError(f"{where}.matrix: not unitary within {CUSTOM_UNITARY_TOLERANCE}")
-        return
-    if gate.matrix is not None:
-        raise SchemaError(f"{where}.matrix: only allowed for custom gates")
-    try:
-        arity = gate_arity(gate.name)
-        expected = parameter_count(gate.name)
-    except UnknownGateError:
-        raise SchemaError(f"{where}.name: unknown gate {gate.name!r}") from None
-    if len(wires) != arity:
-        raise SchemaError(
-            f"{where}.wires: gate {gate.name!r} acts on {arity} wire(s), got {len(wires)}"
-        )
-    if len(gate.params) != expected:
-        raise SchemaError(
-            f"{where}.params: gate {gate.name!r} takes {expected} parameter(s), "
-            f"got {len(gate.params)}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """An ordered gate list over a fixed register; index 0 acts first."""
+    """An ordered gate list over a fixed register; index 0 acts first.
+
+    Each gate was checked when it was built; the circuit checks only what
+    needs the register: its size and that every wire lies in it.
+    """
 
     num_qubits: int
     gates: tuple[GateInstance, ...] = field(default_factory=tuple)
@@ -139,21 +163,16 @@ class Circuit:
         for i, gate in enumerate(self.gates):
             if not isinstance(gate, GateInstance):
                 raise SchemaError(f"gates[{i}]: not a GateInstance")
-            _validate_gate(gate, n, f"gates[{i}]")
+            for w in gate.wires:
+                if not 0 <= w < n:
+                    raise SchemaError(
+                        f"gates[{i}].wires: wire {w} out of range for {n} qubits"
+                    )
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
-
-
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
-    return value
 
 
 def _decode_matrix(raw, where: str) -> np.ndarray:
@@ -218,29 +237,17 @@ def parse(text: str) -> Circuit:
         unknown = set(raw) - _GATE_KEYS
         _require(not unknown, f"{where}: unknown field(s) {sorted(unknown)}")
         _require("name" in raw, f"{where}.name: missing")
-        _require(isinstance(raw["name"], str), f"{where}.name: expected a string")
         _require("wires" in raw, f"{where}.wires: missing")
         _require(isinstance(raw["wires"], list), f"{where}.wires: expected an array")
-        wires = []
-        for j, w in enumerate(raw["wires"]):
-            _require(
-                isinstance(w, int) and not isinstance(w, bool),
-                f"{where}.wires[{j}]: expected an integer, got {w!r}",
-            )
-            wires.append(w)
-        params = []
-        if "params" in raw:
-            _require(isinstance(raw["params"], list), f"{where}.params: expected an array")
-            params = [
-                _number(p, f"{where}.params[{j}]") for j, p in enumerate(raw["params"])
-            ]
+        params = raw.get("params", [])
+        _require(isinstance(params, list), f"{where}.params: expected an array")
         matrix = None
         if "matrix" in raw:
-            _require(
-                raw["name"] == CUSTOM, f"{where}.matrix: only allowed for custom gates"
-            )
             matrix = _decode_matrix(raw["matrix"], f"{where}.matrix")
-        gates.append(GateInstance(raw["name"], tuple(wires), tuple(params), matrix))
+        try:
+            gates.append(GateInstance(raw["name"], raw["wires"], params, matrix))
+        except SchemaError as exc:
+            raise SchemaError(f"{where}.{exc}") from None
     return Circuit(qubits, tuple(gates))
 
 

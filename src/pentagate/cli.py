@@ -32,6 +32,7 @@ from .certify import (
     scan_fusion_solutions,
 )
 from .circuit import (
+    CUSTOM,
     Circuit,
     circuit_stats,
     parse,
@@ -46,7 +47,7 @@ from .errors import (
     RewriteVerificationError,
     UncertifiedGateError,
 )
-from .gates import gate_arity, gate_matrix
+from .gates import gate_matrix
 from .linalg import DEFAULT_TOLERANCE, check_tolerance, phase_distance
 from .rewrite import describe_fusion_gate, transpile
 
@@ -111,13 +112,11 @@ def _resolve_gate_spec(name: str | None, params: str, matrix_path: str | None):
     if matrix_path is not None:
         if name is not None:
             raise ValueError("give either a gate name or a matrix file, not both")
-        return "custom", (), parse_matrix(_read_text(matrix_path), matrix_path)
+        return CUSTOM, (), parse_matrix(_read_text(matrix_path), matrix_path)
     if name is None:
         raise ValueError("no gate given")
     if name.startswith("@"):
-        return "custom", (), parse_matrix(_read_text(name[1:]), name[1:])
-    if gate_arity(name) != 2:
-        raise ValueError(f"certification needs a two-qubit gate; {name!r} is not one")
+        return CUSTOM, (), parse_matrix(_read_text(name[1:]), name[1:])
     return name, values, gate_matrix(name, values)
 
 
@@ -250,10 +249,8 @@ def _cmd_transpile(args) -> int:
     tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
     circuit = _load_circuit(args.input)
     name, params, matrix = _resolve_gate_spec(args.fusion_gate, args.fusion_params, None)
-    if name == "custom":
-        descriptor = describe_fusion_gate(matrix=matrix, tol=tol)
-    else:
-        descriptor = describe_fusion_gate(name=name, params=params, tol=tol)
+    custom = matrix if name == CUSTOM else None
+    descriptor = describe_fusion_gate(name, params, custom, tol)
     current, report = transpile(
         circuit, descriptor, args.rule,
         fixed_point=args.fixed_point, verify=not args.no_verify, tol=tol,

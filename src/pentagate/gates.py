@@ -1,9 +1,12 @@
-"""Gate matrix constructors.
+"""Gate matrix constructors and the gate table.
 
-Single-qubit gates, the two-qubit standard gates, the commuting XX/YY/ZZ
-exponentials, the three-parameter A gate, the B gate, the two-site
-Heisenberg evolution operator, and permutation fusion operators built from
-finite-group multiplication tables.
+``GATES`` maps every gate name a circuit may use to its arity, its
+parameter count and its constructor; ``gate_matrix`` resolves a name and
+parameters through it. The constructors cover single-qubit gates, the
+two-qubit standard gates, the commuting XX/YY/ZZ exponentials, the
+three-parameter A gate, the B gate, the two-site Heisenberg evolution
+operator, and permutation fusion operators built from finite-group
+multiplication tables.
 
 Conventions:
 
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGroupError, UnknownGateError
-from .linalg import kron
 
 FOUR_PI = 4.0 * math.pi
 
@@ -86,7 +88,7 @@ def _two_site_exponential(axis: str, theta) -> np.ndarray:
     ``theta.shape + (4, 4)``.
     """
     theta = np.asarray(theta, dtype=float)[..., np.newaxis, np.newaxis]
-    pp = kron(pauli(axis), pauli(axis))
+    pp = np.kron(pauli(axis), pauli(axis))
     return np.cos(theta) * np.eye(4, dtype=np.complex128) + 1j * np.sin(theta) * pp
 
 
@@ -244,52 +246,37 @@ def group_algebra_fusion(g: CayleyTable) -> np.ndarray:
     return mat
 
 
-# Gate-name registry shared with the circuit JSON schema.
-
-_FIXED_1Q = {
-    "I": lambda: np.eye(2, dtype=np.complex128),
-    "X": lambda: pauli("x"),
-    "Y": lambda: pauli("y"),
-    "Z": lambda: pauli("z"),
-    "H": lambda: standard_gate("H"),
-    "S": lambda: standard_gate("S"),
+#: The gate table: name -> (arity, parameter count, constructor). It is the
+#: only statement of which named gates exist, how many wires each acts on
+#: and how many real parameters its constructor takes. The circuit JSON
+#: schema and every gate check read it.
+GATES = {
+    "I": (1, 0, lambda: np.eye(2, dtype=np.complex128)),
+    "X": (1, 0, lambda: pauli("x")),
+    "Y": (1, 0, lambda: pauli("y")),
+    "Z": (1, 0, lambda: pauli("z")),
+    "H": (1, 0, lambda: standard_gate("H")),
+    "S": (1, 0, lambda: standard_gate("S")),
+    "RX": (1, 1, lambda theta: rotation("x", theta)),
+    "RY": (1, 1, lambda theta: rotation("y", theta)),
+    "RZ": (1, 1, lambda theta: rotation("z", theta)),
+    "CNOT": (2, 0, lambda: standard_gate("CNOT")),
+    "SWAP": (2, 0, lambda: standard_gate("SWAP")),
+    "B": (2, 0, b_gate),
+    "XX": (2, 1, xx),
+    "YY": (2, 1, yy),
+    "ZZ": (2, 1, zz),
+    "A": (2, 3, a_gate),
+    "HEIS": (2, 3, heisenberg_evolution),
 }
-_ROTATIONS = {"RX": "x", "RY": "y", "RZ": "z"}
-_FIXED_2Q = {
-    "CNOT": lambda: standard_gate("CNOT"),
-    "SWAP": lambda: standard_gate("SWAP"),
-    "B": b_gate,
-}
-_PARAM_2Q = {"XX": xx, "YY": yy, "ZZ": zz}
-
-KNOWN_GATES = (
-    tuple(_FIXED_1Q) + tuple(_ROTATIONS) + tuple(_FIXED_2Q) + tuple(_PARAM_2Q) + ("A", "HEIS")
-)
-
-
-def gate_arity(name: str) -> int:
-    """Number of wires a named gate acts on."""
-    if name in _FIXED_1Q or name in _ROTATIONS:
-        return 1
-    if name in _FIXED_2Q or name in _PARAM_2Q or name in ("A", "HEIS"):
-        return 2
-    raise UnknownGateError(f"unknown gate name {name!r}")
-
-
-def parameter_count(name: str) -> int:
-    """Number of real parameters a named gate takes."""
-    if name in _ROTATIONS or name in _PARAM_2Q:
-        return 1
-    if name in ("A", "HEIS"):
-        return 3
-    if name in _FIXED_1Q or name in _FIXED_2Q:
-        return 0
-    raise UnknownGateError(f"unknown gate name {name!r}")
 
 
 def gate_matrix(name: str, params=()) -> np.ndarray:
     """Resolve a gate name plus parameters to its unitary matrix."""
-    expected = parameter_count(name)
+    try:
+        _, expected, build = GATES[name]
+    except KeyError:
+        raise UnknownGateError(f"unknown gate name {name!r}") from None
     params = tuple(float(p) for p in params)
     if len(params) != expected:
         raise ValueError(
@@ -297,14 +284,4 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
         )
     if not all(map(math.isfinite, params)):
         raise ValueError(f"gate {name!r} parameters must be finite, got {list(params)}")
-    if name in _FIXED_1Q:
-        return _FIXED_1Q[name]()
-    if name in _ROTATIONS:
-        return rotation(_ROTATIONS[name], params[0])
-    if name in _FIXED_2Q:
-        return _FIXED_2Q[name]()
-    if name in _PARAM_2Q:
-        return _PARAM_2Q[name](params[0])
-    if name == "A":
-        return a_gate(*params)
-    return heisenberg_evolution(*params)
+    return build(*params)

@@ -45,16 +45,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
@@ -76,7 +66,7 @@ def is_unitary(a, tol: float = DEFAULT_TOLERANCE) -> bool:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"is_unitary needs a square matrix, got {a.shape}")
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    return frobenius_norm(adjoint(a) @ a - eye) < tol
+    return frobenius_norm(a.conj().T @ a - eye) < tol
 
 
 def twist(d: int) -> np.ndarray:

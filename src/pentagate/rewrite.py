@@ -33,16 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import CertificationReport, certify
-from .circuit import Circuit, GateInstance, depth, to_unitary
-from .errors import RewriteVerificationError, UncertifiedGateError
-from .gates import gate_arity, gate_matrix
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    as_matrix,
-    check_tolerance,
-    matrices_equal,
-    phase_distance,
-)
+from .circuit import CUSTOM, Circuit, GateInstance, depth, resolved_matrix, to_unitary
+from .errors import RewriteVerificationError, SchemaError, UncertifiedGateError
+from .linalg import DEFAULT_TOLERANCE, check_tolerance, matrices_equal, phase_distance
 
 #: Parameters and custom matrices must match the fusion gate this tightly.
 MATCH_TOLERANCE = 1e-10
@@ -72,22 +65,21 @@ def describe_fusion_gate(
     """Certify a gate and wrap it for rewriting.
 
     Accepts either a built-in two-qubit gate name with parameters, or a
-    custom 4x4 matrix. Raises UncertifiedGateError when the pentagon
-    residual is at or above ``tol``.
+    custom 4x4 matrix. The gate is built on wires (0, 1) first, so a gate
+    no circuit could hold raises SchemaError naming the fusion gate.
+    Raises UncertifiedGateError when the pentagon residual is at or above
+    ``tol``.
     """
     check_tolerance(tol)
-    params = tuple(float(p) for p in params)
     if matrix is not None:
-        matrix = as_matrix(matrix)
-        gate = GateInstance("custom", (0, 1), (), matrix)
-        report = certify(matrix, 2, tol, name="custom")
-    else:
-        if name is None:
-            raise ValueError("need a gate name or a custom matrix")
-        if gate_arity(name) != 2:
-            raise ValueError(f"fusion gates act on two qubits; {name!r} does not")
-        gate = GateInstance(name, (0, 1), params)
-        report = certify(gate_matrix(name, params), 2, tol, name=name, params=params)
+        name = CUSTOM
+    elif name is None:
+        raise ValueError("need a gate name or a custom matrix")
+    try:
+        gate = GateInstance(name, (0, 1), params, matrix)
+    except SchemaError as exc:
+        raise SchemaError(f"fusion gate {name!r}: {exc}") from None
+    report = certify(resolved_matrix(gate), 2, tol, name=name, params=gate.params)
     if not report.is_fusion:
         raise UncertifiedGateError(
             f"gate {report.gate_name!r} is not a fusion operator: pentagon residual "
@@ -137,20 +129,11 @@ class RewriteReport:
 
 
 def _matches_fusion_gate(gate: GateInstance, descriptor: FusionGateDescriptor) -> bool:
-    if len(gate.wires) != 2:
-        return False
     target = descriptor.gate
-    if target.name == "custom":
-        return (
-            gate.name == "custom"
-            and gate.matrix is not None
-            and gate.matrix.shape == target.matrix.shape
-            and matrices_equal(gate.matrix, target.matrix, MATCH_TOLERANCE)
-        )
-    return (
-        gate.name == target.name
-        and len(gate.params) == len(target.params)
-        and all(abs(p - q) <= MATCH_TOLERANCE for p, q in zip(gate.params, target.params))
+    if target.name == CUSTOM:
+        return gate.name == CUSTOM and matrices_equal(gate.matrix, target.matrix, MATCH_TOLERANCE)
+    return gate.name == target.name and all(
+        abs(p - q) <= MATCH_TOLERANCE for p, q in zip(gate.params, target.params)
     )
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import pentagate
 from pentagate import Circuit, GateInstance
-from pentagate.gates import parameter_count
+from pentagate.gates import GATES
 
 #: CLI subprocesses import the same pentagate as the test process.
 _PACKAGE_ROOT = str(Path(pentagate.__file__).resolve().parents[1])
@@ -112,7 +112,7 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int) ->
             name = pool_2q[int(rng.integers(0, len(pool_2q)))]
             w = rng.choice(num_qubits, size=2, replace=False)
             wires = (int(w[0]), int(w[1]))
-        params = tuple(float(x) for x in rng.uniform(0, 6.2, parameter_count(name)))
+        params = tuple(float(x) for x in rng.uniform(0, 6.2, GATES[name][1]))
         gates.append(GateInstance(name, wires, params))
     return Circuit(num_qubits, tuple(gates))
 

@@ -137,7 +137,8 @@ def dense_product(circuit: Circuit) -> np.ndarray:
 
 
 class TestNonFiniteRejected:
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                                       pytest.param("1" + "0" * 400, id="huge_integer")])
     def test_parse_rejects_non_finite_param(self, value):
         text = '{"qubits": 1, "gates": [{"name": "RZ", "wires": [0], "params": [%s]}]}' % value
         with pytest.raises(SchemaError, match=r"gates\[0\]\.params\[0\]"):
@@ -164,6 +165,25 @@ class TestNonFiniteRejected:
         matrix[1, 0] = complex(0.0, math.nan)
         with pytest.raises(SchemaError):
             GateInstance("custom", (0,), (), matrix)
+
+
+class TestOneValidationPath:
+    """The constructor applies parse's rules and reports them in parse's words."""
+
+    @pytest.mark.parametrize("name, wires, params, message", [
+        ("X", (1.9,), (), "wires[0]: expected an integer, got 1.9"),
+        ("X", (True,), (), "wires[0]: expected an integer, got True"),
+        ("RZ", (0,), ("1.5",), "params[0]: expected a number, got '1.5'"),
+        ("RZ", (0,), (True,), "params[0]: expected a number, got True"),
+    ], ids=["float_wire", "bool_wire", "string_param", "bool_param"])
+    def test_constructor_rejects_what_parse_rejects(self, name, wires, params, message):
+        gate = {"name": name, "wires": list(wires), "params": list(params)}
+        with pytest.raises(SchemaError) as parsed:
+            parse(json.dumps({"qubits": 2, "gates": [gate]}))
+        assert str(parsed.value) == "gates[0]." + message
+        with pytest.raises(SchemaError) as built:
+            GateInstance(name, wires, params)
+        assert str(built.value) == message
 
 
 class TestToUnitary:

@@ -9,9 +9,11 @@ import re
 
 import pytest
 
-from pentagate import parse, serialize
+from pentagate import Circuit, parse, serialize
 from pentagate.cli import main
 from conftest import nested_template_circuit, run_cli, template_circuit
+
+CNOT = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
 
 @pytest.fixture
@@ -272,7 +274,8 @@ class TestInputBoundary:
         assert result.returncode == 1
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400",
+                                       pytest.param("1" + "0" * 400, id="huge_integer")])
     def test_non_finite_param_invalid_input(self, value, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"qubits": 1, "gates": [{"name": "RZ", "wires": [0], "params": [%s]}]}' % value)
@@ -296,6 +299,24 @@ class TestInputBoundary:
         assert captured.out == ""
         assert "parameters must be finite" in captured.err
         assert not (tmp_path / "out.json").exists()
+
+
+    @pytest.mark.parametrize("circuit", [Circuit(3, ()), template_circuit()], ids=["no_site", "site"])
+    def test_fusion_gate_outside_the_schema_invalid_input(self, circuit, tmp_path, monkeypatch, capsys):
+        # unitary within the certification tolerance 1e-6, not within the
+        # 1e-10 a custom gate in a circuit must meet
+        monkeypatch.chdir(tmp_path)
+        nearly = [[[x * (1 + 5e-11), 0] for x in row] for row in CNOT]
+        (tmp_path / "f.json").write_text(json.dumps(nearly))
+        (tmp_path / "c.json").write_text(serialize(circuit))
+        assert main(["transpile", "--in", "c.json", "--out", "out.json", "--rule", "compress",
+                     "--tol", "1e-6", "--fusion-gate", "@f.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fusion gate 'custom': matrix: not unitary within 1e-10\n"
+        assert not (tmp_path / "out.json").exists()
+        assert main(["certify", "--matrix", "f.json", "--tol", "1e-6", "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "fusion"
 
 
 class TestMatrixFiles:

@@ -16,7 +16,6 @@ from pentagate import (
     group_algebra_fusion,
     heisenberg_evolution,
     is_unitary,
-    kron,
     matrices_equal,
     pauli,
     rotation,
@@ -27,6 +26,7 @@ from pentagate import (
     zz,
 )
 from pentagate.errors import UnknownGateError
+from pentagate.gates import GATES
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -112,7 +112,7 @@ class TestTwoSiteExponentials:
     def test_matches_direct_matrix_exponential(self, rng):
         for _ in range(20):
             c = float(rng.uniform(-7, 7))
-            direct = expm(0.5j * c * kron(pauli("x"), pauli("x")))
+            direct = expm(0.5j * c * np.kron(pauli("x"), pauli("x")))
             assert frobenius_norm(xx(c) - direct) < 1e-13
 
 
@@ -192,9 +192,9 @@ class TestHeisenbergEvolution:
         for _ in range(30):
             tx, ty, tz = rng.uniform(-7, 7, 3)
             direct = (
-                expm(1j * tx * kron(pauli("x"), pauli("x")))
-                @ expm(1j * ty * kron(pauli("y"), pauli("y")))
-                @ expm(1j * tz * kron(pauli("z"), pauli("z")))
+                expm(1j * tx * np.kron(pauli("x"), pauli("x")))
+                @ expm(1j * ty * np.kron(pauli("y"), pauli("y")))
+                @ expm(1j * tz * np.kron(pauli("z"), pauli("z")))
             )
             assert frobenius_norm(heisenberg_evolution(tx, ty, tz) - direct) < 1e-10
 
@@ -277,21 +277,20 @@ class TestGroupAlgebraFusion:
 
 class TestGateMatrixDispatch:
     def test_every_known_gate_resolves_and_is_unitary(self, rng):
-        from pentagate.gates import KNOWN_GATES, gate_arity, parameter_count
-
-        for name in KNOWN_GATES:
-            params = tuple(rng.uniform(0, 6.2, parameter_count(name)))
-            m = gate_matrix(name, params)
-            assert m.shape == (2 ** gate_arity(name),) * 2
+        # each table entry builds a 2**arity unitary from its parameter count,
+        # and gate_matrix resolves the name to that same matrix
+        for name, (arity, count, build) in GATES.items():
+            params = tuple(rng.uniform(0, 6.2, count))
+            m = build(*params)
+            assert m.shape == (2**arity,) * 2
             assert is_unitary(m, 1e-12)
+            assert np.array_equal(gate_matrix(name, params), m)
 
     def test_constructors_unitary_over_500_random_draws(self, rng):
-        from pentagate.gates import KNOWN_GATES, parameter_count
-
-        parametrized = [n for n in KNOWN_GATES if parameter_count(n) > 0]
+        parametrized = [n for n, (_, count, _) in GATES.items() if count > 0]
         for _ in range(500):
             name = parametrized[int(rng.integers(0, len(parametrized)))]
-            params = tuple(rng.uniform(-20, 20, parameter_count(name)))
+            params = tuple(rng.uniform(-20, 20, GATES[name][1]))
             assert is_unitary(gate_matrix(name, params), 1e-12)
 
     def test_wrong_parameter_count(self):

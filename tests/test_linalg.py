@@ -8,11 +8,9 @@ import pytest
 from pentagate import (
     DimensionError,
     WireError,
-    adjoint,
     embed,
     frobenius_norm,
     is_unitary,
-    kron,
     matrices_equal,
     pauli,
     phase_distance,
@@ -37,25 +35,6 @@ class TestMatmul:
 
     def test_swap_is_involutive(self):
         assert np.array_equal(SWAP @ SWAP, I4)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), I4)
-
-    def test_zz_diagonal(self):
-        assert np.array_equal(kron(pauli("z"), pauli("z")), np.diag([1, -1, -1, 1]).astype(complex))
-
-    def test_associative_to_rounding(self, rng):
-        # Complex float multiplication is not associative in the last ulp,
-        # so exact equality can fail; the bound below is a few ulps.
-        worst = 0.0
-        for _ in range(50):
-            a, b, c = (
-                rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)
-            )
-            worst = max(worst, np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))))
-        assert worst <= 5e-15
 
 
 class TestTwist:
@@ -88,11 +67,11 @@ class TestEmbed:
 
     def test_leading_wires_is_kron(self, rng):
         t = haar_unitary(4, rng)
-        assert np.array_equal(embed(t, [0, 1], 3), kron(t, I2))
+        assert np.array_equal(embed(t, [0, 1], 3), np.kron(t, I2))
 
     def test_trailing_wires_is_kron(self, rng):
         t = haar_unitary(4, rng)
-        assert np.allclose(embed(t, [1, 2], 3), kron(I2, t), atol=1e-15)
+        assert np.allclose(embed(t, [1, 2], 3), np.kron(I2, t), atol=1e-15)
 
     def test_outer_wires_via_twist_conjugation(self, rng):
         # embed only moves entries, so T13 is exactly the conjugation of
@@ -100,8 +79,8 @@ class TestEmbed:
         for d in (2, 3):
             t = haar_unitary(d * d, rng)
             eye = np.eye(d, dtype=complex)
-            mid = kron(eye, twist(d))
-            assert np.array_equal(embed(t, [0, 2], 3, d), mid @ kron(t, eye) @ mid)
+            mid = np.kron(eye, twist(d))
+            assert np.array_equal(embed(t, [0, 2], 3, d), mid @ np.kron(t, eye) @ mid)
 
     def test_reversed_wire_order_differs(self, rng):
         t = haar_unitary(4, rng)
@@ -144,10 +123,6 @@ class TestEmbed:
 class TestNormsAndUnitarity:
     def test_frobenius_of_identity(self):
         assert frobenius_norm(I4) == 2.0
-
-    def test_adjoint(self):
-        m = np.array([[1, 2j], [3, 4]], dtype=complex)
-        assert np.array_equal(adjoint(m), m.conj().T)
 
     def test_swap_is_unitary(self):
         assert is_unitary(SWAP, 1e-12)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from pentagate import (
     Circuit,
     GateInstance,
+    SchemaError,
     a_gate,
     check_folklore_duality,
     check_street_duality,
@@ -36,7 +37,7 @@ from pentagate import (
     to_unitary,
     ybe_residual,
 )
-from pentagate.gates import KNOWN_GATES, gate_arity, parameter_count
+from pentagate.gates import GATES
 from conftest import haar_unitary, pair_circuit, template_gates
 from oracles import braid_ybe_sides, pentagon_sides, permutation_map, permutation_operator
 
@@ -158,8 +159,8 @@ def circuits(draw):
     n = draw(st.integers(1, 5))
     gates = []
     for _ in range(draw(st.integers(0, 8))):
-        name = draw(st.sampled_from(KNOWN_GATES + ("custom",)))
-        arity = draw(st.integers(1, min(n, 3))) if name == "custom" else gate_arity(name)
+        name = draw(st.sampled_from(tuple(GATES) + ("custom",)))
+        arity = draw(st.integers(1, min(n, 3))) if name == "custom" else GATES[name][0]
         if arity > n:
             continue
         wires = tuple(draw(st.permutations(range(n)))[:arity])
@@ -167,7 +168,7 @@ def circuits(draw):
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
             gates.append(GateInstance(name, wires, (), haar_unitary(2**arity, rng)))
         else:
-            params = draw(st.lists(NUMBERS, min_size=parameter_count(name), max_size=parameter_count(name)))
+            params = draw(st.lists(NUMBERS, min_size=GATES[name][1], max_size=GATES[name][1]))
             gates.append(GateInstance(name, wires, tuple(params)))
     return Circuit(n, tuple(gates))
 
@@ -210,6 +211,67 @@ def test_signed_zero_parses_to_one_canonical_form(zero):
     assert math.copysign(1.0, parse(text).gates[0].params[0]) == 1.0
 
 
+# ---- one validation path -----------------------------------------------------
+
+MUTATIONS = (None, "bool_wire", "float_wire", "string_param", "bool_param", "unknown_name",
+             "wrong_arity", "wrong_param_count", "matrix_on_named_gate", "non_unitary_custom")
+
+
+@st.composite
+def one_gate_fields(draw):
+    """(name, wires, params, matrix) of a gate on 3 qubits, at most one field mutated."""
+    name = draw(st.sampled_from(tuple(GATES) + ("custom",)))
+    arity, count = (draw(st.integers(1, 2)), 0) if name == "custom" else GATES[name][:2]
+    wires = list(draw(st.permutations(range(3)))[:arity])
+    params = draw(st.lists(ANGLES, min_size=count, max_size=count))
+    matrix = None
+    if name == "custom":
+        matrix = haar_unitary(2**arity, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "bool_wire":
+        wires[0] = draw(st.booleans())
+    elif mutation == "float_wire":
+        wires[0] += draw(st.sampled_from((0.0, 0.5)))
+    elif mutation in ("string_param", "bool_param"):
+        bad = str(draw(ANGLES)) if mutation == "string_param" else draw(st.booleans())
+        params = params[1:] + [bad] if params else [bad]
+    elif mutation == "unknown_name":
+        name = draw(st.sampled_from(("CZ", "cnot", "")))
+    elif mutation == "wrong_arity":
+        wires = wires[:1] if len(wires) == 2 else wires + [min({0, 1, 2} - set(wires))]
+    elif mutation == "wrong_param_count":
+        params = params + [0.5] if draw(st.booleans()) or not params else params[1:]
+    elif mutation == "matrix_on_named_gate" and name != "custom":
+        matrix = np.eye(2**arity)
+    elif mutation == "non_unitary_custom" and name == "custom":
+        matrix = 2 * matrix
+    return name, wires, params, matrix
+
+
+def _schema_error(build) -> str | None:
+    """The SchemaError text ``build()`` raises, without its gates[0]. prefix."""
+    try:
+        build()
+    except SchemaError as exc:
+        return str(exc).removeprefix("gates[0].")
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(one_gate_fields())
+def test_parse_and_constructor_share_one_validation_path(fields):
+    name, wires, params, matrix = fields
+    gate = {"name": name, "wires": wires, "params": params}
+    if matrix is not None:
+        gate["matrix"] = [[[z.real, z.imag] for z in row] for row in matrix.astype(complex)]
+    text = json.dumps({"qubits": 3, "gates": [gate]})
+    build = lambda: Circuit(3, (GateInstance(name, wires, params, matrix),))
+    parsed = _schema_error(lambda: parse(text))
+    assert parsed == _schema_error(build)
+    if parsed is None:
+        assert serialize(parse(text)) == serialize(build())
+
+
 # ---- rewrite rules -----------------------------------------------------------
 
 CNOT = describe_fusion_gate(name="CNOT", tol=1e-10)
@@ -231,8 +293,9 @@ def template_images(draw):
             gates += template_gates("CNOT", (), (a, b, c))
         else:
             name = draw(st.sampled_from(("H", "X", "RZ", "XX", "A")))
-            wires = tuple(draw(st.permutations(range(n)))[: gate_arity(name)])
-            params = tuple(draw(st.lists(ANGLES, min_size=parameter_count(name), max_size=parameter_count(name))))
+            arity, count, _ = GATES[name]
+            wires = tuple(draw(st.permutations(range(n)))[:arity])
+            params = tuple(draw(st.lists(ANGLES, min_size=count, max_size=count)))
             gates.append(GateInstance(name, wires, params))
     return Circuit(n, tuple(gates))
 

@@ -13,6 +13,7 @@ from pentagate import (
     Circuit,
     GateInstance,
     RewriteVerificationError,
+    SchemaError,
     UncertifiedGateError,
     circuits_identical,
     compress,
@@ -24,6 +25,7 @@ from pentagate import (
     find_expand_sites,
     group_algebra_fusion,
     serialize,
+    standard_gate,
     transpile,
 )
 from pentagate.rewrite import FusionGateDescriptor
@@ -62,6 +64,14 @@ class TestDescriptor:
     def test_one_qubit_name_rejected(self):
         with pytest.raises(ValueError):
             describe_fusion_gate(name="H", tol=1e-10)
+
+    def test_gate_the_circuit_schema_rejects_is_refused(self):
+        # certify accepts it at tol 1e-6, but no circuit may hold it: a
+        # custom gate must be unitary within 1e-10
+        nearly = standard_gate("CNOT") * (1 + 5e-11)
+        message = r"^fusion gate 'custom': matrix: not unitary within 1e-10$"
+        with pytest.raises(SchemaError, match=message):
+            describe_fusion_gate(matrix=nearly, tol=1e-6)
 
 
 class TestFindCompressSites:
@@ -265,6 +275,27 @@ class TestSemanticPreservation:
             assert report.sites_found == blocks
             assert report.gate_count_after == report.gate_count_before - 3 * blocks
             assert equivalent_up_to_phase(circuit, out, 1e-10)
+
+
+class TestRebuildChecks:
+    def test_unverified_compress_checks_only_the_gates_it_writes(self, monkeypatch):
+        import pentagate.circuit
+
+        z2 = group_algebra_fusion(CayleyTable.cyclic(2))
+        descriptor = describe_fusion_gate(matrix=z2, tol=1e-10)
+        phase = GateInstance("custom", (3,), (), np.exp(0.3j) * np.eye(2))
+        t = lambda w: GateInstance("custom", w, (), z2)
+        swap = GateInstance("SWAP", (1, 2))
+        circuit = Circuit(4, (phase, t((1, 2)), swap, t((0, 1)), swap, t((0, 1)), phase))
+        checked = []
+        is_unitary = pentagate.circuit.is_unitary
+        monkeypatch.setattr(pentagate.circuit, "is_unitary",
+                            lambda m, tol: checked.append(m.shape) or is_unitary(m, tol))
+        out, report = compress(circuit, descriptor, verify=False)
+        assert report.sites_found == 1
+        # the two T gates the site writes, not the phase gates carried over
+        assert checked == [(4, 4)] * 2
+        assert [g.name for g in out.gates] == ["custom"] * 4
 
 
 class TestTranspileDriver:
