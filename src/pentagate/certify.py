@@ -38,7 +38,14 @@ from .equations import pentagon_residual, pentagon_stack
 from .errors import DimensionError, GridError, NonUnitaryError
 from .gates import FOUR_PI, a_gate, heisenberg_evolution
 from .jsonio import complex_pair
-from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, frobenius_norm, is_unitary
+from .linalg import (
+    DEFAULT_TOLERANCE,
+    as_matrix,
+    check_tolerance,
+    frobenius_norm,
+    is_unitary,
+    to_float,
+)
 
 #: Default grid-scan tolerance on the pentagon residual.
 SCAN_TOLERANCE = 1e-9
@@ -65,7 +72,7 @@ def _family(family: str):
 
 
 def _triple(params) -> tuple[float, float, float]:
-    values = tuple(float(p) for p in params)
+    values = tuple(map(to_float, params))
     if len(values) != 3:
         raise ValueError(f"expected a parameter triple, got {len(values)} values")
     if not all(map(math.isfinite, values)):
@@ -152,7 +159,8 @@ def certify(
         residual=res.residual,
         tolerance=float(tol),
         verdict=verdict,
-        witnesses=_witnesses(res.lhs, res.rhs),
+        # an exact solution has no mismatch, so skip sorting the d**6 entries
+        witnesses=() if res.max_entry_mismatch[2] == 0.0 else _witnesses(res.lhs, res.rhs),
     )
 
 

@@ -196,7 +196,7 @@ def _decode_matrix(raw, where: str) -> np.ndarray:
 
 
 def _load_json(text: str):
-    """``json.loads``, raising SchemaError on bad syntax or runaway nesting."""
+    """``json.loads``, raising SchemaError on bad syntax, deep nesting or overlong integers."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -205,6 +205,10 @@ def _load_json(text: str):
         ) from None
     except RecursionError:
         raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:  # json.loads refuses integers past the interpreter's digit limit
+        raise SchemaError(
+            f"invalid JSON: integer literal longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_matrix(text: str, where: str) -> np.ndarray:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGroupError, UnknownGateError
+from .linalg import to_float
 
 FOUR_PI = 4.0 * math.pi
 
@@ -277,7 +278,7 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
         _, expected, build = GATES[name]
     except KeyError:
         raise UnknownGateError(f"unknown gate name {name!r}") from None
-    params = tuple(float(p) for p in params)
+    params = tuple(map(to_float, params))
     if len(params) != expected:
         raise ValueError(
             f"gate {name!r} takes {expected} parameter(s), got {len(params)}"

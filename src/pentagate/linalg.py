@@ -24,6 +24,18 @@ DEFAULT_TOLERANCE = 1e-10
 MAX_QUBITS = 12
 
 
+def to_float(value) -> float:
+    """``float(value)``, reading a number beyond float range as a signed infinity.
+
+    ``float`` raises OverflowError for such an integer; callers reject the
+    infinity with their own finiteness check and its message.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_tolerance(tol) -> float:
     """Return ``tol`` as a float; raise ValueError unless finite and positive.
 
@@ -31,7 +43,7 @@ def check_tolerance(tol) -> float:
     so zero, negative or non-finite values would silently decide every
     comparison the same way.
     """
-    value = float(tol)
+    value = to_float(tol)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     return value

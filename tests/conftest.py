@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pentagate
-from pentagate import Circuit, GateInstance
+from pentagate import Circuit, GateInstance, embed
 from pentagate.gates import GATES
 
 #: CLI subprocesses import the same pentagate as the test process.
@@ -41,6 +41,17 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense_pentagon_stack(ts, d: int):
+    """Reference for ``pentagon_stack``: dense lifts and d**3 x d**3 products.
+
+    The sides are T23 T12 and (T12 T13) T23, each residual the
+    ``np.linalg.norm`` of one slice of their difference.
+    """
+    l12, l13, l23 = (embed(ts, wires, 3, d) for wires in ((0, 1), (0, 2), (1, 2)))
+    lhs, rhs = l23 @ l12, l12 @ l13 @ l23
+    return lhs, rhs, np.array([np.linalg.norm(diff) for diff in lhs - rhs])
 
 
 def template_gates(name: str, params, wires) -> list[GateInstance]:

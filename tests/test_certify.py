@@ -181,6 +181,15 @@ class TestNonFiniteParameters:
             with pytest.raises(ValueError, match=rf"parameters must be finite, got \[.*{value}"):
                 refine((value, 0.0, 0.0), family)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "huge_negative"])
+    def test_huge_integer_parameters_reject(self, value):
+        # float() of such an integer overflows; it must read as non-finite
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match=r"parameters must be finite, got \[.*inf"):
+                constraints(family, (value, 0, 0))
+            with pytest.raises(ValueError, match=r"parameters must be finite, got \[.*inf"):
+                refine((value, 0, 0), family)
+
 
 class TestAxisPoints:
     def test_inclusive_when_integral(self):
@@ -340,3 +349,8 @@ class TestToleranceValidation:
         for tol in BAD_TOLERANCES:
             with pytest.raises(ValueError, match="tolerance must be finite and positive"):
                 call(tol)
+
+    def test_huge_integer_tolerance_rejected(self):
+        # float() of such an integer overflows; it must read as non-finite
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            certify(standard_gate("CNOT"), tol=10**400)

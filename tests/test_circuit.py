@@ -23,6 +23,7 @@ from pentagate import (
     serialize,
     to_unitary,
 )
+from pentagate.circuit import parse_matrix
 from conftest import haar_unitary, random_circuit, template_circuit
 
 PI = math.pi
@@ -57,6 +58,16 @@ class TestParse:
     def test_runaway_nesting_is_a_schema_error(self, text):
         with pytest.raises(SchemaError, match="nested too deeply"):
             parse(text)
+
+    def test_overlong_integer_is_a_schema_error(self):
+        # json.loads refuses integer literals past the interpreter's digit limit
+        text = '{"qubits": 1, "gates": [{"name": "RZ", "wires": [0], "params": [%s]}]}'
+        with pytest.raises(SchemaError, match="integer literal longer than"):
+            parse(text % ("1" * 5001))
+
+    def test_overlong_integer_in_a_matrix_file_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="integer literal longer than"):
+            parse_matrix("[[[%s, 0]]]" % ("1" * 5001), "matrix")
 
     def test_unknown_gate_name(self):
         with pytest.raises(SchemaError, match=r"gates\[0\].name"):

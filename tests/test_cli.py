@@ -355,6 +355,16 @@ class TestMatrixFiles:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "nested too deeply" in captured.err
 
+    def test_overlong_integer_invalid_input(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.json").write_text(
+            '{"qubits": 1, "gates": [{"name": "RZ", "wires": [0], "params": [%s]}]}' % ("1" * 5001)
+        )
+        assert main(["stats", "--in", "long.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "integer literal longer than" in captured.err
+
 
 class TestSimulationCounts:
     def test_verify_simulates_each_circuit_once(self, template_file, simulations, capsys):

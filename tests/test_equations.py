@@ -83,6 +83,19 @@ class TestLifts:
             pentagon_stack(np.stack([I4, I4]), 3)
         with pytest.raises(DimensionError):
             embed(np.zeros((1, 1, 4, 4)), (0, 1), 3)
+        with pytest.raises(DimensionError):
+            pentagon_stack(np.stack([I4]), 1)
+        with pytest.raises(DimensionError):
+            pentagon_stack(np.ones((1, 1, 1)), 0)
+
+    def test_one_dimensional_factors(self):
+        # at d=1 a gate is a scalar lambda and the sides are lambda^2, lambda^3
+        lam = np.exp(0.7j)
+        lhs, rhs, residuals = pentagon_stack(np.full((1, 1, 1), lam), 1)
+        assert lhs.shape == rhs.shape == (1, 1, 1)
+        assert lhs[0, 0, 0] == pytest.approx(lam**2)
+        assert rhs[0, 0, 0] == pytest.approx(lam**3)
+        assert residuals[0] == pytest.approx(abs(lam**2 - lam**3))
 
 
 class TestPentagonResidual:
@@ -136,12 +149,20 @@ class TestGroupFusionSolutions:
         ("Z5", CayleyTable.cyclic(5)),
         ("Z6", CayleyTable.cyclic(6)),
         ("S3", CayleyTable.symmetric(3)),
+        ("Z7", CayleyTable.cyclic(7)),
+        ("Z8", CayleyTable.cyclic(8)),
+        ("Z12", CayleyTable.cyclic(12)),
+        ("Z2xS3", CayleyTable.direct_product(CayleyTable.cyclic(2), CayleyTable.symmetric(3))),
     ]
 
     @pytest.mark.parametrize("name,group", GROUPS, ids=[n for n, _ in GROUPS])
     def test_exact_pentagon_solution(self, name, group):
         t = group_algebra_fusion(group)
-        assert pentagon_residual(t, group.order).residual == 0.0
+        res = pentagon_residual(t, group.order)
+        assert res.residual == 0.0
+        lhs, rhs = pentagon_sides(group_fusion_map(group.table), group.order)
+        assert np.array_equal(res.lhs, lhs)
+        assert np.array_equal(res.rhs, rhs)
 
     def test_z3_matches_basis_oracle(self):
         group = CayleyTable.cyclic(3)

@@ -309,3 +309,10 @@ class TestGateMatrixDispatch:
                              ("HEIS", (0, 0, value))):
             with pytest.raises(ValueError, match=rf"parameters must be finite, got \[.*{value}"):
                 gate_matrix(name, params)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "huge_negative"])
+    def test_huge_integer_parameters_rejected(self, value):
+        # float() of such an integer overflows; it must read as non-finite
+        for name, params in (("RZ", (value,)), ("A", (0, value, 0))):
+            with pytest.raises(ValueError, match=r"parameters must be finite, got \[.*inf"):
+                gate_matrix(name, params)

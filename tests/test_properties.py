@@ -6,7 +6,9 @@ matrices, so the library must agree bitwise with the brute-force oracles
 in oracles.py, which trace basis tuples and never call ``embed``. The
 stacked kernel runs one matrix product per slice, so its lifts, sides,
 residuals and stacked gate constructors must equal the one-gate calls
-bitwise as well.
+bitwise as well. Against the dense lifts and products of
+``conftest.dense_pentagon_stack`` the kernel must agree bitwise at d=2
+and to rounding beyond.
 """
 
 import json
@@ -38,7 +40,7 @@ from pentagate import (
     ybe_residual,
 )
 from pentagate.gates import GATES
-from conftest import haar_unitary, pair_circuit, template_gates
+from conftest import dense_pentagon_stack, haar_unitary, pair_circuit, template_gates
 from oracles import braid_ybe_sides, pentagon_sides, permutation_map, permutation_operator
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -129,11 +131,36 @@ def test_stacked_family_points_match_one_gate_calls(build, points):
 
 
 @PROPERTY_SETTINGS
-@given(st.sampled_from((2, 3)), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@given(st.sampled_from((2, 3, 4)), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_stacked_haar_gates_match_one_gate_calls(d, count, seed):
     rng = np.random.default_rng(seed)
     stack = np.stack([haar_unitary(d * d, rng) for _ in range(count)])
     _check_stack_matches_one_gate_calls(stack, d)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(ANGLES, ANGLES, ANGLES), min_size=1, max_size=64),
+       st.integers(0, 2**32 - 1))
+def test_kernel_is_bitwise_the_dense_products_at_d2(points, seed):
+    rng = np.random.default_rng(seed)
+    haar = np.stack([haar_unitary(4, rng) for _ in points])
+    for stack in (a_gate(*np.array(points).T), heisenberg_evolution(*np.array(points).T), haar):
+        for got, want in zip(pentagon_stack(stack, 2), dense_pentagon_stack(stack, 2)):
+            assert np.array_equal(got, want)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(st.sampled_from((3, 4, 6)), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_kernel_agrees_with_the_dense_products_on_haar_gates(d, count, seed):
+    # beyond d=2 the summation order differs, so agreement is to rounding
+    rng = np.random.default_rng(seed)
+    stack = np.stack([haar_unitary(d * d, rng) for _ in range(count)])
+    bound = 1e-13 * d**3
+    lhs, rhs, residuals = pentagon_stack(stack, d)
+    want_lhs, want_rhs, want_residuals = dense_pentagon_stack(stack, d)
+    assert np.max(np.abs(lhs - want_lhs)) <= bound
+    assert np.max(np.abs(rhs - want_rhs)) <= bound
+    assert np.max(np.abs(residuals - want_residuals)) <= bound
 
 
 @PROPERTY_SETTINGS
