@@ -12,7 +12,8 @@ Gate order is execution order: ``gates[0]`` acts first, so the register
 unitary is the reverse-order product of the embedded gate matrices.
 Serialization is canonical: fixed field order, floats with 17 significant
 digits, so equal circuits serialize to identical bytes. Parameters and
-custom-matrix entries must be finite.
+custom-matrix entries must be finite. ``serialize`` writes each gate as one
+string in ``jsonio.dumps``' format; ``jsonio.dumps`` itself serves reports.
 
 Simulation builds the full register unitary by tensor contraction: the
 unitary is held as a ``(2,) * n + (2**n,)`` tensor and each k-qubit gate
@@ -66,7 +67,25 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True, eq=False)
+def _integers(wires: tuple) -> tuple[int, ...]:
+    """``wires`` as Python ints; SchemaError at the first non-integer (bools included)."""
+    for j, w in enumerate(wires):
+        if isinstance(w, bool) or not isinstance(w, _INTEGER):
+            raise SchemaError(f"wires[{j}]: expected an integer, got {w!r}")
+    return tuple(map(int, wires))
+
+
+def _reals(params: tuple) -> tuple[float, ...]:
+    """``params`` as finite floats; SchemaError at the first bad one.
+
+    Adding 0.0 turns -0.0 into 0.0: JSON reads the "-0" that -0.0
+    serializes to as the integer 0, so a signed zero would not survive a
+    round trip and the serialized form would not be canonical.
+    """
+    return tuple(_number(p, f"params[{j}]") + 0.0 for j, p in enumerate(params))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class GateInstance:
     """A named, parametrized gate applied to an ordered tuple of wires.
 
@@ -89,18 +108,22 @@ class GateInstance:
         name, wires = self.name, tuple(self.wires)
         if not isinstance(name, str):
             raise SchemaError("name: expected a string")
-        for j, w in enumerate(wires):
-            if isinstance(w, bool) or not isinstance(w, _INTEGER):
-                raise SchemaError(f"wires[{j}]: expected an integer, got {w!r}")
+        # Fast paths: plain ints and nonzero finite plain floats are already
+        # in stored form; anything else takes the full check and conversion.
+        for w in wires:
+            if type(w) is not int:
+                wires = _integers(wires)
+                break
         if not wires:
             raise SchemaError("wires: must list at least one wire")
-        if len(set(wires)) != len(wires):
+        if len(wires) > 1 and len(set(wires)) != len(wires):
             raise SchemaError(f"wires: duplicate wire in {list(wires)}")
-        object.__setattr__(self, "wires", tuple(map(int, wires)))
-        # Adding 0.0 turns -0.0 into 0.0: JSON reads the "-0" that -0.0
-        # serializes to as the integer 0, so a signed zero would not
-        # survive a round trip and the serialized form would not be canonical.
-        params = tuple(_number(p, f"params[{j}]") + 0.0 for j, p in enumerate(self.params))
+        object.__setattr__(self, "wires", wires)
+        params = tuple(self.params)
+        for p in params:
+            if type(p) is not float or not (-_FLOAT_MAX <= p <= _FLOAT_MAX and p != 0.0):
+                params = _reals(params)
+                break
         object.__setattr__(self, "params", params)
         if name == CUSTOM:
             if self.matrix is None:
@@ -122,9 +145,10 @@ class GateInstance:
             return
         if self.matrix is not None:
             raise SchemaError("matrix: only allowed for custom gates")
-        if name not in GATES:
+        spec = GATES.get(name)
+        if spec is None:
             raise SchemaError(f"name: unknown gate {name!r}")
-        arity, expected, _ = GATES[name]
+        arity, expected, _ = spec
         if len(wires) != arity:
             raise SchemaError(
                 f"wires: gate {name!r} acts on {arity} wire(s), got {len(wires)}"
@@ -175,7 +199,34 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+#: JSON numbers; json.loads gives no other leaf type a matrix may hold.
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def _decode_matrix(raw, where: str) -> np.ndarray:
+    """A JSON square array of [re, im] pairs as a complex matrix.
+
+    An array of plain numbers below the float maximum in magnitude converts
+    in one numpy call; anything else is decoded entry by entry, which
+    rejects it with the first fault's message or converts it the same way.
+    """
+    try:
+        pairs = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if (
+        pairs is not None
+        and pairs.ndim == 3
+        and pairs.shape[0] == pairs.shape[1]
+        and pairs.shape[2] == 2
+        and (np.abs(pairs) < _FLOAT_MAX).all()  # NaN, inf and edge-of-range ints decode below
+        and {type(x) for row in raw for pair in row for x in pair} <= _JSON_NUMBERS
+    ):
+        return pairs.view(np.complex128)[..., 0]
+    return _decode_entries(raw, where)
+
+
+def _decode_entries(raw, where: str) -> np.ndarray:
     _require(isinstance(raw, list) and raw, f"{where}: expected a non-empty array of rows")
     rows = []
     for i, row in enumerate(raw):
@@ -216,7 +267,27 @@ def parse_matrix(text: str, where: str) -> np.ndarray:
     return _decode_matrix(_load_json(text), where)
 
 
-_GATE_KEYS = {"name", "wires", "params", "matrix"}
+_GATE_KEYS = frozenset(("name", "wires", "params", "matrix"))
+
+
+def _shape_fault(raw) -> str | None:
+    """The first JSON-shape fault of one gate, as a message after ``gates[i]``.
+
+    Only a gate that fails a check pays for its message.
+    """
+    if not isinstance(raw, dict):
+        return ": expected an object"
+    if not _GATE_KEYS.issuperset(raw):
+        return f": unknown field(s) {sorted(set(raw) - _GATE_KEYS)}"
+    if "name" not in raw:
+        return ".name: missing"
+    if "wires" not in raw:
+        return ".wires: missing"
+    if not isinstance(raw["wires"], list):
+        return ".wires: expected an array"
+    if not isinstance(raw.get("params", []), list):
+        return ".params: expected an array"
+    return None
 
 
 def parse(text: str) -> Circuit:
@@ -236,38 +307,41 @@ def parse(text: str) -> Circuit:
     _require(isinstance(raw_gates, list), "gates: expected an array")
     gates = []
     for i, raw in enumerate(raw_gates):
-        where = f"gates[{i}]"
-        _require(isinstance(raw, dict), f"{where}: expected an object")
-        unknown = set(raw) - _GATE_KEYS
-        _require(not unknown, f"{where}: unknown field(s) {sorted(unknown)}")
-        _require("name" in raw, f"{where}.name: missing")
-        _require("wires" in raw, f"{where}.wires: missing")
-        _require(isinstance(raw["wires"], list), f"{where}.wires: expected an array")
-        params = raw.get("params", [])
-        _require(isinstance(params, list), f"{where}.params: expected an array")
+        fault = _shape_fault(raw)
+        if fault:
+            raise SchemaError(f"gates[{i}]{fault}")
         matrix = None
         if "matrix" in raw:
-            matrix = _decode_matrix(raw["matrix"], f"{where}.matrix")
+            matrix = _decode_matrix(raw["matrix"], f"gates[{i}].matrix")
         try:
-            gates.append(GateInstance(raw["name"], raw["wires"], params, matrix))
+            gates.append(GateInstance(raw["name"], raw["wires"], raw.get("params", ()), matrix))
         except SchemaError as exc:
-            raise SchemaError(f"{where}.{exc}") from None
+            raise SchemaError(f"gates[{i}].{exc}") from None
     return Circuit(qubits, tuple(gates))
 
 
+#: Each gate name as a JSON string.
+_QUOTED = {name: json.dumps(name) for name in (*GATES, CUSTOM)}
+
+
 def serialize(circuit: Circuit) -> str:
-    """Canonical JSON text for a circuit; byte-stable across round trips."""
-    doc_gates = []
+    """Canonical JSON text for a circuit; byte-stable across round trips.
+
+    Each gate is written as one string, in the field order, separators and
+    float format (``jsonio.format_float``) of ``jsonio.dumps``.
+    """
+    fmt = jsonio.format_float
+    parts = []
     for gate in circuit.gates:
-        entry: dict = {"name": gate.name, "wires": list(gate.wires)}
+        text = f'{{"name": {_QUOTED[gate.name]}, "wires": [{", ".join(map(str, gate.wires))}]'
         if gate.params:
-            entry["params"] = list(gate.params)
+            text += f', "params": [{", ".join(map(fmt, gate.params))}]'
         if gate.name == CUSTOM:
-            entry["matrix"] = [
-                [jsonio.complex_pair(z) for z in row] for row in gate.matrix
-            ]
-        doc_gates.append(entry)
-    return jsonio.dumps({"qubits": circuit.num_qubits, "gates": doc_gates})
+            rows = (", ".join(f"[{fmt(z.real)}, {fmt(z.imag)}]" for z in row)
+                    for row in gate.matrix.tolist())
+            text += f', "matrix": [[{"], [".join(rows)}]]'
+        parts.append(text + "}")
+    return f'{{"qubits": {int(circuit.num_qubits)}, "gates": [{", ".join(parts)}]}}'
 
 
 def circuits_identical(a: Circuit, b: Circuit) -> bool:
@@ -307,13 +381,20 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, tol: float = DEFAULT_TOLERANC
 def depth(circuit: Circuit) -> int:
     """Number of layers under earliest-possible (ASAP) scheduling."""
     level = [0] * circuit.num_qubits
-    total = 0
     for gate in circuit.gates:
-        layer = max(level[w] for w in gate.wires) + 1
-        for w in gate.wires:
-            level[w] = layer
-        total = max(total, layer)
-    return total
+        wires = gate.wires
+        if len(wires) == 2:
+            a, b = wires
+            la, lb = level[a], level[b]
+            level[a] = level[b] = (la if la > lb else lb) + 1
+        elif len(wires) == 1:
+            level[wires[0]] += 1
+        else:
+            layer = max([level[w] for w in wires]) + 1
+            for w in wires:
+                level[w] = layer
+    # A wire's level only grows, so the last levels hold the deepest layer.
+    return max(level)
 
 
 def _swap(a: int, b: int) -> GateInstance:

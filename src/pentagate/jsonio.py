@@ -1,4 +1,4 @@
-"""Deterministic JSON emission shared by the circuit schema and CLI reports.
+"""Deterministic JSON emission for CLI reports; circuits share its float format.
 
 Floats are written with 17 significant digits so output is byte-stable and
 round-trips losslessly through a JSON parser. Complex numbers are emitted

@@ -6,6 +6,7 @@ the suite is deterministic.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import pentagate
-from pentagate import Circuit, GateInstance, embed
+from pentagate import Circuit, GateInstance, embed, jsonio
 from pentagate.gates import GATES
 
 #: CLI subprocesses import the same pentagate as the test process.
@@ -52,6 +53,42 @@ def dense_pentagon_stack(ts, d: int):
     l12, l13, l23 = (embed(ts, wires, 3, d) for wires in ((0, 1), (0, 2), (1, 2)))
     lhs, rhs = l23 @ l12, l12 @ l13 @ l23
     return lhs, rhs, np.array([np.linalg.norm(diff) for diff in lhs - rhs])
+
+
+def reference_serialize(circuit: Circuit) -> str:
+    """Reference for ``serialize``: a dict tree per gate, written by ``jsonio.dumps``."""
+    doc_gates = []
+    for gate in circuit.gates:
+        entry: dict = {"name": gate.name, "wires": list(gate.wires)}
+        if gate.params:
+            entry["params"] = list(gate.params)
+        if gate.name == "custom":
+            entry["matrix"] = [[jsonio.complex_pair(z) for z in row] for row in gate.matrix]
+        doc_gates.append(entry)
+    return jsonio.dumps({"qubits": circuit.num_qubits, "gates": doc_gates})
+
+
+#: Site lists and fixed-point rewrites of 300 seeded adversarial circuits,
+#: recorded by ``golden/record_sites.py`` with the two hand-written
+#: matchers that preceded the template table.
+SITES_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "sites.json").read_text(encoding="utf-8")
+)
+GOLDEN_MATRICES = {
+    key: np.array([[complex(re, im) for re, im in row] for row in rows])
+    for key, rows in SITES_GOLDEN["matrices"].items()
+}
+
+
+def golden_gates(entries) -> list[GateInstance]:
+    """The gates of a ``sites.json`` gate list."""
+    gates = []
+    for name, wires, *extra in entries:
+        if name == "custom":
+            gates.append(GateInstance(name, wires, (), GOLDEN_MATRICES[extra[0]]))
+        else:
+            gates.append(GateInstance(name, wires, tuple(extra[0]) if extra else ()))
+    return gates
 
 
 def template_gates(name: str, params, wires) -> list[GateInstance]:

@@ -90,3 +90,16 @@ def permutation_map(perm, d: int):
 def group_fusion_map(table):
     """Basis map e_g (x) e_h -> e_g (x) e_{gh} of a group multiplication table."""
     return lambda t: (t[0], table[t[0]][t[1]])
+
+
+def asap_depth(gate_wires) -> int:
+    """ASAP layer count of a gate sequence, given as one wire tuple per gate.
+
+    Each gate's layer is one more than the deepest earlier gate sharing a
+    wire with it, found by comparing it with every earlier gate.
+    """
+    layers = []
+    for i, wires in enumerate(gate_wires):
+        earlier = [layers[j] for j in range(i) if set(gate_wires[j]) & set(wires)]
+        layers.append(max(earlier, default=0) + 1)
+    return max(layers, default=0)

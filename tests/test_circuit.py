@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +70,44 @@ class TestParse:
         with pytest.raises(SchemaError, match="integer literal longer than"):
             parse_matrix("[[[%s, 0]]]" % ("1" * 5001), "matrix")
 
+    @pytest.mark.parametrize("text, message", [
+        ("null", "m: expected a non-empty array of rows"),
+        ("[]", "m: expected a non-empty array of rows"),
+        ('"[[[1, 0]]]"', "m: expected a non-empty array of rows"),
+        ("[[[1, 0]], 5]", "m[1]: expected an array"),
+        ("[[[1, 0, 0]]]", "m[0][0]: expected an [re, im] pair"),
+        ("[[1]]", "m[0][0]: expected an [re, im] pair"),
+        ("[[[true, 0]]]", "m[0][0][0]: expected a number, got True"),
+        ('[[[1, "0"]]]', "m[0][0][1]: expected a number, got '0'"),
+        ("[[[1, null]]]", "m[0][0][1]: expected a number, got None"),
+        ("[[[NaN, 0]]]", "m[0][0][0]: expected a finite number, got nan"),
+        ("[[[1, -1e400]]]", "m[0][0][1]: expected a finite number, got -inf"),
+        # an integer just past the float maximum, though it rounds to it
+        ("[[[%d, 0]]]" % (int(sys.float_info.max) + 1),
+         "m[0][0][0]: expected a finite number, got %d" % (int(sys.float_info.max) + 1)),
+        ("[[[1, 0], [0, 0]], [[0, 0]]]", "m: matrix must be square"),
+        ("[[[1, 0]], [[0, 0]]]", "m: matrix must be square"),
+        ("[[]]", "m: matrix must be square"),
+    ], ids=["null", "empty", "string", "non_array_row", "triple", "bare_number", "bool",
+            "string_entry", "null_entry", "nan", "overflow", "int_past_float_max", "ragged",
+            "not_square", "empty_row"])
+    def test_matrix_rejections(self, text, message):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_matrix(text, "m")
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "[[[1, 0], [0, 0]], [[0, 0], [0, -1]]]",
+        "[[[-0.0, 5e-324], [1.7976931348623157e308, -0]], [[%d, 0.1], [2e-308, -1e308]]]"
+        % int(sys.float_info.max),
+        "[[[12345678901234567890, -9007199254740993]]]",
+    ], ids=["integers", "edge_floats", "long_integers"])
+    def test_matrix_decodes_every_entry_to_its_float(self, text):
+        expected = [[complex(float(re), float(im)) for re, im in row] for row in json.loads(text)]
+        decoded = parse_matrix(text, "m")
+        assert decoded.dtype == np.complex128
+        assert decoded.tobytes() == np.array(expected, dtype=np.complex128).tobytes()
+
     def test_unknown_gate_name(self):
         with pytest.raises(SchemaError, match=r"gates\[0\].name"):
             parse('{"qubits":2,"gates":[{"name":"CZ","wires":[0,1]}]}')
@@ -101,6 +140,37 @@ class TestParse:
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError, match="unknown field"):
             parse('{"qubits":1,"gates":[],"comment":"hi"}')
+
+    @pytest.mark.parametrize("gate, message", [
+        ('["X", [0]]', "gates[1]: expected an object"),
+        ('{"name": "X", "wires": [0], "zeta": 1, "alpha": 2}',
+         "gates[1]: unknown field(s) ['alpha', 'zeta']"),
+        ('{"wires": [0]}', "gates[1].name: missing"),
+        ('{"name": "X"}', "gates[1].wires: missing"),
+        ('{"name": "X", "wires": 0}', "gates[1].wires: expected an array"),
+        ('{"name": "RZ", "wires": [0], "params": 0.5}', "gates[1].params: expected an array"),
+        ('{"name": "custom", "wires": [0], "matrix": null}',
+         "gates[1].matrix: expected a non-empty array of rows"),
+        # with several faults, the first in check order is reported
+        ('{"name": "X", "extra": 1}', "gates[1]: unknown field(s) ['extra']"),
+        ('{"params": null}', "gates[1].name: missing"),
+        ('{"name": "X", "params": {}}', "gates[1].wires: missing"),
+        ('{"name": "X", "wires": null, "params": null}', "gates[1].wires: expected an array"),
+        ('{"name": "X", "wires": [0], "params": "a", "matrix": null}',
+         "gates[1].params: expected an array"),
+        ('{"name": "CZ", "wires": [0, 0], "matrix": null}',
+         "gates[1].matrix: expected a non-empty array of rows"),
+        ('{"name": 7, "wires": [true], "params": ["x"]}', "gates[1].name: expected a string"),
+    ], ids=["non_object", "unknown_fields", "missing_name", "missing_wires", "non_array_wires",
+            "non_array_params", "null_matrix", "unknown_and_missing_wires",
+            "missing_name_and_wires", "missing_wires_and_bad_params",
+            "non_array_wires_and_params", "non_array_params_and_null_matrix",
+            "null_matrix_and_bad_gate", "bad_name_wires_and_params"])
+    def test_gate_shape_rejections(self, gate, message):
+        text = '{"qubits": 2, "gates": [{"name": "H", "wires": [1]}, %s]}' % gate
+        with pytest.raises(SchemaError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == message
 
     def test_register_cap(self):
         with pytest.raises(SchemaError, match="cap"):
@@ -195,6 +265,22 @@ class TestOneValidationPath:
         with pytest.raises(SchemaError) as built:
             GateInstance(name, wires, params)
         assert str(built.value) == message
+
+    @pytest.mark.parametrize("wire, param, stored", [
+        (np.int64(1), np.float64(-0.0), 0.0),
+        (np.uint8(1), np.int32(3), 3.0),
+        (1, 2, 2.0),
+        (1, -0.0, 0.0),
+        (1, 5e-324, 5e-324),
+        (1, -1.7976931348623157e308, -1.7976931348623157e308),
+    ], ids=["numpy_int_and_signed_zero", "numpy_uint8_and_int32", "int_param",
+            "signed_zero", "subnormal", "float_min"])
+    def test_constructor_stores_python_ints_and_floats(self, wire, param, stored):
+        gate = GateInstance("RZ", [wire], [param])
+        assert gate.wires == (1,) and type(gate.wires[0]) is int
+        assert type(gate.params[0]) is float
+        assert math.copysign(1.0, gate.params[0]) == math.copysign(1.0, stored)
+        assert gate.params == (stored,)
 
 
 class TestToUnitary:

@@ -1,5 +1,5 @@
 """Hypothesis properties of the equation layer, the stacked kernel, the
-circuit serializer and the rewrite rules.
+circuit serializer, circuit depth and the rewrite rules.
 
 A permutation gate's lifts and both sides of every equation are exact 0/1
 matrices, so the library must agree bitwise with the brute-force oracles
@@ -8,15 +8,18 @@ stacked kernel runs one matrix product per slice, so its lifts, sides,
 residuals and stacked gate constructors must equal the one-gate calls
 bitwise as well. Against the dense lifts and products of
 ``conftest.dense_pentagon_stack`` the kernel must agree bitwise at d=2
-and to rounding beyond.
+and to rounding beyond. ``serialize`` must write the bytes of
+``conftest.reference_serialize``, and ``depth`` must equal the ASAP layer
+count of ``oracles.asap_depth``.
 """
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentagate import (
@@ -26,7 +29,9 @@ from pentagate import (
     a_gate,
     check_folklore_duality,
     check_street_duality,
+    circuit_stats,
     compress,
+    depth,
     describe_fusion_gate,
     embed,
     expand,
@@ -40,8 +45,22 @@ from pentagate import (
     ybe_residual,
 )
 from pentagate.gates import GATES
-from conftest import dense_pentagon_stack, haar_unitary, pair_circuit, template_gates
-from oracles import braid_ybe_sides, pentagon_sides, permutation_map, permutation_operator
+from conftest import (
+    SITES_GOLDEN,
+    dense_pentagon_stack,
+    golden_gates,
+    haar_unitary,
+    pair_circuit,
+    reference_serialize,
+    template_gates,
+)
+from oracles import (
+    asap_depth,
+    braid_ybe_sides,
+    pentagon_sides,
+    permutation_map,
+    permutation_operator,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -177,23 +196,42 @@ def test_stacked_sides_match_oracle(gates):
 
 # ---- circuit serialization ---------------------------------------------------
 
-NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+#: Floats whose text is easy to get wrong: signed zeros, subnormals, the
+#: ends of the float range and values that need all 17 digits.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.0 / 3.0, 1e-7, 1e16, 123456789.01234567)
+NUMBERS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def custom_matrices(draw, arity):
+    """A unitary on ``arity`` wires: Haar-random, or a signed permutation
+    whose zeros may be -0.0 or carry a subnormal imaginary part."""
+    dim = 2**arity
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return haar_unitary(dim, rng)
+    matrix = np.eye(dim, dtype=complex)[rng.permutation(dim)] * draw(st.sampled_from((1, -1, 1j)))
+    if draw(st.booleans()):
+        matrix[matrix == 0] += 5e-324j
+    return matrix
 
 
 @st.composite
 def circuits(draw):
-    """Any circuit the schema accepts: every built-in gate, and custom gates."""
+    """Any circuit the schema accepts: every built-in gate, custom gates on
+    1-3 wires, edge-case floats, and wires given as numpy integers."""
     n = draw(st.integers(1, 5))
+    wire_type = draw(st.sampled_from((int, np.int64, np.int32, np.uint8)))
     gates = []
     for _ in range(draw(st.integers(0, 8))):
         name = draw(st.sampled_from(tuple(GATES) + ("custom",)))
         arity = draw(st.integers(1, min(n, 3))) if name == "custom" else GATES[name][0]
         if arity > n:
             continue
-        wires = tuple(draw(st.permutations(range(n)))[:arity])
+        wires = tuple(map(wire_type, draw(st.permutations(range(n)))[:arity]))
         if name == "custom":
-            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-            gates.append(GateInstance(name, wires, (), haar_unitary(2**arity, rng)))
+            gates.append(GateInstance(name, wires, (), draw(custom_matrices(arity))))
         else:
             params = draw(st.lists(NUMBERS, min_size=GATES[name][1], max_size=GATES[name][1]))
             gates.append(GateInstance(name, wires, tuple(params)))
@@ -230,12 +268,55 @@ def test_serialize_parse_is_canonical_and_lossless(circuit, indent, reverse_keys
     assert serialize(parse(_respelled(text, indent, reverse_keys))) == text
 
 
+@PROPERTY_SETTINGS
+@given(circuits())
+def test_serialize_is_byte_for_byte_the_reference_serializer(circuit):
+    assert serialize(circuit) == reference_serialize(circuit)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_serialize_is_the_reference_serializer_on_golden_circuits():
+    texts = [path.read_text(encoding="utf-8") for path in sorted((GOLDEN / "inputs").glob("*.json"))]
+    circuits = [parse(text) for text in texts if text.startswith("{")]
+    for case in SITES_GOLDEN["cases"]:
+        for gates in (case["gates"], case["compress"]["gates"], case["expand"]["gates"]):
+            circuits.append(Circuit(case["qubits"], tuple(golden_gates(gates))))
+    assert len(circuits) > 900
+    for circuit in circuits:
+        assert serialize(circuit) == reference_serialize(circuit)
+
+
 @pytest.mark.parametrize("zero", ["-0.0", "-0", "0", "0.0", "-0e5"])
 def test_signed_zero_parses_to_one_canonical_form(zero):
     text = '{"qubits": 1, "gates": [{"name": "RZ", "wires": [0], "params": [%s]}]}' % zero
     once = serialize(parse(text))
     assert serialize(parse(once)) == once
     assert math.copysign(1.0, parse(text).gates[0].params[0]) == 1.0
+
+
+# ---- circuit depth -----------------------------------------------------------
+
+
+@st.composite
+def layered_circuits(draw):
+    """Custom gates on 1-4 wires (identity matrices) over 1-6 qubits."""
+    n = draw(st.integers(1, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        arity = draw(st.integers(1, min(n, 4)))
+        wires = tuple(draw(st.permutations(range(n)))[:arity])
+        gates.append(GateInstance("custom", wires, (), np.eye(2**arity)))
+    return Circuit(n, tuple(gates))
+
+
+@PROPERTY_SETTINGS
+@given(layered_circuits())
+@example(Circuit(3, ()))
+def test_depth_is_the_asap_layer_count(circuit):
+    expected = asap_depth([gate.wires for gate in circuit.gates])
+    assert depth(circuit) == circuit_stats(circuit)["depth"] == expected
 
 
 # ---- one validation path -----------------------------------------------------

@@ -1,9 +1,7 @@
 """Tests for pentagon-template matching and rewriting."""
 
-import json
 import math
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +28,9 @@ from pentagate import (
 )
 from pentagate.rewrite import FusionGateDescriptor
 from conftest import (
+    GOLDEN_MATRICES,
+    SITES_GOLDEN,
+    golden_gates,
     nested_template_circuit,
     pair_circuit,
     seeded_template_circuit,
@@ -372,28 +373,6 @@ class TestInteractingSiteFailure:
         assert len(simulations) == 2 + 4
 
 
-#: Site lists and fixed-point rewrites of 300 seeded adversarial circuits,
-#: recorded by ``golden/record_sites.py`` with the two hand-written
-#: matchers that preceded the template table.
-SITES_GOLDEN = json.loads(
-    (Path(__file__).parent / "golden" / "sites.json").read_text(encoding="utf-8")
-)
-GOLDEN_MATRICES = {
-    key: np.array([[complex(re, im) for re, im in row] for row in rows])
-    for key, rows in SITES_GOLDEN["matrices"].items()
-}
-
-
-def _golden_gates(entries):
-    gates = []
-    for name, wires, *extra in entries:
-        if name == "custom":
-            gates.append(GateInstance(name, wires, (), GOLDEN_MATRICES[extra[0]]))
-        else:
-            gates.append(GateInstance(name, wires, tuple(extra[0]) if extra else ()))
-    return gates
-
-
 @lru_cache(maxsize=None)
 def _golden_descriptor(name, extra):
     if name == "custom":
@@ -405,11 +384,11 @@ def _golden_descriptor(name, extra):
 def test_golden_sites_and_fixed_points(case):
     name, extra = case["fusion"]
     descriptor = _golden_descriptor(name, extra if name == "custom" else tuple(extra))
-    circuit = Circuit(case["qubits"], tuple(_golden_gates(case["gates"])))
+    circuit = Circuit(case["qubits"], tuple(golden_gates(case["gates"])))
     for rule, find in (("compress", find_compress_sites), ("expand", find_expand_sites)):
         sites = [[list(s.gate_indices), list(s.wires)] for s in find(circuit, descriptor)]
         assert sites == case[f"{rule}_sites"], rule
         out, report = transpile(circuit, descriptor, rule, fixed_point=True, verify=False)
-        expected = Circuit(case["qubits"], tuple(_golden_gates(case[rule]["gates"])))
+        expected = Circuit(case["qubits"], tuple(golden_gates(case[rule]["gates"])))
         assert serialize(out) == serialize(expected), rule
         assert report.sites_found == case[rule]["sites_found"], rule
