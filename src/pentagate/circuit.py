@@ -199,50 +199,28 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-#: JSON numbers; json.loads gives no other leaf type a matrix may hold.
-_JSON_NUMBERS = frozenset((int, float))
-
-
 def _decode_matrix(raw, where: str) -> np.ndarray:
     """A JSON square array of [re, im] pairs as a complex matrix.
 
-    An array of plain numbers below the float maximum in magnitude converts
-    in one numpy call; anything else is decoded entry by entry, which
-    rejects it with the first fault's message or converts it the same way.
+    Each check builds its message only when it fails.
     """
-    try:
-        pairs = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if (
-        pairs is not None
-        and pairs.ndim == 3
-        and pairs.shape[0] == pairs.shape[1]
-        and pairs.shape[2] == 2
-        and (np.abs(pairs) < _FLOAT_MAX).all()  # NaN, inf and edge-of-range ints decode below
-        and {type(x) for row in raw for pair in row for x in pair} <= _JSON_NUMBERS
-    ):
-        return pairs.view(np.complex128)[..., 0]
-    return _decode_entries(raw, where)
-
-
-def _decode_entries(raw, where: str) -> np.ndarray:
-    _require(isinstance(raw, list) and raw, f"{where}: expected a non-empty array of rows")
+    if not (isinstance(raw, list) and raw):
+        raise SchemaError(f"{where}: expected a non-empty array of rows")
     rows = []
     for i, row in enumerate(raw):
-        _require(isinstance(row, list), f"{where}[{i}]: expected an array")
+        if not isinstance(row, list):
+            raise SchemaError(f"{where}[{i}]: expected an array")
         entries = []
         for j, pair in enumerate(row):
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                f"{where}[{i}][{j}]: expected an [re, im] pair",
-            )
-            entries.append(
-                complex(_number(pair[0], f"{where}[{i}][{j}][0]"),
-                        _number(pair[1], f"{where}[{i}][{j}][1]"))
-            )
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SchemaError(f"{where}[{i}][{j}]: expected an [re, im] pair")
+            try:
+                entries.append(complex(_number(pair[0], "[0]"), _number(pair[1], "[1]")))
+            except SchemaError as exc:
+                raise SchemaError(f"{where}[{i}][{j}]{exc}") from None
         rows.append(entries)
-    _require(all(len(r) == len(rows) for r in rows), f"{where}: matrix must be square")
+    if any(len(r) != len(rows) for r in rows):
+        raise SchemaError(f"{where}: matrix must be square")
     return np.array(rows, dtype=np.complex128)
 
 
