@@ -25,6 +25,7 @@ from .certify import (
 from .circuit import (
     Circuit,
     GateInstance,
+    circuit_distance,
     circuit_stats,
     circuits_identical,
     depth,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import pentagon_residual, pentagon_stack
+from .equations import EquationResidual, pentagon_residual, pentagon_stack
 from .errors import DimensionError, GridError, NonUnitaryError
 from .gates import FOUR_PI, a_gate, heisenberg_evolution
 from .jsonio import complex_pair
@@ -49,6 +49,10 @@ from .linalg import (
 
 #: Default grid-scan tolerance on the pentagon residual.
 SCAN_TOLERANCE = 1e-9
+
+#: Largest number of grid points on one scan axis; a longer axis is refused
+#: before any point is built.
+MAX_AXIS_POINTS = 10**6
 
 #: Grid points built and evaluated per stacked call. Building the whole
 #: default grid at once costs far more memory for no further speed.
@@ -160,17 +164,17 @@ def certify(
         tolerance=float(tol),
         verdict=verdict,
         # an exact solution has no mismatch, so skip sorting the d**6 entries
-        witnesses=() if res.max_entry_mismatch[2] == 0.0 else _witnesses(res.lhs, res.rhs),
+        witnesses=_witnesses(res) if res.mismatch.any() else (),
     )
 
 
-def _witnesses(lhs: np.ndarray, rhs: np.ndarray, limit: int = 5) -> tuple[Witness, ...]:
-    diff = np.abs(lhs - rhs)
-    flat = np.argsort(diff, axis=None)[::-1][:limit]
+def _witnesses(res: EquationResidual, limit: int = 5) -> tuple[Witness, ...]:
+    lhs, rhs, mismatch = res.lhs, res.rhs, res.mismatch
+    flat = np.argsort(mismatch, axis=None)[::-1][:limit]
     out = []
     for index in flat:
-        row, col = np.unravel_index(int(index), diff.shape)
-        if diff[row, col] <= 0.0:
+        row, col = np.unravel_index(int(index), mismatch.shape)
+        if mismatch[row, col] <= 0.0:
             break
         out.append(Witness(int(row), int(col), complex(lhs[row, col]), complex(rhs[row, col])))
     return tuple(out)
@@ -213,8 +217,7 @@ def constraints(family: str, params, tol: float = DEFAULT_TOLERANCE) -> Constrai
     tol = check_tolerance(tol)
     build, _ = _family(family)
     parameters = _triple(params)
-    res = pentagon_residual(build(*parameters), 2)
-    entries = np.abs(res.lhs - res.rhs)
+    entries = pentagon_residual(build(*parameters), 2).mismatch
     return ConstraintResiduals(
         family=family,
         parameters=parameters,
@@ -247,15 +250,30 @@ def _canonical(params) -> tuple[float, float, float]:
     return tuple(p % FOUR_PI for p in params)
 
 
+def _operator_class(matrix: np.ndarray, tol: float) -> str:
+    """The solution class of ``matrix``: the identity class when within ``tol`` of it."""
+    eye = np.eye(len(matrix), dtype=np.complex128)
+    return IDENTITY_CLASS if frobenius_norm(matrix - eye) < tol else OTHER_CLASS
+
+
 def axis_points(lo: float, hi: float, step: float) -> list[float]:
-    """Grid points lo, lo+step, ... up to hi (endpoint included when integral)."""
+    """Grid points lo, lo+step, ... up to hi (endpoint included when integral).
+
+    Raises GridError for a malformed range or step, and for an axis of more
+    than ``MAX_AXIS_POINTS`` points, the count not finite included.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise GridError("grid bounds and step must be finite")
     if step <= 0:
         raise GridError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise GridError(f"empty grid range {lo}:{hi}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9  # infinite when hi - lo overflows
+    if not span < MAX_AXIS_POINTS:
+        raise GridError(
+            f"grid range {lo}:{hi} at step {step} has more than {MAX_AXIS_POINTS} points per axis"
+        )
+    count = int(math.floor(span)) + 1
     return [lo + k * step for k in range(count)]
 
 
@@ -293,12 +311,11 @@ def scan_fusion_solutions(
                 passing.append((_canonical(params), params, float(residual), matrix))
     passing.sort(key=lambda item: (item[0], item[1]))
 
-    eye = np.eye(4, dtype=np.complex128)
     classes: list[tuple[np.ndarray, SolutionPoint]] = []
     for canonical, params, residual, matrix in passing:
         if any(frobenius_norm(matrix - rep) < tol for rep, _ in classes):
             continue
-        kind = IDENTITY_CLASS if frobenius_norm(matrix - eye) < tol else OTHER_CLASS
+        kind = _operator_class(matrix, tol)
         classes.append(
             (matrix, SolutionPoint(params, residual, canonical, kind))
         )
@@ -375,8 +392,6 @@ def refine(
     params = tuple(float(p) for p in point)
     solution = None
     if converged:
-        matrix = build(*params)
-        eye = np.eye(4, dtype=np.complex128)
-        kind = IDENTITY_CLASS if frobenius_norm(matrix - eye) < max(tol, 1e-9) else OTHER_CLASS
+        kind = _operator_class(build(*params), max(tol, 1e-9))
         solution = SolutionPoint(params, value, _canonical(params), kind)
     return RefineResult(converged, params, value, iterations, evaluations, solution)

@@ -346,14 +346,22 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     return u.reshape(dim, dim)
 
 
-def equivalent_up_to_phase(a: Circuit, b: Circuit, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """True iff the two circuit unitaries agree up to a global phase."""
-    check_tolerance(tol)
+def circuit_distance(a: Circuit, b: Circuit) -> float:
+    """``phase_distance`` of the two circuit unitaries.
+
+    Raises DimensionError before simulating when the registers differ.
+    """
     if a.num_qubits != b.num_qubits:
         raise DimensionError(
             f"register mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
         )
-    return phase_distance(to_unitary(a), to_unitary(b)) < tol
+    return phase_distance(to_unitary(a), to_unitary(b))
+
+
+def equivalent_up_to_phase(a: Circuit, b: Circuit, tol: float = DEFAULT_TOLERANCE) -> bool:
+    """True iff the two circuit unitaries agree up to a global phase."""
+    check_tolerance(tol)
+    return circuit_distance(a, b) < tol
 
 
 def depth(circuit: Circuit) -> int:
@@ -375,10 +383,6 @@ def depth(circuit: Circuit) -> int:
     return max(level)
 
 
-def _swap(a: int, b: int) -> GateInstance:
-    return GateInstance("SWAP", (a, b))
-
-
 def route_line(circuit: Circuit) -> Circuit:
     """Replace non-adjacent two-qubit gates by SWAP-conjugated local ones.
 
@@ -389,6 +393,7 @@ def route_line(circuit: Circuit) -> Circuit:
     equivalent to the input. Gates on one wire or on three or more wires
     pass through untouched.
     """
+    swaps = [GateInstance("SWAP", (j, j + 1)) for j in range(circuit.num_qubits - 1)]
     routed: list[GateInstance] = []
     for gate in circuit.gates:
         if len(gate.wires) != 2 or abs(gate.wires[0] - gate.wires[1]) < 2:
@@ -396,10 +401,10 @@ def route_line(circuit: Circuit) -> Circuit:
             continue
         a, b = gate.wires
         if b > a:
-            chain = [_swap(j - 1, j) for j in range(b, a + 1, -1)]
+            chain = swaps[a + 1:b][::-1]  # SWAP(b-1, b) first, down to SWAP(a+1, a+2)
             target = a + 1
         else:
-            chain = [_swap(j, j + 1) for j in range(b, a - 1)]
+            chain = swaps[b:a - 1]  # SWAP(b, b+1) first, up to SWAP(a-2, a-1)
             target = a - 1
         routed.extend(chain)
         routed.append(GateInstance(gate.name, (a, target), gate.params, gate.matrix))

@@ -34,21 +34,20 @@ from .certify import (
 from .circuit import (
     CUSTOM,
     Circuit,
+    circuit_distance,
     circuit_stats,
     parse,
     parse_matrix,
     route_line,
     serialize,
-    to_unitary,
 )
 from .errors import (
     GridError,
     PentagateError,
     RewriteVerificationError,
-    UncertifiedGateError,
 )
 from .gates import gate_matrix
-from .linalg import DEFAULT_TOLERANCE, check_tolerance, phase_distance
+from .linalg import DEFAULT_TOLERANCE, check_tolerance
 from .rewrite import describe_fusion_gate, transpile
 
 EXIT_OK = 0
@@ -158,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pentagate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, tol=DEFAULT_TOLERANCE):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
         p.add_argument(
-            "--tol", type=_parse_tolerance, default=None,
+            "--tol", type=_parse_tolerance, default=tol,
             help="comparison tolerance (finite, positive)"
         )
         return p
@@ -176,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--params", required=True, help="comma-separated parameter triple")
 
-    p = add("scan", "grid-scan a gate family for pentagon solutions")
+    p = add("scan", "grid-scan a gate family for pentagon solutions", SCAN_TOLERANCE)
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--range", dest="axis_range", type=_parse_range, required=True,
                    help="per-axis range lo:hi")
@@ -209,31 +208,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_certify(args) -> int:
-    tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
     name, params, matrix = _resolve_gate_spec(args.gate, args.params, args.matrix)
-    report = certify(matrix, 2, tol, name=name, params=params)
+    report = certify(matrix, 2, args.tol, name=name, params=params)
     _emit(report.to_jsonable())
     _diag(f"verdict: {report.verdict} (residual {report.residual:.6g})", args.quiet)
     return EXIT_OK if report.is_fusion else EXIT_NEGATIVE
 
 
 def _cmd_constraints(args) -> int:
-    tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
-    residuals = constraints(args.family, _parse_params(args.params), tol)
+    residuals = constraints(args.family, _parse_params(args.params), args.tol)
     _emit(residuals.to_jsonable())
     _diag(
         f"max residual {residuals.max_residual:.6g}, "
         f"{residuals.active_count} active entries",
         args.quiet,
     )
-    return EXIT_OK if residuals.max_residual < tol else EXIT_NEGATIVE
+    return EXIT_OK if residuals.max_residual < args.tol else EXIT_NEGATIVE
 
 
 def _cmd_scan(args) -> int:
-    tol = SCAN_TOLERANCE if args.tol is None else args.tol
     lo, hi = args.axis_range
     started = time.perf_counter()
-    solutions = scan_fusion_solutions(args.family, (lo, hi, args.step), tol)
+    solutions = scan_fusion_solutions(args.family, (lo, hi, args.step), args.tol)
     elapsed = time.perf_counter() - started
     per_axis = len(axis_points(lo, hi, args.step))
     _emit([s.to_jsonable() for s in solutions])
@@ -246,14 +242,13 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_transpile(args) -> int:
-    tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
     circuit = _load_circuit(args.input)
     name, params, matrix = _resolve_gate_spec(args.fusion_gate, args.fusion_params, None)
     custom = matrix if name == CUSTOM else None
-    descriptor = describe_fusion_gate(name, params, custom, tol)
+    descriptor = describe_fusion_gate(name, params, custom, args.tol)
     current, report = transpile(
         circuit, descriptor, args.rule,
-        fixed_point=args.fixed_point, verify=not args.no_verify, tol=tol,
+        fixed_point=args.fixed_point, verify=not args.no_verify, tol=args.tol,
     )
     _write_text(args.output, serialize(current))
     _emit(report.to_jsonable())
@@ -266,16 +261,9 @@ def _cmd_transpile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
-    first = _load_circuit(args.first)
-    second = _load_circuit(args.second)
-    if first.num_qubits != second.num_qubits:
-        raise ValueError(
-            f"register mismatch: {first.num_qubits} vs {second.num_qubits} qubits"
-        )
-    distance = phase_distance(to_unitary(first), to_unitary(second))
-    equivalent = distance < tol
-    _emit({"equivalent": equivalent, "phase_distance": distance, "tolerance": tol})
+    distance = circuit_distance(_load_circuit(args.first), _load_circuit(args.second))
+    equivalent = distance < args.tol
+    _emit({"equivalent": equivalent, "phase_distance": distance, "tolerance": args.tol})
     return EXIT_OK if equivalent else EXIT_NEGATIVE
 
 
@@ -318,9 +306,6 @@ def main(argv=None) -> int:
     except GridError as exc:
         _diag(f"error: {exc}", quiet)
         return EXIT_USAGE
-    except UncertifiedGateError as exc:
-        _diag(f"error: {exc}", quiet)
-        return EXIT_INVALID
     except (PentagateError, ValueError, OSError) as exc:
         _diag(f"error: {exc}", quiet)
         return EXIT_INVALID

@@ -53,28 +53,27 @@ from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, embed, twist
 class EquationResidual:
     """Both sides of an equation instance and the size of their difference.
 
-    ``residual`` is the Frobenius norm of ``lhs - rhs``;
-    ``max_entry_mismatch`` is (row, col, |difference|) at the worst entry.
+    ``residual`` is the Frobenius norm of ``lhs - rhs``; ``mismatch`` is
+    ``|lhs - rhs|`` entrywise, for callers to read rather than form again.
     """
 
     equation: str
     residual: float
     lhs: np.ndarray
     rhs: np.ndarray
-    max_entry_mismatch: tuple[int, int, float]
+    mismatch: np.ndarray
 
 
 def _residual(
     equation: str, lhs: np.ndarray, rhs: np.ndarray, residual: float | None = None
 ) -> EquationResidual:
-    diff = np.abs(lhs - rhs)
-    row, col = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    diff = lhs - rhs
     return EquationResidual(
         equation=equation,
-        residual=float(np.linalg.norm(lhs - rhs)) if residual is None else residual,
+        residual=float(np.linalg.norm(diff)) if residual is None else residual,
         lhs=lhs,
         rhs=rhs,
-        max_entry_mismatch=(int(row), int(col), float(diff[row, col])),
+        mismatch=np.abs(diff),
     )
 
 

@@ -278,8 +278,9 @@ def transpile(
     to global phase, and the report carries the phase distance between
     the original circuit and the final one. On failure nothing is
     returned: :class:`RewriteVerificationError` names the first site whose
-    rewrite alone breaks equivalence, or ``site=None`` when only the
-    sites together do.
+    rewrite alone breaks equivalence, or ``site=None`` when no site fails
+    alone; its message then gives the site count and the largest
+    single-site distance, since the per-site errors add up.
     """
     tol = check_tolerance(tol)
     _require_certified(descriptor)
@@ -303,11 +304,13 @@ def transpile(
             after = to_unitary(rewritten)
             distance = phase_distance(held, after)
             if not distance < tol:
-                failing = _first_failing_site(current, held, sites, descriptor, side, tol)
+                failing, largest = _first_failing_site(
+                    current, held, sites, descriptor, side, tol
+                )
                 where = (
                     f"at site {failing}" if failing is not None else
-                    "yet no single site fails on its own: the failure only "
-                    "appears when sites interact"
+                    f"yet none of its {len(sites)} sites fails on its own (largest "
+                    f"single-site distance {largest:.6g}): the per-site errors add up"
                 )
                 raise RewriteVerificationError(
                     f"rewrite is not equivalent to the input (phase distance "
@@ -336,16 +339,20 @@ def transpile(
 
 
 def _first_failing_site(circuit, unitary, sites, descriptor, side, tol):
-    """The first site whose rewrite alone breaks equivalence, else None.
+    """The first site whose rewrite alone breaks equivalence, else None, and
+    the largest single-site phase distance seen before it.
 
     ``unitary`` is the already simulated unitary of ``circuit``; only the
     single-site rewrites are simulated here.
     """
+    largest = 0.0
     for site in sites:
         alone = _apply_sites(circuit, [site], descriptor, side)
-        if not phase_distance(unitary, to_unitary(alone)) < tol:
-            return site
-    return None
+        distance = phase_distance(unitary, to_unitary(alone))
+        if not distance < tol:
+            return site, largest
+        largest = max(largest, distance)
+    return None, largest
 
 
 def compress(

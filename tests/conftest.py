@@ -174,7 +174,6 @@ def rng() -> np.random.Generator:
 def simulations(monkeypatch) -> list:
     """Every circuit passed to ``to_unitary`` anywhere in the package, in order."""
     import pentagate.circuit
-    import pentagate.cli
     import pentagate.rewrite
 
     calls = []
@@ -184,8 +183,8 @@ def simulations(monkeypatch) -> list:
         calls.append(circuit)
         return simulate(circuit)
 
-    for module in (pentagate.circuit, pentagate.cli, pentagate.rewrite):
-        monkeypatch.setattr(module, "to_unitary", counting, raising=False)
+    for module in (pentagate.circuit, pentagate.rewrite):
+        monkeypatch.setattr(module, "to_unitary", counting)
     return calls
 
 

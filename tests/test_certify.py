@@ -1,5 +1,6 @@
 """Tests for certification, constraint systems, scanning, and refinement."""
 
+import importlib
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from pentagate import (
     FAMILIES,
+    CayleyTable,
     Circuit,
     NonUnitaryError,
     a_gate,
@@ -20,6 +22,7 @@ from pentagate import (
     describe_fusion_gate,
     equivalent_up_to_phase,
     expand,
+    group_algebra_fusion,
     is_unitary,
     pentagon_residual,
     refine,
@@ -30,6 +33,7 @@ from pentagate import (
 from pentagate.certify import IDENTITY_CLASS, axis_points
 from pentagate.errors import GridError
 from pentagate import jsonio
+from conftest import haar_unitary
 
 PI = math.pi
 I4 = np.eye(4, dtype=complex)
@@ -71,6 +75,31 @@ class TestCertify:
         assert 1 <= len(report.witnesses) <= 5
         deltas = [abs(w.lhs - w.rhs) for w in report.witnesses]
         assert deltas == sorted(deltas, reverse=True)
+
+    @pytest.mark.parametrize(
+        "group",
+        [CayleyTable.cyclic(2), CayleyTable.cyclic(3), CayleyTable.symmetric(3)],
+        ids=["Z2", "Z3", "S3"],
+    )
+    def test_exact_solution_has_no_witnesses(self, group):
+        report = certify(group_algebra_fusion(group), group.order, 1e-10)
+        assert report.residual == 0.0
+        assert report.witnesses == ()
+
+    def test_witnesses_match_the_sides(self, rng):
+        """Witnesses are the largest entries of |lhs - rhs|, formed from the sides."""
+        gates = [(standard_gate("SWAP"), 2), (a_gate(PI / 2, 0, 0), 2)]
+        gates += [(a_gate(*rng.uniform(-6, 6, 3)), 2) for _ in range(5)]
+        gates += [(haar_unitary(9, rng), 3)]
+        for gate, d in gates:
+            res = pentagon_residual(gate, d)
+            diff = np.abs(res.lhs - res.rhs)
+            expected = []
+            for index in np.argsort(diff, axis=None)[::-1][:5]:
+                row, col = np.unravel_index(int(index), diff.shape)
+                expected.append((int(row), int(col), res.lhs[row, col], res.rhs[row, col]))
+            report = certify(gate, d, 1e-10)
+            assert [(w.row, w.col, w.lhs, w.rhs) for w in report.witnesses] == expected
 
     def test_json_shape(self):
         report = certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP")
@@ -208,6 +237,22 @@ class TestAxisPoints:
             axis_points(0.0, 1.0, 0.0)
         with pytest.raises(GridError):
             axis_points(1.0, 0.0, 0.5)
+
+    def test_count_too_large_to_represent(self):
+        # (hi - lo) / step overflows to infinity
+        with pytest.raises(GridError, match="more than 1000000 points per axis"):
+            axis_points(-1e308, 1e308, 1.0)
+
+    def test_count_above_the_cap(self):
+        with pytest.raises(GridError, match="more than 1000000 points per axis"):
+            axis_points(0.0, 1.0, 1e-12)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # the package's ``certify`` attribute is the function; patch the module
+        monkeypatch.setattr(importlib.import_module("pentagate.certify"), "MAX_AXIS_POINTS", 10)
+        assert len(axis_points(0.0, 9.0, 1.0)) == 10
+        with pytest.raises(GridError, match="more than 10 points per axis"):
+            axis_points(0.0, 10.0, 1.0)
 
 
 class TestScan:

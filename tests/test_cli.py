@@ -114,6 +114,14 @@ class TestScanCommand:
         assert run_cli("scan", "--family", "a", "--range", "0-1", "--step", "1").returncode == 1
         assert run_cli("scan", "--family", "a", "--range", "0:1", "--step", "-1").returncode == 1
 
+    def test_grid_too_large_usage_error(self, capsys):
+        assert main(["scan", "--family", "a", "--range=-1e308:1e308", "--step", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: grid range -1e+308:1e+308 at step 1.0 has more than 1000000 points per axis\n"
+        )
+
 
 class TestTranspileCommand:
     def test_pipeline_certify_compress_verify(self, template_file, tmp_path):
@@ -225,6 +233,17 @@ class TestVerifyRouteStats:
         a.write_text('{"qubits": 2, "gates": []}')
         b.write_text('{"qubits": 3, "gates": []}')
         assert run_cli("verify", "--a", str(a), "--b", str(b), "--quiet").returncode == 2
+
+    def test_verify_register_mismatch_message(self, tmp_path, simulations, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text('{"qubits": 2, "gates": [{"name": "CNOT", "wires": [0, 1]}]}')
+        b.write_text('{"qubits": 3, "gates": [{"name": "CNOT", "wires": [1, 2]}]}')
+        assert main(["verify", "--a", str(a), "--b", str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: register mismatch: 2 vs 3 qubits\n"
+        assert simulations == []
 
     def test_stats_on_template(self, template_file):
         result = run_cli("stats", "--in", str(template_file))

@@ -135,9 +135,7 @@ class TestPentagonResidual:
     def test_residual_consistent_with_fields(self, rng):
         res = pentagon_residual(a_gate(*rng.uniform(-6, 6, 3)), 2)
         assert res.residual == pytest.approx(frobenius_norm(res.lhs - res.rhs))
-        row, col, delta = res.max_entry_mismatch
-        diff = np.abs(res.lhs - res.rhs)
-        assert delta == diff[row, col] == diff.max()
+        assert np.array_equal(res.mismatch, np.abs(res.lhs - res.rhs))
 
 
 class TestGroupFusionSolutions:
