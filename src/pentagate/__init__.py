@@ -27,9 +27,7 @@ from .circuit import (
     GateInstance,
     circuit_distance,
     circuit_stats,
-    circuits_identical,
     depth,
-    equivalent_up_to_phase,
     parse,
     resolved_matrix,
     route_line,

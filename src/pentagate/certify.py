@@ -54,6 +54,10 @@ SCAN_TOLERANCE = 1e-9
 #: before any point is built.
 MAX_AXIS_POINTS = 10**6
 
+#: Largest number of points in a scan grid, the product of its axis
+#: lengths; a larger grid is refused before any point is built.
+MAX_GRID_POINTS = 10**8
+
 #: Grid points built and evaluated per stacked call. Building the whole
 #: default grid at once costs far more memory for no further speed.
 SCAN_CHUNK = 64
@@ -256,8 +260,8 @@ def _operator_class(matrix: np.ndarray, tol: float) -> str:
     return IDENTITY_CLASS if frobenius_norm(matrix - eye) < tol else OTHER_CLASS
 
 
-def axis_points(lo: float, hi: float, step: float) -> list[float]:
-    """Grid points lo, lo+step, ... up to hi (endpoint included when integral).
+def axis_count(lo: float, hi: float, step: float) -> int:
+    """Number of grid points lo, lo+step, ... up to hi (endpoint included when integral).
 
     Raises GridError for a malformed range or step, and for an axis of more
     than ``MAX_AXIS_POINTS`` points, the count not finite included.
@@ -273,8 +277,12 @@ def axis_points(lo: float, hi: float, step: float) -> list[float]:
         raise GridError(
             f"grid range {lo}:{hi} at step {step} has more than {MAX_AXIS_POINTS} points per axis"
         )
-    count = int(math.floor(span)) + 1
-    return [lo + k * step for k in range(count)]
+    return int(math.floor(span)) + 1
+
+
+def axis_points(lo: float, hi: float, step: float) -> list[float]:
+    """The ``axis_count`` grid points lo, lo+step, ... of one axis."""
+    return [lo + k * step for k in range(axis_count(lo, hi, step))]
 
 
 def _normalize_axes(axes):
@@ -297,10 +305,15 @@ def scan_fusion_solutions(
     ``tol`` in Frobenius norm are one class) and each class is reported once,
     represented by its lexicographically smallest canonical parameters. The
     result ordering is deterministic and independent of evaluation order.
+    Raises GridError for a grid of more than ``MAX_GRID_POINTS`` points.
     """
     tol = check_tolerance(tol)
     build, _ = _family(family)
-    grids = [axis_points(*axis) for axis in _normalize_axes(axes)]
+    axes = _normalize_axes(axes)
+    total = math.prod(axis_count(*axis) for axis in axes)
+    if total > MAX_GRID_POINTS:
+        raise GridError(f"grid of {total} points exceeds the cap of {MAX_GRID_POINTS} points")
+    grids = [axis_points(*axis) for axis in axes]
     points = itertools.product(*grids)
     passing = []
     while chunk := list(itertools.islice(points, SCAN_CHUNK)):

@@ -35,14 +35,7 @@ import numpy as np
 from . import jsonio
 from .errors import DimensionError, SchemaError
 from .gates import GATES, gate_matrix
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    MAX_QUBITS,
-    as_matrix,
-    check_tolerance,
-    is_unitary,
-    phase_distance,
-)
+from .linalg import MAX_QUBITS, as_matrix, is_unitary, phase_distance
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -322,11 +315,6 @@ def serialize(circuit: Circuit) -> str:
     return f'{{"qubits": {int(circuit.num_qubits)}, "gates": [{", ".join(parts)}]}}'
 
 
-def circuits_identical(a: Circuit, b: Circuit) -> bool:
-    """Gate-exact structural equality, via canonical serialization."""
-    return serialize(a) == serialize(b)
-
-
 def to_unitary(circuit: Circuit) -> np.ndarray:
     """Full register unitary; gate 0 is applied first.
 
@@ -356,12 +344,6 @@ def circuit_distance(a: Circuit, b: Circuit) -> float:
             f"register mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
         )
     return phase_distance(to_unitary(a), to_unitary(b))
-
-
-def equivalent_up_to_phase(a: Circuit, b: Circuit, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """True iff the two circuit unitaries agree up to a global phase."""
-    check_tolerance(tol)
-    return circuit_distance(a, b) < tol
 
 
 def depth(circuit: Circuit) -> int:

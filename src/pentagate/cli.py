@@ -26,7 +26,7 @@ from . import jsonio
 from .certify import (
     FAMILIES,
     SCAN_TOLERANCE,
-    axis_points,
+    axis_count,
     certify,
     constraints,
     scan_fusion_solutions,
@@ -231,7 +231,7 @@ def _cmd_scan(args) -> int:
     started = time.perf_counter()
     solutions = scan_fusion_solutions(args.family, (lo, hi, args.step), args.tol)
     elapsed = time.perf_counter() - started
-    per_axis = len(axis_points(lo, hi, args.step))
+    per_axis = axis_count(lo, hi, args.step)
     _emit([s.to_jsonable() for s in solutions])
     _diag(
         f"scanned {per_axis ** 3} grid points in {elapsed:.2f} s; "

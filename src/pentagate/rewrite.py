@@ -23,19 +23,23 @@ may not take a wire such a gate touched, and any other gate on a bound
 wire blocks the match. Sites are selected leftmost-first and never
 overlap, so each gate joins at most one rewrite per pass.
 
-Verification simulates each distinct circuit once: the input, then the
-output of every rewriting pass, whose unitary is carried into the next
-pass as its input.
+Verification makes one comparison: the input against the final output,
+two full-register simulations however many passes rewrote. Only when it
+fails are the sites checked one by one, each on its own 3-qubit window:
+the gates a site skips touch none of its wires, so rewriting the site
+alone moves an n-qubit unitary by sqrt(2**(n-3)) times the distance of
+its 8x8 window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .certify import CertificationReport, certify
-from .circuit import CUSTOM, Circuit, GateInstance, depth, resolved_matrix, to_unitary
+from .circuit import CUSTOM, Circuit, GateInstance, circuit_distance, depth, resolved_matrix
 from .errors import RewriteVerificationError, SchemaError, UncertifiedGateError
-from .linalg import DEFAULT_TOLERANCE, check_tolerance, matrices_equal, phase_distance
+from .linalg import DEFAULT_TOLERANCE, check_tolerance, matrices_equal
 
 #: Parameters and custom matrices must match the fusion gate this tightly.
 MATCH_TOLERANCE = 1e-10
@@ -237,9 +241,9 @@ def _require_certified(descriptor: FusionGateDescriptor) -> None:
         )
 
 
-def _instantiate(descriptor: FusionGateDescriptor, side, site: RewriteSite) -> list[GateInstance]:
-    """The gates of one template side on the site's wire triple."""
-    wire = dict(zip("abc", site.wires))
+def _instantiate(descriptor: FusionGateDescriptor, side, wires) -> list[GateInstance]:
+    """The gates of one template side on the wire triple (a, b, c)."""
+    wire = dict(zip("abc", wires))
     gate = descriptor.gate
     out = []
     for kind, roles in side:
@@ -257,7 +261,7 @@ def _apply_sites(circuit, sites, descriptor, side):
     out: list[GateInstance] = []
     for i, gate in enumerate(circuit.gates):
         if i in first_index:
-            out.extend(_instantiate(descriptor, side, first_index[i]))
+            out.extend(_instantiate(descriptor, side, first_index[i].wires))
         if i in removed:
             continue
         out.append(gate)
@@ -274,13 +278,13 @@ def transpile(
 ) -> tuple[Circuit, RewriteReport]:
     """Apply ``rule`` ("compress" or "expand") once, or until a pass finds no site.
 
-    With ``verify`` every rewriting pass is checked against its input up
-    to global phase, and the report carries the phase distance between
-    the original circuit and the final one. On failure nothing is
-    returned: :class:`RewriteVerificationError` names the first site whose
-    rewrite alone breaks equivalence, or ``site=None`` when no site fails
-    alone; its message then gives the site count and the largest
-    single-site distance, since the per-site errors add up.
+    With ``verify`` the final circuit is checked against the input up to
+    global phase, and the report carries their phase distance. On failure
+    nothing is returned: :class:`RewriteVerificationError` names the first
+    site whose rewrite alone breaks equivalence, with its pass when that is
+    not the first, or ``site=None`` when no site fails alone; its message
+    then gives the site count and the largest single-site distance, since
+    the per-site errors add up.
     """
     tol = check_tolerance(tol)
     _require_certified(descriptor)
@@ -289,44 +293,24 @@ def transpile(
     except KeyError:
         raise ValueError(f"unknown rule {rule!r}, expected 'compress' or 'expand'") from None
     current = circuit
-    initial = held = None  # unitaries of the input and of ``current``
-    distance = 0.0 if verify else None
-    found = passes = rewriting_passes = 0
+    rewrites = []  # (pass input, its sites) for every rewriting pass
+    passes = 0
     while True:
         sites = _find_sites(current, descriptor, pattern)
         passes += 1
         if not sites:
             break
-        rewritten = _apply_sites(current, sites, descriptor, side)
-        if verify:
-            if held is None:
-                initial = held = to_unitary(current)
-            after = to_unitary(rewritten)
-            distance = phase_distance(held, after)
-            if not distance < tol:
-                failing, largest = _first_failing_site(
-                    current, held, sites, descriptor, side, tol
-                )
-                where = (
-                    f"at site {failing}" if failing is not None else
-                    f"yet none of its {len(sites)} sites fails on its own (largest "
-                    f"single-site distance {largest:.6g}): the per-site errors add up"
-                )
-                raise RewriteVerificationError(
-                    f"rewrite is not equivalent to the input (phase distance "
-                    f"{distance:.6g} >= {tol:.6g}) {where}; rolled back",
-                    site=failing,
-                )
-            held = after
-        found += len(sites)
-        rewriting_passes += 1
-        current = rewritten
+        rewrites.append((current, sites))
+        current = _apply_sites(current, sites, descriptor, side)
         if not fixed_point:
             break
-    if verify and rewriting_passes > 1:
-        distance = phase_distance(initial, held)
+    distance = None
+    if verify:
+        distance = circuit_distance(circuit, current) if rewrites else 0.0
+        if not distance < tol:
+            raise _verification_error(distance, tol, rewrites, descriptor, side)
     report = RewriteReport(
-        sites_found=found,
+        sites_found=sum(len(sites) for _, sites in rewrites),
         gate_count_before=len(circuit.gates),
         gate_count_after=len(current.gates),
         depth_before=depth(circuit),
@@ -338,21 +322,42 @@ def transpile(
     return current, report
 
 
-def _first_failing_site(circuit, unitary, sites, descriptor, side, tol):
-    """The first site whose rewrite alone breaks equivalence, else None, and
-    the largest single-site phase distance seen before it.
+def _site_distance(circuit, site, descriptor, side) -> float:
+    """The phase distance by which rewriting ``site`` alone moves ``circuit``.
 
-    ``unitary`` is the already simulated unitary of ``circuit``; only the
-    single-site rewrites are simulated here.
+    Computed on the 3-qubit window of roles (a, b, c) -> (0, 1, 2) and
+    scaled to the register, since the gates the site skips touch none of
+    its wires.
     """
+    role = {wire: i for i, wire in enumerate(site.wires)}
+    gates = (circuit.gates[i] for i in site.gate_indices)
+    before = tuple(
+        GateInstance(g.name, tuple(role[w] for w in g.wires), g.params, g.matrix) for g in gates
+    )
+    after = tuple(_instantiate(descriptor, side, (0, 1, 2)))
+    scale = math.sqrt(2 ** (circuit.num_qubits - 3))
+    return scale * circuit_distance(Circuit(3, before), Circuit(3, after))
+
+
+def _verification_error(distance, tol, rewrites, descriptor, side):
+    """The error for a failed rewrite, blaming the first site that fails alone.
+
+    Sites are checked pass by pass; a site's indices refer to its pass's input.
+    """
+    head = f"rewrite is not equivalent to the input (phase distance {distance:.6g} >= {tol:.6g})"
     largest = 0.0
-    for site in sites:
-        alone = _apply_sites(circuit, [site], descriptor, side)
-        distance = phase_distance(unitary, to_unitary(alone))
-        if not distance < tol:
-            return site, largest
-        largest = max(largest, distance)
-    return None, largest
+    for p, (circuit, sites) in enumerate(rewrites, 1):
+        for site in sites:
+            alone = _site_distance(circuit, site, descriptor, side)
+            if not alone < tol:
+                where = f" in pass {p}" if p > 1 else ""
+                return RewriteVerificationError(f"{head} at site {site}{where}; rolled back", site)
+            largest = max(largest, alone)
+    count = sum(len(sites) for _, sites in rewrites)
+    return RewriteVerificationError(
+        f"{head} yet none of its {count} sites fails on its own (largest single-site "
+        f"distance {largest:.6g}): the per-site errors add up; rolled back"
+    )
 
 
 def compress(

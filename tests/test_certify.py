@@ -20,7 +20,6 @@ from pentagate import (
     compress,
     constraints,
     describe_fusion_gate,
-    equivalent_up_to_phase,
     expand,
     group_algebra_fusion,
     is_unitary,
@@ -300,6 +299,28 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_fusion_solutions("xyz", (0.0, 1.0, 0.5))
 
+    def test_grid_above_the_cap_is_refused(self):
+        # 999,001 points per axis pass the axis cap; their cube does not
+        message = r"^grid of 997005993005997001 points exceeds the cap of 100000000 points$"
+        with pytest.raises(GridError, match=message):
+            scan_fusion_solutions("a", (0.0, 999.0, 0.001))
+
+    def test_grid_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("pentagate.certify"), "MAX_GRID_POINTS", 36)
+        assert scan_fusion_solutions("a", [(0.0, 2.0, 1.0)] * 2 + [(0.0, 3.0, 1.0)], 1e-9)
+        with pytest.raises(GridError, match="grid of 48 points exceeds the cap of 36 points"):
+            scan_fusion_solutions("a", [(0.0, 2.0, 1.0), (0.0, 3.0, 1.0), (0.0, 3.0, 1.0)])
+
+    @pytest.mark.parametrize("family, axis", [
+        ("a", (-6.2832, 6.2832, 0.3927)),  # the README grid, 33 points per axis
+        ("a", (-1.5, 1.5, 0.25)),  # the benchmark's A grids, 13 points per axis
+        ("a", (-3.0, 3.0, 0.5)),
+        ("heis", (-PI, PI, PI / 8)),  # the benchmark's Heisenberg grid
+    ])
+    def test_documented_grids_run_under_the_cap(self, family, axis):
+        points = scan_fusion_solutions(family, axis, 1e-9)
+        assert [p.operator_class for p in points] == [IDENTITY_CLASS]
+
     def test_empty_grid_error(self):
         with pytest.raises(GridError):
             scan_fusion_solutions("a", (1.0, 0.0, 0.5))
@@ -378,7 +399,6 @@ def _tolerance_takers():
         "check_street_duality": lambda tol: check_street_duality(cnot, 2, tol),
         "check_folklore_duality": lambda tol: check_folklore_duality(cnot, 2, tol),
         "is_unitary": lambda tol: is_unitary(cnot, tol),
-        "equivalent_up_to_phase": lambda tol: equivalent_up_to_phase(empty, empty, tol),
         "describe_fusion_gate": lambda tol: describe_fusion_gate(name="CNOT", tol=tol),
         "compress": lambda tol: compress(empty, descriptor, tol=tol),
         "expand": lambda tol: expand(empty, descriptor, tol=tol),

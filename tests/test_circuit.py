@@ -13,10 +13,9 @@ from pentagate import (
     GateInstance,
     SchemaError,
     circuit_stats,
-    circuits_identical,
+    circuit_distance,
     depth,
     embed,
-    equivalent_up_to_phase,
     frobenius_norm,
     parse,
     resolved_matrix,
@@ -345,22 +344,22 @@ class TestToUnitary:
 class TestEquivalence:
     def test_self_equivalent(self, rng):
         c = random_circuit(rng, 3, 8)
-        assert equivalent_up_to_phase(c, c, 1e-10)
+        assert circuit_distance(c, c) < 1e-10
 
     def test_global_phase_gate_ignored(self):
         base = Circuit(2, (GateInstance("CNOT", (0, 1)),))
         phase = np.exp(1j * PI / 7) * np.eye(2, dtype=complex)
         phased = Circuit(2, base.gates + (GateInstance("custom", (0,), (), phase),))
-        assert equivalent_up_to_phase(base, phased, 1e-10)
+        assert circuit_distance(base, phased) < 1e-10
 
     def test_reversed_cnot_not_equivalent(self):
         a = Circuit(2, (GateInstance("CNOT", (0, 1)),))
         b = Circuit(2, (GateInstance("CNOT", (1, 0)),))
-        assert not equivalent_up_to_phase(a, b, 1e-10)
+        assert circuit_distance(a, b) >= 1e-10
 
     def test_register_mismatch(self):
         with pytest.raises(DimensionError):
-            equivalent_up_to_phase(Circuit(2, ()), Circuit(3, ()), 1e-10)
+            circuit_distance(Circuit(2, ()), Circuit(3, ()))
 
 
 class TestDepth:
@@ -392,7 +391,7 @@ class TestDepth:
 class TestRouteLine:
     def test_local_circuit_unchanged(self):
         c = Circuit(3, (GateInstance("CNOT", (0, 1)), GateInstance("H", (2,))))
-        assert circuits_identical(route_line(c), c)
+        assert serialize(route_line(c)) == serialize(c)
 
     def test_distance_two_gate_expansion(self):
         c = Circuit(3, (GateInstance("A", (0, 2), (0.1, 0.2, 0.3)),))
@@ -402,7 +401,7 @@ class TestRouteLine:
             ("A", (0, 1)),
             ("SWAP", (1, 2)),
         ]
-        assert equivalent_up_to_phase(c, routed, 1e-12)
+        assert circuit_distance(c, routed) < 1e-12
 
     def test_descending_wire_pair(self):
         c = Circuit(5, (GateInstance("CNOT", (4, 1)),))
@@ -414,7 +413,7 @@ class TestRouteLine:
             ("SWAP", (2, 3)),
             ("SWAP", (1, 2)),
         ]
-        assert equivalent_up_to_phase(c, routed, 1e-12)
+        assert circuit_distance(c, routed) < 1e-12
 
     def test_swap_cost_formula(self):
         for span in (2, 3, 4):
@@ -427,7 +426,7 @@ class TestRouteLine:
             c = random_circuit(rng, int(rng.integers(3, 6)), int(rng.integers(2, 8)))
             routed = route_line(c)
             assert circuit_stats(routed)["nonlocal_count"] == 0
-            assert equivalent_up_to_phase(c, routed, 1e-10)
+            assert circuit_distance(c, routed) < 1e-10
             assert depth(routed) >= depth(c)
 
     def test_local_input_preserves_depth(self, rng):
@@ -438,7 +437,7 @@ class TestRouteLine:
         for _ in range(10):
             c = random_circuit(rng, 4, 6)
             once = route_line(c)
-            assert circuits_identical(route_line(once), once)
+            assert serialize(route_line(once)) == serialize(once)
 
 
 class TestStats:

@@ -12,6 +12,7 @@ import pytest
 from pentagate import Circuit, parse, serialize
 from pentagate.cli import main
 from conftest import nested_template_circuit, run_cli, template_circuit
+from test_rewrite import LOOSE_TOL, NEAR_IDENTITY
 
 CNOT = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -114,6 +115,14 @@ class TestScanCommand:
         assert run_cli("scan", "--family", "a", "--range", "0-1", "--step", "1").returncode == 1
         assert run_cli("scan", "--family", "a", "--range", "0:1", "--step", "-1").returncode == 1
 
+    def test_grid_above_the_grid_cap_usage_error(self, capsys):
+        assert main(["scan", "--family", "a", "--range", "0:999", "--step", "0.001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: grid of 997005993005997001 points exceeds the cap of 100000000 points\n"
+        )
+
     def test_grid_too_large_usage_error(self, capsys):
         assert main(["scan", "--family", "a", "--range=-1e308:1e308", "--step", "1"]) == 1
         captured = capsys.readouterr()
@@ -201,6 +210,21 @@ class TestTranspileCommand:
                          "--rule", "compress", "--fusion-gate", "A",
                          "--fusion-params", half_pi, "--tol", "2.2", "--quiet")
         assert result.returncode == 3
+        assert not out.exists()
+
+    def test_drift_over_fixed_point_passes_exit_three(self, tmp_path, capsys):
+        # each of the 3 passes alone stays within tolerance; all three do not
+        path = tmp_path / "nested.json"
+        path.write_text(serialize(nested_template_circuit(3, "A", NEAR_IDENTITY)) + "\n")
+        out = tmp_path / "never.json"
+        code = main(["transpile", "--in", str(path), "--out", str(out), "--rule", "compress",
+                     "--fixed-point", "--fusion-gate", "A",
+                     "--fusion-params", ",".join(map(str, NEAR_IDENTITY)), "--tol", str(LOOSE_TOL)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: rewrite is not equivalent to the input (phase distance 0.044721")
+        assert captured.err.count("\n") == 1
         assert not out.exists()
 
     def test_invalid_circuit_file(self, tmp_path):
@@ -399,4 +423,4 @@ class TestSimulationCounts:
                      "--rule", "compress", "--fusion-gate", "CNOT", "--fixed-point", "--quiet"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["sites_found"] == levels
-        assert len(simulations) == levels + 1
+        assert len(simulations) == 2

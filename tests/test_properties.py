@@ -41,10 +41,12 @@ from pentagate import (
     pentagon_stack,
     phase_distance,
     serialize,
+    standard_gate,
     to_unitary,
     ybe_residual,
 )
 from pentagate.gates import GATES
+from pentagate.rewrite import _RULES, _apply_sites, _find_sites, _site_distance
 from conftest import (
     SITES_GOLDEN,
     dense_pentagon_stack,
@@ -465,3 +467,62 @@ def test_verified_rewrites_preserve_the_unitary_under_interleaving(circuit):
         out, report = rewrite(circuit, CNOT)  # verified: raises on a bad rewrite
         assert report.equivalence_verified
         assert phase_distance(before, to_unitary(out)) < 1e-10
+
+
+def _near_cnot(eps: float) -> np.ndarray:
+    """CNOT times exp(i eps H) for a fixed Hermitian H: unitary, not a solution."""
+    h = haar_unitary(4, np.random.default_rng(7))
+    h = h + h.conj().T
+    w, v = np.linalg.eigh(h)
+    return standard_gate("CNOT") @ (v * np.exp(1j * eps * w)) @ v.conj().T
+
+
+#: Near-solutions certified loosely, so that every site moves the unitary a little.
+NEAR_SOLUTIONS = [describe_fusion_gate(name="A", params=(delta, 0.0, 0.0), tol=1.0)
+                  for delta in (1e-3, 1e-2, 0.05)]
+NEAR_SOLUTIONS += [describe_fusion_gate(matrix=_near_cnot(eps), tol=1.0) for eps in (1e-3, 1e-2)]
+
+
+@st.composite
+def near_solution_sites(draw):
+    """A near-solution descriptor and a 3-7 qubit circuit of its templates
+    and pairs, each with gates on the other wires inside it, merged at
+    random with noise gates on any wires."""
+    descriptor = draw(st.sampled_from(NEAR_SOLUTIONS))
+    fusion = descriptor.gate
+    t = lambda w: GateInstance(fusion.name, w, fusion.params, fusion.matrix)
+    n = draw(st.integers(3, 7))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c, *others = draw(st.permutations(range(n)))
+        if draw(st.booleans()):
+            swap = GateInstance("SWAP", (b, c))
+            piece = [t((b, c)), swap, t((a, b)), swap, t((a, b))]
+        else:
+            piece = [t((a, b)), t((b, c))]
+        if len(others) >= 3:
+            for gate in draw(st.lists(noise_gates(len(others)), max_size=3)):
+                moved = GateInstance(gate.name, tuple(others[w] for w in gate.wires),
+                                     gate.params, gate.matrix)
+                piece.insert(draw(st.integers(1, len(piece) - 1)), moved)
+        pieces.append(piece)
+    pieces.append(draw(st.lists(noise_gates(n), max_size=4)))
+    order = draw(st.permutations([k for k, piece in enumerate(pieces) for _ in piece]))
+    queues = [iter(piece) for piece in pieces]
+    return descriptor, Circuit(n, tuple(next(queues[k]) for k in order))
+
+
+@PROPERTY_SETTINGS
+@given(near_solution_sites())
+def test_window_distance_is_the_full_single_site_distance(case):
+    # the failure diagnosis scales an 8x8 window distance to the register;
+    # it must equal the distance of the full single-site rewrite
+    descriptor, circuit = case
+    before = to_unitary(circuit)
+    for pattern, side in _RULES.values():
+        for site in _find_sites(circuit, descriptor, pattern):
+            alone = to_unitary(_apply_sites(circuit, [site], descriptor, side))
+            full = phase_distance(before, alone)
+            window = _site_distance(circuit, site, descriptor, side)
+            assert full > 0.0
+            assert abs(window - full) <= 1e-9 * full
