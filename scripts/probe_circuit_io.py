@@ -1,0 +1,100 @@
+"""Paired probe of circuit I/O at two checkouts: ``serialize`` and ``parse``.
+
+Builds the seed-7 ``transpile-large`` gate lists (perfbench/corpus.py) as
+fresh ``GateInstance`` objects, one per gate and none shared, the way the
+benchmark set-up writes its corpus. It times ``serialize`` of that fresh
+circuit and ``parse`` of its canonical text on each checkout, alternating
+the sides. Both checkouts are imported into one process, so the two sides
+see the same host speed at the same moment. Process CPU time is used,
+which a neighbour on a shared host disturbs less than wall time.
+
+usage: python3 scripts/probe_circuit_io.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
+
+Prints one JSON object: per circuit and call, each side's median and
+quartiles in milliseconds, the ratio of the medians and the rounds the
+change won.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load(checkout: str):
+    """Import pentagate from ``checkout``; earlier imports stay alive through their references."""
+    for name in [m for m in sys.modules if m == "pentagate" or m.startswith("pentagate.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(Path(checkout).resolve() / "src"))
+    try:
+        module = importlib.import_module("pentagate")
+    finally:
+        sys.path.pop(0)
+    if not Path(module.__file__).resolve().is_relative_to(Path(checkout).resolve()):
+        raise SystemExit(f"imported pentagate from {module.__file__}, not from {checkout}")
+    return module
+
+
+def fresh(pg, spec: dict, custom):
+    gates = tuple(
+        pg.GateInstance(name, wires, params, custom if name == "custom" else None)
+        for name, wires, params in spec["gates"]
+    )
+    return pg.Circuit(spec["qubits"], gates)
+
+
+def quartiles(values: list[float]) -> list[float]:
+    q = statistics.quantiles(values, n=4)
+    return [q[0], q[2]]
+
+
+def main(argv: list[str]) -> int:
+    base, change = argv[0], argv[1]
+    rounds = int(argv[2]) if len(argv) > 2 else 21
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import corpus
+
+    spec = corpus.make_spec("transpile-large", 7)
+    sides = {"base": load(base), "change": load(change)}
+    report = {}
+    for c in spec["circuits"]:
+        custom = corpus.REVERSED_CNOT if c["fusion"] == "custom" else None
+        circuits = {side: fresh(pg, c, custom) for side, pg in sides.items()}
+        texts = {side: pg.serialize(circuits[side]) for side, pg in sides.items()}
+        if texts["base"] != texts["change"]:
+            raise SystemExit(f"{c['name']}: the two checkouts serialize differently")
+        calls = {
+            "serialize": lambda pg, side: pg.serialize(circuits[side]),
+            "parse": lambda pg, side: pg.parse(texts[side]),
+        }
+        for call, run in calls.items():
+            times = {side: [] for side in sides}
+            for k in range(rounds):
+                order = list(sides) if k % 2 == 0 else list(reversed(sides))
+                for side in order:
+                    gc.collect()
+                    started = time.process_time()
+                    run(sides[side], side)
+                    times[side].append(1e3 * (time.process_time() - started))
+            medians = {side: statistics.median(t) for side, t in times.items()}
+            report[f"{c['name']} {call}"] = {
+                "gates": len(c["gates"]),
+                "base_ms": {"median": medians["base"], "quartiles": quartiles(times["base"])},
+                "change_ms": {"median": medians["change"], "quartiles": quartiles(times["change"])},
+                "ratio": medians["change"] / medians["base"],
+                "change_won": sum(b > a for a, b in zip(times["change"], times["base"])),
+                "rounds": rounds,
+            }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

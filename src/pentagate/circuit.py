@@ -15,6 +15,13 @@ digits, so equal circuits serialize to identical bytes. Parameters and
 custom-matrix entries must be finite. ``serialize`` writes each gate as one
 string in ``jsonio.dumps``' format; ``jsonio.dumps`` itself serves reports.
 
+Gates are frozen and a custom gate's matrix is read-only, so equal gates
+may be one object, and each distinct gate is built and checked once per
+call: ``parse`` keys gates without parameters by their JSON content,
+``route_line`` builds each relocated gate once, ``serialize`` writes each
+gate without parameters once, and ``Circuit`` checks the register once per
+distinct object.
+
 Simulation builds the full register unitary by tensor contraction: the
 unitary is held as a ``(2,) * n + (2**n,)`` tensor and each k-qubit gate
 is contracted into the axes of its wires, costing O(2**k * 4**n) per gate
@@ -122,6 +129,7 @@ class GateInstance:
             if self.matrix is None:
                 raise SchemaError("matrix: required for custom gates")
             matrix = as_matrix(self.matrix) + 0.0
+            matrix.flags.writeable = False  # equal gates may share it
             object.__setattr__(self, "matrix", matrix)
             if not np.isfinite(matrix).all():
                 raise SchemaError("matrix: entries must be finite")
@@ -177,14 +185,22 @@ class Circuit:
             raise SchemaError(f"qubits: must be a positive integer, got {n!r}")
         if n > MAX_QUBITS:
             raise SchemaError(f"qubits: register of {n} exceeds the {MAX_QUBITS}-qubit cap")
-        for i, gate in enumerate(self.gates):
-            if not isinstance(gate, GateInstance):
-                raise SchemaError(f"gates[{i}]: not a GateInstance")
-            for w in gate.wires:
-                if not 0 <= w < n:
-                    raise SchemaError(
-                        f"gates[{i}].wires: wire {w} out of range for {n} qubits"
-                    )
+        # Check each distinct object once, keyed by identity so that no
+        # item's hash or == runs; only a fault pays for the ordered walk
+        # that names the first bad index.
+        if _register_fault(dict(zip(map(id, self.gates), self.gates)).values(), n):
+            raise SchemaError(_register_fault(self.gates, n))
+
+
+def _register_fault(gates, n: int) -> str | None:
+    """The first gate that is no GateInstance or has a wire outside ``range(n)``."""
+    for i, gate in enumerate(gates):
+        if not isinstance(gate, GateInstance):
+            return f"gates[{i}]: not a GateInstance"
+        for w in gate.wires:
+            if not 0 <= w < n:
+                return f"gates[{i}].wires: wire {w} out of range for {n} qubits"
+    return None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -261,6 +277,24 @@ def _shape_fault(raw) -> str | None:
     return None
 
 
+def _plain_key(raw) -> tuple | None:
+    """The key of a plain-typed gate, or None: equal keys mean equal checks.
+
+    A gate is plain-typed when its name is a string, every wire is exactly
+    an int and it has no ``params`` field. A bool wire never builds a key,
+    since ``True == 1`` and the two hash alike; the matrix enters as its
+    ``repr``, which tells ``True``, ``1``, ``1.0`` and ``-0.0`` apart.
+    """
+    if type(raw) is dict and "params" not in raw and len(raw) == 2 + ("matrix" in raw):
+        name, wires = raw.get("name"), raw.get("wires")
+        if type(name) is str and type(wires) is list:
+            for w in wires:
+                if type(w) is not int:
+                    return None
+            return (name, *wires) if len(raw) == 2 else (name, repr(raw["matrix"]), *wires)
+    return None
+
+
 def parse(text: str) -> Circuit:
     """Parse circuit JSON, with field-level diagnostics on schema errors."""
     data = _load_json(text)
@@ -270,24 +304,27 @@ def parse(text: str) -> Circuit:
     _require("qubits" in data, "qubits: missing")
     _require("gates" in data, "gates: missing")
     qubits = data["qubits"]
-    _require(
-        isinstance(qubits, int) and not isinstance(qubits, bool),
-        f"qubits: expected an integer, got {qubits!r}",
-    )
+    # JSON values have exact types, so a bool is not an int here
+    _require(type(qubits) is int, f"qubits: expected an integer, got {qubits!r}")
     raw_gates = data["gates"]
     _require(isinstance(raw_gates, list), "gates: expected an array")
-    gates = []
+    gates, built = [], {}  # a plain-typed gate's key -> its checked gate
     for i, raw in enumerate(raw_gates):
-        fault = _shape_fault(raw)
-        if fault:
-            raise SchemaError(f"gates[{i}]{fault}")
-        matrix = None
-        if "matrix" in raw:
-            matrix = _decode_matrix(raw["matrix"], f"gates[{i}].matrix")
-        try:
-            gates.append(GateInstance(raw["name"], raw["wires"], raw.get("params", ()), matrix))
-        except SchemaError as exc:
-            raise SchemaError(f"gates[{i}].{exc}") from None
+        key = _plain_key(raw)
+        if (gate := built.get(key)) is None:
+            fault = _shape_fault(raw)
+            if fault:
+                raise SchemaError(f"gates[{i}]{fault}")
+            matrix = None
+            if "matrix" in raw:
+                matrix = _decode_matrix(raw["matrix"], f"gates[{i}].matrix")
+            try:
+                gate = GateInstance(raw["name"], raw["wires"], raw.get("params", ()), matrix)
+            except SchemaError as exc:
+                raise SchemaError(f"gates[{i}].{exc}") from None
+            if key:
+                built[key] = gate
+        gates.append(gate)
     return Circuit(qubits, tuple(gates))
 
 
@@ -299,18 +336,24 @@ def serialize(circuit: Circuit) -> str:
     """Canonical JSON text for a circuit; byte-stable across round trips.
 
     Each gate is written as one string, in the field order, separators and
-    float format (``jsonio.format_float``) of ``jsonio.dumps``.
+    float format (``jsonio.format_float``) of ``jsonio.dumps``. A gate
+    without parameters is written once per call: a named one per name and
+    wires, a custom one per object.
     """
     fmt = jsonio.format_float
-    parts = []
+    parts, texts = [], {}
     for gate in circuit.gates:
-        text = f'{{"name": {_QUOTED[gate.name]}, "wires": [{", ".join(map(str, gate.wires))}]'
-        if gate.params:
-            text += f', "params": [{", ".join(map(fmt, gate.params))}]'
-        if gate.name == CUSTOM:
-            rows = (", ".join(f"[{fmt(z.real)}, {fmt(z.imag)}]" for z in row)
-                    for row in gate.matrix.tolist())
-            text += f', "matrix": [[{"], [".join(rows)}]]'
+        key = None if gate.params else gate if gate.name == CUSTOM else (gate.name, gate.wires)
+        if (text := texts.get(key)) is None:
+            text = f'{{"name": {_QUOTED[gate.name]}, "wires": [{", ".join(map(str, gate.wires))}]'
+            if gate.params:
+                text += f', "params": [{", ".join(map(fmt, gate.params))}]'
+            if gate.name == CUSTOM:
+                rows = (", ".join(f"[{fmt(z.real)}, {fmt(z.imag)}]" for z in row)
+                        for row in gate.matrix.tolist())
+                text += f', "matrix": [[{"], [".join(rows)}]]'
+            if key is not None:
+                texts[key] = text
         parts.append(text + "}")
     return f'{{"qubits": {int(circuit.num_qubits)}, "gates": [{", ".join(parts)}]}}'
 
@@ -376,6 +419,7 @@ def route_line(circuit: Circuit) -> Circuit:
     pass through untouched.
     """
     swaps = [GateInstance("SWAP", (j, j + 1)) for j in range(circuit.num_qubits - 1)]
+    moved = {}  # (gate, target) -> the gate on (a, target), built once
     routed: list[GateInstance] = []
     for gate in circuit.gates:
         if len(gate.wires) != 2 or abs(gate.wires[0] - gate.wires[1]) < 2:
@@ -389,7 +433,9 @@ def route_line(circuit: Circuit) -> Circuit:
             chain = swaps[b:a - 1]  # SWAP(b, b+1) first, up to SWAP(a-2, a-1)
             target = a - 1
         routed.extend(chain)
-        routed.append(GateInstance(gate.name, (a, target), gate.params, gate.matrix))
+        if (gate, target) not in moved:
+            moved[gate, target] = GateInstance(gate.name, (a, target), gate.params, gate.matrix)
+        routed.append(moved[gate, target])
         routed.extend(reversed(chain))
     return Circuit(circuit.num_qubits, tuple(routed))
 

@@ -127,20 +127,12 @@ _NEGATIVE_VALUE_FLAGS = ("--range", "--params", "--fusion-params")
 
 def _fold_negative_values(argv: list[str]) -> list[str]:
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (
-            token in _NEGATIVE_VALUE_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and not argv[i + 1].startswith("--")
-        ):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        # a folded flag no longer matches, so it takes one value at most
+        if out and out[-1] in _NEGATIVE_VALUE_FLAGS and token[:1] == "-" and token[:2] != "--":
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
-            i += 1
     return out
 
 
@@ -271,9 +263,7 @@ def _cmd_route(args) -> int:
     circuit = _load_circuit(args.input)
     routed = route_line(circuit)
     _write_text(args.output, serialize(routed))
-    stats = circuit_stats(routed)
-    stats["swaps_added"] = len(routed.gates) - len(circuit.gates)
-    _emit(stats)
+    _emit({**circuit_stats(routed), "swaps_added": len(routed.gates) - len(circuit.gates)})
     _diag(f"wrote {args.output}", args.quiet)
     return EXIT_OK
 

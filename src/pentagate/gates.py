@@ -63,23 +63,20 @@ def rotation(axis: str, theta: float) -> np.ndarray:
     return math.cos(half) * np.eye(2, dtype=np.complex128) - 1j * math.sin(half) * pauli(axis)
 
 
+_STANDARD = {
+    "H": _SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=np.complex128),
+    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
+    "CNOT": np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],
+    "SWAP": np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]],
+}
+
+
 def standard_gate(name: str) -> np.ndarray:
     """One of the fixed named gates H, S, CNOT, SWAP."""
-    if name == "H":
-        return _SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=np.complex128)
-    if name == "S":
-        return np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-    if name == "CNOT":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-            dtype=np.complex128,
-        )
-    if name == "SWAP":
-        return np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-            dtype=np.complex128,
-        )
-    raise UnknownGateError(f"unknown standard gate {name!r}")
+    try:
+        return _STANDARD[name].copy()
+    except KeyError:
+        raise UnknownGateError(f"unknown standard gate {name!r}") from None
 
 
 def _two_site_exponential(axis: str, theta) -> np.ndarray:

@@ -28,7 +28,9 @@ two full-register simulations however many passes rewrote. Only when it
 fails are the sites checked one by one, each on its own 3-qubit window:
 the gates a site skips touch none of its wires, so rewriting the site
 alone moves an n-qubit unitary by sqrt(2**(n-3)) times the distance of
-its 8x8 window.
+its 8x8 window. Sites with equal gates on their roles share one window.
+A pass builds each wire triple's written side once, and its sites on that
+triple share those gates.
 """
 
 from __future__ import annotations
@@ -257,11 +259,13 @@ def _instantiate(descriptor: FusionGateDescriptor, side, wires) -> list[GateInst
 
 def _apply_sites(circuit, sites, descriptor, side):
     removed = {i for site in sites for i in site.gate_indices}
-    first_index = {site.gate_indices[0]: site for site in sites}
+    first_index = {site.gate_indices[0]: site.wires for site in sites}
+    # each wire triple's side is built once; its sites share the gates
+    made = {wires: _instantiate(descriptor, side, wires) for wires in set(first_index.values())}
     out: list[GateInstance] = []
     for i, gate in enumerate(circuit.gates):
         if i in first_index:
-            out.extend(_instantiate(descriptor, side, first_index[i].wires))
+            out.extend(made[first_index[i]])
         if i in removed:
             continue
         out.append(gate)
@@ -343,12 +347,20 @@ def _verification_error(distance, tol, rewrites, descriptor, side):
     """The error for a failed rewrite, blaming the first site that fails alone.
 
     Sites are checked pass by pass; a site's indices refer to its pass's input.
+    Sites whose gates are equal on roles (a, b, c) have bitwise equal
+    windows, so each distinct one is simulated once.
     """
     head = f"rewrite is not equivalent to the input (phase distance {distance:.6g} >= {tol:.6g})"
-    largest = 0.0
+    largest, windows = 0.0, {}
     for p, (circuit, sites) in enumerate(rewrites, 1):
         for site in sites:
-            alone = _site_distance(circuit, site, descriptor, side)
+            role = {wire: i for i, wire in enumerate(site.wires)}
+            key = tuple((g.name, tuple(role[w] for w in g.wires), g.params,
+                         g.matrix is not None and g.matrix.tobytes())
+                        for g in map(circuit.gates.__getitem__, site.gate_indices))
+            if key not in windows:
+                windows[key] = _site_distance(circuit, site, descriptor, side)
+            alone = windows[key]
             if not alone < tol:
                 where = f" in pass {p}" if p > 1 else ""
                 return RewriteVerificationError(f"{head} at site {site}{where}; rolled back", site)

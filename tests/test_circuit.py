@@ -180,6 +180,94 @@ class TestParse:
             parse('{"qubits":0,"gates":[]}')
 
 
+#: A valid custom X gate on wire 0, as the JSON matrix of [re, im] pairs.
+X_ROWS = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+
+
+def _x_rows_with(i: int, j: int, k: int, value) -> list:
+    rows = json.loads(json.dumps(X_ROWS))
+    rows[i][j][k] = value
+    return rows
+
+
+class TestSharedGates:
+    """Equal gates share one checked object, and a cached twin never lets a gate through.
+
+    Each case puts a valid twin first, so its key is warm when the hostile
+    gate arrives; the message must be the one the gate gets on its own.
+    """
+
+    H1 = {"name": "H", "wires": [1]}
+    X0 = {"name": "custom", "wires": [0], "matrix": X_ROWS}
+
+    @pytest.mark.parametrize("twin, gate, message", [
+        (H1, {"name": "H", "wires": [True]}, "gates[1].wires[0]: expected an integer, got True"),
+        (H1, {"name": "H", "wires": [1.0]}, "gates[1].wires[0]: expected an integer, got 1.0"),
+        (H1, {"name": "H", "wires": [1], "matrix": None},
+         "gates[1].matrix: expected a non-empty array of rows"),
+        (H1, {"name": "H", "wires": [1], "zeta": 1}, "gates[1]: unknown field(s) ['zeta']"),
+        (H1, {"name": "H", "wires": [1], "params": [0.5]},
+         "gates[1].params: gate 'H' takes 0 parameter(s), got 1"),
+        (X0, {**X0, "matrix": _x_rows_with(0, 1, 0, True)},
+         "gates[1].matrix[0][1][0]: expected a number, got True"),
+        (X0, {**X0, "matrix": _x_rows_with(1, 1, 1, math.nan)},
+         "gates[1].matrix[1][1][1]: expected a finite number, got nan"),
+    ], ids=["bool_wire", "float_wire", "null_matrix", "unknown_field", "params_on_h",
+            "bool_matrix_entry", "nan_matrix_entry"])
+    def test_hostile_twin_gets_its_own_message(self, twin, gate, message):
+        with pytest.raises(SchemaError) as excinfo:
+            parse(json.dumps({"qubits": 2, "gates": [twin, gate, gate]}))
+        assert str(excinfo.value) == message
+
+    def test_failed_gate_is_not_cached(self):
+        nan = {**self.X0, "matrix": _x_rows_with(1, 1, 1, math.nan)}
+        with pytest.raises(SchemaError) as excinfo:
+            parse(json.dumps({"qubits": 1, "gates": [nan, nan]}))
+        assert str(excinfo.value) == "gates[0].matrix[1][1][1]: expected a finite number, got nan"
+
+    @pytest.mark.parametrize("entry, value", [((0, 1, 0), 1), ((0, 0, 0), -0.0)],
+                             ids=["int_for_float", "signed_zero"])
+    def test_respelled_matrix_entry_parses_to_the_same_gate(self, entry, value):
+        respelled = {**self.X0, "matrix": _x_rows_with(*entry, value)}
+        circuit = parse(json.dumps({"qubits": 1, "gates": [self.X0, respelled]}))
+        first, second = circuit.gates
+        assert first is not second
+        assert first.matrix.tobytes() == second.matrix.tobytes()
+        assert math.copysign(1.0, second.matrix[0, 0].real) == 1.0
+        once = '{"name": "custom", "wires": [0], "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}'
+        assert serialize(circuit) == '{"qubits": 1, "gates": [%s, %s]}' % (once, once)
+
+    def test_equal_gates_are_one_object(self):
+        cnot = {"name": "CNOT", "wires": [0, 1]}
+        gates = [cnot, self.H1, self.X0, cnot, {"name": "CNOT", "wires": [1, 0]}, self.X0,
+                 {"name": "RZ", "wires": [0], "params": [0.5]}] * 2
+        parsed = parse(json.dumps({"qubits": 2, "gates": gates})).gates
+        assert parsed[0] is parsed[3] is parsed[7] and parsed[2] is parsed[5]
+        assert parsed[4] is not parsed[0]
+        assert parsed[6] is not parsed[13]  # gates with parameters are built one by one
+        assert len({id(g) for g in parsed}) == 6
+
+    def test_custom_matrix_is_read_only(self):
+        gate = parse(json.dumps({"qubits": 1, "gates": [self.X0, self.X0]})).gates[0]
+        with pytest.raises(ValueError, match="read-only"):
+            gate.matrix[0, 0] = 1.0
+        built = GateInstance("custom", (0,), (), np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            built.matrix *= -1
+
+    @pytest.mark.parametrize("gates, message", [
+        ((0, 0, 1), "gates[2].wires: wire 5 out of range for 2 qubits"),
+        ((0, 1, 0, 1), "gates[1].wires: wire 5 out of range for 2 qubits"),
+        ((0, 0, 2, 1), "gates[2]: not a GateInstance"),
+        ((0, 0, 3, 1), "gates[2]: not a GateInstance"),
+    ], ids=["after_twin", "repeated_bad_gate", "not_a_gate", "unhashable"])
+    def test_register_check_names_the_first_bad_index(self, gates, message):
+        items = (GateInstance("H", (1,)), GateInstance("H", (5,)), "H", ["H", 1])
+        with pytest.raises(SchemaError) as excinfo:
+            Circuit(2, tuple(items[k] for k in gates))
+        assert str(excinfo.value) == message
+
+
 class TestSerialize:
     def test_round_trip_small(self):
         text = '{"qubits": 2, "gates": [{"name": "CNOT", "wires": [0, 1]}]}'
@@ -389,6 +477,21 @@ class TestDepth:
 
 
 class TestRouteLine:
+    def test_relocated_gate_is_built_once(self, rng, monkeypatch):
+        import pentagate.circuit
+
+        far = GateInstance("custom", (0, 3), (), haar_unitary(4, rng))
+        circuit = Circuit(4, (far, GateInstance("H", (1,)), far))
+        checked = []
+        is_unitary = pentagate.circuit.is_unitary
+        monkeypatch.setattr(pentagate.circuit, "is_unitary",
+                            lambda m, tol: checked.append(m.shape) or is_unitary(m, tol))
+        routed = route_line(circuit)
+        assert checked == [(4, 4)]
+        moved = [g for g in routed.gates if g.name == "custom"]
+        assert len(moved) == 2 and moved[0] is moved[1] and moved[0].wires == (0, 1)
+        assert circuit_distance(circuit, routed) < 1e-12
+
     def test_local_circuit_unchanged(self):
         c = Circuit(3, (GateInstance("CNOT", (0, 1)), GateInstance("H", (2,))))
         assert serialize(route_line(c)) == serialize(c)

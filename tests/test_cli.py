@@ -10,7 +10,7 @@ import re
 import pytest
 
 from pentagate import Circuit, parse, serialize
-from pentagate.cli import main
+from pentagate.cli import _fold_negative_values, main
 from conftest import nested_template_circuit, run_cli, template_circuit
 from test_rewrite import LOOSE_TOL, NEAR_IDENTITY
 
@@ -60,6 +60,20 @@ class TestCertifyCommand:
 
     def test_missing_command_usage_error(self):
         assert run_cli().returncode == 1
+
+
+@pytest.mark.parametrize("argv, folded", [
+    (["--range", "-1:1", "--step", "1"], ["--range=-1:1", "--step", "1"]),
+    (["--params", "-1,0", "--fusion-params", "-2"], ["--params=-1,0", "--fusion-params=-2"]),
+    (["--range", "--step", "-1"], ["--range", "--step", "-1"]),
+    (["--range", "-1", "-2"], ["--range=-1", "-2"]),
+    (["--range", "--", "-1"], ["--range", "--", "-1"]),
+    (["--params", "-"], ["--params=-"]),
+    (["--step", "-1", "--range"], ["--step", "-1", "--range"]),
+], ids=["range", "params", "flag_after_flag", "one_value_only", "double_dash", "bare_dash",
+        "flag_last"])
+def test_negative_values_fold_into_their_flag(argv, folded):
+    assert _fold_negative_values(argv) == folded
 
 
 class TestConstraintsCommand:

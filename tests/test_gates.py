@@ -79,6 +79,19 @@ class TestStandardGates:
         with pytest.raises(UnknownGateError):
             standard_gate("TOFFOLI")
 
+    def test_each_call_returns_its_own_bitwise_matrix(self):
+        literal = {
+            "H": (1.0 / math.sqrt(2.0)) * np.array([[1, 1], [1, -1]], dtype=np.complex128),
+            "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
+            "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                             dtype=np.complex128),
+        }
+        for name, expected in literal.items():
+            first = standard_gate(name)
+            assert first.dtype == np.complex128 and first.tobytes() == expected.tobytes()
+            first[0, 0] = 7.0
+            assert standard_gate(name).tobytes() == expected.tobytes()
+
 
 class TestTwoSiteExponentials:
     def test_xx_at_zero(self):

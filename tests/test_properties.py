@@ -276,6 +276,33 @@ def test_serialize_is_byte_for_byte_the_reference_serializer(circuit):
     assert serialize(circuit) == reference_serialize(circuit)
 
 
+@st.composite
+def repeated_circuits(draw):
+    """Up to 40 gates drawn from a small pool, as shared objects or as fresh copies."""
+    pool = draw(circuits())
+    if not pool.gates:
+        return pool
+    picks = draw(st.lists(st.integers(0, len(pool.gates) - 1), max_size=40))
+    gates = [pool.gates[k] for k in picks]
+    if draw(st.booleans()):
+        gates = [GateInstance(g.name, g.wires, g.params, g.matrix) for g in gates]
+    return Circuit(pool.num_qubits, tuple(gates))
+
+
+@PROPERTY_SETTINGS
+@given(repeated_circuits())
+def test_repeated_gates_serialize_as_the_reference_and_parse_to_shared_objects(circuit):
+    text = serialize(circuit)
+    assert text == reference_serialize(circuit)
+    parsed = parse(text)
+    assert serialize(parsed) == reference_serialize(parsed) == text
+    # equal gates without parameters parse to one object
+    seen = {}
+    for gate in parsed.gates:
+        if not gate.params:
+            assert seen.setdefault(serialize(Circuit(parsed.num_qubits, (gate,))), gate) is gate
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -297,6 +297,24 @@ class TestRebuildChecks:
         assert checked == [(4, 4)] * 2
         assert [g.name for g in out.gates] == ["custom"] * 4
 
+    def test_sites_on_one_triple_share_the_gates_written(self, monkeypatch):
+        import pentagate.circuit
+
+        z2 = group_algebra_fusion(CayleyTable.cyclic(2))
+        descriptor = describe_fusion_gate(matrix=z2, tol=1e-10)
+        t = lambda w: GateInstance("custom", w, (), z2)
+        swap = GateInstance("SWAP", (1, 2))
+        circuit = Circuit(3, (t((1, 2)), swap, t((0, 1)), swap, t((0, 1))) * 3)
+        checked = []
+        is_unitary = pentagate.circuit.is_unitary
+        monkeypatch.setattr(pentagate.circuit, "is_unitary",
+                            lambda m, tol: checked.append(m.shape) or is_unitary(m, tol))
+        out, report = compress(circuit, descriptor, verify=False)
+        assert report.sites_found == 3
+        # one pair of T gates for the wire triple, written at all three sites
+        assert checked == [(4, 4)] * 2
+        assert len(out.gates) == 6 and len({id(g) for g in out.gates}) == 2
+
 
 class TestTranspileDriver:
     @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -372,10 +390,10 @@ class TestInteractingSiteFailure:
         with pytest.raises(RewriteVerificationError):
             compress(four_sites, loose, verify=True, tol=LOOSE_TOL)
         assert sum(c is four_sites for c in simulations) == 1
-        # the input and the full rewrite, then each site's 5-gate window
-        # and the 2 gates that replace it
+        # the input and the full rewrite, then the 5-gate window the four
+        # equal sites share and the 2 gates that replace it
         assert simulations[0] is four_sites
-        assert [len(c.gates) for c in simulations] == [20, 8] + [5, 2] * 4
+        assert [len(c.gates) for c in simulations] == [20, 8, 5, 2]
 
     def test_diagnosis_simulates_only_windows(self, loose, simulations):
         # four sites on a 7-qubit register, each interleaved with a gate on
@@ -390,8 +408,29 @@ class TestInteractingSiteFailure:
             compress(circuit, loose, verify=True, tol=0.1)
         assert err.value.site is None
         assert "(largest single-site distance 0.0565685)" in str(err.value)
-        assert [c.num_qubits for c in simulations] == [7, 7] + [3] * (2 * 4)
+        # the four sites are equal on their roles, so they share one window
+        assert [c.num_qubits for c in simulations] == [7, 7, 3, 3]
         assert simulations[0] is circuit
+
+    def test_one_window_per_distinct_site(self, loose, simulations):
+        gates = []
+        for wires in ((0, 1, 2), (3, 4, 2), (0, 1, 2), (4, 3, 0), (0, 1, 2)):
+            gates += template_gates("A", NEAR_IDENTITY, wires)
+        # the same site with its SWAPs on (c, b): an equal unitary, but another gate tuple
+        t = lambda w: GateInstance("A", w, NEAR_IDENTITY)
+        swap = GateInstance("SWAP", (4, 3))
+        gates += [t((3, 4)), swap, t((2, 3)), swap, t((2, 3))]
+        circuit = Circuit(5, tuple(gates))
+        with pytest.raises(RewriteVerificationError) as err:
+            compress(circuit, loose, verify=True, tol=LOOSE_TOL)
+        assert str(err.value) == (
+            "rewrite is not equivalent to the input (phase distance 0.0979773 >= 0.03) yet "
+            "none of its 6 sites fails on its own (largest single-site distance 0.0282842): "
+            "the per-site errors add up; rolled back"
+        )
+        # two full registers, then a window and its replacement per distinct tuple
+        assert [c.num_qubits for c in simulations] == [5, 5, 3, 3, 3, 3]
+        assert [len(c.gates) for c in simulations[2:]] == [5, 2, 5, 2]
 
 
 class TestEndToEndVerification:
