@@ -10,9 +10,10 @@ which a neighbour on a shared host disturbs less than wall time.
 
 usage: python3 scripts/probe_circuit_io.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
-Prints one JSON object: per circuit and call, each side's median and
-quartiles in milliseconds, the ratio of the medians and the rounds the
-change won.
+ROUNDS is at least 2 (default 21). Prints one JSON object: per circuit and
+call, each side's median and quartiles in milliseconds, the ratio of the
+medians and the rounds the change won. Bad arguments print the usage line
+and exit 2.
 """
 
 from __future__ import annotations
@@ -28,13 +29,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load(checkout: str):
-    """Import pentagate from ``checkout``; earlier imports stay alive through their references."""
+def arguments(argv: list[str], doc: str) -> tuple[str, str, int] | None:
+    """(base, change, rounds) from the command line.
+
+    Otherwise prints the usage line of the script's docstring ``doc`` and
+    returns None: ROUNDS must be at least 2 for the quartiles.
+    """
+    if len(argv) in (2, 3) and (len(argv) == 2 or argv[2].isdigit() and int(argv[2]) >= 2):
+        return argv[0], argv[1], int(argv[2]) if len(argv) == 3 else 21
+    print(next(line for line in doc.splitlines() if line.startswith("usage:")), file=sys.stderr)
+    return None
+
+
+def load(checkout: str, *submodules: str):
+    """Import pentagate and ``submodules`` from ``checkout``.
+
+    Earlier imports stay alive through their references.
+    """
     for name in [m for m in sys.modules if m == "pentagate" or m.startswith("pentagate.")]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     try:
         module = importlib.import_module("pentagate")
+        for name in submodules:
+            importlib.import_module(f"pentagate.{name}")
     finally:
         sys.path.pop(0)
     if not Path(module.__file__).resolve().is_relative_to(Path(checkout).resolve()):
@@ -55,9 +73,37 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
+def paired(sides: dict, run, rounds: int, per_round: int = 1, unit: str = "ms") -> dict:
+    """Time ``run(module, side)`` on both sides, alternating which goes first.
+
+    Each round times ``per_round`` calls per side in process CPU time and
+    records the mean per call in ``unit`` (ms or us).
+    """
+    scale = {"ms": 1e3, "us": 1e6}[unit]
+    times = {side: [] for side in sides}
+    for k in range(rounds):
+        order = list(sides) if k % 2 == 0 else list(reversed(sides))
+        for side in order:
+            gc.collect()
+            started = time.process_time()
+            for _ in range(per_round):
+                run(sides[side], side)
+            times[side].append(scale * (time.process_time() - started) / per_round)
+    medians = {side: statistics.median(t) for side, t in times.items()}
+    return {
+        f"base_{unit}": {"median": medians["base"], "quartiles": quartiles(times["base"])},
+        f"change_{unit}": {"median": medians["change"], "quartiles": quartiles(times["change"])},
+        "ratio": medians["change"] / medians["base"],
+        "change_won": sum(b > a for a, b in zip(times["change"], times["base"])),
+        "rounds": rounds,
+    }
+
+
 def main(argv: list[str]) -> int:
-    base, change = argv[0], argv[1]
-    rounds = int(argv[2]) if len(argv) > 2 else 21
+    args = arguments(argv, __doc__)
+    if args is None:
+        return 2
+    base, change, rounds = args
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
 
@@ -75,23 +121,7 @@ def main(argv: list[str]) -> int:
             "parse": lambda pg, side: pg.parse(texts[side]),
         }
         for call, run in calls.items():
-            times = {side: [] for side in sides}
-            for k in range(rounds):
-                order = list(sides) if k % 2 == 0 else list(reversed(sides))
-                for side in order:
-                    gc.collect()
-                    started = time.process_time()
-                    run(sides[side], side)
-                    times[side].append(1e3 * (time.process_time() - started))
-            medians = {side: statistics.median(t) for side, t in times.items()}
-            report[f"{c['name']} {call}"] = {
-                "gates": len(c["gates"]),
-                "base_ms": {"median": medians["base"], "quartiles": quartiles(times["base"])},
-                "change_ms": {"median": medians["change"], "quartiles": quartiles(times["change"])},
-                "ratio": medians["change"] / medians["base"],
-                "change_won": sum(b > a for a, b in zip(times["change"], times["base"])),
-                "rounds": rounds,
-            }
+            report[f"{c['name']} {call}"] = {"gates": len(c["gates"]), **paired(sides, run, rounds)}
     print(json.dumps(report, indent=1))
     return 0
 

@@ -14,11 +14,15 @@ Exit codes are the scripting API:
 Reports go to standard output as deterministic JSON; diagnostics go to
 standard error and are silenced by --quiet. There is no configuration
 file and no environment lookup; flags are the whole interface.
+
+``main`` builds one parser per process, on its first call, so a caller
+that runs many commands in one process pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -145,7 +149,15 @@ def _emit(payload) -> None:
     print(jsonio.dumps(payload))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared after it.
+
+    ``parse_args`` returns a fresh namespace on every call and leaves the
+    parser as it was, so one parser serves every ``main`` call of a process.
+    It holds ``DEFAULT_TOLERANCE`` and ``SCAN_TOLERANCE`` as they were at
+    its first build.
+    """
     parser = _Parser(prog="pentagate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

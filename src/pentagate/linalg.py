@@ -140,17 +140,19 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
         )
     rest = [q for q in range(num_qubits) if q not in wires]
     eye = np.eye(d ** len(rest), dtype=np.complex128)
-    # u (x) I slice by slice, as the same broadcast product np.kron forms
-    full = u[..., :, np.newaxis, :, np.newaxis] * eye[:, np.newaxis, :]
     batch, size = u.shape[:-2], d**num_qubits
-    order = wires + rest  # tensor factor j of `full` is register wire order[j]
-    if order == list(range(num_qubits)):
+    if wires + rest == list(range(num_qubits)):
+        # u (x) I slice by slice, as the same broadcast product np.kron forms
+        full = u[..., :, np.newaxis, :, np.newaxis] * eye[:, np.newaxis, :]
         return full.reshape(batch + (size, size))
-    pos = [order.index(q) for q in range(num_qubits)]
-    axes = [len(batch) + p for p in pos]
-    tensor = full.reshape(batch + (d,) * (2 * num_qubits))
-    tensor = tensor.transpose(list(range(len(batch))) + axes + [a + num_qubits for a in axes])
-    return np.ascontiguousarray(tensor.reshape(batch + (size, size)))
+    # the same products, written through a view of the result whose axes run
+    # over u's row wires and column wires, then the identity's rows and columns
+    out = np.empty(batch + (size, size), dtype=np.complex128)
+    axes = [len(batch) + q + s for group in (wires, rest) for s in (0, num_qubits) for q in group]
+    view = out.reshape(batch + (d,) * (2 * num_qubits)).transpose([*range(len(batch)), *axes])
+    lift = u.reshape(batch + (d,) * (2 * k) + (1,) * (2 * len(rest)))
+    np.multiply(lift, eye.reshape((d,) * (2 * len(rest))), out=view)
+    return out
 
 
 def phase_distance(a, b) -> float:

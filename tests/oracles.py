@@ -103,3 +103,25 @@ def asap_depth(gate_wires) -> int:
         earlier = [layers[j] for j in range(i) if set(gate_wires[j]) & set(wires)]
         layers.append(max(earlier, default=0) + 1)
     return max(layers, default=0)
+
+
+def embed_by_transpose_copy(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
+    """``linalg.embed`` by the direct formula: form u (x) I, then copy it permuted.
+
+    The reference for the library's placement through a permuted view of
+    its result, which must give the same products bit for bit.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    wires = [int(w) for w in wires]
+    rest = [q for q in range(num_qubits) if q not in wires]
+    eye = np.eye(d ** len(rest), dtype=np.complex128)
+    full = u[..., :, np.newaxis, :, np.newaxis] * eye[:, np.newaxis, :]
+    batch, size = u.shape[:-2], d**num_qubits
+    order = wires + rest
+    if order == list(range(num_qubits)):
+        return full.reshape(batch + (size, size))
+    pos = [order.index(q) for q in range(num_qubits)]
+    axes = [len(batch) + p for p in pos]
+    tensor = full.reshape(batch + (d,) * (2 * num_qubits))
+    tensor = tensor.transpose(list(range(len(batch))) + axes + [a + num_qubits for a in axes])
+    return np.ascontiguousarray(tensor.reshape(batch + (size, size)))

@@ -4,13 +4,15 @@ Exit codes are the contract: 0 success/affirmative, 1 usage, 2 invalid
 input, 3 negative verdict.
 """
 
+import argparse
 import json
 import re
 
 import pytest
 
+import pentagate.cli
 from pentagate import Circuit, parse, serialize
-from pentagate.cli import _fold_negative_values, main
+from pentagate.cli import _fold_negative_values, build_parser, main
 from conftest import nested_template_circuit, run_cli, template_circuit
 from test_rewrite import LOOSE_TOL, NEAR_IDENTITY
 
@@ -438,3 +440,74 @@ class TestSimulationCounts:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["sites_found"] == levels
         assert len(simulations) == 2
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call; SystemExit gives its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _alone(argv, capsys):
+    """The outcome of ``argv`` as the first command of a process."""
+    build_parser.cache_clear()
+    return _outcome(argv, capsys)
+
+
+CERTIFY_CNOT = ["certify", "--gate", "CNOT"]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; a call leaves nothing for the next."""
+
+    @pytest.mark.parametrize("first", [
+        ["certify", "--gate", "CNOT", "--frobnicate"],
+        ["--help"],
+        ["certify", "--help"],
+        ["certify", "--gate", "CNOT", "--tol", "1e-3"],
+        ["certify", "--gate", "CNOT", "--quiet"],
+        ["scan", "--family", "a", "--range", "0:0", "--step", "1"],
+    ], ids=["usage_error", "help", "command_help", "tol", "quiet", "scan"])
+    def test_later_call_as_if_alone(self, first, capsys):
+        alone = _alone(CERTIFY_CNOT, capsys)
+        assert alone[0] == 0 and '"tolerance": 1e-10' in alone[1]
+        assert alone[2] == "verdict: fusion (residual 0)\n"
+        build_parser.cache_clear()
+        _outcome(first, capsys)
+        assert _outcome(CERTIFY_CNOT, capsys) == alone
+
+    def test_usage_error_then_help_output(self, capsys):
+        alone = _alone(["--help"], capsys)
+        assert alone[0] == 0 and alone[1].startswith("usage: pentagate")
+        assert _outcome(["certify", "--frobnicate"], capsys)[0] == 1
+        assert _outcome(["--help"], capsys) == alone
+
+    def test_scan_and_constraints_keep_their_own_tolerance(self, monkeypatch, capsys):
+        seen = []
+        scan = pentagate.cli.scan_fusion_solutions
+        monkeypatch.setattr(pentagate.cli, "scan_fusion_solutions",
+                            lambda family, grid, tol: seen.append(tol) or scan(family, grid, tol))
+        scan_argv = ["scan", "--family", "a", "--range", "0:0", "--step", "1", "--quiet"]
+        constraints_argv = ["constraints", "--family", "a", "--params", "0,0,0", "--quiet"]
+        alone = _alone(constraints_argv, capsys)
+        assert _outcome(scan_argv, capsys)[0] == 0
+        assert _outcome(constraints_argv, capsys) == alone
+        assert json.loads(alone[1])["tolerance"] == 1e-10
+        assert _outcome(scan_argv, capsys)[0] == 0
+        assert seen == [1e-9, 1e-9]
+
+    def test_second_call_adds_no_arguments(self, monkeypatch, capsys):
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                            lambda self, *a, **k: calls.append(a) or add_argument(self, *a, **k))
+        build_parser.cache_clear()
+        assert main(CERTIFY_CNOT + ["--quiet"]) == 0
+        built = len(calls)
+        assert built > 0
+        assert main(["constraints", "--family", "a", "--params", "0,0,0", "--quiet"]) == 0
+        assert len(calls) == built

@@ -20,6 +20,7 @@ Exact zeros must stay exact zeros, and null must stay null.
 
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -62,11 +63,9 @@ def _mask_rounding_distances(expected: str, actual: str) -> tuple[str, str]:
     return expected, actual
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_cli_output(case, tmp_path, monkeypatch, capsys):
-    out = tmp_path / "out.json"
+def _check_case(case, out, capsys):
+    """Run one golden case through ``main``, writing its circuit to ``out``."""
     argv = [arg.replace("{out}", str(out)) for arg in case["argv"]]
-    monkeypatch.chdir(GOLDEN)
     code = main(argv)
     stdout = capsys.readouterr().out
     assert code == case["exit"]
@@ -78,6 +77,21 @@ def test_golden_cli_output(case, tmp_path, monkeypatch, capsys):
         assert not out.exists()
     else:
         assert out.read_text(encoding="utf-8") == case["out"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_cli_output(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    _check_case(case, tmp_path / "out.json", capsys)
+
+
+def test_golden_cases_twice_in_one_process(tmp_path, monkeypatch, capsys):
+    # every case twice, shuffled, through the one parser main builds per process
+    order = CASES + CASES
+    random.Random(12).shuffle(order)
+    monkeypatch.chdir(GOLDEN)
+    for i, case in enumerate(order):
+        _check_case(case, tmp_path / f"out{i}.json", capsys)
 
 
 @pytest.mark.parametrize("old, new, same", [

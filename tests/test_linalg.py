@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra layer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from pentagate import (
     twist,
 )
 from conftest import haar_unitary
-from oracles import permutation_operator
+from oracles import embed_by_transpose_copy, permutation_operator
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -106,6 +107,26 @@ class TestEmbed:
             eu = embed(u, wires[:2], n)
             ev = embed(v, wires[2:], n)
             assert frobenius_norm(eu @ ev - ev @ eu) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("stack", [None, 1, 5], ids=["matrix", "stack1", "stack5"])
+    def test_bitwise_equal_to_the_transpose_copy(self, d, stack, rng):
+        # every wire order on 3 factors, with signed zeros among the entries
+        for k in (1, 2, 3):
+            for wires in itertools.permutations(range(3), k):
+                shape = (d**k, d**k) if stack is None else (stack, d**k, d**k)
+                u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                u.flat[::3] = complex(-0.0, -0.0)
+                u.flat[1::5] = complex(0.0, -0.0)
+                got, want = embed(u, wires, 3, d), embed_by_transpose_copy(u, wires, 3, d)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), wires
+
+    def test_bitwise_equal_to_the_transpose_copy_on_10_qubits(self, rng):
+        u = haar_unitary(4, rng)
+        u[0, 1] = complex(-0.0, -0.0)
+        got, want = embed(u, (3, 7), 10), embed_by_transpose_copy(u, (3, 7), 10)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
     def test_wire_errors(self):
         with pytest.raises(WireError):

@@ -25,7 +25,7 @@ from pentagate import (
     standard_gate,
     transpile,
 )
-from pentagate.rewrite import FusionGateDescriptor
+from pentagate.rewrite import MATCH_TOLERANCE, FusionGateDescriptor, _matches_fusion_gate
 from conftest import (
     GOLDEN_MATRICES,
     SITES_GOLDEN,
@@ -109,6 +109,25 @@ class TestFindCompressSites:
         descriptor = describe_fusion_gate(name="A", params=(0.0, 0.0, 0.0), tol=1e-10)
         circuit = template_circuit("A", (0.1, 0.0, 0.0))
         assert find_compress_sites(circuit, descriptor) == []
+
+    @pytest.mark.parametrize("phase, sites", [(5e-11, 1), (2e-10, 0)])
+    def test_custom_fusion_gate_matches_within_the_match_tolerance(self, phase, sites):
+        # a global phase keeps the gate unitary and moves each unit entry by about `phase`
+        z2 = group_algebra_fusion(CayleyTable.cyclic(2))
+        descriptor = describe_fusion_gate(matrix=z2, tol=1e-10)
+        shifted = z2 * np.exp(1j * phase)
+        assert (np.abs(shifted - z2).max() <= MATCH_TOLERANCE) == (sites == 1)
+        t = lambda w: GateInstance("custom", w, (), shifted)
+        swap = GateInstance("SWAP", (1, 2))
+        circuit = Circuit(3, (t((1, 2)), swap, t((0, 1)), swap, t((0, 1))))
+        assert len(find_compress_sites(circuit, descriptor)) == sites
+
+    @pytest.mark.parametrize("wires", [(0,), (0, 1, 2)], ids=["one_wire", "three_wires"])
+    def test_custom_gate_on_other_wire_counts_never_matches(self, wires):
+        z2 = group_algebra_fusion(CayleyTable.cyclic(2))
+        descriptor = describe_fusion_gate(matrix=z2, tol=1e-10)
+        gate = GateInstance("custom", wires, (), np.eye(2 ** len(wires)))
+        assert _matches_fusion_gate(gate, descriptor) is False
 
     def test_nonadjacent_wire_triple_matches(self, cnot_descriptor):
         circuit = template_circuit("CNOT", (), (4, 0, 2), num_qubits=5)
