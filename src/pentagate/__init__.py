@@ -75,7 +75,6 @@ from .linalg import (
     embed,
     frobenius_norm,
     is_unitary,
-    matrices_equal,
     phase_distance,
     twist,
 )

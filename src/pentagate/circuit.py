@@ -26,7 +26,15 @@ Simulation builds the full register unitary by tensor contraction: the
 unitary is held as a ``(2,) * n + (2**n,)`` tensor and each k-qubit gate
 is contracted into the axes of its wires, costing O(2**k * 4**n) per gate
 instead of the O(8**n) of multiplying by an embedded 2**n x 2**n gate.
-Registers stay capped at 12 qubits, because the result is still a dense
+A call allocates two register-sized buffers and no others. For each gate
+the tensor, with the gate's wires moved to the front, is copied into the
+free buffer, and ``np.dot`` writes the product back into the other one:
+the call and operands ``np.tensordot`` would use, so the same values. A
+gate whose matrix has only exact 0 and 1 entries, one 1 per row (X, CNOT,
+SWAP, permutation custom gates), is applied by copying rows in its order
+instead: the product would add ``1 * x`` to exact zeros, so the copy has
+the same values, and only the sign of a zero entry can differ. Registers
+stay capped at 12 qubits, because the result is still a dense
 2**n x 2**n matrix.
 """
 
@@ -361,20 +369,48 @@ def serialize(circuit: Circuit) -> str:
 def to_unitary(circuit: Circuit) -> np.ndarray:
     """Full register unitary; gate 0 is applied first.
 
-    Row axis j of the ``(2,) * n + (2**n,)`` tensor is wire j. A k-qubit
-    gate, reshaped to ``(2,) * 2k``, contracts its k input axes with the
-    axes of its wires; the k output axes land in front and move back to
-    those wire positions.
+    Row axis j of the ``(2,) * n + (2**n,)`` tensor ``u`` is wire j; ``u``
+    is a view of ``held``, one of two register-sized buffers. A k-qubit
+    gate's wires are moved to the front and the tensor is copied into the
+    other buffer as a ``2**k``-row matrix. A permutation gate's rows are
+    then copied in its order and the buffers swap roles; any other gate's
+    ``np.dot`` writes back into ``held``. The k output axes move back to
+    the gate's wires. At the end ``u`` is copied into the other buffer,
+    which is returned: C-contiguous and fresh on each call.
     """
     n = circuit.num_qubits
-    dim = 2**n
-    u = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
+    held = np.eye(2**n, dtype=np.complex128)
+    free = np.empty_like(held)
+    u = held.reshape((2,) * n + (-1,))
     for gate in circuit.gates:
         k = len(gate.wires)
-        g = resolved_matrix(gate).reshape((2,) * (2 * k))
-        u = np.tensordot(g, u, axes=(range(k, 2 * k), gate.wires))
-        u = np.moveaxis(u, range(k), gate.wires)
-    return u.reshape(dim, dim)
+        m = np.ascontiguousarray(resolved_matrix(gate))  # as tensordot's reshape passes it
+        moved = np.moveaxis(u, gate.wires, range(k))
+        if (rows := _permutation_rows(m)) is None:
+            np.copyto(free.reshape(moved.shape), moved)
+            np.dot(m, free.reshape(2**k, -1), out=held.reshape(2**k, -1))
+        else:
+            dest = free.reshape((2**k,) + moved.shape[k:])
+            for i, j in enumerate(rows):
+                np.copyto(dest[i], moved[np.unravel_index(j, (2,) * k)])
+            held, free = free, held
+        u = np.moveaxis(held.reshape(moved.shape), range(k), gate.wires)
+    np.copyto(free.reshape(u.shape), u)
+    return free
+
+
+def _permutation_rows(m: np.ndarray) -> np.ndarray | None:
+    """Column of the 1 in each row when ``m`` has only exact 0 and 1 entries,
+    one 1 per row; otherwise None.
+
+    Multiplying by such a matrix adds ``1 * x`` to exact zeros, so copying
+    row ``rows[i]`` into row i gives the product's values; only the sign of
+    a zero entry can differ, and ``==`` treats the two zeros as equal.
+    """
+    ones = m == 1
+    if (ones | (m == 0)).all() and (ones.sum(axis=1) == 1).all():
+        return ones.argmax(axis=1)
+    return None
 
 
 def circuit_distance(a: Circuit, b: Circuit) -> float:

@@ -61,16 +61,6 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def matrices_equal(a, b, tol: float) -> bool:
-    """Entrywise comparison: max |a - b| <= tol. tol=0 is exact equality."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        return False
-    if a.size == 0:
-        return True
-    return bool(np.max(np.abs(a - b)) <= tol)
-
-
 def is_unitary(a, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True iff ||a' a - I||_F < tol; requires a square matrix."""
     check_tolerance(tol)
@@ -163,7 +153,8 @@ def phase_distance(a, b) -> float:
     ||a - phi* b|| at the optimal phase phi* = tr(b' a) / |tr(b' a)|,
     which avoids the cancellation the raw radicand suffers near zero.
     The overlap tr(b' a) is the entrywise sum of conj(b) * a, so it costs
-    O(d^2) rather than the O(d^3) of forming b' a.
+    O(d^2) rather than the O(d^3) of forming b' a, and a - phi* b is
+    formed in one register-sized temporary.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
@@ -171,4 +162,5 @@ def phase_distance(a, b) -> float:
     overlap = complex(np.vdot(b, a))
     if abs(overlap) == 0.0:
         return math.sqrt(frobenius_norm(a) ** 2 + frobenius_norm(b) ** 2)
-    return frobenius_norm(a - (overlap / abs(overlap)) * b)
+    diff = np.multiply(overlap / abs(overlap), b)
+    return frobenius_norm(np.subtract(a, diff, out=diff))

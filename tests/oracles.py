@@ -7,6 +7,8 @@ with the library is a genuine cross-check rather than a tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -125,3 +127,38 @@ def embed_by_transpose_copy(u, wires, num_qubits: int, d: int = 2) -> np.ndarray
     tensor = full.reshape(batch + (d,) * (2 * num_qubits))
     tensor = tensor.transpose(list(range(len(batch))) + axes + [a + num_qubits for a in axes])
     return np.ascontiguousarray(tensor.reshape(batch + (size, size)))
+
+
+def matrices_equal(a, b, tol: float) -> bool:
+    """Entrywise comparison: max |a - b| <= tol. tol=0 is exact equality."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if a.shape != b.shape:
+        return False
+    if a.size == 0:
+        return True
+    return bool(np.max(np.abs(a - b)) <= tol)
+
+
+def to_unitary_reference(num_qubits: int, gates) -> np.ndarray:
+    """Register unitary by one ``np.tensordot`` and ``np.moveaxis`` per gate.
+
+    ``gates`` lists ``(matrix, wires)`` pairs, the first acting first. The
+    reference for ``circuit.to_unitary``'s two-buffer loop, which must give
+    the same values: it makes the same ``np.dot`` call on the same operands.
+    """
+    dim = 2**num_qubits
+    u = np.eye(dim, dtype=np.complex128).reshape((2,) * num_qubits + (dim,))
+    for matrix, wires in gates:
+        k = len(wires)
+        g = np.asarray(matrix).reshape((2,) * (2 * k))
+        u = np.tensordot(g, u, axes=(range(k, 2 * k), wires))
+        u = np.moveaxis(u, range(k), wires)
+    return u.reshape(dim, dim)
+
+
+def phase_distance_reference(a, b) -> float:
+    """``linalg.phase_distance`` with ``a - phi * b`` formed in two temporaries."""
+    overlap = complex(np.vdot(b, a))
+    if abs(overlap) == 0.0:
+        return math.sqrt(np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2)
+    return float(np.linalg.norm(a - (overlap / abs(overlap)) * b))

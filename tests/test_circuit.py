@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentagate import (
     Circuit,
@@ -14,17 +16,22 @@ from pentagate import (
     SchemaError,
     circuit_stats,
     circuit_distance,
+    compress,
     depth,
+    describe_fusion_gate,
     embed,
     frobenius_norm,
     parse,
+    phase_distance,
     resolved_matrix,
     route_line,
     serialize,
     to_unitary,
 )
-from pentagate.circuit import parse_matrix
-from conftest import haar_unitary, random_circuit, template_circuit
+from pentagate.circuit import _permutation_rows, parse_matrix
+from pentagate.gates import GATES
+from conftest import haar_unitary, random_circuit, template_circuit, template_gates
+from oracles import phase_distance_reference, to_unitary_reference
 
 PI = math.pi
 
@@ -427,6 +434,129 @@ class TestToUnitary:
         c = Circuit(2, (GateInstance("X", (0,)), GateInstance("CNOT", (0, 1))))
         state = to_unitary(c)[:, 0]
         assert state[3] == pytest.approx(1.0)
+
+
+def reference_unitary(circuit: Circuit) -> np.ndarray:
+    return to_unitary_reference(circuit.num_qubits, [(resolved_matrix(g), g.wires) for g in circuit.gates])
+
+
+def reference_distance(a: Circuit, b: Circuit) -> float:
+    return phase_distance_reference(reference_unitary(a), reference_unitary(b))
+
+
+def near_permutation(perm: np.ndarray) -> np.ndarray:
+    """``perm`` times a rotation by 1e-12 in the plane of basis states 0 and 1."""
+    rotation = np.eye(len(perm), dtype=complex)
+    c, s = math.cos(1e-12), math.sin(1e-12)
+    rotation[:2, :2] = [[c, -s], [s, c]]
+    return perm @ rotation
+
+
+@st.composite
+def simulator_gates(draw, n: int) -> GateInstance:
+    """Any named gate, or as often a custom gate on 1-3 wires: Haar-random,
+    an exact permutation, a signed permutation or a near-permutation."""
+    name = draw(st.one_of(st.sampled_from(tuple(GATES)), st.just("custom")))
+    arity = draw(st.integers(1, min(n, 3))) if name == "custom" else GATES[name][0]
+    if arity > n:
+        name, arity = "H", 1
+    wires = tuple(draw(st.permutations(range(n)))[:arity])
+    if name != "custom":
+        params = draw(st.lists(st.floats(-10.0, 10.0), min_size=GATES[name][1], max_size=GATES[name][1]))
+        return GateInstance(name, wires, tuple(params))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = np.eye(2**arity, dtype=complex)[rng.permutation(2**arity)]
+    kind = draw(st.sampled_from(("haar", "permutation", "signed", "near")))
+    matrix = {"haar": lambda: haar_unitary(2**arity, rng), "permutation": lambda: perm,
+              "signed": lambda: -perm, "near": lambda: near_permutation(perm)}[kind]()
+    return GateInstance("custom", wires, (), matrix)
+
+
+@st.composite
+def simulator_circuits(draw, max_qubits: int = 8) -> Circuit:
+    n = draw(st.integers(1, max_qubits))
+    return Circuit(n, tuple(draw(st.lists(simulator_gates(n), max_size=10))))
+
+
+SIMULATOR_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestTwoBufferSimulator:
+    """``to_unitary`` against the one-``tensordot``-per-gate reference.
+
+    The dense path makes the reference's ``np.dot`` call on the same
+    operands, and the permutation path copies the rows the product would
+    sum with exact zeros, so the values must be equal. Comparisons use
+    ``==``, which treats -0.0 and 0.0 as equal: the sign of a zero entry
+    is the one thing the row copy may change.
+    """
+
+    @SIMULATOR_SETTINGS
+    @given(simulator_circuits())
+    def test_equals_the_tensordot_reference(self, circuit):
+        assert np.array_equal(to_unitary(circuit), reference_unitary(circuit))
+
+    @SIMULATOR_SETTINGS
+    @given(st.data())
+    def test_distance_of_circuits_one_gate_apart(self, data):
+        a = data.draw(simulator_circuits(max_qubits=6))
+        gates = list(a.gates) or [GateInstance("I", (0,))]
+        gates[data.draw(st.integers(0, len(gates) - 1))] = data.draw(simulator_gates(a.num_qubits))
+        b = Circuit(a.num_qubits, tuple(gates))
+        assert circuit_distance(a, b) == reference_distance(a, b)
+
+    @SIMULATOR_SETTINGS
+    @given(st.integers(3, 6), st.sampled_from(("CNOT", "A")), st.integers(0, 2**32 - 1))
+    def test_distance_across_a_rewrite(self, n, name, seed):
+        # CNOT rewrites exactly; the A gate near the identity is only close to a solution
+        params = (0.01, 0.0, 0.0) if name == "A" else ()
+        rng = np.random.default_rng(seed)
+        filler = random_circuit(rng, n, 4).gates
+        wires = tuple(int(w) for w in rng.permutation(n)[:3])
+        circuit = Circuit(n, filler[:2] + tuple(template_gates(name, params, wires)) + filler[2:])
+        rewritten, report = compress(circuit, describe_fusion_gate(name, params, tol=1.0), verify=False)
+        assert report.sites_found == 1
+        assert circuit_distance(circuit, rewritten) == reference_distance(circuit, rewritten)
+
+    def test_permutation_rows_only_for_exact_zero_one_rows(self):
+        perm = np.eye(8, dtype=complex)[[3, 0, 7, 1, 2, 6, 4, 5]]
+        assert list(_permutation_rows(perm)) == [3, 0, 7, 1, 2, 6, 4, 5]
+        for other in (near_permutation(perm), -perm, 1j * perm, np.ones((8, 8)) / 8**0.5):
+            assert _permutation_rows(other) is None
+        assert list(_permutation_rows(resolved_matrix(GateInstance("CNOT", (0, 1))))) == [0, 1, 3, 2]
+
+    @pytest.mark.parametrize("wires", [(0, 1), (1, 0), (2, 0)])
+    def test_result_is_c_contiguous_and_unaliased(self, rng, wires):
+        for gates in ((), (GateInstance("XX", wires, (0.3,)),), (GateInstance("CNOT", wires),)):
+            c = Circuit(3, gates)
+            first, second = to_unitary(c), to_unitary(c)
+            assert first.flags.c_contiguous and first.shape == (8, 8)
+            assert not np.shares_memory(first, second)
+            second[0, 0] = 7.0
+            assert np.array_equal(first, to_unitary(c))
+
+    def test_zero_gate_circuit_is_the_identity(self):
+        for n in (1, 5, 9):
+            u = to_unitary(Circuit(n, ()))
+            assert u.flags.c_contiguous and np.array_equal(u, np.eye(2**n, dtype=complex))
+
+    def test_custom_matrices_are_never_written(self, rng):
+        gates = [GateInstance("custom", (0, 2), (), haar_unitary(4, rng)),
+                 GateInstance("custom", (1, 2, 0), (), np.eye(8, dtype=complex)[rng.permutation(8)])]
+        before = [g.matrix.copy() for g in gates]
+        assert not any(g.matrix.flags.writeable for g in gates)
+        to_unitary(Circuit(3, tuple(gates * 3)))
+        for g, m in zip(gates, before):
+            assert g.matrix.tobytes() == m.tobytes()
+
+    def test_phase_distance_is_the_two_temporary_formula(self, rng):
+        for dim in (2, 8, 32):
+            for _ in range(20):
+                a, b = haar_unitary(dim, rng), haar_unitary(dim, rng)
+                a_in, b_in = a.copy(), b.copy()
+                assert phase_distance(a, b) == phase_distance_reference(a, b)
+                assert phase_distance(a, a * np.exp(0.7j)) == phase_distance_reference(a, a * np.exp(0.7j))
+                assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
 
 
 class TestEquivalence:

@@ -16,7 +16,6 @@ from pentagate import (
     group_algebra_fusion,
     heisenberg_evolution,
     is_unitary,
-    matrices_equal,
     pauli,
     rotation,
     scan_fusion_solutions,
@@ -27,6 +26,7 @@ from pentagate import (
 )
 from pentagate.errors import UnknownGateError
 from pentagate.gates import GATES
+from oracles import matrices_equal
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)

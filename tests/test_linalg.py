@@ -12,14 +12,13 @@ from pentagate import (
     embed,
     frobenius_norm,
     is_unitary,
-    matrices_equal,
     pauli,
     phase_distance,
     standard_gate,
     twist,
 )
 from conftest import haar_unitary
-from oracles import embed_by_transpose_copy, permutation_operator
+from oracles import embed_by_transpose_copy, matrices_equal, permutation_operator
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
