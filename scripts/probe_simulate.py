@@ -44,15 +44,13 @@ GATES_AT = {8: 40, 10: 12, 12: 4}
 DISTANCE_GATES = [("XX", (0, 11), (0.3,)), ("CNOT", (5, 2), ()), ("H", (7,), ()),
                   ("A", (3, 9), (0.1, 0.2, 0.3)), ("RZ", (4,), (0.5,))]
 
-#: A child process that prints the peak RSS in MB of one circuit_distance.
+#: A child process that prints the peak RSS in MB of one circuit_distance;
+#: its arguments are the checkout's src directory and this script's directory.
 CHILD = """
 import resource, sys
-sys.path.insert(0, sys.argv[1])
-import pentagate as pg
-gates = [(n, tuple(w), tuple(p)) for n, w, p in {gates!r}]
-a = pg.Circuit(12, [pg.GateInstance(*g) for g in gates])
-b = pg.Circuit(12, [pg.GateInstance(*g) for g in gates[:-1]] + [pg.GateInstance("RZ", (4,), (0.6,))])
-pg.circuit_distance(a, b)
+sys.path[:0] = sys.argv[1:]
+import pentagate, probe_simulate
+pentagate.circuit_distance(*probe_simulate.distance_pair(pentagate))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
@@ -77,10 +75,9 @@ def per_gate(result: dict, count: int) -> dict:
 
 
 def peak_rss_mb(checkout: str) -> float:
-    code = CHILD.format(gates=DISTANCE_GATES)
     src = str(Path(checkout).resolve() / "src")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
-    return float(out.stdout)
+    argv = [sys.executable, "-c", CHILD, src, str(Path(__file__).resolve().parent)]
+    return float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
 
 
 def main(argv: list[str]) -> int:
