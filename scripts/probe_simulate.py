@@ -7,8 +7,8 @@ Times, on each checkout and alternating the sides as
   cost of a call (its buffers, the identity and the returned copy);
 - ``to_unitary`` of a circuit of dense 2-qubit gates (XX) and of one of
   permutation gates (CNOT) at 8, 10 and 12 qubits, on scattered wires,
-  reported per call and per gate (the call time over the gate count, the
-  fixed cost included);
+  reported per gate (the call time over the gate count, the fixed cost
+  included);
 - ``circuit_distance`` of two 12-qubit circuits of a few gates that differ
   in one gate.
 
