@@ -34,17 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import EquationResidual, pentagon_residual, pentagon_stack
-from .errors import DimensionError, GridError, NonUnitaryError
+from .equations import EquationResidual, _checked, pentagon_residual, pentagon_stack
+from .errors import GridError, NonUnitaryError
 from .gates import FOUR_PI, a_gate, heisenberg_evolution
 from .jsonio import complex_pair
 from .linalg import (
     DEFAULT_TOLERANCE,
-    as_matrix,
+    check_integer,
     check_tolerance,
     frobenius_norm,
     is_unitary,
-    to_float,
+    real,
+    reals,
 )
 
 #: Default grid-scan tolerance on the pentagon residual.
@@ -80,11 +81,9 @@ def _family(family: str):
 
 
 def _triple(params) -> tuple[float, float, float]:
-    values = tuple(map(to_float, params))
+    values = reals(params, "parameters")
     if len(values) != 3:
         raise ValueError(f"expected a parameter triple, got {len(values)} values")
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"parameters must be finite, got {list(values)}")
     return values
 
 
@@ -151,21 +150,18 @@ def certify(
     than a not_fusion verdict.
     """
     tol = check_tolerance(tol)
-    t = as_matrix(t)
-    if t.shape != (d * d, d * d):
-        raise DimensionError(
-            f"gate of shape {t.shape} does not act on two factors of dimension {d}"
-        )
+    params = reals(params, "gate parameters")
+    t = _checked(t, d)
     if not is_unitary(t, tol=max(tol, 1e-12)):
         raise NonUnitaryError("candidate gate is not unitary; certification refused")
     res = pentagon_residual(t, d)
     verdict = "fusion" if res.residual < tol else "not_fusion"
     return CertificationReport(
         gate_name=name,
-        gate_params=tuple(float(p) for p in params),
+        gate_params=params,
         equation=res.equation,
         residual=res.residual,
-        tolerance=float(tol),
+        tolerance=tol,
         verdict=verdict,
         # an exact solution has no mismatch, so skip sorting the d**6 entries
         witnesses=_witnesses(res) if res.mismatch.any() else (),
@@ -228,7 +224,7 @@ def constraints(family: str, params, tol: float = DEFAULT_TOLERANCE) -> Constrai
         entry_residuals=entries,
         active_count=int(np.count_nonzero(entries > tol)),
         max_residual=float(entries.max()),
-        tolerance=float(tol),
+        tolerance=tol,
     )
 
 
@@ -287,11 +283,11 @@ def axis_points(lo: float, hi: float, step: float) -> list[float]:
 
 def _normalize_axes(axes):
     axes = list(axes)
-    if len(axes) == 3 and all(np.isscalar(a) for a in axes):
+    if len(axes) == 3 and not any(map(np.ndim, axes)):
         axes = [tuple(axes)] * 3
     if len(axes) != 3:
         raise GridError("expected one (lo, hi, step) triple or three of them")
-    return [tuple(float(x) for x in axis) for axis in axes]
+    return [tuple(real(x, "grid bounds and step", GridError) for x in axis) for axis in axes]
 
 
 def scan_fusion_solutions(
@@ -380,14 +376,19 @@ def refine(
     improves. Terminates with success when the residual drops below
     ``tol`` and with failure when the step shrinks below ``MIN_REFINE_STEP``
     or the iteration budget runs out while the residual is still above
-    tolerance.
+    tolerance. Raises ValueError before the first evaluation unless
+    ``initial_step`` is finite and positive and ``max_iters`` is an integer
+    of at least 0.
     """
     tol = check_tolerance(tol)
     build, _ = _family(family)
     point = np.asarray(_triple(start), dtype=float)
+    step = real(initial_step, "initial_step")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"initial_step must be finite and positive, got {initial_step!r}")
+    check_integer(max_iters, "max_iters", 0, ValueError)
     value = pentagon_residual(build(*point), 2).residual
     evaluations = 1
-    step = float(initial_step)
     iterations = 0
     while value >= tol and step >= MIN_REFINE_STEP and iterations < max_iters:
         trials = np.tile(point, (6, 1))

@@ -43,14 +43,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import jsonio
 from .errors import DimensionError, SchemaError
-from .gates import GATES, gate_matrix
-from .linalg import MAX_QUBITS, as_matrix, is_unitary, phase_distance
+from .gates import GATES
+from .linalg import MAX_QUBITS, as_matrix, check_integer, is_unitary, phase_distance, real
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -58,27 +59,21 @@ CUSTOM_UNITARY_TOLERANCE = 1e-10
 CUSTOM = "custom"
 
 
-#: Wire indices and parameters may be Python or numpy numbers, never bools.
-_INTEGER = (int, np.integer)
-_REAL = (int, float, np.integer, np.floating)
-
-#: The largest finite float; comparing with it keeps huge integers exact.
-_FLOAT_MAX = sys.float_info.max
-
-
 def _number(value, where: str) -> float:
-    """``value`` as a float; SchemaError unless a finite real number."""
-    if isinstance(value, bool) or not isinstance(value, _REAL):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+    """``value`` read by ``linalg.real``; SchemaError naming ``where`` unless finite."""
+    x = real(value, where, SchemaError)
+    if not math.isfinite(x):
         raise SchemaError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    return x
 
 
 def _integers(wires: tuple) -> tuple[int, ...]:
-    """``wires`` as Python ints; SchemaError at the first non-integer (bools included)."""
+    """``wires`` as Python ints; SchemaError at the first non-integer.
+
+    Python and numpy integers count; bools do not.
+    """
     for j, w in enumerate(wires):
-        if isinstance(w, bool) or not isinstance(w, _INTEGER):
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
             raise SchemaError(f"wires[{j}]: expected an integer, got {w!r}")
     return tuple(map(int, wires))
 
@@ -129,7 +124,7 @@ class GateInstance:
         object.__setattr__(self, "wires", wires)
         params = tuple(self.params)
         for p in params:
-            if type(p) is not float or not (-_FLOAT_MAX <= p <= _FLOAT_MAX and p != 0.0):
+            if type(p) is not float or not (math.isfinite(p) and p != 0.0):
                 params = _reals(params)
                 break
         object.__setattr__(self, "params", params)
@@ -169,10 +164,14 @@ class GateInstance:
 
 
 def resolved_matrix(gate: GateInstance) -> np.ndarray:
-    """The unitary a gate instance denotes."""
+    """The unitary a gate instance denotes.
+
+    The gate's parameters were checked when it was built, so its
+    constructor in ``GATES`` builds the matrix without checking them again.
+    """
     if gate.name == CUSTOM:
         return gate.matrix
-    return gate_matrix(gate.name, gate.params)
+    return GATES[gate.name][2](*gate.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +188,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         n = self.num_qubits
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise SchemaError(f"qubits: must be a positive integer, got {n!r}")
+        check_integer(n, "qubits:", error=SchemaError)
         if n > MAX_QUBITS:
             raise SchemaError(f"qubits: register of {n} exceeds the {MAX_QUBITS}-qubit cap")
         # Check each distinct object once, keyed by identity so that no

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, embed, twist
+from .linalg import DEFAULT_TOLERANCE, as_matrix, check_integer, check_tolerance, embed, twist
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +84,7 @@ def _checked(t, d: int) -> np.ndarray:
 
 
 def _check_shape(t: np.ndarray, d: int) -> None:
-    if d < 1:
-        raise DimensionError("local dimension must be positive")
+    check_integer(d, "local dimension")
     if t.shape[-2:] != (d * d, d * d):
         raise DimensionError(
             f"operator of shape {t.shape} is not {d * d}x{d * d} (local dimension {d})"

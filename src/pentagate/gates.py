@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGroupError, UnknownGateError
-from .linalg import to_float
+from .linalg import reals
 
 FOUR_PI = 4.0 * math.pi
 
@@ -194,8 +194,6 @@ class CayleyTable:
     @classmethod
     def cyclic(cls, n: int) -> "CayleyTable":
         """The cyclic group Z_n with addition mod n."""
-        if n < 1:
-            raise InvalidGroupError("cyclic group order must be positive")
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return cls(n, table, 0)
 
@@ -275,11 +273,9 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
         _, expected, build = GATES[name]
     except KeyError:
         raise UnknownGateError(f"unknown gate name {name!r}") from None
-    params = tuple(map(to_float, params))
+    params = reals(params, f"gate {name!r} parameters")
     if len(params) != expected:
         raise ValueError(
             f"gate {name!r} takes {expected} parameter(s), got {len(params)}"
         )
-    if not all(map(math.isfinite, params)):
-        raise ValueError(f"gate {name!r} parameters must be finite, got {list(params)}")
     return build(*params)

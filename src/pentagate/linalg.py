@@ -1,4 +1,20 @@
-"""Dense complex linear algebra on tensor-product registers.
+"""Dense complex linear algebra on tensor-product registers, and the number rules.
+
+Two functions here decide what the package takes as a number:
+
+  - ``real`` is the one test of a real number. It accepts a Python or
+    numpy int or float, never a bool, and reads a value past the float
+    range as a signed infinity, comparing integers exactly. Every library
+    entry that takes a real goes through it: gate parameters
+    (``GateInstance``, ``gate_matrix``, ``certify(params=...)``), custom
+    matrix entries, the family triples of ``constraints`` and ``refine``,
+    ``refine``'s ``initial_step``, every ``tol`` (``check_tolerance``) and
+    the scan grid bounds and steps. Each entry then refuses a value that
+    is not finite with its own error class and message.
+  - ``check_integer`` is the one test of a count: a Python or numpy int,
+    never a bool, of at least a bound. It checks the local dimension
+    ``d`` of the equations, ``embed`` and ``twist``, the register size of
+    ``embed`` and ``Circuit``, and ``refine``'s ``max_iters``.
 
 Conventions used throughout the package:
 
@@ -12,6 +28,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -24,16 +41,44 @@ DEFAULT_TOLERANCE = 1e-10
 MAX_QUBITS = 12
 
 
-def to_float(value) -> float:
-    """``float(value)``, reading a number beyond float range as a signed infinity.
+#: The numbers ``real`` accepts: Python or numpy ints and floats, never bools.
+_REAL = (int, float, np.integer, np.floating)
 
-    ``float`` raises OverflowError for such an integer; callers reject the
-    infinity with their own finiteness check and its message.
+#: The largest finite float; comparing with it keeps huge integers exact.
+_FLOAT_MAX = sys.float_info.max
+
+
+def real(value, where: str, error=ValueError) -> float:
+    """``value`` as a float; ``error`` naming ``where`` unless a real number.
+
+    A bool, string, complex number or None is refused. A value past the
+    float range reads as a signed infinity, so callers refuse it with
+    their own finiteness check and its message. An integer is compared
+    with the range exactly: ``int(sys.float_info.max) + 1`` is past it,
+    although ``float`` would round it down to the largest float.
     """
-    try:
-        return float(value)
-    except OverflowError:
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        raise error(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return math.inf if value > 0 else -math.inf
+    return float(value)
+
+
+def reals(values, what: str) -> tuple[float, ...]:
+    """``values`` read by ``real``; ValueError naming ``what`` unless all are finite."""
+    values = tuple(real(v, what) for v in values)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {list(values)}")
+    return values
+
+
+def check_integer(value, what: str, least: int = 1, error=DimensionError) -> None:
+    """Raise ``error`` naming ``what`` unless ``value`` is an integer of at least ``least``.
+
+    Python and numpy integers count; bools do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{what} must be an integer of at least {least}, got {value!r}")
 
 
 def check_tolerance(tol) -> float:
@@ -43,7 +88,7 @@ def check_tolerance(tol) -> float:
     so zero, negative or non-finite values would silently decide every
     comparison the same way.
     """
-    value = to_float(tol)
+    value = real(tol, "tolerance")
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     return value
@@ -76,15 +121,13 @@ def twist(d: int) -> np.ndarray:
 
     Symmetric and involutive; for d=2 this is the SWAP gate.
     """
-    if d < 1:
-        raise DimensionError("twist needs a positive dimension")
+    check_integer(d, "local dimension")
     eye = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
     return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def _check_wires(wires, num_qubits: int) -> None:
-    if num_qubits < 1:
-        raise WireError("register must have at least one qubit")
+    check_integer(num_qubits, "register size", error=WireError)
     if num_qubits > MAX_QUBITS:
         raise DimensionError(
             f"register of {num_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap"
@@ -122,6 +165,7 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
         )
     wires = list(wires)
     _check_wires(wires, num_qubits)
+    check_integer(d, "local dimension")
     wires = [int(w) for w in wires]
     k = len(wires)
     if u.shape[-2:] != (d**k, d**k):

@@ -76,9 +76,8 @@ def describe_fusion_gate(
     custom 4x4 matrix. The gate is built on wires (0, 1) first, so a gate
     no circuit could hold raises SchemaError naming the fusion gate.
     Raises UncertifiedGateError when the pentagon residual is at or above
-    ``tol``.
+    ``tol``, which ``certify`` checks.
     """
-    check_tolerance(tol)
     if matrix is not None:
         name = CUSTOM
     elif name is None:
@@ -91,7 +90,7 @@ def describe_fusion_gate(
     if not report.is_fusion:
         raise UncertifiedGateError(
             f"gate {report.gate_name!r} is not a fusion operator: pentagon residual "
-            f"{report.residual:.6g} >= tolerance {tol:.6g}",
+            f"{report.residual:.6g} >= tolerance {report.tolerance:.6g}",
             report=report,
         )
     return FusionGateDescriptor(gate, report)

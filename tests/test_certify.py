@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,11 @@ from pentagate import (
     transpile,
 )
 from pentagate.certify import IDENTITY_CLASS, axis_points
-from pentagate.errors import GridError
+from pentagate.circuit import GateInstance, _decode_matrix
+from pentagate.errors import GridError, SchemaError
+from pentagate.gates import gate_matrix
 from pentagate import jsonio
-from conftest import haar_unitary
+from conftest import haar_unitary, template_circuit
 
 PI = math.pi
 I4 = np.eye(4, dtype=complex)
@@ -419,3 +422,87 @@ class TestToleranceValidation:
         # float() of such an integer overflows; it must read as non-finite
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             certify(standard_gate("CNOT"), tol=10**400)
+
+
+#: Values that are no real number, or no finite one, for ``linalg.real``'s rule.
+NOT_FINITE_REALS = [True, "0.5", 1j, None, math.nan, math.inf, 10**400,
+                    int(sys.float_info.max) + 1]
+NOT_FINITE_REAL_IDS = ["bool", "string", "complex", "none", "nan", "inf", "huge_integer",
+                       "float_max_plus_one"]
+
+#: Finite real numbers the rule accepts, Python and numpy ones.
+FINITE_REALS = [0.5, 2, np.float32(0.5), np.int64(2)]
+
+
+def _real_takers():
+    """Every library entry that takes a real number: name -> (call of the value, error class).
+
+    Each call puts the value in one real argument; the class is the one the
+    entry raises for its other refusals.
+    """
+    cnot = standard_gate("CNOT")
+    takers = {
+        "GateInstance": (lambda v: GateInstance("RZ", (0,), (v,)), SchemaError),
+        "custom_matrix_entry": (lambda v: _decode_matrix([[[v, 0.0]]], "m"), SchemaError),
+        "gate_matrix": (lambda v: gate_matrix("A", (0.0, v, 0.0)), ValueError),
+        "constraints": (lambda v: constraints("a", (v, 0.0, 0.0)), ValueError),
+        "refine_start": (lambda v: refine((0.0, 0.0, v), "heis", max_iters=2), ValueError),
+        "refine_initial_step": (lambda v: refine((0.1, 0.0, 0.0), initial_step=v, max_iters=2),
+                                ValueError),
+        "scan_bound": (lambda v: scan_fusion_solutions("a", (0.0, v, 1.0)), GridError),
+        "scan_step": (lambda v: scan_fusion_solutions("heis", [(0.0, 1.0, v)] * 3), GridError),
+        "certify_params": (lambda v: certify(cnot, params=(v,)), ValueError),
+    }
+    for name, call in _tolerance_takers().items():
+        takers[f"tol_{name}"] = (call, ValueError)
+    return takers
+
+
+class TestOneNumberRule:
+    """Every entry that takes a real applies ``linalg.real`` and refuses what is not finite."""
+
+    @pytest.mark.parametrize("name", sorted(_real_takers()))
+    @pytest.mark.parametrize("value", NOT_FINITE_REALS, ids=NOT_FINITE_REAL_IDS)
+    def test_refuses(self, name, value):
+        call, error = _real_takers()[name]
+        with pytest.raises(error):
+            call(value)
+
+    # comparing a numpy float32 with the float range once warned of an overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(_real_takers()))
+    def test_accepts(self, name):
+        call, _ = _real_takers()[name]
+        for value in FINITE_REALS:
+            call(value)
+
+    def test_true_is_no_tolerance(self):
+        # read as 1.0, True would certify this non-solution (residual 1.4e-6)
+        # and accept any rewrite within phase distance 1
+        with pytest.raises(ValueError, match="tolerance: expected a number, got True"):
+            describe_fusion_gate("A", (1e-6, 0, 0), tol=True)
+        descriptor = describe_fusion_gate("CNOT")
+        with pytest.raises(ValueError, match="tolerance: expected a number, got True"):
+            transpile(template_circuit(), descriptor, "compress", tol=True)
+
+    def test_certify_checks_params_before_the_kernel(self, monkeypatch):
+        module = importlib.import_module("pentagate.certify")
+        monkeypatch.setattr(module, "pentagon_residual", None)  # any kernel call fails
+        with pytest.raises(ValueError, match="gate parameters: expected a number, got 'x'"):
+            certify(group_algebra_fusion(CayleyTable.cyclic(3)), 3, params=("x",))
+
+
+class TestRefineEntryChecks:
+    @pytest.mark.parametrize("step", [0.0, -0.25, math.inf, math.nan, "0.25"])
+    def test_initial_step_is_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="initial_step"):
+            refine((0.1, 0.0, 0.0), initial_step=step)
+
+    @pytest.mark.parametrize("budget", [-1, 2.5, "5", True, None])
+    def test_max_iters_is_an_integer_of_at_least_zero(self, budget):
+        with pytest.raises(ValueError, match="max_iters must be an integer of at least 0"):
+            refine((0.1, 0.0, 0.0), max_iters=budget)
+
+    def test_budgets_at_the_bounds_run(self):
+        assert refine((0.1, 0.0, 0.0), max_iters=0).iterations == 0
+        assert refine((0.1, 0.0, 0.0), max_iters=np.int64(3)).iterations == 3

@@ -29,7 +29,7 @@ from pentagate import (
     to_unitary,
 )
 from pentagate.circuit import _permutation_rows, parse_matrix
-from pentagate.gates import GATES
+from pentagate.gates import GATES, gate_matrix
 from conftest import haar_unitary, random_circuit, template_circuit, template_gates
 from oracles import phase_distance_reference, to_unitary_reference
 
@@ -375,6 +375,16 @@ class TestOneValidationPath:
         assert type(gate.params[0]) is float
         assert math.copysign(1.0, gate.params[0]) == math.copysign(1.0, stored)
         assert gate.params == (stored,)
+
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_resolved_matrix_is_gate_matrix_bitwise(self, name, rng):
+        # resolved_matrix builds a checked gate without checking its parameters again
+        arity, count, _ = GATES[name]
+        for _ in range(20):
+            gate = GateInstance(name, tuple(range(arity)), tuple(rng.uniform(-20, 20, count)))
+            got, want = resolved_matrix(gate), gate_matrix(name, gate.params)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestToUnitary:

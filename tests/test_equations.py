@@ -13,6 +13,7 @@ from pentagate import (
     CayleyTable,
     DimensionError,
     a_gate,
+    certify,
     check_folklore_duality,
     check_street_duality,
     cocycle3_residual,
@@ -87,6 +88,18 @@ class TestLifts:
             pentagon_stack(np.stack([I4]), 1)
         with pytest.raises(DimensionError):
             pentagon_stack(np.ones((1, 1, 1)), 0)
+        # a local dimension is an integer, not a float or a bool
+        for d in (2.0, np.float64(2.0), True):
+            with pytest.raises(DimensionError, match="local dimension must be an integer"):
+                certify(CNOT, d)
+            with pytest.raises(DimensionError, match="local dimension must be an integer"):
+                pentagon_residual(CNOT, d)
+            with pytest.raises(DimensionError, match="local dimension must be an integer"):
+                pentagon_stack(CNOT[np.newaxis], d)
+            with pytest.raises(DimensionError, match="local dimension must be an integer"):
+                embed(CNOT, (0, 1), 3, d)
+        assert pentagon_residual(CNOT, np.int64(2)).residual == 0.0
+        assert certify(CNOT, np.int64(2)).is_fusion
 
     def test_one_dimensional_factors(self):
         # at d=1 a gate is a scalar lambda and the sides are lambda^2, lambda^3

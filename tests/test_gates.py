@@ -243,6 +243,12 @@ class TestCayleyTable:
         with pytest.raises(InvalidGroupError):
             CayleyTable(2, ((0, 1), (1, 0)), 1)
 
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_cyclic_group_of_no_elements_is_refused(self, order):
+        # the table's own check refuses it; cyclic does not check again
+        with pytest.raises(InvalidGroupError, match="group order must be positive"):
+            CayleyTable.cyclic(order)
+
     def test_rejects_non_associative_latin_square(self):
         # a 5x5 Latin square with two-sided identity 0 that is not a group
         table = (

@@ -43,6 +43,12 @@ class TestTwist:
 
     def test_two_dimensional_is_swap(self):
         assert np.array_equal(twist(2), SWAP)
+        assert np.array_equal(twist(np.int64(2)), SWAP)
+
+    @pytest.mark.parametrize("d", [0, -1, 2.0, True], ids=["zero", "negative", "float", "bool"])
+    def test_dimension_is_a_positive_integer(self, d):
+        with pytest.raises(DimensionError, match="local dimension must be an integer of at least 1"):
+            twist(d)
 
     def test_involutive(self):
         for d in (2, 3, 4):
@@ -134,6 +140,11 @@ class TestEmbed:
             embed(I4, [1, 1], 3)
         with pytest.raises(DimensionError):
             embed(I4, [0], 3)
+        # a register size is an integer, not a bool or a float
+        for size in (True, 1.0, 0):
+            with pytest.raises(WireError, match="register size must be an integer of at least 1"):
+                embed(np.eye(2), (0,), size)
+        assert np.array_equal(embed(np.eye(2), (0,), np.int64(1)), np.eye(2))
 
     def test_register_cap(self):
         with pytest.raises(DimensionError):
