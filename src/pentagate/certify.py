@@ -34,12 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import EquationResidual, _checked, pentagon_residual, pentagon_stack
+from .equations import EquationResidual, pentagon_residual, pentagon_stack
 from .errors import GridError, NonUnitaryError
 from .gates import FOUR_PI, a_gate, heisenberg_evolution
 from .jsonio import complex_pair
 from .linalg import (
     DEFAULT_TOLERANCE,
+    as_matrix,
     check_integer,
     check_tolerance,
     frobenius_norm,
@@ -147,11 +148,12 @@ def certify(
 
     Refuses non-unitary input: the rewriter's correctness argument needs a
     unitary gate, so a non-unitary candidate gets a distinct error rather
-    than a not_fusion verdict.
+    than a not_fusion verdict. Unitarity is checked first; the kernel's
+    ``embed`` then checks ``d`` and the shape.
     """
     tol = check_tolerance(tol)
     params = reals(params, "gate parameters")
-    t = _checked(t, d)
+    t = as_matrix(t)
     if not is_unitary(t, tol=max(tol, 1e-12)):
         raise NonUnitaryError("candidate gate is not unitary; certification refused")
     res = pentagon_residual(t, d)

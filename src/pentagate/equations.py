@@ -32,6 +32,11 @@ every slice is bitwise the one-gate result. ``pentagon_residual`` is its
 one-gate case. The other equations are evaluated with dense lifts; they
 are only called at small d.
 
+``embed`` owns the shape rule. Each entry only coerces its input with
+``as_matrix`` (``pentagon_stack`` tests that it has a stack), and its
+first lift checks that d is an integer of at least 1 and that the
+operator is d*d x d*d, raising DimensionError before any product.
+
 Two classical dualities tie these together: R solves the braid YBE iff
 tau R solves ybe13, and T solves the pentagon equation iff tau T solves
 the 3-cocycle condition (Street). Note the pentagon equation is not
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_TOLERANCE, as_matrix, check_integer, check_tolerance, embed, twist
+from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, embed, twist
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,20 +82,6 @@ def _residual(
     )
 
 
-def _checked(t, d: int) -> np.ndarray:
-    t = as_matrix(t)
-    _check_shape(t, d)
-    return t
-
-
-def _check_shape(t: np.ndarray, d: int) -> None:
-    check_integer(d, "local dimension")
-    if t.shape[-2:] != (d * d, d * d):
-        raise DimensionError(
-            f"operator of shape {t.shape} is not {d * d}x{d * d} (local dimension {d})"
-        )
-
-
 def pentagon_stack(ts, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both sides of T23 T12 = T12 T13 T23 for a stack of gates, and each residual.
 
@@ -119,9 +110,9 @@ def pentagon_stack(ts, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ts = np.asarray(ts, dtype=np.complex128)
     if ts.ndim != 3:
         raise DimensionError(f"expected a stack of matrices, got {ts.ndim} dimensions")
-    _check_shape(ts, d)
+    lhs = embed(ts, (0, 1), 3, d)  # T12; this embed checks d and the gates' shape
     n, size = len(ts), d**3
-    lhs = ts[:, np.newaxis] @ embed(ts, (0, 1), 3, d).reshape(n, d, d * d, size)  # T23 T12
+    lhs = ts[:, np.newaxis] @ lhs.reshape(n, d, d * d, size)  # T23 T12, replacing T12
     rhs = ts @ embed(ts, (0, 2), 3, d).reshape(n, d * d, d * size)  # T12 T13
     rhs = rhs.reshape(n, size * d, d * d) @ ts  # (T12 T13) T23
     lhs, rhs = lhs.reshape(n, size, size), rhs.reshape(n, size, size)
@@ -133,27 +124,27 @@ def pentagon_stack(ts, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def pentagon_residual(t, d: int) -> EquationResidual:
     """Residual of T23 T12 = T12 T13 T23: the one-gate case of ``pentagon_stack``."""
-    lhs, rhs, residuals = pentagon_stack(_checked(t, d)[np.newaxis], d)
+    lhs, rhs, residuals = pentagon_stack(as_matrix(t)[np.newaxis], d)
     return _residual("pentagon", lhs[0], rhs[0], float(residuals[0]))
 
 
 def ybe_residual(r, d: int) -> EquationResidual:
     """Residual of the braid-form Yang-Baxter equation R12 R23 R12 = R23 R12 R23."""
-    r = _checked(r, d)
+    r = as_matrix(r)
     l12, l23 = embed(r, (0, 1), 3, d), embed(r, (1, 2), 3, d)
     return _residual("ybe", l12 @ l23 @ l12, l23 @ l12 @ l23)
 
 
 def ybe13_residual(r, d: int) -> EquationResidual:
     """Residual of the three-lift Yang-Baxter form R12 R13 R23 = R23 R13 R12."""
-    r = _checked(r, d)
+    r = as_matrix(r)
     l12, l13, l23 = (embed(r, wires, 3, d) for wires in ((0, 1), (0, 2), (1, 2)))
     return _residual("ybe13", l12 @ l13 @ l23, l23 @ l13 @ l12)
 
 
 def cocycle3_residual(tp, d: int) -> EquationResidual:
     """Residual of the 3-cocycle condition for an operator T'."""
-    tp = _checked(tp, d)
+    tp = as_matrix(tp)
     l12, l23 = embed(tp, (0, 1), 3, d), embed(tp, (1, 2), 3, d)
     mid = embed(twist(d), (1, 2), 3, d)  # id (x) tau
     return _residual("cocycle3", l12 @ mid @ l12, l23 @ l12 @ l23)
@@ -166,7 +157,7 @@ def check_street_duality(t, d: int, tol: float = DEFAULT_TOLERANCE) -> bool:
     zero-sets, not residual magnitudes.
     """
     check_tolerance(tol)
-    t = _checked(t, d)
+    t = as_matrix(t)
     is_fusion = pentagon_residual(t, d).residual < tol
     is_cocycle = cocycle3_residual(twist(d) @ t, d).residual < tol
     return is_fusion == is_cocycle
@@ -175,7 +166,7 @@ def check_street_duality(t, d: int, tol: float = DEFAULT_TOLERANCE) -> bool:
 def check_folklore_duality(r, d: int, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True iff (R solves the braid YBE) == (tau R solves the 13-form YBE)."""
     check_tolerance(tol)
-    r = _checked(r, d)
+    r = as_matrix(r)
     is_braid = ybe_residual(r, d).residual < tol
     is_alt = ybe13_residual(twist(d) @ r, d).residual < tol
     return is_braid == is_alt

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGroupError, UnknownGateError
-from .linalg import reals
+from .linalg import check_integer, reals
 
 FOUR_PI = 4.0 * math.pi
 
@@ -152,10 +152,11 @@ def heisenberg_evolution(theta_x, theta_y, theta_z) -> np.ndarray:
 class CayleyTable:
     """Multiplication table of a finite group.
 
-    ``table[i][j]`` is the index of the product g_i * g_j. Validation is
-    eager and checks the full group axioms, including all order**3
-    associativity triples, so construction is O(order^3); intended for
-    small groups.
+    ``table[i][j]`` is the index of the product g_i * g_j. The order, the
+    entries and the identity index are counts under ``check_integer``.
+    Validation is eager and checks the full group axioms, including all
+    order**3 associativity triples, so construction is O(order^3);
+    intended for small groups.
     """
 
     order: int
@@ -164,11 +165,12 @@ class CayleyTable:
 
     def __post_init__(self):
         n = self.order
-        if n < 1:
-            raise InvalidGroupError("group order must be positive")
+        check_integer(n, "group order", error=InvalidGroupError)
         t = self.table
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidGroupError(f"table must be {n}x{n}")
+        for x in itertools.chain.from_iterable(t):
+            check_integer(x, "table entry", 0, InvalidGroupError)
         full = set(range(n))
         for i, row in enumerate(t):
             if set(row) != full:
@@ -177,7 +179,8 @@ class CayleyTable:
             if {row[j] for row in t} != full:
                 raise InvalidGroupError(f"column {j} is not a permutation of 0..{n - 1}")
         e = self.identity_index
-        if not 0 <= e < n:
+        check_integer(e, "identity index", 0, InvalidGroupError)
+        if e >= n:
             raise InvalidGroupError(f"identity index {e} out of range")
         for g in range(n):
             if t[e][g] != g or t[g][e] != g:
@@ -194,6 +197,7 @@ class CayleyTable:
     @classmethod
     def cyclic(cls, n: int) -> "CayleyTable":
         """The cyclic group Z_n with addition mod n."""
+        check_integer(n, "group order", error=InvalidGroupError)
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return cls(n, table, 0)
 
@@ -218,6 +222,7 @@ class CayleyTable:
     @classmethod
     def symmetric(cls, n: int) -> "CayleyTable":
         """The symmetric group S_n; elements are permutation tuples in lex order."""
+        check_integer(n, "symmetric group degree", 0, InvalidGroupError)
         perms = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         table = []

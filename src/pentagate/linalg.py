@@ -4,17 +4,24 @@ Two functions here decide what the package takes as a number:
 
   - ``real`` is the one test of a real number. It accepts a Python or
     numpy int or float, never a bool, and reads a value past the float
-    range as a signed infinity, comparing integers exactly. Every library
+    range as a signed infinity, comparing integers exactly. Every checked
     entry that takes a real goes through it: gate parameters
     (``GateInstance``, ``gate_matrix``, ``certify(params=...)``), custom
     matrix entries, the family triples of ``constraints`` and ``refine``,
     ``refine``'s ``initial_step``, every ``tol`` (``check_tolerance``) and
     the scan grid bounds and steps. Each entry then refuses a value that
-    is not finite with its own error class and message.
+    is not finite with its own error class and message. The gate
+    constructors below those entries (``a_gate``, ``rotation``, ...)
+    convert without checking.
   - ``check_integer`` is the one test of a count: a Python or numpy int,
     never a bool, of at least a bound. It checks the local dimension
-    ``d`` of the equations, ``embed`` and ``twist``, the register size of
-    ``embed`` and ``Circuit``, and ``refine``'s ``max_iters``.
+    ``d`` of ``embed`` and ``twist``, the register size of ``embed`` and
+    ``Circuit``, ``refine``'s ``max_iters`` and a ``CayleyTable``'s
+    order, entries and identity index.
+
+``embed`` owns the shape rule: it checks ``d`` and that an operator acts
+on its wires, and the equations and ``certify`` leave both to their
+first lift rather than check them again.
 
 Conventions used throughout the package:
 

@@ -58,10 +58,24 @@ _RULES = {"compress": (_FIVE, _TWO), "expand": (_TWO, _FIVE)}
 
 @dataclass(frozen=True, eq=False)
 class FusionGateDescriptor:
-    """A two-qubit gate together with its fusion certification."""
+    """A two-qubit gate together with its fusion certification.
+
+    A descriptor is certified by construction: it raises
+    UncertifiedGateError unless the certification is a fusion verdict, so
+    every rewrite entry may take its gate as a pentagon solution.
+    """
 
     gate: GateInstance
     certification: CertificationReport
+
+    def __post_init__(self):
+        report = self.certification
+        if not report.is_fusion:
+            raise UncertifiedGateError(
+                f"gate {report.gate_name!r} is not a fusion operator: pentagon residual "
+                f"{report.residual:.6g} >= tolerance {report.tolerance:.6g}",
+                report=report,
+            )
 
 
 def describe_fusion_gate(
@@ -73,26 +87,19 @@ def describe_fusion_gate(
     """Certify a gate and wrap it for rewriting.
 
     Accepts either a built-in two-qubit gate name with parameters, or a
-    custom 4x4 matrix. The gate is built on wires (0, 1) first, so a gate
-    no circuit could hold raises SchemaError naming the fusion gate.
-    Raises UncertifiedGateError when the pentagon residual is at or above
-    ``tol``, which ``certify`` checks.
+    custom 4x4 matrix, named ``custom`` when ``name`` is None. The gate is
+    built on wires (0, 1) first, so a gate no circuit could hold, a name
+    given with a matrix, or neither, raises SchemaError naming the fusion
+    gate. A pentagon residual at or above ``tol`` gives a not_fusion
+    certification, which the descriptor refuses with UncertifiedGateError.
     """
-    if matrix is not None:
+    if name is None:
         name = CUSTOM
-    elif name is None:
-        raise ValueError("need a gate name or a custom matrix")
     try:
         gate = GateInstance(name, (0, 1), params, matrix)
     except SchemaError as exc:
         raise SchemaError(f"fusion gate {name!r}: {exc}") from None
     report = certify(resolved_matrix(gate), 2, tol, name=name, params=gate.params)
-    if not report.is_fusion:
-        raise UncertifiedGateError(
-            f"gate {report.gate_name!r} is not a fusion operator: pentagon residual "
-            f"{report.residual:.6g} >= tolerance {report.tolerance:.6g}",
-            report=report,
-        )
     return FusionGateDescriptor(gate, report)
 
 
@@ -226,7 +233,6 @@ def find_compress_sites(
     circuit: Circuit, descriptor: FusionGateDescriptor
 ) -> list[RewriteSite]:
     """All maximal non-overlapping 5-gate template matches, leftmost first."""
-    _require_certified(descriptor)
     return _find_sites(circuit, descriptor, _FIVE)
 
 
@@ -234,17 +240,7 @@ def find_expand_sites(
     circuit: Circuit, descriptor: FusionGateDescriptor
 ) -> list[RewriteSite]:
     """All maximal non-overlapping T(a,b); T(b,c) pair matches, leftmost first."""
-    _require_certified(descriptor)
     return _find_sites(circuit, descriptor, _TWO)
-
-
-def _require_certified(descriptor: FusionGateDescriptor) -> None:
-    report = descriptor.certification
-    if not report.is_fusion:
-        raise UncertifiedGateError(
-            f"gate {report.gate_name!r} carries a not_fusion certification; refusing to rewrite",
-            report=report,
-        )
 
 
 def _instantiate(descriptor: FusionGateDescriptor, side, wires) -> list[GateInstance]:
@@ -286,6 +282,12 @@ def transpile(
 ) -> tuple[Circuit, RewriteReport]:
     """Apply ``rule`` ("compress" or "expand") once, or until a pass finds no site.
 
+    A fixed-point ``compress`` stops: a site's three fusion gates become
+    two and no other gate changes, so each rewriting pass removes at least
+    one fusion gate, and an input holding k of them takes at most k + 1
+    passes, the last finding no site. ``expand`` grows the circuit and has
+    no such argument; its pass count is only tested.
+
     With ``verify`` the final circuit is checked against the input up to
     global phase, and the report carries their phase distance. On failure
     nothing is returned: :class:`RewriteVerificationError` names the first
@@ -295,7 +297,6 @@ def transpile(
     the per-site errors add up.
     """
     tol = check_tolerance(tol)
-    _require_certified(descriptor)
     try:
         pattern, side = _RULES[rule]
     except KeyError:

@@ -71,6 +71,9 @@ class TestCertify:
     def test_non_unitary_refused(self):
         with pytest.raises(NonUnitaryError):
             certify(2.0 * I4, 2, 1e-10)
+        # unitarity is checked before the kernel's embed checks the shape
+        with pytest.raises(NonUnitaryError):
+            certify(np.ones((9, 9)), 2, 1e-10)
 
     def test_witnesses_sorted_and_capped(self):
         report = certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP")

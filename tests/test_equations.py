@@ -52,6 +52,31 @@ TWO_SQRT_THREE = 2.0 * math.sqrt(3.0)
 
 LIFT_WIRES = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}
 
+#: The equation entries, each called as entry(operator, d); pentagon_stack
+#: is given the one-gate stack of the operator.
+SHAPE_ENTRIES = {
+    "pentagon_residual": pentagon_residual,
+    "pentagon_stack": lambda t, d: pentagon_stack(np.asarray(t)[np.newaxis], d),
+    "ybe_residual": ybe_residual,
+    "ybe13_residual": ybe13_residual,
+    "cocycle3_residual": cocycle3_residual,
+    "check_street_duality": check_street_duality,
+    "check_folklore_duality": check_folklore_duality,
+    "certify": certify,
+}
+
+#: (operator, d) pairs that break the shape rule, each a unitary where it is a matrix.
+BAD_SHAPES = {
+    "eye4-at-d3": (I4, 3),
+    "eye9-at-d2": (np.eye(9), 2),
+    "one-dimensional": (np.ones(4), 2),
+    "three-dimensional": (np.stack([I4, I4]), 2),
+    "d-float": (CNOT, 2.0),
+    "d-bool": (CNOT, True),
+    "d-zero": (CNOT, 0),
+    "d-string": (CNOT, "2"),
+}
+
 
 class TestLifts:
     """The subscript lift Tij is ``embed(T, (i - 1, j - 1), 3, d)``."""
@@ -100,6 +125,13 @@ class TestLifts:
                 embed(CNOT, (0, 1), 3, d)
         assert pentagon_residual(CNOT, np.int64(2)).residual == 0.0
         assert certify(CNOT, np.int64(2)).is_fusion
+
+    @pytest.mark.parametrize("bad", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+    @pytest.mark.parametrize("entry", SHAPE_ENTRIES.values(), ids=SHAPE_ENTRIES.keys())
+    def test_embed_owns_the_shape_rule(self, entry, bad):
+        # every entry leaves the operator's shape and d to its first embed
+        with pytest.raises(DimensionError):
+            entry(*bad)
 
     def test_one_dimensional_factors(self):
         # at d=1 a gate is a scalar lambda and the sides are lambda^2, lambda^3

@@ -227,6 +227,7 @@ class TestCayleyTable:
     def test_cyclic_groups_validate(self):
         for n in range(1, 9):
             CayleyTable.cyclic(n)
+        assert CayleyTable.cyclic(np.int64(3)).order == 3  # numpy-int entries
 
     def test_symmetric_three_is_nonabelian_order_six(self):
         s3 = CayleyTable.symmetric(3)
@@ -245,9 +246,23 @@ class TestCayleyTable:
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_cyclic_group_of_no_elements_is_refused(self, order):
-        # the table's own check refuses it; cyclic does not check again
-        with pytest.raises(InvalidGroupError, match="group order must be positive"):
+        with pytest.raises(InvalidGroupError, match="group order must be an integer of at least 1"):
             CayleyTable.cyclic(order)
+
+    @pytest.mark.parametrize("build", [
+        lambda: CayleyTable(2.0, ((0, 1), (1, 0)), 0),
+        lambda: CayleyTable(True, ((0,),), 0),
+        lambda: CayleyTable.cyclic(2.0),
+        lambda: CayleyTable.symmetric(2.5),
+        lambda: CayleyTable(2, ((0.0, 1.0), (1.0, 0.0)), 0),
+        lambda: CayleyTable(2, ((False, True), (True, False)), 0),
+        lambda: CayleyTable(2, ((0, 1), (1, 0)), 0.0),
+        lambda: CayleyTable(2, ((1, 0), (0, 1)), True),  # element 1 is the identity
+    ], ids=["order-float", "order-bool", "cyclic-float", "symmetric-float",
+            "entries-float", "entries-bool", "identity-float", "identity-bool"])
+    def test_counts_are_integers(self, build):
+        with pytest.raises(InvalidGroupError, match="must be an integer of at least"):
+            build()
 
     def test_rejects_non_associative_latin_square(self):
         # a 5x5 Latin square with two-sided identity 0 that is not a group

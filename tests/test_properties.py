@@ -43,6 +43,7 @@ from pentagate import (
     serialize,
     standard_gate,
     to_unitary,
+    transpile,
     ybe_residual,
 )
 from pentagate.gates import GATES
@@ -444,6 +445,27 @@ def test_expand_after_compress_is_identity_on_template_images(circuit):
     restored, _ = expand(compressed, CNOT)
     assert report.sites_found == sum(g.name == "SWAP" for g in circuit.gates) // 2
     assert serialize(restored) == serialize(circuit)
+
+
+@st.composite
+def cnot_swap_h_circuits(draw):
+    """A 3-6 qubit circuit of up to 30 CNOT, SWAP and H gates on random wires."""
+    n = draw(st.integers(3, 6))
+    names = draw(st.lists(st.sampled_from(("CNOT", "SWAP", "H")), max_size=30))
+    gates = (GateInstance(name, tuple(draw(st.permutations(range(n)))[:GATES[name][0]]))
+             for name in names)
+    return Circuit(n, tuple(gates))
+
+
+@PROPERTY_SETTINGS
+@given(cnot_swap_h_circuits())
+def test_fixed_point_runs_make_at_most_k_plus_one_passes(circuit):
+    # k fusion gates bound a fixed-point compress, which removes one per
+    # rewriting pass; the same bound on expand is observed, not proven
+    k = sum(gate.name == "CNOT" for gate in circuit.gates)
+    for rule in _RULES:
+        _, report = transpile(circuit, CNOT, rule, fixed_point=True, verify=False)
+        assert report.passes <= k + 1
 
 
 TOFFOLI = np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]]

@@ -73,6 +73,14 @@ class TestDescriptor:
         with pytest.raises(SchemaError, match=message):
             describe_fusion_gate(matrix=nearly, tol=1e-6)
 
+    def test_name_given_with_a_matrix_is_refused(self):
+        # the name is not dropped for "custom": the gate schema refuses the pair
+        message = r"^fusion gate 'SWAP': matrix: only allowed for custom gates$"
+        with pytest.raises(SchemaError, match=message):
+            describe_fusion_gate("SWAP", (), standard_gate("CNOT"))
+        with pytest.raises(ValueError):
+            describe_fusion_gate()
+
 
 class TestFindCompressSites:
     def test_exact_template(self, cnot_descriptor):
@@ -156,13 +164,13 @@ class TestCompress:
         from pentagate.certify import certify
         from pentagate.gates import standard_gate
 
-        bad = FusionGateDescriptor(
-            GateInstance("SWAP", (0, 1)),
-            certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP"),
-        )
-        assert not bad.certification.is_fusion
-        with pytest.raises(UncertifiedGateError):
-            compress(template_circuit("SWAP"), bad, verify=True, tol=1e-10)
+        # a descriptor is certified by construction, so no rewrite entry sees one
+        report = certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP")
+        assert not report.is_fusion
+        message = r"^gate 'SWAP' is not a fusion operator: pentagon residual 2.82843 >= tolerance 1e-10$"
+        with pytest.raises(UncertifiedGateError, match=message) as err:
+            FusionGateDescriptor(GateInstance("SWAP", (0, 1)), report)
+        assert err.value.report is report
 
     def test_loosely_certified_gate_fails_verification(self):
         loose = describe_fusion_gate(name="XX", params=(0.3,), tol=10.0)
