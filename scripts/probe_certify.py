@@ -1,0 +1,76 @@
+"""Paired probe of ``certify`` at two checkouts: group fusion operators, CNOT and SWAP.
+
+Certifies the fusion operator of each of the 14 groups of the ``certify``
+workload (perfbench/corpus.py ``GROUPS``), then CNOT and SWAP, on each
+checkout, alternating the sides as ``probe_circuit_io.py`` does (one
+process, process CPU time). Both checkouts must give equal reports
+(``to_jsonable()``) for every gate, or the probe exits 1. The symmetric
+group S4 (d=24) is left out: a checkout that forms the dense d**3 x d**3
+sides of the pentagon equation needs about 3 GB for it.
+
+usage: python3 scripts/probe_certify.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
+
+ROUNDS is at least 2 (default 21). Prints one JSON object: per gate, its
+local dimension d, each side's median and quartiles in milliseconds, the
+ratio of the medians and the rounds the change won; then each side's sum
+of the medians over all gates. Bad arguments print the usage line and
+exit 2.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import sys
+from pathlib import Path
+
+from probe_circuit_io import ROOT, arguments, load, paired
+
+
+def group(pg, name: str):
+    """The CayleyTable ``name`` names: Zn, S3, or an x-separated direct product."""
+    parts = [pg.CayleyTable.symmetric(3) if part == "S3" else pg.CayleyTable.cyclic(int(part[1:]))
+             for part in name.split("x")]
+    return functools.reduce(pg.CayleyTable.direct_product, parts)
+
+
+def gates(pg, groups) -> dict:
+    """label -> (matrix, d) of every gate the probe certifies."""
+    out = {}
+    for name in groups:
+        table = group(pg, name)
+        out[name] = (pg.group_algebra_fusion(table), table.order)
+    for name in ("CNOT", "SWAP"):
+        out[name] = (pg.standard_gate(name), 2)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    args = arguments(argv, __doc__)
+    if args is None:
+        return 2
+    base, change, rounds = args
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import corpus
+
+    sides = {"base": load(base), "change": load(change)}
+    cases = {side: gates(pg, corpus.GROUPS) for side, pg in sides.items()}
+    report = {}
+    for label, (_, d) in cases["base"].items():
+        def run(pg, side):
+            return pg.certify(*cases[side][label], name=label)
+
+        reports = {side: run(pg, side).to_jsonable() for side, pg in sides.items()}
+        if reports["base"] != reports["change"]:
+            print(f"{label}: the two checkouts certify differently", file=sys.stderr)
+            return 1
+        report[label] = {"d": d, **paired(sides, run, rounds)}
+    report["sum of medians ms"] = {
+        side: sum(entry[f"{side}_ms"]["median"] for entry in report.values()) for side in sides
+    }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

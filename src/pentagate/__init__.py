@@ -11,12 +11,7 @@ applies the rewrite in both directions with full unitary verification.
 
 from .certify import (
     FAMILIES,
-    CertificationReport,
-    ConstraintResiduals,
-    RefineResult,
     SCAN_TOLERANCE,
-    SolutionPoint,
-    Witness,
     certify,
     constraints,
     refine,
@@ -80,8 +75,6 @@ from .linalg import (
 )
 from .rewrite import (
     FusionGateDescriptor,
-    RewriteReport,
-    RewriteSite,
     compress,
     describe_fusion_gate,
     expand,

@@ -51,7 +51,8 @@ import numpy as np
 from . import jsonio
 from .errors import DimensionError, SchemaError
 from .gates import GATES
-from .linalg import MAX_QUBITS, as_matrix, check_integer, is_unitary, phase_distance, real
+from .linalg import (MAX_QUBITS, _permutation_rows, as_matrix, check_integer, is_unitary,
+                     phase_distance, real)
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -373,8 +374,10 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     other buffer as a ``2**k``-row matrix. A permutation gate's rows are
     then copied in its order and the buffers swap roles; any other gate's
     ``np.dot`` writes back into ``held``. The k output axes move back to
-    the gate's wires. At the end ``u`` is copied into the other buffer,
-    which is returned: C-contiguous and fresh on each call.
+    the gate's wires. At the end ``held`` is returned when ``u`` is
+    already in its row order, as it is after no gate, and otherwise ``u``
+    is copied into the other buffer, which is returned: C-contiguous and
+    fresh on each call either way.
     """
     n = circuit.num_qubits
     held = np.eye(2**n, dtype=np.complex128)
@@ -393,22 +396,10 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
                 np.copyto(dest[i], moved[np.unravel_index(j, (2,) * k)])
             held, free = free, held
         u = np.moveaxis(held.reshape(moved.shape), range(k), gate.wires)
+    if u.flags.c_contiguous:
+        return held
     np.copyto(free.reshape(u.shape), u)
     return free
-
-
-def _permutation_rows(m: np.ndarray) -> np.ndarray | None:
-    """Column of the 1 in each row when ``m`` has only exact 0 and 1 entries,
-    one 1 per row; otherwise None.
-
-    Multiplying by such a matrix adds ``1 * x`` to exact zeros, so copying
-    row ``rows[i]`` into row i gives the product's values; only the sign of
-    a zero entry can differ, and ``==`` treats the two zeros as equal.
-    """
-    ones = m == 1
-    if (ones | (m == 0)).all() and (ones.sum(axis=1) == 1).all():
-        return ones.argmax(axis=1)
-    return None
 
 
 def circuit_distance(a: Circuit, b: Circuit) -> float:

@@ -51,7 +51,7 @@ from .errors import (
     RewriteVerificationError,
 )
 from .gates import gate_matrix
-from .linalg import DEFAULT_TOLERANCE, check_tolerance
+from .linalg import DEFAULT_TOLERANCE, _check_operator, check_tolerance
 from .rewrite import describe_fusion_gate, transpile
 
 EXIT_OK = 0
@@ -110,17 +110,22 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _resolve_gate_spec(name: str | None, params: str, matrix_path: str | None):
-    """Name + params, or a matrix file, to (display name, params, matrix)."""
+    """Name + params, or a matrix file, to (display name, params, matrix).
+
+    A matrix file of any size but 4x4 is refused with the shape rule's
+    DimensionError here, before certification's O(N**3) unitarity check.
+    """
     values = _parse_params(params)
-    if matrix_path is not None:
-        if name is not None:
-            raise ValueError("give either a gate name or a matrix file, not both")
-        return CUSTOM, (), parse_matrix(_read_text(matrix_path), matrix_path)
-    if name is None:
+    if matrix_path is not None and name is not None:
+        raise ValueError("give either a gate name or a matrix file, not both")
+    if matrix_path is None and name is None:
         raise ValueError("no gate given")
-    if name.startswith("@"):
-        return CUSTOM, (), parse_matrix(_read_text(name[1:]), name[1:])
-    return name, values, gate_matrix(name, values)
+    if matrix_path is None and not name.startswith("@"):
+        return name, values, gate_matrix(name, values)
+    path = name[1:] if matrix_path is None else matrix_path
+    matrix = parse_matrix(_read_text(path), path)
+    _check_operator(matrix, 2, 2)
+    return CUSTOM, (), matrix
 
 
 #: Flags whose values may start with a minus sign (negative angles and

@@ -32,9 +32,22 @@ every slice is bitwise the one-gate result. ``pentagon_residual`` is its
 one-gate case. The other equations are evaluated with dense lifts; they
 are only called at small d.
 
-``embed`` owns the shape rule. Each entry only coerces its input with
-``as_matrix`` (``pentagon_stack`` tests that it has a stack), and its
-first lift checks that d is an integer of at least 1 and that the
+A permutation gate, one whose matrix has only exact 0 and 1 entries with
+one 1 per row (``linalg._permutation_rows``), is also decided without a
+lift by ``permutation_solves_pentagon``. Each lift of such a gate maps
+basis state i of V (x) V (x) V to one basis state, and a product of
+such matrices composes those maps, so the sides are equal exactly when
+the composed index maps of T23 T12 and T12 T13 T23 agree on the d**3
+basis states. That costs O(d**3) where the dense sides cost O(d**8),
+and it is the vectorised form of the basis-tuple oracle
+``tests/oracles.py`` ``pentagon_sides``. Where the maps agree, the
+kernel's sides are bitwise equal and its residual is exactly 0.0 (see
+``pentagon_stack``).
+
+``linalg._check_operator`` states the shape rule. Each entry only
+coerces its input with ``as_matrix`` (``pentagon_stack`` tests that it
+has a stack), and its first lift, or the index-map check before it reads
+the gate's rows, checks that d is an integer of at least 1 and that the
 operator is d*d x d*d, raising DimensionError before any product.
 
 Two classical dualities tie these together: R solves the braid YBE iff
@@ -51,7 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_TOLERANCE, as_matrix, check_tolerance, embed, twist
+from .linalg import (DEFAULT_TOLERANCE, _check_operator, _permutation_rows, as_matrix,
+                     check_tolerance, embed, twist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +140,28 @@ def pentagon_residual(t, d: int) -> EquationResidual:
     """Residual of T23 T12 = T12 T13 T23: the one-gate case of ``pentagon_stack``."""
     lhs, rhs, residuals = pentagon_stack(as_matrix(t)[np.newaxis], d)
     return _residual("pentagon", lhs[0], rhs[0], float(residuals[0]))
+
+
+def permutation_solves_pentagon(t, d: int) -> bool:
+    """True iff ``t`` is a permutation gate whose index maps satisfy T23 T12 = T12 T13 T23.
+
+    Refuses a bad ``d`` or shape with the shape rule's DimensionError
+    first. A gate that is not a permutation, or whose maps disagree, gives
+    False; ``certify`` leaves it to the dense kernel, which reports its
+    residual and where the sides differ. Row i of a permutation matrix
+    holds its 1 in column ``rows[i]``, so the rows of a product A B are
+    ``rows_B[rows_A]``. Each lift's rows are an array over the d**3 basis
+    states, built from the gate's rows read as a d x d table of pair indices.
+    """
+    t = as_matrix(t)
+    _check_operator(t, 2, d)
+    if (rows := _permutation_rows(t)) is None:
+        return False
+    i, r, dd = np.arange(d), rows.reshape(d, d), d * d  # state (x, y, z) is x*dd + y*d + z
+    t12 = (r[:, :, np.newaxis] * d + i).ravel()  # (x, y, z) -> (r[x, y], z)
+    t23 = (i[:, np.newaxis, np.newaxis] * dd + r).ravel()  # (x, y, z) -> (x, r[y, z])
+    t13 = ((r // d * dd + r % d)[:, np.newaxis] + i[:, np.newaxis] * d).ravel()  # r[x, z] on x, z
+    return bool((t12[t23] == t23[t13[t12]]).all())
 
 
 def ybe_residual(r, d: int) -> EquationResidual:

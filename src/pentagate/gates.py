@@ -202,10 +202,6 @@ class CayleyTable:
         return cls(n, table, 0)
 
     @classmethod
-    def trivial(cls) -> "CayleyTable":
-        return cls.cyclic(1)
-
-    @classmethod
     def direct_product(cls, g: "CayleyTable", h: "CayleyTable") -> "CayleyTable":
         """Direct product with pair (i, j) indexed as i * h.order + j."""
         n = g.order * h.order

@@ -19,9 +19,13 @@ Two functions here decide what the package takes as a number:
     ``Circuit``, ``refine``'s ``max_iters`` and a ``CayleyTable``'s
     order, entries and identity index.
 
-``embed`` owns the shape rule: it checks ``d`` and that an operator acts
-on its wires, and the equations and ``certify`` leave both to their
-first lift rather than check them again.
+``_check_operator`` is the one statement of the shape rule: ``d`` is a
+count and an operator acts on k wires of dimension d. ``embed`` applies
+it on every lift, the equations' index-map check before it reads a
+permutation gate's rows, and the CLI to a gate's matrix file; the
+equations and ``certify`` otherwise leave it to their first lift.
+``_permutation_rows`` is the one test of a permutation gate, shared by
+the simulator and the index-map check.
 
 Conventions used throughout the package:
 
@@ -133,6 +137,36 @@ def twist(d: int) -> np.ndarray:
     return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
+def _check_operator(u: np.ndarray, k: int, d) -> None:
+    """Raise DimensionError unless ``d`` is a count and ``u`` acts on ``k`` wires of dimension d.
+
+    Only the last two axes of ``u`` are read, so a stack of operators passes
+    when each of its operators does.
+    """
+    check_integer(d, "local dimension")
+    if u.shape[-2:] != (d**k, d**k):
+        raise DimensionError(
+            f"operator of shape {u.shape} does not act on {k} wires of dimension {d}"
+        )
+
+
+def _permutation_rows(m: np.ndarray) -> np.ndarray | None:
+    """Column of the 1 in each row when ``m`` has only exact 0 and 1 entries,
+    one 1 per row; otherwise None.
+
+    Multiplying by such a matrix adds ``1 * x`` to exact zeros, so copying
+    row ``rows[i]`` into row i gives the product's values; only the sign of
+    a zero entry can differ, and ``==`` treats the two zeros as equal.
+    Counting the nonzero entries first refuses most other matrices cheaply.
+    """
+    if np.count_nonzero(m) != len(m):
+        return None
+    ones = m == 1
+    if (ones | (m == 0)).all() and (ones.sum(axis=1) == 1).all():
+        return ones.argmax(axis=1)
+    return None
+
+
 def _check_wires(wires, num_qubits: int) -> None:
     check_integer(num_qubits, "register size", error=WireError)
     if num_qubits > MAX_QUBITS:
@@ -172,13 +206,9 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
         )
     wires = list(wires)
     _check_wires(wires, num_qubits)
-    check_integer(d, "local dimension")
     wires = [int(w) for w in wires]
     k = len(wires)
-    if u.shape[-2:] != (d**k, d**k):
-        raise DimensionError(
-            f"operator of shape {u.shape} does not act on {k} wires of dimension {d}"
-        )
+    _check_operator(u, k, d)
     rest = [q for q in range(num_qubits) if q not in wires]
     eye = np.eye(d ** len(rest), dtype=np.complex128)
     batch, size = u.shape[:-2], d**num_qubits

@@ -4,6 +4,8 @@ import importlib
 import json
 import math
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,41 @@ class TestCertify:
         # unitarity is checked before the kernel's embed checks the shape
         with pytest.raises(NonUnitaryError):
             certify(np.ones((9, 9)), 2, 1e-10)
+
+    @pytest.mark.parametrize("point, sign", [
+        ((0, 0, 0), 1), ((0, 2 * PI, 2 * PI), 1), ((2 * PI, 0, 2 * PI), 1),
+        ((2 * PI, 2 * PI, 0), 1), ((2 * PI, 2 * PI, 2 * PI), -1),
+    ])
+    def test_a_gate_solutions_are_the_plus_identity_points(self, point, sign):
+        # xx, yy and zz are each -I at 2*pi, so A is +I where an even number of
+        # coordinates are 2*pi and -I where all three are
+        gate = a_gate(*point)
+        assert np.abs(gate - sign * I4).max() < 1e-15
+        assert certify(gate, 2, 1e-10).verdict == ("fusion" if sign == 1 else "not_fusion")
+
+    def test_permutation_solutions_skip_the_kernel(self, monkeypatch):
+        module = importlib.import_module("pentagate.certify")
+        monkeypatch.setattr(module, "pentagon_residual", None)  # any kernel call fails
+        report = certify(group_algebra_fusion(CayleyTable.cyclic(12)), 12, name="Z12")
+        assert (report.verdict, report.residual, report.witnesses) == ("fusion", 0.0, ())
+        for failing in (standard_gate("SWAP"), -standard_gate("CNOT")):
+            with pytest.raises(TypeError):  # a failing permutation, and a non-permutation
+                certify(failing, 2)
+
+    def test_s4_certifies_in_under_a_second_and_32_mib(self):
+        # the dense sides of S4 (d=24) would be 13824 x 13824, about 3 GB each
+        gate = group_algebra_fusion(CayleyTable.symmetric(4))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            report = certify(gate, 24, name="S4")
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.verdict, report.residual, report.witnesses) == ("fusion", 0.0, ())
+        assert elapsed < 1.0
+        assert peak < 32 * 2**20
 
     def test_witnesses_sorted_and_capped(self):
         report = certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP")

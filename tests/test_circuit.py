@@ -28,8 +28,9 @@ from pentagate import (
     serialize,
     to_unitary,
 )
-from pentagate.circuit import _permutation_rows, parse_matrix
+from pentagate.circuit import parse_matrix
 from pentagate.gates import GATES, gate_matrix
+from pentagate.linalg import _permutation_rows
 from conftest import haar_unitary, random_circuit, template_circuit, template_gates
 from oracles import phase_distance_reference, to_unitary_reference
 
@@ -547,8 +548,9 @@ class TestTwoBufferSimulator:
 
     def test_zero_gate_circuit_is_the_identity(self):
         for n in (1, 5, 9):
-            u = to_unitary(Circuit(n, ()))
+            u, again = to_unitary(Circuit(n, ())), to_unitary(Circuit(n, ()))
             assert u.flags.c_contiguous and np.array_equal(u, np.eye(2**n, dtype=complex))
+            assert u.flags.writeable and not np.shares_memory(u, again)
 
     def test_custom_matrices_are_never_written(self, rng):
         gates = [GateInstance("custom", (0, 2), (), haar_unitary(4, rng)),

@@ -5,9 +5,11 @@ input, 3 negative verdict.
 """
 
 import argparse
+import importlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 import pentagate.cli
@@ -401,6 +403,30 @@ class TestMatrixFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.search(message, captured.err)
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("matrix", [np.eye(64), np.ones((9, 9))], ids=["eye64", "ones9"])
+    @pytest.mark.parametrize("flags", [
+        ["certify", "--matrix", "m.json"],
+        ["certify", "--gate", "@m.json"],
+        ["transpile", "--in", "c.json", "--out", "out.json", "--rule", "compress",
+         "--fusion-gate", "@m.json"],
+    ], ids=["matrix", "gate", "fusion_gate"])
+    def test_wrong_size_matrix_refused_before_unitarity(self, flags, matrix, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for module in ("pentagate.certify", "pentagate.circuit"):
+            monkeypatch.setattr(importlib.import_module(module), "is_unitary", None)
+        rows = [[[x, 0.0] for x in row] for row in matrix.tolist()]
+        (tmp_path / "m.json").write_text(json.dumps(rows))
+        (tmp_path / "c.json").write_text(serialize(template_circuit()))
+        assert main(flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        size = len(matrix)
+        assert captured.err == (
+            f"error: operator of shape ({size}, {size}) does not act on 2 wires of dimension 2\n"
+        )
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("flags", [["stats", "--in", "deep.json"],

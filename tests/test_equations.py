@@ -5,6 +5,7 @@ oracles (see oracles.py) and hand calculations noted inline.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pentagate import (
     ybe13_residual,
     ybe_residual,
 )
+from pentagate.equations import permutation_solves_pentagon
 from conftest import haar_unitary
 from oracles import (
     CNOT_MAP,
@@ -76,6 +78,9 @@ BAD_SHAPES = {
     "d-zero": (CNOT, 0),
     "d-string": (CNOT, "2"),
 }
+
+#: The pairs whose operator is a matrix, which every entry reads as one.
+BAD_MATRIX_SHAPES = {k: v for k, v in BAD_SHAPES.items() if "dimensional" not in k}
 
 
 class TestLifts:
@@ -132,6 +137,14 @@ class TestLifts:
         # every entry leaves the operator's shape and d to its first embed
         with pytest.raises(DimensionError):
             entry(*bad)
+
+    @pytest.mark.parametrize("bad", BAD_MATRIX_SHAPES.values(), ids=BAD_MATRIX_SHAPES.keys())
+    def test_index_map_check_refuses_as_embed_does(self, bad):
+        # the same rule and message, before a permutation gate's rows are read
+        with pytest.raises(DimensionError) as lifted:
+            embed(bad[0], (0, 1), 3, bad[1])
+        with pytest.raises(DimensionError, match=re.escape(str(lifted.value))):
+            permutation_solves_pentagon(*bad)
 
     def test_one_dimensional_factors(self):
         # at d=1 a gate is a scalar lambda and the sides are lambda^2, lambda^3

@@ -285,7 +285,7 @@ class TestCayleyTable:
 
 class TestGroupAlgebraFusion:
     def test_trivial_group(self):
-        assert np.array_equal(group_algebra_fusion(CayleyTable.trivial()), np.array([[1.0]]))
+        assert np.array_equal(group_algebra_fusion(CayleyTable.cyclic(1)), np.array([[1.0]]))
 
     def test_z2_is_cnot(self):
         assert np.array_equal(

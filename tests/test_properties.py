@@ -3,7 +3,8 @@ circuit serializer, circuit depth and the rewrite rules.
 
 A permutation gate's lifts and both sides of every equation are exact 0/1
 matrices, so the library must agree bitwise with the brute-force oracles
-in oracles.py, which trace basis tuples and never call ``embed``. The
+in oracles.py, which trace basis tuples and never call ``embed``, and
+``certify``'s index-map path must give the dense kernel's report. The
 stacked kernel runs one matrix product per slice, so its lifts, sides,
 residuals and stacked gate constructors must equal the one-gate calls
 bitwise as well. Against the dense lifts and products of
@@ -23,18 +24,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentagate import (
+    CayleyTable,
     Circuit,
     GateInstance,
     SchemaError,
     a_gate,
     check_folklore_duality,
     check_street_duality,
+    certify,
     circuit_stats,
     compress,
     depth,
     describe_fusion_gate,
     embed,
     expand,
+    group_algebra_fusion,
     heisenberg_evolution,
     parse,
     pentagon_residual,
@@ -46,6 +50,8 @@ from pentagate import (
     transpile,
     ybe_residual,
 )
+from pentagate.certify import CertificationReport, Witness
+from pentagate.equations import permutation_solves_pentagon
 from pentagate.gates import GATES
 from pentagate.rewrite import _RULES, _apply_sites, _find_sites, _site_distance
 from conftest import (
@@ -63,6 +69,7 @@ from oracles import (
     pentagon_sides,
     permutation_map,
     permutation_operator,
+    residual_norm,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -124,6 +131,121 @@ def test_street_and_folklore_dualities(gate):
     d, _, t = gate
     assert check_street_duality(t, d)
     assert check_folklore_duality(t, d)
+
+
+@PROPERTY_SETTINGS
+@given(permutation_gates())
+def test_index_maps_decide_like_the_oracle(gate):
+    d, tmap, t = gate
+    assert permutation_solves_pentagon(t, d) == (residual_norm(pentagon_sides(tmap, d)) == 0.0)
+
+
+def matrix_group(*generators) -> CayleyTable:
+    """Cayley table of the group that the invertible matrices ``generators`` generate.
+
+    Element 0 is the identity; the others are indexed in order of discovery.
+    """
+    key = lambda m: tuple(np.round(m, 9).ravel())
+    elements = [np.eye(len(generators[0]), dtype=complex)]
+    index = {key(elements[0]): 0}
+    for m in elements:  # the list grows while it is read
+        for g in generators:
+            if key(m @ g) not in index:
+                index[key(m @ g)] = len(elements)
+                elements.append(m @ g)
+    return CayleyTable(len(elements), tuple(tuple(index[key(a @ b)] for b in elements)
+                                            for a in elements), 0)
+
+
+def _dihedral(n: int) -> CayleyTable:
+    """D_n of order 2n: the rotation and a reflection of an n-gon's vertices."""
+    eye = np.eye(n, dtype=complex)
+    return matrix_group(eye[[(k + 1) % n for k in range(n)]], eye[[-k % n for k in range(n)]])
+
+
+def _dicyclic(n: int) -> CayleyTable:
+    """Dic_n of order 4n: a of order 2n and x with x^2 = a^n, x a x^-1 = a^-1."""
+    turn = np.exp(1j * math.pi / n)
+    return matrix_group(np.diag([turn, 1 / turn]), np.array([[0, -1], [1, 0]], dtype=complex))
+
+
+_Z = CayleyTable.cyclic
+#: Every group of order at most 12, one table per isomorphism class, built
+#: by the package's constructors where they reach it.
+GROUPS_UP_TO_12 = {
+    **{f"Z{n}": _Z(n) for n in range(1, 13)},
+    "Z2xZ2": CayleyTable.direct_product(_Z(2), _Z(2)),
+    "S3": CayleyTable.symmetric(3),
+    "Z4xZ2": CayleyTable.direct_product(_Z(4), _Z(2)),
+    "Z2xZ2xZ2": CayleyTable.direct_product(CayleyTable.direct_product(_Z(2), _Z(2)), _Z(2)),
+    "D4": _dihedral(4),
+    "Q8": _dicyclic(2),
+    "Z3xZ3": CayleyTable.direct_product(_Z(3), _Z(3)),
+    "D5": _dihedral(5),
+    "Z2xZ6": CayleyTable.direct_product(_Z(2), _Z(6)),
+    "A4": matrix_group(np.eye(4, dtype=complex)[[1, 2, 0, 3]],
+                       np.eye(4, dtype=complex)[[1, 0, 3, 2]]),
+    "Z2xS3": CayleyTable.direct_product(_Z(2), CayleyTable.symmetric(3)),
+    "Dic3": _dicyclic(3),
+}
+
+
+def dense_report(t, d: int, tol: float) -> dict:
+    """``certify(t, d, tol).to_jsonable()`` as the dense kernel alone gives it.
+
+    The verdict rule is ``residual < tol``, and the witnesses are the five
+    largest positive entries of ``|lhs - rhs|``, ties in reverse ``argsort`` order.
+    """
+    res = pentagon_residual(t, d)
+    witnesses = []
+    for flat in np.argsort(res.mismatch, axis=None)[::-1][:5]:
+        row, col = np.unravel_index(int(flat), res.mismatch.shape)
+        if res.mismatch[row, col] > 0.0:
+            witnesses.append(Witness(int(row), int(col), complex(res.lhs[row, col]),
+                                     complex(res.rhs[row, col])))
+    verdict = "fusion" if res.residual < tol else "not_fusion"
+    report = CertificationReport("custom", (), "pentagon", res.residual, tol, verdict,
+                                 tuple(witnesses))
+    return report.to_jsonable()
+
+
+@st.composite
+def certify_cases(draw):
+    """(gate, d, tol): a permutation gate at d=2-4, its negative, a near-permutation
+    P exp(i eps H), or a 0/1 matrix with one 1 per row that only a loose tol lets pass
+    the unitarity check."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    t = np.eye(d * d, dtype=complex)[draw(st.permutations(range(d * d)))]
+    kind = draw(st.sampled_from(("permutation", "negative", "near", "function")))
+    tol = draw(st.sampled_from((1e-10, 1e-6, 10.0)))
+    if kind == "negative":
+        t = -t
+    elif kind == "near":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        w, v = np.linalg.eigh(a + a.conj().T)
+        eps = draw(st.sampled_from((1e-14, 1e-9, 1e-3)))
+        t = t @ (v * np.exp(1j * eps * w)) @ v.conj().T
+    elif kind == "function":
+        d, tol = 2, 10.0
+        t = np.eye(4, dtype=complex)[draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))]
+    return t, d, tol
+
+
+@PROPERTY_SETTINGS
+@given(certify_cases())
+@example((standard_gate("SWAP"), 2, 1e-10))
+@example((standard_gate("SWAP"), 2, 10.0))
+@example((-group_algebra_fusion(_Z(3)), 3, 1e-10))
+def test_index_map_path_gives_the_dense_report(case):
+    t, d, tol = case
+    assert certify(t, d, tol).to_jsonable() == dense_report(t, d, tol)
+
+
+for _group in GROUPS_UP_TO_12.values():
+    test_index_map_path_gives_the_dense_report = example(
+        (group_algebra_fusion(_group), _group.order, 1e-10)
+    )(test_index_map_path_gives_the_dense_report)
 
 
 @PROPERTY_SETTINGS
