@@ -9,13 +9,18 @@ Times, on each checkout and alternating the sides as
   permutation gates (CNOT) at 8, 10 and 12 qubits, on scattered wires,
   reported per gate (the call time over the gate count, the fixed cost
   included);
+- ``to_unitary`` of ``route_line`` of that 10-qubit XX circuit, whose
+  SWAP chains put permutation gates between the dense ones, as
+  ``route`` followed by ``verify`` simulates; reported per routed gate;
 - ``circuit_distance`` of two 12-qubit circuits of a few gates that differ
   in one gate.
 
 Before timing, it runs that ``circuit_distance`` once per side in a child
 process and reports the child's peak resident set size in MB, which holds
-every register-sized array the call makes. Both checkouts must give the same
-unitaries and distances, or the probe exits 1.
+every register-sized array the call makes. Both checkouts must give
+bit-identical unitaries for every timed circuit, and bit-identical
+distances between the XX and CNOT circuits at each size and for the
+12-qubit pair, or the probe exits 1; the report lists what it compared.
 
 usage: python3 scripts/probe_simulate.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
@@ -38,6 +43,10 @@ from probe_circuit_io import arguments, load, paired
 #: Gates per timed circuit at each register size: few at 12 qubits, where
 #: one dense gate streams two 256 MiB buffers.
 GATES_AT = {8: 40, 10: 12, 12: 4}
+
+#: The register size of the routed row: its XX gates lie 5 wires apart, so
+#: each becomes 9 gates.
+ROUTED_AT = 10
 
 #: The 12-qubit ``circuit_distance`` pair: these gates, then the second
 #: circuit with its last gate's angle changed.
@@ -74,6 +83,12 @@ def per_gate(result: dict, count: int) -> dict:
     return {"gates": count, **result}
 
 
+def same_bits(a, b) -> bool:
+    """Whether two float or complex arrays, or two floats, hold the same bit patterns."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def peak_rss_mb(checkout: str) -> float:
     src = str(Path(checkout).resolve() / "src")
     argv = [sys.executable, "-c", CHILD, src, str(Path(__file__).resolve().parent)]
@@ -89,25 +104,44 @@ def main(argv: list[str]) -> int:
     # that process's peak as its own.
     peaks = {"base": peak_rss_mb(base), "change": peak_rss_mb(change)}
     sides = {"base": load(base), "change": load(change)}
-    report = {}
+    report, compared = {}, []
+
+    def timed(key: str, circuits: dict, count: int) -> bool:
+        """Time ``to_unitary`` of ``circuits`` per gate; False when the sides' bits differ."""
+        if not same_bits(*(pg.to_unitary(circuits[s]) for s, pg in sides.items())):
+            print(f"{key}: the two checkouts simulate differently", file=sys.stderr)
+            return False
+        compared.append(f"to_unitary {key}")
+        run = lambda pg, side: pg.to_unitary(circuits[side])
+        report[f"to_unitary {key} per gate"] = per_gate(paired(sides, run, rounds), count)
+        return True
+
     for n, count in GATES_AT.items():
         empty = {side: pg.Circuit(n, ()) for side, pg in sides.items()}
         report[f"to_unitary empty {n}q"] = paired(sides, lambda pg, side: pg.to_unitary(empty[side]), rounds)
-        for name in ("XX", "CNOT"):
-            circuits = {side: circuit(pg, name, n, count) for side, pg in sides.items()}
-            if not np.array_equal(*(pg.to_unitary(circuits[s]) for s, pg in sides.items())):
-                print(f"{name} at {n} qubits: the two checkouts simulate differently", file=sys.stderr)
+        made = {name: {side: circuit(pg, name, n, count) for side, pg in sides.items()} for name in ("XX", "CNOT")}
+        for name, circuits in made.items():
+            if not timed(f"{name} {n}q", circuits, count):
                 return 1
-            run = lambda pg, side: pg.to_unitary(circuits[side])
-            report[f"to_unitary {name} {n}q per gate"] = per_gate(paired(sides, run, rounds), count)
+        if n == ROUTED_AT:
+            routed = {side: pg.route_line(made["XX"][side]) for side, pg in sides.items()}
+            if not timed(f"routed XX {n}q", routed, len(routed["base"].gates)):
+                return 1
+        distances = [pg.circuit_distance(made["XX"][s], made["CNOT"][s]) for s, pg in sides.items()]
+        if not same_bits(*distances):
+            print(f"circuit_distance at {n} qubits differs: {distances}", file=sys.stderr)
+            return 1
+        compared.append(f"circuit_distance XX-CNOT {n}q")
     pairs = {side: distance_pair(pg) for side, pg in sides.items()}
     distances = {side: pg.circuit_distance(*pairs[side]) for side, pg in sides.items()}
-    if distances["base"] != distances["change"]:
+    if not same_bits(distances["base"], distances["change"]):
         print(f"circuit_distance differs: {distances}", file=sys.stderr)
         return 1
+    compared.append("circuit_distance 12q")
     run = lambda pg, side: pg.circuit_distance(*pairs[side])
     report["circuit_distance 12q"] = {"gates": len(DISTANCE_GATES), **paired(sides, run, rounds)}
     report["circuit_distance 12q peak_rss_mb"] = peaks
+    report["bit-identical"] = compared
     print(json.dumps(report, indent=1))
     return 0
 

@@ -22,19 +22,20 @@ call: ``parse`` keys gates without parameters by their JSON content,
 gate without parameters once, and ``Circuit`` checks the register once per
 distinct object.
 
-Simulation builds the full register unitary by tensor contraction: the
-unitary is held as a ``(2,) * n + (2**n,)`` tensor and each k-qubit gate
-is contracted into the axes of its wires, costing O(2**k * 4**n) per gate
-instead of the O(8**n) of multiplying by an embedded 2**n x 2**n gate.
-A call allocates two register-sized buffers and no others. For each gate
-the tensor, with the gate's wires moved to the front, is copied into the
-free buffer, and ``np.dot`` writes the product back into the other one:
-the call and operands ``np.tensordot`` would use, so the same values. A
-gate whose matrix has only exact 0 and 1 entries, one 1 per row (X, CNOT,
-SWAP, permutation custom gates), is applied by copying rows in its order
-instead: the product would add ``1 * x`` to exact zeros, so the copy has
-the same values, and only the sign of a zero entry can differ. Registers
-stay capped at 12 qubits, because the result is still a dense
+Simulation builds the full register unitary by tensor contraction: each
+k-qubit gate is contracted into the rows of its wires, costing
+O(2**k * 4**n) per gate instead of the O(8**n) of multiplying by an
+embedded 2**n x 2**n gate. A call allocates two register-sized buffers and
+keeps an integer row map beside them: register row r is row ``at[r]`` of
+the held buffer. A gate whose matrix has only exact 0 and 1 entries, one 1
+per row (X, CNOT, SWAP, permutation custom gates), only composes its rows
+into the map, O(2**n) integers and no register data: the product would add
+``1 * x`` to exact zeros, so relabelling gives its values, and only the
+sign of a zero entry can differ. Any other gate gathers its operand
+through the map into the free buffer, the gate's wires leading, and
+``np.dot`` writes the product back, the call and operands ``np.tensordot``
+would use, so the same values. The rows are put in order once, at the end.
+Registers stay capped at 12 qubits, because the result is still a dense
 2**n x 2**n matrix.
 """
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import functools
 import json
 import math
 import sys
@@ -365,41 +367,60 @@ def serialize(circuit: Circuit) -> str:
     return f'{{"qubits": {int(circuit.num_qubits)}, "gates": [{", ".join(parts)}]}}'
 
 
+#: Bound of the ``_orders`` cache. An entry holds two arrays of ``2**n``
+#: integers, 64 KiB at 12 qubits, so the cache holds at most 16 MiB.
+_ORDERS_CACHED = 256
+
+
+@functools.lru_cache(maxsize=_ORDERS_CACHED)
+def _orders(n: int, wires: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(order, inverse)`` for a gate on ``wires`` of ``n`` qubits.
+
+    Row i of the gate's operand is register row ``order[i]``: the operand
+    lists the rows with the gate's wires as the leading bits, in their
+    order, and the other wires after them in register order. ``inverse``
+    sends a register row to its row in the operand.
+    """
+    order = np.moveaxis(np.arange(2**n).reshape((2,) * n), wires, range(len(wires))).ravel()
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(2**n)
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
+
+
 def to_unitary(circuit: Circuit) -> np.ndarray:
     """Full register unitary; gate 0 is applied first.
 
-    Row axis j of the ``(2,) * n + (2**n,)`` tensor ``u`` is wire j; ``u``
-    is a view of ``held``, one of two register-sized buffers. A k-qubit
-    gate's wires are moved to the front and the tensor is copied into the
-    other buffer as a ``2**k``-row matrix. A permutation gate's rows are
-    then copied in its order and the buffers swap roles; any other gate's
-    ``np.dot`` writes back into ``held``. The k output axes move back to
-    the gate's wires. At the end ``held`` is returned when ``u`` is
-    already in its row order, as it is after no gate, and otherwise ``u``
-    is copied into the other buffer, which is returned: C-contiguous and
+    The register lives in ``held``, one of two register-sized buffers, with
+    its rows relabelled: register row r is row ``at[r]`` of ``held``. A
+    permutation gate composes its rows into ``at`` and moves no register
+    data. Any other gate gathers its operand through ``at`` into the free
+    buffer, the gate's wires leading (``_orders``), and ``np.dot`` writes
+    the product back into ``held``, which then holds the register in the
+    operand's row order. At the end ``held`` is returned when ``at`` is the
+    identity, as it is after no gate, and otherwise its rows are gathered
+    into order in the other buffer, which is returned: C-contiguous and
     fresh on each call either way.
     """
     n = circuit.num_qubits
     held = np.eye(2**n, dtype=np.complex128)
     free = np.empty_like(held)
-    u = held.reshape((2,) * n + (-1,))
+    at = identity = np.arange(2**n)
     for gate in circuit.gates:
         k = len(gate.wires)
         m = np.ascontiguousarray(resolved_matrix(gate))  # as tensordot's reshape passes it
-        moved = np.moveaxis(u, gate.wires, range(k))
+        order, inverse = _orders(n, gate.wires)
         if (rows := _permutation_rows(m)) is None:
-            np.copyto(free.reshape(moved.shape), moved)
+            # the indices are a permutation; mode="clip" spares the bounds
+            # check, whose default mode buffers ``out``
+            np.take(held, at[order], axis=0, out=free, mode="clip")
             np.dot(m, free.reshape(2**k, -1), out=held.reshape(2**k, -1))
+            at = inverse
         else:
-            dest = free.reshape((2**k,) + moved.shape[k:])
-            for i, j in enumerate(rows):
-                np.copyto(dest[i], moved[np.unravel_index(j, (2,) * k)])
-            held, free = free, held
-        u = np.moveaxis(held.reshape(moved.shape), range(k), gate.wires)
-    if u.flags.c_contiguous:
+            at = at[order.reshape(2**k, -1)[rows].ravel()[inverse]]
+    if np.array_equal(at, identity):
         return held
-    np.copyto(free.reshape(u.shape), u)
-    return free
+    return np.take(held, at, axis=0, out=free, mode="clip")
 
 
 def circuit_distance(a: Circuit, b: Circuit) -> float:

@@ -143,8 +143,9 @@ def to_unitary_reference(num_qubits: int, gates) -> np.ndarray:
     """Register unitary by one ``np.tensordot`` and ``np.moveaxis`` per gate.
 
     ``gates`` lists ``(matrix, wires)`` pairs, the first acting first. The
-    reference for ``circuit.to_unitary``'s two-buffer loop, which must give
-    the same values: it makes the same ``np.dot`` call on the same operands.
+    reference for ``circuit.to_unitary``'s row-map loop, which must give the
+    same values: its dense gates make the same ``np.dot`` call on the same
+    operands, and its permutation gates only relabel rows.
     """
     dim = 2**num_qubits
     u = np.eye(dim, dtype=np.complex128).reshape((2,) * num_qubits + (dim,))

@@ -28,7 +28,7 @@ from pentagate import (
     serialize,
     to_unitary,
 )
-from pentagate.circuit import parse_matrix
+from pentagate.circuit import _orders, parse_matrix
 from pentagate.gates import GATES, gate_matrix
 from pentagate.linalg import _permutation_rows
 from conftest import haar_unitary, random_circuit, template_circuit, template_gates
@@ -492,15 +492,58 @@ def simulator_circuits(draw, max_qubits: int = 8) -> Circuit:
 SIMULATOR_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+@st.composite
+def row_map_circuits(draw) -> Circuit:
+    """9 or 10 qubits and at most 6 gates.
+
+    The gates are XX and CNOT on any two wires, so ``route_line`` adds SWAP
+    chains around dense and permutation gates; custom 3-wire permutations; and
+    signed permutations on 1-3 wires, which take the dense path. The last
+    gate may be H on wire 0, whose operand is in register order, so the row
+    map ends at the identity; or X on the last wire, which leaves it off
+    the identity.
+    """
+    n = draw(st.integers(9, 10))
+    gates = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("XX", "CNOT", "permutation", "signed")))
+        k = {"XX": 2, "CNOT": 2, "permutation": 3}.get(kind) or draw(st.integers(1, 3))
+        wires = tuple(draw(st.permutations(range(n)))[:k])
+        if kind in ("XX", "CNOT"):
+            gates.append(GateInstance(kind, wires, (draw(st.floats(-3.0, 3.0)),) if kind == "XX" else ()))
+            continue
+        perm = np.eye(2**k, dtype=complex)[draw(st.permutations(range(2**k)))]
+        gates.append(GateInstance("custom", wires, (), perm if kind == "permutation" else -perm))
+    last = draw(st.sampled_from((None, GateInstance("H", (0,)), GateInstance("X", (n - 1,)))))
+    return Circuit(n, tuple(gates) + ((last,) if last else ()))
+
+
 class TestTwoBufferSimulator:
     """``to_unitary`` against the one-``tensordot``-per-gate reference.
 
-    The dense path makes the reference's ``np.dot`` call on the same
-    operands, and the permutation path copies the rows the product would
+    A dense gate makes the reference's ``np.dot`` call on the same
+    operands, and a permutation gate relabels the rows the product would
     sum with exact zeros, so the values must be equal. Comparisons use
     ``==``, which treats -0.0 and 0.0 as equal: the sign of a zero entry
-    is the one thing the row copy may change.
+    is the one thing relabelling may change.
     """
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(row_map_circuits())
+    def test_row_map_at_nine_and_ten_qubits(self, circuit):
+        routed = route_line(circuit)
+        expected, expected_routed = reference_unitary(circuit), reference_unitary(routed)
+        assert np.array_equal(to_unitary(circuit), expected)
+        assert np.array_equal(to_unitary(routed), expected_routed)
+        assert circuit_distance(circuit, routed) == phase_distance_reference(expected, expected_routed)
+
+    def test_orders_are_cached_and_read_only(self):
+        order, inverse = _orders(3, (2, 0))
+        assert list(order) == [0, 2, 4, 6, 1, 3, 5, 7]  # wire 2 leads, then wires 0 and 1
+        assert list(order[inverse]) == list(range(8))
+        assert not order.flags.writeable and not inverse.flags.writeable
+        assert _orders(3, (2, 0))[0] is order
+        assert _orders.cache_info().maxsize is not None
 
     @SIMULATOR_SETTINGS
     @given(simulator_circuits())
