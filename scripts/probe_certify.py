@@ -1,12 +1,13 @@
 """Paired probe of ``certify`` at two checkouts: group fusion operators, CNOT and SWAP.
 
 Certifies the fusion operator of each of the 14 groups of the ``certify``
-workload (perfbench/corpus.py ``GROUPS``), then CNOT and SWAP, on each
-checkout, alternating the sides as ``probe_circuit_io.py`` does (one
-process, process CPU time). Both checkouts must give equal reports
-(``to_jsonable()``) for every gate, or the probe exits 1. The symmetric
-group S4 (d=24) is left out: a checkout that forms the dense d**3 x d**3
-sides of the pentagon equation needs about 3 GB for it.
+workload (perfbench/corpus.py ``GROUPS``) and of the symmetric group S4
+(d=24), then CNOT and SWAP, on each checkout, alternating the sides as
+``probe_circuit_io.py`` does (one process, wall time). Both checkouts
+must give equal reports (``to_jsonable()``) for every gate, or the probe
+exits 1. Both checkouts must decide permutation gates on index maps: one
+that forms the dense d**3 x d**3 sides of the pentagon equation needs
+about 3 GB for S4.
 
 usage: python3 scripts/probe_certify.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
@@ -28,8 +29,8 @@ from probe_circuit_io import ROOT, arguments, load, paired
 
 
 def group(pg, name: str):
-    """The CayleyTable ``name`` names: Zn, S3, or an x-separated direct product."""
-    parts = [pg.CayleyTable.symmetric(3) if part == "S3" else pg.CayleyTable.cyclic(int(part[1:]))
+    """The CayleyTable ``name`` names: Zn, Sn, or an x-separated direct product."""
+    parts = [(pg.CayleyTable.symmetric if part[0] == "S" else pg.CayleyTable.cyclic)(int(part[1:]))
              for part in name.split("x")]
     return functools.reduce(pg.CayleyTable.direct_product, parts)
 
@@ -54,7 +55,7 @@ def main(argv: list[str]) -> int:
     import corpus
 
     sides = {"base": load(base), "change": load(change)}
-    cases = {side: gates(pg, corpus.GROUPS) for side, pg in sides.items()}
+    cases = {side: gates(pg, corpus.GROUPS + ("S4",)) for side, pg in sides.items()}
     report = {}
     for label, (_, d) in cases["base"].items():
         def run(pg, side):

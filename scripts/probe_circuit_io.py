@@ -5,8 +5,9 @@ fresh ``GateInstance`` objects, one per gate and none shared, the way the
 benchmark set-up writes its corpus. It times ``serialize`` of that fresh
 circuit and ``parse`` of its canonical text on each checkout, alternating
 the sides. Both checkouts are imported into one process, so the two sides
-see the same host speed at the same moment. Process CPU time is used,
-which a neighbour on a shared host disturbs less than wall time.
+see the same host speed at the same moment. Wall time is used: process
+CPU time sums over BLAS threads, so it misjudges a change that alters
+how much work reaches BLAS.
 
 usage: python3 scripts/probe_circuit_io.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
@@ -76,8 +77,9 @@ def quartiles(values: list[float]) -> list[float]:
 def paired(sides: dict, run, rounds: int, per_round: int = 1, unit: str = "ms") -> dict:
     """Time ``run(module, side)`` on both sides, alternating which goes first.
 
-    Each round times ``per_round`` calls per side in process CPU time and
-    records the mean per call in ``unit`` (ms or us).
+    Each round times ``per_round`` calls per side in wall time
+    (``time.perf_counter``) and records the mean per call in ``unit``
+    (ms or us).
     """
     scale = {"ms": 1e3, "us": 1e6}[unit]
     times = {side: [] for side in sides}
@@ -85,10 +87,10 @@ def paired(sides: dict, run, rounds: int, per_round: int = 1, unit: str = "ms") 
         order = list(sides) if k % 2 == 0 else list(reversed(sides))
         for side in order:
             gc.collect()
-            started = time.process_time()
+            started = time.perf_counter()
             for _ in range(per_round):
                 run(sides[side], side)
-            times[side].append(scale * (time.process_time() - started) / per_round)
+            times[side].append(scale * (time.perf_counter() - started) / per_round)
     medians = {side: statistics.median(t) for side, t in times.items()}
     return {
         f"base_{unit}": {"median": medians["base"], "quartiles": quartiles(times["base"])},

@@ -1,7 +1,7 @@
 """Paired probe of per-call overhead at two checkouts: CLI commands, ``embed``, fusion matching.
 
 Times, on each checkout and alternating the sides as
-``probe_circuit_io.py`` does (one process, process CPU time):
+``probe_circuit_io.py`` does (one process, wall time):
 
 - one in-process ``cli.main`` call of ``certify`` and of ``constraints``
   at a d=2 A-gate point, with stdout captured, as the ``scan`` and

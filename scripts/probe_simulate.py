@@ -1,7 +1,7 @@
 """Paired probe of dense simulation at two checkouts: ``to_unitary`` and ``circuit_distance``.
 
 Times, on each checkout and alternating the sides as
-``probe_circuit_io.py`` does (one process, process CPU time):
+``probe_circuit_io.py`` does (one process, wall time):
 
 - ``to_unitary`` of an empty circuit at 8, 10 and 12 qubits, the fixed
   cost of a call (its buffers, the identity and the returned copy);

@@ -149,25 +149,28 @@ def certify(
 ) -> CertificationReport:
     """Certify a unitary as a pentagon solution.
 
-    Refuses non-unitary input: the rewriter's correctness argument needs a
-    unitary gate, so a non-unitary candidate gets a distinct error rather
-    than a not_fusion verdict. Unitarity is checked first; the shape rule
-    then checks ``d`` and the shape.
+    The checks run cheapest first. The index-map check
+    (``equations.permutation_solves_pentagon``) applies the shape rule, so
+    a bad ``d`` or shape raises DimensionError before any O(N**3) work,
+    and then decides a permutation gate in O(d**3). A permutation gate
+    whose maps solve the equation is exactly unitary and is reported as
+    ``fusion`` with residual 0.0 and no witnesses, the report the dense
+    kernel gives it, without forming its d**3 x d**3 sides: every group
+    fusion operator certifies in milliseconds, S4 at d=24 among them.
 
-    A permutation gate whose index maps solve the equation
-    (``equations.permutation_solves_pentagon``) is reported as ``fusion``
-    with residual 0.0 and no witnesses, the report the dense kernel gives
-    it, without forming its d**3 x d**3 sides: every group fusion operator
-    certifies in milliseconds, S4 at d=24 among them. Every other gate,
-    a permutation that fails included, takes the dense kernel.
+    Every other gate, a permutation that fails included, is checked for
+    unitarity and then takes the dense kernel. Non-unitary input is
+    refused: the rewriter's correctness argument needs a unitary gate, so
+    a non-unitary candidate gets a distinct error rather than a
+    not_fusion verdict.
     """
     tol = check_tolerance(tol)
     params = reals(params, "gate parameters")
     t = as_matrix(t)
-    if not is_unitary(t, tol=max(tol, 1e-12)):
-        raise NonUnitaryError("candidate gate is not unitary; certification refused")
     if permutation_solves_pentagon(t, d):
         return CertificationReport(name, params, "pentagon", 0.0, tol, "fusion", ())
+    if not is_unitary(t, tol=max(tol, 1e-12)):
+        raise NonUnitaryError("candidate gate is not unitary; certification refused")
     res = pentagon_residual(t, d)
     verdict = "fusion" if res.residual < tol else "not_fusion"
     return CertificationReport(

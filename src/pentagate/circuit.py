@@ -27,8 +27,9 @@ k-qubit gate is contracted into the rows of its wires, costing
 O(2**k * 4**n) per gate instead of the O(8**n) of multiplying by an
 embedded 2**n x 2**n gate. A call allocates two register-sized buffers and
 keeps an integer row map beside them: register row r is row ``at[r]`` of
-the held buffer. A gate whose matrix has only exact 0 and 1 entries, one 1
-per row (X, CNOT, SWAP, permutation custom gates), only composes its rows
+the held buffer. A permutation gate, whose matrix has only exact 0 and 1
+entries with one 1 per row and per column (X, CNOT, SWAP, permutation
+custom gates; ``linalg._permutation_rows``), only composes its rows
 into the map, O(2**n) integers and no register data: the product would add
 ``1 * x`` to exact zeros, so relabelling gives its values, and only the
 sign of a zero entry can differ. Any other gate gathers its operand

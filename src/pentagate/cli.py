@@ -51,7 +51,7 @@ from .errors import (
     RewriteVerificationError,
 )
 from .gates import gate_matrix
-from .linalg import DEFAULT_TOLERANCE, _check_operator, check_tolerance
+from .linalg import DEFAULT_TOLERANCE, check_tolerance
 from .rewrite import describe_fusion_gate, transpile
 
 EXIT_OK = 0
@@ -110,10 +110,10 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _resolve_gate_spec(name: str | None, params: str, matrix_path: str | None):
-    """Name + params, or a matrix file, to (display name, params, matrix).
+    """Name + params, or a matrix file, to (display name, params, matrix or None).
 
-    A matrix file of any size but 4x4 is refused with the shape rule's
-    DimensionError here, before certification's O(N**3) unitarity check.
+    Reads the flags and the matrix file and builds no gate: the matrix is
+    None for a named gate, and the library checks whatever is returned.
     """
     values = _parse_params(params)
     if matrix_path is not None and name is not None:
@@ -121,11 +121,9 @@ def _resolve_gate_spec(name: str | None, params: str, matrix_path: str | None):
     if matrix_path is None and name is None:
         raise ValueError("no gate given")
     if matrix_path is None and not name.startswith("@"):
-        return name, values, gate_matrix(name, values)
+        return name, values, None
     path = name[1:] if matrix_path is None else matrix_path
-    matrix = parse_matrix(_read_text(path), path)
-    _check_operator(matrix, 2, 2)
-    return CUSTOM, (), matrix
+    return CUSTOM, (), parse_matrix(_read_text(path), path)
 
 
 #: Flags whose values may start with a minus sign (negative angles and
@@ -218,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_certify(args) -> int:
     name, params, matrix = _resolve_gate_spec(args.gate, args.params, args.matrix)
+    if matrix is None:
+        matrix = gate_matrix(name, params)
     report = certify(matrix, 2, args.tol, name=name, params=params)
     _emit(report.to_jsonable())
     _diag(f"verdict: {report.verdict} (residual {report.residual:.6g})", args.quiet)
@@ -253,8 +253,7 @@ def _cmd_scan(args) -> int:
 def _cmd_transpile(args) -> int:
     circuit = _load_circuit(args.input)
     name, params, matrix = _resolve_gate_spec(args.fusion_gate, args.fusion_params, None)
-    custom = matrix if name == CUSTOM else None
-    descriptor = describe_fusion_gate(name, params, custom, args.tol)
+    descriptor = describe_fusion_gate(name, params, matrix, args.tol)
     current, report = transpile(
         circuit, descriptor, args.rule,
         fixed_point=args.fixed_point, verify=not args.no_verify, tol=args.tol,
@@ -316,7 +315,3 @@ def main(argv=None) -> int:
     except (PentagateError, ValueError, OSError) as exc:
         _diag(f"error: {exc}", quiet)
         return EXIT_INVALID
-
-
-if __name__ == "__main__":
-    sys.exit(main())

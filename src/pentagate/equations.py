@@ -33,13 +33,13 @@ one-gate case. The other equations are evaluated with dense lifts; they
 are only called at small d.
 
 A permutation gate, one whose matrix has only exact 0 and 1 entries with
-one 1 per row (``linalg._permutation_rows``), is also decided without a
-lift by ``permutation_solves_pentagon``. Each lift of such a gate maps
-basis state i of V (x) V (x) V to one basis state, and a product of
-such matrices composes those maps, so the sides are equal exactly when
-the composed index maps of T23 T12 and T12 T13 T23 agree on the d**3
-basis states. That costs O(d**3) where the dense sides cost O(d**8),
-and it is the vectorised form of the basis-tuple oracle
+one 1 per row and per column (``linalg._permutation_rows``), is also
+decided without a lift by ``permutation_solves_pentagon``. Each lift of
+such a gate maps basis state i of V (x) V (x) V to one basis state, and a
+product of such matrices composes those maps, so the sides are equal
+exactly when the composed index maps of T23 T12 and T12 T13 T23 agree on
+the d**3 basis states. That costs O(d**3) where the dense sides cost
+O(d**8), and it is the vectorised form of the basis-tuple oracle
 ``tests/oracles.py`` ``pentagon_sides``. Where the maps agree, the
 kernel's sides are bitwise equal and its residual is exactly 0.0 (see
 ``pentagon_stack``).
@@ -49,6 +49,8 @@ coerces its input with ``as_matrix`` (``pentagon_stack`` tests that it
 has a stack), and its first lift, or the index-map check before it reads
 the gate's rows, checks that d is an integer of at least 1 and that the
 operator is d*d x d*d, raising DimensionError before any product.
+``certify`` calls the index-map check first, so the rule is applied
+there before its unitarity check.
 
 Two classical dualities tie these together: R solves the braid YBE iff
 tau R solves ybe13, and T solves the pentagon equation iff tau T solves
@@ -147,8 +149,8 @@ def permutation_solves_pentagon(t, d: int) -> bool:
 
     Refuses a bad ``d`` or shape with the shape rule's DimensionError
     first. A gate that is not a permutation, or whose maps disagree, gives
-    False; ``certify`` leaves it to the dense kernel, which reports its
-    residual and where the sides differ. Row i of a permutation matrix
+    False; ``certify`` checks its unitarity and leaves it to the dense
+    kernel, which reports its residual and where the sides differ. Row i of a permutation matrix
     holds its 1 in column ``rows[i]``, so the rows of a product A B are
     ``rows_B[rows_A]``. Each lift's rows are an array over the d**3 basis
     states, built from the gate's rows read as a d x d table of pair indices.

@@ -21,11 +21,12 @@ Two functions here decide what the package takes as a number:
 
 ``_check_operator`` is the one statement of the shape rule: ``d`` is a
 count and an operator acts on k wires of dimension d. ``embed`` applies
-it on every lift, the equations' index-map check before it reads a
-permutation gate's rows, and the CLI to a gate's matrix file; the
-equations and ``certify`` otherwise leave it to their first lift.
-``_permutation_rows`` is the one test of a permutation gate, shared by
-the simulator and the index-map check.
+it on every lift, and the equations' index-map check before it reads a
+permutation gate's rows; ``certify`` makes that check first, so it
+refuses a wrong shape before any O(N**3) work, and the other equations
+leave the rule to their first lift. ``_permutation_rows`` is the one
+test of a permutation matrix, exact 0/1 entries with one 1 per row and
+per column, shared by the simulator and the index-map check.
 
 Conventions used throughout the package:
 
@@ -151,18 +152,19 @@ def _check_operator(u: np.ndarray, k: int, d) -> None:
 
 
 def _permutation_rows(m: np.ndarray) -> np.ndarray | None:
-    """Column of the 1 in each row when ``m`` has only exact 0 and 1 entries,
-    one 1 per row; otherwise None.
+    """Column of the 1 in each row when ``m`` is a permutation matrix: only
+    exact 0 and 1 entries, one 1 per row and one per column; otherwise None.
 
-    Multiplying by such a matrix adds ``1 * x`` to exact zeros, so copying
-    row ``rows[i]`` into row i gives the product's values; only the sign of
-    a zero entry can differ, and ``==`` treats the two zeros as equal.
-    Counting the nonzero entries first refuses most other matrices cheaply.
+    Such a matrix is exactly unitary. Multiplying by it adds ``1 * x`` to
+    exact zeros, so copying row ``rows[i]`` into row i gives the product's
+    values; only the sign of a zero entry can differ, and ``==`` treats the
+    two zeros as equal. Counting the nonzero entries first refuses most
+    other matrices cheaply.
     """
     if np.count_nonzero(m) != len(m):
         return None
     ones = m == 1
-    if (ones | (m == 0)).all() and (ones.sum(axis=1) == 1).all():
+    if (ones | (m == 0)).all() and (ones.sum(axis=1) == 1).all() and ones.any(axis=0).all():
         return ones.argmax(axis=1)
     return None
 
@@ -212,12 +214,9 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     rest = [q for q in range(num_qubits) if q not in wires]
     eye = np.eye(d ** len(rest), dtype=np.complex128)
     batch, size = u.shape[:-2], d**num_qubits
-    if wires + rest == list(range(num_qubits)):
-        # u (x) I slice by slice, as the same broadcast product np.kron forms
-        full = u[..., :, np.newaxis, :, np.newaxis] * eye[:, np.newaxis, :]
-        return full.reshape(batch + (size, size))
-    # the same products, written through a view of the result whose axes run
-    # over u's row wires and column wires, then the identity's rows and columns
+    # u's entries times the identity's, written through a view of the result
+    # whose axes run over u's row wires and column wires, then the identity's
+    # rows and columns
     out = np.empty(batch + (size, size), dtype=np.complex128)
     axes = [len(batch) + q + s for group in (wires, rest) for s in (0, num_qubits) for q in group]
     view = out.reshape(batch + (d,) * (2 * num_qubits)).transpose([*range(len(batch)), *axes])

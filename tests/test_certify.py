@@ -15,6 +15,7 @@ from pentagate import (
     FAMILIES,
     CayleyTable,
     Circuit,
+    DimensionError,
     NonUnitaryError,
     a_gate,
     certify,
@@ -73,9 +74,21 @@ class TestCertify:
     def test_non_unitary_refused(self):
         with pytest.raises(NonUnitaryError):
             certify(2.0 * I4, 2, 1e-10)
-        # unitarity is checked before the kernel's embed checks the shape
+        # 0/1 entries with one 1 per row but a repeated column: no permutation,
+        # although these rows read as an index map would solve the equation
         with pytest.raises(NonUnitaryError):
+            certify(np.eye(4)[[0, 1, 0, 3]], 2, 1e-10)
+        # the index-map check applies the shape rule before unitarity is checked
+        with pytest.raises(DimensionError):
             certify(np.ones((9, 9)), 2, 1e-10)
+
+    @pytest.mark.parametrize("matrix", [np.eye(64), np.ones((9, 9))], ids=["eye64", "ones9"])
+    def test_wrong_size_matrix_refused_before_unitarity(self, matrix, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("pentagate.certify"), "is_unitary", None)
+        size = len(matrix)
+        message = rf"shape \({size}, {size}\) does not act on 2 wires"
+        with pytest.raises(DimensionError, match=message):
+            certify(matrix, 2)
 
     @pytest.mark.parametrize("point, sign", [
         ((0, 0, 0), 1), ((0, 2 * PI, 2 * PI), 1), ((2 * PI, 0, 2 * PI), 1),

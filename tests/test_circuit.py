@@ -575,7 +575,9 @@ class TestTwoBufferSimulator:
     def test_permutation_rows_only_for_exact_zero_one_rows(self):
         perm = np.eye(8, dtype=complex)[[3, 0, 7, 1, 2, 6, 4, 5]]
         assert list(_permutation_rows(perm)) == [3, 0, 7, 1, 2, 6, 4, 5]
-        for other in (near_permutation(perm), -perm, 1j * perm, np.ones((8, 8)) / 8**0.5):
+        repeated = np.eye(8, dtype=complex)[[3, 3, 7, 1, 2, 6, 4, 5]]  # a column has two 1s
+        others = (near_permutation(perm), -perm, 1j * perm, np.ones((8, 8)) / 8**0.5, repeated)
+        for other in others:
             assert _permutation_rows(other) is None
         assert list(_permutation_rows(resolved_matrix(GateInstance("CNOT", (0, 1))))) == [0, 1, 3, 2]
 

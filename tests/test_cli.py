@@ -187,6 +187,13 @@ class TestTranspileCommand:
         assert result.returncode == 2
         assert not out.exists()
 
+    def test_fusion_gate_is_built_by_the_library_alone(self, template_file, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setattr(pentagate.cli, "gate_matrix", None)  # a CLI-side build fails
+        assert main(["transpile", "--in", str(template_file), "--out", str(tmp_path / "o.json"),
+                     "--rule", "compress", "--fusion-gate", "CNOT", "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["gate_count_after"] == 2
+
     def test_zero_sites_still_succeeds(self, tmp_path):
         path = tmp_path / "plain.json"
         path.write_text('{"qubits": 2, "gates": [{"name": "H", "wires": [0]}]}')
@@ -358,7 +365,10 @@ class TestInputBoundary:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "parameters must be finite" in captured.err
+        if argv[0] == "transpile":  # the fusion gate is checked by GateInstance alone
+            assert "params[0]: expected a finite number" in captured.err
+        else:
+            assert "parameters must be finite" in captured.err
         assert not (tmp_path / "out.json").exists()
 
 
@@ -424,9 +434,14 @@ class TestMatrixFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         size = len(matrix)
-        assert captured.err == (
-            f"error: operator of shape ({size}, {size}) does not act on 2 wires of dimension 2\n"
-        )
+        if flags[0] == "transpile":  # GateInstance checks the fusion gate's shape
+            assert captured.err == (
+                f"error: fusion gate 'custom': matrix: expected 4x4 for 2 wires, got {size}x{size}\n"
+            )
+        else:  # certify's index-map check applies the shape rule
+            assert captured.err == (
+                f"error: operator of shape ({size}, {size}) does not act on 2 wires of dimension 2\n"
+            )
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("flags", [["stats", "--in", "deep.json"],

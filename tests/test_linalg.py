@@ -17,6 +17,7 @@ from pentagate import (
     standard_gate,
     twist,
 )
+from pentagate.linalg import _permutation_rows
 from conftest import haar_unitary
 from oracles import embed_by_transpose_copy, matrices_equal, permutation_operator
 
@@ -165,6 +166,20 @@ class TestNormsAndUnitarity:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             is_unitary(np.ones((2, 3)))
+
+    def test_permutation_rows_accepts_exactly_the_permutation_matrices(self):
+        # every 4x4 0/1 matrix with four ones: only the 24 permutations pass,
+        # and each is exactly unitary, which certify relies on
+        accepted = []
+        for cells in itertools.combinations(range(16), 4):
+            m = np.zeros(16, dtype=complex)
+            m[list(cells)] = 1
+            m = m.reshape(4, 4)
+            if (rows := _permutation_rows(m)) is not None:
+                assert np.array_equal(m, I4[rows])
+                assert np.array_equal(m.conj().T @ m, I4)
+                accepted.append(tuple(rows))
+        assert sorted(accepted) == sorted(itertools.permutations(range(4)))
 
     def test_matrices_equal_exact_and_tolerant(self):
         assert matrices_equal(I2, I2, 0.0)
