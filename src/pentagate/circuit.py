@@ -18,9 +18,10 @@ string in ``jsonio.dumps``' format; ``jsonio.dumps`` itself serves reports.
 Gates are frozen and a custom gate's matrix is read-only, so equal gates
 may be one object, and each distinct gate is built and checked once per
 call: ``parse`` keys gates without parameters by their JSON content,
-``route_line`` builds each relocated gate once, ``serialize`` writes each
-gate without parameters once, and ``Circuit`` checks the register once per
-distinct object.
+``route_line`` builds each relocated gate once, and ``serialize`` writes
+each gate without parameters once. ``Circuit`` checks the register in one
+ordered walk over its gates, an isinstance test and a wire range test
+each, and names the first bad index.
 
 Simulation builds the full register unitary by tensor contraction: each
 k-qubit gate is contracted into the rows of its wires, costing
@@ -195,22 +196,12 @@ class Circuit:
         check_integer(n, "qubits:", error=SchemaError)
         if n > MAX_QUBITS:
             raise SchemaError(f"qubits: register of {n} exceeds the {MAX_QUBITS}-qubit cap")
-        # Check each distinct object once, keyed by identity so that no
-        # item's hash or == runs; only a fault pays for the ordered walk
-        # that names the first bad index.
-        if _register_fault(dict(zip(map(id, self.gates), self.gates)).values(), n):
-            raise SchemaError(_register_fault(self.gates, n))
-
-
-def _register_fault(gates, n: int) -> str | None:
-    """The first gate that is no GateInstance or has a wire outside ``range(n)``."""
-    for i, gate in enumerate(gates):
-        if not isinstance(gate, GateInstance):
-            return f"gates[{i}]: not a GateInstance"
-        for w in gate.wires:
-            if not 0 <= w < n:
-                return f"gates[{i}].wires: wire {w} out of range for {n} qubits"
-    return None
+        for i, gate in enumerate(self.gates):
+            if not isinstance(gate, GateInstance):
+                raise SchemaError(f"gates[{i}]: not a GateInstance")
+            for w in gate.wires:
+                if not 0 <= w < n:
+                    raise SchemaError(f"gates[{i}].wires: wire {w} out of range for {n} qubits")
 
 
 def _require(condition: bool, message: str) -> None:

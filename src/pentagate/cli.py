@@ -15,6 +15,8 @@ Reports go to standard output as deterministic JSON; diagnostics go to
 standard error and are silenced by --quiet. There is no configuration
 file and no environment lookup; flags are the whole interface.
 
+Each command is stated once, in ``build_parser``: its flags and its
+handler, which the subparser stores as ``run`` and ``main`` calls.
 ``main`` builds one parser per process, on its first call, so a caller
 that runs many commands in one process pays for it once.
 """
@@ -164,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pentagate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, tol=DEFAULT_TOLERANCE):
+    def add(name, help_text, run, tol=DEFAULT_TOLERANCE):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
         p.add_argument(
             "--tol", type=_parse_tolerance, default=tol,
@@ -173,22 +176,23 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = add("certify", "certify a two-qubit gate as a fusion operator")
+    p = add("certify", "certify a two-qubit gate as a fusion operator", _cmd_certify)
     p.add_argument("--gate", help="built-in gate name, or @file.json for a matrix")
     p.add_argument("--params", default="", help="comma-separated gate parameters")
     p.add_argument("--matrix", help="JSON file with a 4x4 matrix of [re, im] pairs")
 
-    p = add("constraints", "evaluate the pentagon constraints at a parameter point")
+    p = add("constraints", "evaluate the pentagon constraints at a parameter point",
+            _cmd_constraints)
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--params", required=True, help="comma-separated parameter triple")
 
-    p = add("scan", "grid-scan a gate family for pentagon solutions", SCAN_TOLERANCE)
+    p = add("scan", "grid-scan a gate family for pentagon solutions", _cmd_scan, SCAN_TOLERANCE)
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--range", dest="axis_range", type=_parse_range, required=True,
                    help="per-axis range lo:hi")
     p.add_argument("--step", type=float, required=True, help="per-axis grid step")
 
-    p = add("transpile", "rewrite pentagon template sites in a circuit")
+    p = add("transpile", "rewrite pentagon template sites in a circuit", _cmd_transpile)
     p.add_argument("--in", dest="input", required=True, help="input circuit JSON")
     p.add_argument("--out", dest="output", required=True, help="output circuit JSON")
     p.add_argument("--rule", choices=("compress", "expand"), required=True)
@@ -200,15 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true",
                    help="skip unitary equivalence verification")
 
-    p = add("verify", "check two circuits for equivalence up to global phase")
+    p = add("verify", "check two circuits for equivalence up to global phase", _cmd_verify)
     p.add_argument("--a", dest="first", required=True)
     p.add_argument("--b", dest="second", required=True)
 
-    p = add("route", "replace non-adjacent two-qubit gates by SWAP chains")
+    p = add("route", "replace non-adjacent two-qubit gates by SWAP chains", _cmd_route)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
 
-    p = add("stats", "print gate count, depth, and locality counts")
+    p = add("stats", "print gate count, depth, and locality counts", _cmd_stats)
     p.add_argument("--in", dest="input", required=True)
 
     return parser
@@ -289,23 +293,12 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "certify": _cmd_certify,
-    "constraints": _cmd_constraints,
-    "scan": _cmd_scan,
-    "transpile": _cmd_transpile,
-    "verify": _cmd_verify,
-    "route": _cmd_route,
-    "stats": _cmd_stats,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(_fold_negative_values(argv))
-    quiet = getattr(args, "quiet", False)
+    quiet = args.quiet
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except RewriteVerificationError as exc:
         _diag(f"error: {exc}", quiet)
         return EXIT_NEGATIVE

@@ -154,9 +154,14 @@ class CayleyTable:
 
     ``table[i][j]`` is the index of the product g_i * g_j. The order, the
     entries and the identity index are counts under ``check_integer``.
-    Validation is eager and checks the full group axioms, including all
-    order**3 associativity triples, so construction is O(order^3);
-    intended for small groups.
+    Validation is eager and states each group axiom as an identity on the
+    table read as an integer array ``a``: every row and every column sorts
+    to ``0..order-1``, row and column ``e`` of the identity are
+    ``0..order-1``, and associativity ``(xb)c = x(bc)`` is
+    ``a[a[x]] == a[x][a]`` for each row ``x``. That last check makes
+    construction O(order**3) in time but holds O(order**2) memory at once.
+    A failure names the first bad row, column or ``(x, b, c)`` triple in
+    index order.
     """
 
     order: int
@@ -171,28 +176,24 @@ class CayleyTable:
             raise InvalidGroupError(f"table must be {n}x{n}")
         for x in itertools.chain.from_iterable(t):
             check_integer(x, "table entry", 0, InvalidGroupError)
-        full = set(range(n))
-        for i, row in enumerate(t):
-            if set(row) != full:
-                raise InvalidGroupError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            if {row[j] for row in t} != full:
-                raise InvalidGroupError(f"column {j} is not a permutation of 0..{n - 1}")
+        # an entry past the order reads as n, so it fits an intp array
+        # however large it is, and it still fails its row's check
+        a = np.minimum(np.array(t, dtype=object), n).astype(np.intp)
+        full = np.arange(n)
+        bad = np.argwhere((np.sort([a, a.T]) != full).any(axis=2))  # rows, then columns
+        if bad.size:
+            what, i = ("row", "column")[bad[0, 0]], bad[0, 1]
+            raise InvalidGroupError(f"{what} {i} is not a permutation of 0..{n - 1}")
         e = self.identity_index
         check_integer(e, "identity index", 0, InvalidGroupError)
         if e >= n:
             raise InvalidGroupError(f"identity index {e} out of range")
-        for g in range(n):
-            if t[e][g] != g or t[g][e] != g:
-                raise InvalidGroupError(f"element {e} is not a two-sided identity")
-        for a in range(n):
-            for b in range(n):
-                tab = t[a][b]
-                for c in range(n):
-                    if t[tab][c] != t[a][t[b][c]]:
-                        raise InvalidGroupError(
-                            f"associativity fails at triple ({a}, {b}, {c})"
-                        )
+        if not ((a[e] == full) & (a[:, e] == full)).all():
+            raise InvalidGroupError(f"element {e} is not a two-sided identity")
+        for x in range(n):
+            if (fails := a[a[x]] != a[x][a]).any():  # [b, c]: (xb)c != x(bc)
+                b, c = divmod(int(fails.argmax()), n)
+                raise InvalidGroupError(f"associativity fails at triple ({x}, {b}, {c})")
 
     @classmethod
     def cyclic(cls, n: int) -> "CayleyTable":
@@ -204,16 +205,11 @@ class CayleyTable:
     @classmethod
     def direct_product(cls, g: "CayleyTable", h: "CayleyTable") -> "CayleyTable":
         """Direct product with pair (i, j) indexed as i * h.order + j."""
-        n = g.order * h.order
-        table = []
-        for i1 in range(g.order):
-            for j1 in range(h.order):
-                row = []
-                for i2 in range(g.order):
-                    for j2 in range(h.order):
-                        row.append(g.table[i1][i2] * h.order + h.table[j1][j2])
-                table.append(tuple(row))
-        return cls(n, tuple(table), g.identity_index * h.order + h.identity_index)
+        n, m = g.order * h.order, h.order
+        # entry [i1, j1, i2, j2] is the index of (g_i1 g_i2, h_j1 h_j2)
+        table = np.array(g.table)[:, None, :, None] * m + np.array(h.table)[None, :, None, :]
+        return cls(n, tuple(map(tuple, table.reshape(n, n).tolist())),
+                   g.identity_index * m + h.identity_index)
 
     @classmethod
     def symmetric(cls, n: int) -> "CayleyTable":
@@ -237,9 +233,8 @@ def group_algebra_fusion(g: CayleyTable) -> np.ndarray:
     """
     n = g.order
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            mat[a * n + g.table[a][b], a * n + b] = 1.0
+    # column a*n + b holds its 1 in row a*n + ab
+    mat[(np.arange(n)[:, None] * n + np.array(g.table)).ravel(), np.arange(n * n)] = 1.0
     return mat
 
 

@@ -1,17 +1,18 @@
 """Deterministic JSON emission for CLI reports; circuits share its float format.
 
+``dumps`` writes the types reports hold: None, bool, str, int, float, and
+dicts, lists and tuples of them. Anything else, a numpy scalar or array
+or a complex number among them, raises TypeError; reports convert first,
+a complex number with ``complex_pair`` to a two-element ``[re, im]`` list.
 Floats are written with 17 significant digits so output is byte-stable and
-round-trips losslessly through a JSON parser. Complex numbers are emitted
-as two-element ``[re, im]`` arrays. Dicts keep insertion order; nothing is
-sorted, so the caller controls field order.
+round-trips losslessly through a JSON parser. Dicts keep insertion order;
+nothing is sorted, so the caller controls field order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -41,12 +42,10 @@ def _emit(value, parts: list[str]) -> None:
         parts.append("true" if value else "false")
     elif isinstance(value, str):
         parts.append(json.dumps(value))
-    elif isinstance(value, (int, np.integer)):
+    elif isinstance(value, int):
         parts.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):
         parts.append(format_float(value))
-    elif isinstance(value, (complex, np.complexfloating)):
-        _emit(complex_pair(value), parts)
     elif isinstance(value, dict):
         parts.append("{")
         for i, (key, item) in enumerate(value.items()):
@@ -56,10 +55,9 @@ def _emit(value, parts: list[str]) -> None:
             parts.append(": ")
             _emit(item, parts)
         parts.append("}")
-    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray):
-        items = value.tolist() if isinstance(value, np.ndarray) else value
+    elif isinstance(value, (list, tuple)):
         parts.append("[")
-        for i, item in enumerate(items):
+        for i, item in enumerate(value):
             if i:
                 parts.append(", ")
             _emit(item, parts)

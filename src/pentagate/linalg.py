@@ -49,7 +49,8 @@ from .errors import DimensionError, WireError
 #: Library-wide default for Frobenius-norm comparisons.
 DEFAULT_TOLERANCE = 1e-10
 
-#: Dense operators are capped at 12 qubits (4096 x 4096).
+#: Dense operators are capped at 12 qubits (4096 x 4096): a register of
+#: d-level wires at ``d**n <= 2**MAX_QUBITS``.
 MAX_QUBITS = 12
 
 
@@ -200,6 +201,11 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     ``u`` may also be a stack of operators of shape ``(n, d**k, d**k)``;
     the result is then the stack of their embeddings, slice for slice
     equal to embedding each operator on its own.
+
+    A register is capped at 12 qubits and at dimension ``2**MAX_QUBITS``:
+    ``d**num_qubits`` past 4096 raises DimensionError before anything is
+    allocated, so d-level registers and the pentagon kernel's d**3 lifts
+    stop at d**num_qubits = 4096 (d=16 for the kernel).
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim not in (2, 3):
@@ -211,9 +217,14 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     wires = [int(w) for w in wires]
     k = len(wires)
     _check_operator(u, k, d)
+    batch, size = u.shape[:-2], int(d) ** num_qubits  # a Python int cannot wrap
+    if size > 2**MAX_QUBITS:
+        raise DimensionError(
+            f"register of {num_qubits} wires of dimension {d} exceeds the "
+            f"{2**MAX_QUBITS}-dimensional cap"
+        )
     rest = [q for q in range(num_qubits) if q not in wires]
     eye = np.eye(d ** len(rest), dtype=np.complex128)
-    batch, size = u.shape[:-2], d**num_qubits
     # u's entries times the identity's, written through a view of the result
     # whose axes run over u's row wires and column wires, then the identity's
     # rows and columns

@@ -125,6 +125,12 @@ class TestCertify:
         assert elapsed < 1.0
         assert peak < 32 * 2**20
 
+    def test_dense_kernel_refuses_lifts_past_the_cap(self):
+        # a d=17 gate that is no permutation would need 4913 x 4913 lifts
+        gate = np.diag(np.exp(1j * np.arange(17 * 17)))
+        with pytest.raises(DimensionError, match="4096-dimensional cap"):
+            certify(gate, 17)
+
     def test_witnesses_sorted_and_capped(self):
         report = certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP")
         assert 1 <= len(report.witnesses) <= 5

@@ -268,7 +268,10 @@ class TestSharedGates:
         ((0, 1, 0, 1), "gates[1].wires: wire 5 out of range for 2 qubits"),
         ((0, 0, 2, 1), "gates[2]: not a GateInstance"),
         ((0, 0, 3, 1), "gates[2]: not a GateInstance"),
-    ], ids=["after_twin", "repeated_bad_gate", "not_a_gate", "unhashable"])
+        ((1, 0, 1, 2), "gates[0].wires: wire 5 out of range for 2 qubits"),
+        ((2, 0, 2, 1), "gates[0]: not a GateInstance"),
+    ], ids=["after_twin", "repeated_bad_gate", "not_a_gate", "unhashable",
+            "bad_gate_first_and_again", "not_a_gate_first_and_again"])
     def test_register_check_names_the_first_bad_index(self, gates, message):
         items = (GateInstance("H", (1,)), GateInstance("H", (5,)), "H", ["H", 1])
         with pytest.raises(SchemaError) as excinfo:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pentagate.cli
-from pentagate import Circuit, parse, serialize
+from pentagate import Circuit, jsonio, parse, serialize
 from pentagate.cli import _fold_negative_values, build_parser, main
 from conftest import nested_template_circuit, run_cli, template_circuit
 from test_rewrite import LOOSE_TOL, NEAR_IDENTITY
@@ -552,3 +552,16 @@ class TestParserReuse:
         assert built > 0
         assert main(["constraints", "--family", "a", "--params", "0,0,0", "--quiet"]) == 0
         assert len(calls) == built
+
+
+class TestJsonio:
+    def test_report_types(self):
+        doc = {"a": (1, -0.5, None, True, "x"), "b": [np.float64(0.25), []], 3: {}}
+        assert jsonio.dumps(doc) == '{"a": [1, -0.5, null, true, "x"], "b": [0.25, []], "3": {}}'
+
+    @pytest.mark.parametrize("value", [np.int64(1), 1j, np.zeros(2), [np.float32(1.0)]],
+                             ids=["numpy-int", "complex", "array", "numpy-float32"])
+    def test_other_types_are_refused(self, value):
+        # reports convert first: complex numbers with jsonio.complex_pair
+        with pytest.raises(TypeError, match="cannot emit"):
+            jsonio.dumps(value)

@@ -1,5 +1,7 @@
 """Tests for the gate constructors."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +28,44 @@ from pentagate import (
 )
 from pentagate.errors import UnknownGateError
 from pentagate.gates import GATES
-from oracles import matrices_equal
+from oracles import group_fusion_map, matrices_equal, permutation_operator
+
+#: The groups of the ``certify`` benchmark workload, and S4 (d=24).
+GROUP_NAMES = (
+    "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8",
+    "Z2xZ2", "S3", "Z2xZ4", "Z2xZ2xZ2", "Z12", "Z2xS3", "S4",
+)
+
+
+def named_group(name: str) -> CayleyTable:
+    """The CayleyTable ``name`` names: Zn, Sn, or an x-separated direct product."""
+    parts = [(CayleyTable.symmetric if part[0] == "S" else CayleyTable.cyclic)(int(part[1:]))
+             for part in name.split("x")]
+    return functools.reduce(CayleyTable.direct_product, parts)
+
+
+def reference_table(name: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(table, identity index) of ``name`` from the definitions, element by element.
+
+    Z_n is the residues under addition mod n, S_n the permutation tuples in
+    lex order under composition, and a direct product the tuples of its
+    factors' elements in lex order under the componentwise product.
+    """
+    factors = []
+    for part in name.split("x"):
+        n = int(part[1:])
+        if part[0] == "Z":
+            factors.append((list(range(n)), lambda a, b, n=n: (a + b) % n, 0))
+        else:
+            perms = sorted(itertools.permutations(range(n)))
+            factors.append((perms, lambda p, q: tuple(p[x] for x in q), tuple(range(n))))
+    elements = list(itertools.product(*(f[0] for f in factors)))
+    index = {g: i for i, g in enumerate(elements)}
+    table = tuple(
+        tuple(index[tuple(f[1](a, b) for f, a, b in zip(factors, g, h))] for h in elements)
+        for g in elements
+    )
+    return table, index[tuple(f[2] for f in factors)]
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -276,6 +315,33 @@ class TestCayleyTable:
         with pytest.raises(InvalidGroupError):
             CayleyTable(5, table, 0)
 
+    @pytest.mark.parametrize("order, table, identity, message", [
+        (2, ((0, 0), (1, 1)), 0, "row 0 is not a permutation of 0..1"),
+        (3, ((0, 1, 2), (1, 2, 0), (2, 2, 1)), 0, "row 2 is not a permutation of 0..2"),
+        (2, ((0, 1), (0, 1)), 0, "column 0 is not a permutation of 0..1"),
+        (2, ((0, 1), (1, 0)), 1, "element 1 is not a two-sided identity"),
+        (2, ((0, 1), (1, 0)), 2, "identity index 2 out of range"),
+        (5, ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)),
+         0, "associativity fails at triple (1, 1, 2)"),
+        (2, ((0, 2), (1, 0)), 0, "row 0 is not a permutation of 0..1"),
+        (2, ((0, 10**30), (1, 0)), 0, "row 0 is not a permutation of 0..1"),
+        (3, ((0, 1, 2), (1, 2, 10**30), (2, 0, 1)), 0, "row 1 is not a permutation of 0..2"),
+        (2, ((0, 1),), 0, "table must be 2x2"),
+    ], ids=["row", "later-row", "column", "identity", "identity-range", "associativity",
+            "entry-past-order", "entry-huge", "entry-huge-later-row", "shape"])
+    def test_refusal_messages(self, order, table, identity, message):
+        # an entry of any size is refused by its row, not by an overflow
+        with pytest.raises(InvalidGroupError) as excinfo:
+            CayleyTable(order, table, identity)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    def test_tables_match_their_definition(self, name):
+        group = named_group(name)
+        table, identity = reference_table(name)
+        assert (group.order, group.table, group.identity_index) == (len(table), table, identity)
+        assert all(type(x) is int for row in group.table for x in row)
+
     def test_direct_product_order(self):
         v4 = CayleyTable.direct_product(CayleyTable.cyclic(2), CayleyTable.cyclic(2))
         assert v4.order == 4
@@ -307,6 +373,13 @@ class TestGroupAlgebraFusion:
             assert np.all((t == 0) | (t == 1))
             assert np.array_equal(t.sum(axis=0), np.ones(g.order**2))
             assert np.array_equal(t.sum(axis=1), np.ones(g.order**2))
+
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    def test_matches_the_basis_map_oracle(self, name):
+        table, _ = reference_table(name)
+        fusion = group_algebra_fusion(named_group(name))
+        assert fusion.dtype == np.complex128 and fusion.flags.c_contiguous
+        assert np.array_equal(fusion, permutation_operator(group_fusion_map(table), len(table), 2))
 
 
 class TestGateMatrixDispatch:

@@ -17,6 +17,7 @@ from pentagate import (
     standard_gate,
     twist,
 )
+from pentagate import linalg
 from pentagate.linalg import _permutation_rows
 from conftest import haar_unitary
 from oracles import embed_by_transpose_copy, matrices_equal, permutation_operator
@@ -150,6 +151,16 @@ class TestEmbed:
     def test_register_cap(self):
         with pytest.raises(DimensionError):
             embed(I4, [0, 1], 13)
+
+    def test_dimension_cap(self, monkeypatch):
+        # a d-level register is capped at 2**MAX_QUBITS before anything is
+        # allocated: 3**12 would need 52 GiB
+        with pytest.raises(DimensionError, match="exceeds the 4096-dimensional cap"):
+            embed(np.eye(9), (0, 1), 12, 3)
+        monkeypatch.setattr(linalg, "MAX_QUBITS", 3)
+        assert np.array_equal(embed(I2, (0,), 3), np.eye(8))
+        with pytest.raises(DimensionError, match="register of 2 wires of dimension 3 exceeds"):
+            embed(np.eye(3), (0,), 2, 3)
 
 
 class TestNormsAndUnitarity:
