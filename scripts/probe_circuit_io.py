@@ -1,20 +1,22 @@
-"""Paired probe of circuit I/O at two checkouts: ``serialize`` and ``parse``.
+"""Paired probe of circuit I/O at two checkouts: gate building, ``serialize`` and ``parse``.
 
 Builds the seed-7 ``transpile-large`` gate lists (perfbench/corpus.py) as
 fresh ``GateInstance`` objects, one per gate and none shared, the way the
-benchmark set-up writes its corpus. It times ``serialize`` of that fresh
-circuit and ``parse`` of its canonical text on each checkout, alternating
-the sides. Both checkouts are imported into one process, so the two sides
-see the same host speed at the same moment. Wall time is used: process
-CPU time sums over BLAS threads, so it misjudges a change that alters
-how much work reaches BLAS.
+benchmark set-up writes its corpus. It times that build, ``serialize`` of
+the fresh circuit and ``parse`` of its canonical text on each checkout,
+alternating the sides. Both checkouts are imported into one process, so
+the two sides see the same host speed at the same moment. Wall time is
+used: process CPU time sums over BLAS threads, so it misjudges a change
+that alters how much work reaches BLAS.
 
 usage: python3 scripts/probe_circuit_io.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
 ROUNDS is at least 2 (default 21). Prints one JSON object: per circuit and
 call, each side's median and quartiles in milliseconds, the ratio of the
 medians and the rounds the change won. Bad arguments print the usage line
-and exit 2.
+and exit 2. The run exits 1 unless both checkouts build gates with equal
+wires and parameters, Python types included, and serialize them to the
+same text.
 """
 
 from __future__ import annotations
@@ -61,12 +63,20 @@ def load(checkout: str, *submodules: str):
     return module
 
 
-def fresh(pg, spec: dict, custom):
-    gates = tuple(
+def build(pg, spec: dict, custom) -> tuple:
+    return tuple(
         pg.GateInstance(name, wires, params, custom if name == "custom" else None)
         for name, wires, params in spec["gates"]
     )
-    return pg.Circuit(spec["qubits"], gates)
+
+
+def fresh(pg, spec: dict, custom):
+    return pg.Circuit(spec["qubits"], build(pg, spec, custom))
+
+
+def stored(gates: tuple) -> list:
+    """What each gate stores of its wires and parameters, with the Python types."""
+    return [(g.name, g.wires, g.params, [type(x) for x in g.wires + g.params]) for g in gates]
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -114,11 +124,15 @@ def main(argv: list[str]) -> int:
     report = {}
     for c in spec["circuits"]:
         custom = corpus.REVERSED_CNOT if c["fusion"] == "custom" else None
-        circuits = {side: fresh(pg, c, custom) for side, pg in sides.items()}
+        gates = {side: build(pg, c, custom) for side, pg in sides.items()}
+        if stored(gates["base"]) != stored(gates["change"]):
+            raise SystemExit(f"{c['name']}: the two checkouts build different gates")
+        circuits = {side: pg.Circuit(c["qubits"], gates[side]) for side, pg in sides.items()}
         texts = {side: pg.serialize(circuits[side]) for side, pg in sides.items()}
         if texts["base"] != texts["change"]:
             raise SystemExit(f"{c['name']}: the two checkouts serialize differently")
         calls = {
+            "build": lambda pg, side: build(pg, c, custom),
             "serialize": lambda pg, side: pg.serialize(circuits[side]),
             "parse": lambda pg, side: pg.parse(texts[side]),
         }

@@ -400,9 +400,7 @@ def refine(
     tol = check_tolerance(tol)
     build, _ = _family(family)
     point = np.asarray(_triple(start), dtype=float)
-    step = real(initial_step, "initial_step")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"initial_step must be finite and positive, got {initial_step!r}")
+    step = check_tolerance(initial_step, "initial_step")
     check_integer(max_iters, "max_iters", 0, ValueError)
     value = pentagon_residual(build(*point), 2).residual
     evaluations = 1

@@ -55,8 +55,8 @@ import numpy as np
 from . import jsonio
 from .errors import DimensionError, SchemaError
 from .gates import GATES
-from .linalg import (MAX_QUBITS, _permutation_rows, as_matrix, check_integer, is_unitary,
-                     phase_distance, real)
+from .linalg import (MAX_QUBITS, _permutation_rows, as_matrix, check_integer, check_wires,
+                     is_unitary, phase_distance, real)
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -70,17 +70,6 @@ def _number(value, where: str) -> float:
     if not math.isfinite(x):
         raise SchemaError(f"{where}: expected a finite number, got {value!r}")
     return x
-
-
-def _integers(wires: tuple) -> tuple[int, ...]:
-    """``wires`` as Python ints; SchemaError at the first non-integer.
-
-    Python and numpy integers count; bools do not.
-    """
-    for j, w in enumerate(wires):
-        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-            raise SchemaError(f"wires[{j}]: expected an integer, got {w!r}")
-    return tuple(map(int, wires))
 
 
 def _reals(params: tuple) -> tuple[float, ...]:
@@ -98,8 +87,9 @@ class GateInstance:
     """A named, parametrized gate applied to an ordered tuple of wires.
 
     Construction is the one place a gate is checked, in this order: the
-    name is a string; the wires are integers, at least one, no duplicate;
-    the parameters are finite real numbers. A custom gate then needs a
+    name is a string; the wires pass ``linalg.check_wires`` (integers, at
+    least one, no duplicate; numpy ints are stored as Python ints); the
+    parameters are finite real numbers. A custom gate then needs a
     finite ``2**k x 2**k`` matrix for its k wires, no parameters, and
     unitarity within ``CUSTOM_UNITARY_TOLERANCE``. A named gate takes no
     matrix, and its wire and parameter counts must match ``GATES``. The
@@ -113,20 +103,12 @@ class GateInstance:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        name, wires = self.name, tuple(self.wires)
+        name = self.name
         if not isinstance(name, str):
             raise SchemaError("name: expected a string")
-        # Fast paths: plain ints and nonzero finite plain floats are already
-        # in stored form; anything else takes the full check and conversion.
-        for w in wires:
-            if type(w) is not int:
-                wires = _integers(wires)
-                break
-        if not wires:
-            raise SchemaError("wires: must list at least one wire")
-        if len(wires) > 1 and len(set(wires)) != len(wires):
-            raise SchemaError(f"wires: duplicate wire in {list(wires)}")
-        object.__setattr__(self, "wires", wires)
+        object.__setattr__(self, "wires", check_wires(self.wires, SchemaError))
+        # Fast path: nonzero finite plain floats are already in stored form;
+        # anything else takes the full check and conversion.
         params = tuple(self.params)
         for p in params:
             if type(p) is not float or not (math.isfinite(p) and p != 0.0):
@@ -141,10 +123,10 @@ class GateInstance:
             object.__setattr__(self, "matrix", matrix)
             if not np.isfinite(matrix).all():
                 raise SchemaError("matrix: entries must be finite")
-            dim = 2 ** len(wires)
+            dim = 2 ** len(self.wires)
             if matrix.shape != (dim, dim):
                 raise SchemaError(
-                    f"matrix: expected {dim}x{dim} for {len(wires)} wires, "
+                    f"matrix: expected {dim}x{dim} for {len(self.wires)} wires, "
                     f"got {matrix.shape[0]}x{matrix.shape[1]}"
                 )
             if params:
@@ -158,9 +140,9 @@ class GateInstance:
         if spec is None:
             raise SchemaError(f"name: unknown gate {name!r}")
         arity, expected, _ = spec
-        if len(wires) != arity:
+        if len(self.wires) != arity:
             raise SchemaError(
-                f"wires: gate {name!r} acts on {arity} wire(s), got {len(wires)}"
+                f"wires: gate {name!r} acts on {arity} wire(s), got {len(self.wires)}"
             )
         if len(params) != expected:
             raise SchemaError(

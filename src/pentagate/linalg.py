@@ -1,6 +1,6 @@
-"""Dense complex linear algebra on tensor-product registers, and the number rules.
+"""Dense complex linear algebra on tensor-product registers, and the number and wire rules.
 
-Two functions here decide what the package takes as a number:
+Three functions here decide what the package takes as a number or a wire list:
 
   - ``real`` is the one test of a real number. It accepts a Python or
     numpy int or float, never a bool, and reads a value past the float
@@ -8,7 +8,7 @@ Two functions here decide what the package takes as a number:
     entry that takes a real goes through it: gate parameters
     (``GateInstance``, ``gate_matrix``, ``certify(params=...)``), custom
     matrix entries, the family triples of ``constraints`` and ``refine``,
-    ``refine``'s ``initial_step``, every ``tol`` (``check_tolerance``) and
+    ``refine``'s ``initial_step`` and every ``tol`` (both ``check_tolerance``), and
     the scan grid bounds and steps. Each entry then refuses a value that
     is not finite with its own error class and message. The gate
     constructors below those entries (``a_gate``, ``rotation``, ...)
@@ -18,6 +18,11 @@ Two functions here decide what the package takes as a number:
     ``d`` of ``embed`` and ``twist``, the register size of ``embed`` and
     ``Circuit``, ``refine``'s ``max_iters`` and a ``CayleyTable``'s
     order, entries and identity index.
+  - ``check_wires`` is the one wire rule: a wire list holds Python or
+    numpy ints, never a bool, at least one and no duplicate. It checks the
+    wires of every ``GateInstance`` (SchemaError) and of every ``embed``
+    (WireError), with the same messages; each caller then checks the
+    range against its own register.
 
 ``_check_operator`` is the one statement of the shape rule: ``d`` is a
 count and an operator acts on k wires of dimension d. ``embed`` applies
@@ -94,17 +99,39 @@ def check_integer(value, what: str, least: int = 1, error=DimensionError) -> Non
         raise error(f"{what} must be an integer of at least {least}, got {value!r}")
 
 
-def check_tolerance(tol) -> float:
-    """Return ``tol`` as a float; raise ValueError unless finite and positive.
+def check_wires(wires, error) -> tuple[int, ...]:
+    """``wires`` as a tuple of Python ints; ``error`` unless it lists at least one
+    integer and no duplicate.
+
+    Python and numpy integers count; bools do not. Every entry is checked
+    before any is converted, and a tuple of plain ints is returned as it is.
+    """
+    wires = tuple(wires)
+    for w in wires:  # fast path: plain ints are already in stored form
+        if type(w) is not int:
+            for j, w in enumerate(wires):
+                if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+                    raise error(f"wires[{j}]: expected an integer, got {w!r}")
+            wires = tuple(map(int, wires))
+            break
+    if not wires:
+        raise error("wires: must list at least one wire")
+    if len(wires) > 1 and len(set(wires)) != len(wires):
+        raise error(f"wires: duplicate wire in {list(wires)}")
+    return wires
+
+
+def check_tolerance(value, what: str = "tolerance") -> float:
+    """Return ``value`` as a float; raise ValueError naming ``what`` unless finite and positive.
 
     Every ``tol`` in the package is a strict bound (``residual < tol``),
     so zero, negative or non-finite values would silently decide every
-    comparison the same way.
+    comparison the same way; ``refine`` checks its ``initial_step`` here too.
     """
-    value = real(tol, "tolerance")
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    return value
+    x = real(value, what)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return x
 
 
 def as_matrix(values) -> np.ndarray:
@@ -129,13 +156,28 @@ def is_unitary(a, tol: float = DEFAULT_TOLERANCE) -> bool:
     return frobenius_norm(a.conj().T @ a - eye) < tol
 
 
+def _dimension(num_qubits, d) -> int:
+    """``d**num_qubits``; DimensionError past the ``2**MAX_QUBITS`` cap.
+
+    Computed with Python ints, so numpy counts cannot wrap.
+    """
+    size = int(d) ** int(num_qubits)
+    if size > 2**MAX_QUBITS:
+        raise DimensionError(
+            f"register of {num_qubits} wires of dimension {d} exceeds the "
+            f"{2**MAX_QUBITS}-dimensional cap"
+        )
+    return size
+
+
 def twist(d: int) -> np.ndarray:
     """Permutation matrix of x (x) y -> y (x) x on C^d (x) C^d.
 
-    Symmetric and involutive; for d=2 this is the SWAP gate.
+    Symmetric and involutive; for d=2 this is the SWAP gate. Capped, as
+    ``embed`` is, at ``d*d <= 2**MAX_QUBITS``.
     """
     check_integer(d, "local dimension")
-    eye = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
+    eye = np.eye(_dimension(2, d), dtype=np.complex128).reshape(d, d, d, d)
     return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
@@ -170,25 +212,6 @@ def _permutation_rows(m: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _check_wires(wires, num_qubits: int) -> None:
-    check_integer(num_qubits, "register size", error=WireError)
-    if num_qubits > MAX_QUBITS:
-        raise DimensionError(
-            f"register of {num_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap"
-        )
-    if not wires:
-        raise WireError("empty wire list")
-    seen = set()
-    for w in wires:
-        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-            raise WireError(f"wire index {w!r} is not an integer")
-        if not 0 <= w < num_qubits:
-            raise WireError(f"wire {w} out of range for {num_qubits} qubits")
-        if w in seen:
-            raise WireError(f"duplicate wire {w}")
-        seen.add(w)
-
-
 def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     """Embed an operator on the listed wires into a register of d-level wires.
 
@@ -202,27 +225,33 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     the result is then the stack of their embeddings, slice for slice
     equal to embedding each operator on its own.
 
-    A register is capped at 12 qubits and at dimension ``2**MAX_QUBITS``:
-    ``d**num_qubits`` past 4096 raises DimensionError before anything is
-    allocated, so d-level registers and the pentagon kernel's d**3 lifts
-    stop at d**num_qubits = 4096 (d=16 for the kernel).
+    The register size is a count (WireError); ``wires`` must pass
+    ``check_wires`` (WireError, ``GateInstance``'s messages) and lie in the
+    register. The one register cap is its dimension: ``d**num_qubits`` past
+    ``2**MAX_QUBITS`` (4096) raises DimensionError before anything is
+    allocated, so qubit registers stop at 12 wires and the pentagon kernel's
+    d**3 lifts at d=16. A register of one-level wires (d=1) has dimension 1
+    at any size, and its lift is a copy of ``u``, so no work grows with the
+    register. A stack of more than ``4**MAX_QUBITS`` entries in all, one
+    4096 x 4096 lift, raises DimensionError as well.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim not in (2, 3):
         raise DimensionError(
             f"expected a matrix or a stack of matrices, got {u.ndim} dimensions"
         )
-    wires = list(wires)
-    _check_wires(wires, num_qubits)
-    wires = [int(w) for w in wires]
+    check_integer(num_qubits, "register size", error=WireError)
+    wires = check_wires(wires, WireError)
+    for w in wires:
+        if not 0 <= w < num_qubits:
+            raise WireError(f"wires: wire {w} out of range for {num_qubits} qubits")
     k = len(wires)
     _check_operator(u, k, d)
-    batch, size = u.shape[:-2], int(d) ** num_qubits  # a Python int cannot wrap
-    if size > 2**MAX_QUBITS:
-        raise DimensionError(
-            f"register of {num_qubits} wires of dimension {d} exceeds the "
-            f"{2**MAX_QUBITS}-dimensional cap"
-        )
+    batch, size = u.shape[:-2], _dimension(num_qubits, d)
+    if (n := math.prod(batch)) * size * size > 4**MAX_QUBITS:
+        raise DimensionError(f"{n} lifts of dimension {size} exceed the {4**MAX_QUBITS}-entry cap")
+    if size == 1:  # one-level wires: u is 1 x 1 and is its own lift, at any register size
+        return u.copy()
     rest = [q for q in range(num_qubits) if q not in wires]
     eye = np.eye(d ** len(rest), dtype=np.complex128)
     # u's entries times the identity's, written through a view of the result

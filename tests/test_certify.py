@@ -554,8 +554,11 @@ class TestOneNumberRule:
 class TestRefineEntryChecks:
     @pytest.mark.parametrize("step", [0.0, -0.25, math.inf, math.nan, "0.25"])
     def test_initial_step_is_finite_and_positive(self, step):
-        with pytest.raises(ValueError, match="initial_step"):
+        message = (f"initial_step: expected a number, got {step!r}" if isinstance(step, str)
+                   else f"initial_step must be finite and positive, got {step!r}")
+        with pytest.raises(ValueError) as error:
             refine((0.1, 0.0, 0.0), initial_step=step)
+        assert str(error.value) == message
 
     @pytest.mark.parametrize("budget", [-1, 2.5, "5", True, None])
     def test_max_iters_is_an_integer_of_at_least_zero(self, budget):

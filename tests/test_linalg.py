@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from pentagate import (
+    Circuit,
     DimensionError,
+    GateInstance,
+    SchemaError,
     WireError,
     embed,
     frobenius_norm,
     is_unitary,
     pauli,
+    pentagon_stack,
     phase_distance,
     standard_gate,
     twist,
@@ -51,6 +55,18 @@ class TestTwist:
     def test_dimension_is_a_positive_integer(self, d):
         with pytest.raises(DimensionError, match="local dimension must be an integer of at least 1"):
             twist(d)
+
+    def test_dimension_cap(self, monkeypatch):
+        # d*d is capped as embed's registers are, before anything is allocated;
+        # the size is a Python int, so a numpy d cannot wrap past the cap
+        with pytest.raises(DimensionError, match="exceeds the 4096-dimensional cap"):
+            twist(10**4)
+        with pytest.raises(DimensionError, match="exceeds the 4096-dimensional cap"):
+            twist(np.int64(2**32))
+        monkeypatch.setattr(linalg, "MAX_QUBITS", 3)
+        assert np.array_equal(twist(2), SWAP)
+        with pytest.raises(DimensionError, match="register of 2 wires of dimension 3 exceeds"):
+            twist(3)
 
     def test_involutive(self):
         for d in (2, 3, 4):
@@ -151,6 +167,12 @@ class TestEmbed:
     def test_register_cap(self):
         with pytest.raises(DimensionError):
             embed(I4, [0, 1], 13)
+        with pytest.raises(DimensionError, match="exceeds the 4096-dimensional cap"):
+            embed(I2, (0,), np.int64(64))  # 2**64 would wrap in int64
+        # the cap is on the dimension: a register of one-level wires has
+        # dimension 1 at any size, and no work grows with its size
+        assert np.array_equal(embed(np.eye(1), (0,), 13, 1), np.eye(1))
+        assert np.array_equal(embed(-np.eye(1), (7,), 10**9, 1), -np.eye(1))
 
     def test_dimension_cap(self, monkeypatch):
         # a d-level register is capped at 2**MAX_QUBITS before anything is
@@ -161,6 +183,65 @@ class TestEmbed:
         assert np.array_equal(embed(I2, (0,), 3), np.eye(8))
         with pytest.raises(DimensionError, match="register of 2 wires of dimension 3 exceeds"):
             embed(np.eye(3), (0,), 2, 3)
+
+    def test_stack_cap(self, monkeypatch):
+        # a stack is capped at 4**MAX_QUBITS entries in all, one 2**MAX_QUBITS
+        # square lift, before anything is allocated
+        monkeypatch.setattr(linalg, "MAX_QUBITS", 3)
+        assert np.array_equal(embed(I2[np.newaxis], (0,), 3), np.eye(8)[np.newaxis])
+        with pytest.raises(DimensionError, match="2 lifts of dimension 8 exceed the 64-entry cap"):
+            embed(np.stack([I2, I2]), (0,), 3)
+        assert embed(np.stack([I2, I2]), (0,), 2).shape == (2, 4, 4)
+        ts = np.stack([I4, I4])
+        assert pentagon_stack(ts[:1], 2)[2].tolist() == [0.0]
+        with pytest.raises(DimensionError, match="2 lifts of dimension 8 exceed"):
+            pentagon_stack(ts, 2)
+
+
+#: Wire lists and the message both ``GateInstance`` (SchemaError) and
+#: ``embed`` (WireError) give, or None for a list both accept; the range,
+#: which needs a register, has its own test below.
+WIRE_CASES = {
+    "bool": ((0, True), "wires[1]: expected an integer, got True"),
+    "float": ((0, 1.0), "wires[1]: expected an integer, got 1.0"),
+    "str": (("0", 1), "wires[0]: expected an integer, got '0'"),
+    "numpy_then_str": ((np.int64(0), "x"), "wires[1]: expected an integer, got 'x'"),
+    "numpy": ((np.int64(2), np.int32(0)), None),
+    "empty": ((), "wires: must list at least one wire"),
+    "duplicate": ((1, 1), "wires: duplicate wire in [1, 1]"),
+}
+
+
+class TestWireRule:
+    @pytest.mark.parametrize("wires, message", WIRE_CASES.values(), ids=WIRE_CASES)
+    def test_gate_and_embed_give_one_message(self, wires, message):
+        if message is None:
+            gate = GateInstance("XX", wires, (0.3,))
+            assert gate.wires == tuple(map(int, wires))
+            assert all(type(w) is int for w in gate.wires)
+            u = np.kron(pauli("x"), I2)
+            assert np.array_equal(embed(u, wires, 3), embed(u, gate.wires, 3))
+        else:
+            with pytest.raises(SchemaError) as gate_error:
+                GateInstance("XX", wires, (0.3,))
+            with pytest.raises(WireError) as embed_error:
+                embed(I4, wires, 3)
+            assert str(gate_error.value) == str(embed_error.value) == message
+
+    def test_range_is_the_register_check(self):
+        # a gate has no register; the circuit's message is embed's after the gate index
+        gate = GateInstance("XX", (0, 5), (0.3,))
+        with pytest.raises(WireError) as embed_error:
+            embed(I4, gate.wires, 3)
+        with pytest.raises(SchemaError) as circuit_error:
+            Circuit(3, (gate,))
+        assert str(embed_error.value) == "wires: wire 5 out of range for 3 qubits"
+        assert str(circuit_error.value) == f"gates[0].{embed_error.value}"
+
+    def test_plain_tuple_is_kept(self):
+        wires = (3, 7)
+        assert linalg.check_wires(wires, WireError) is wires
+        assert GateInstance("XX", wires, (0.3,)).wires is wires
 
 
 class TestNormsAndUnitarity:
