@@ -157,10 +157,14 @@ def is_unitary(a, tol: float = DEFAULT_TOLERANCE) -> bool:
 
 
 def _dimension(num_qubits, d) -> int:
-    """``d**num_qubits``; DimensionError past the ``2**MAX_QUBITS`` cap.
+    """``d**num_qubits``; DimensionError past ``MAX_QUBITS`` wires or the
+    ``2**MAX_QUBITS`` cap.
 
-    Computed with Python ints, so numpy counts cannot wrap.
+    The wire count is checked first, so the power stays small, and the
+    power is taken with Python ints, so numpy counts cannot wrap.
     """
+    if num_qubits > MAX_QUBITS:
+        raise DimensionError(f"register of {num_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap")
     size = int(d) ** int(num_qubits)
     if size > 2**MAX_QUBITS:
         raise DimensionError(
@@ -227,13 +231,11 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
 
     The register size is a count (WireError); ``wires`` must pass
     ``check_wires`` (WireError, ``GateInstance``'s messages) and lie in the
-    register. The one register cap is its dimension: ``d**num_qubits`` past
-    ``2**MAX_QUBITS`` (4096) raises DimensionError before anything is
-    allocated, so qubit registers stop at 12 wires and the pentagon kernel's
-    d**3 lifts at d=16. A register of one-level wires (d=1) has dimension 1
-    at any size, and its lift is a copy of ``u``, so no work grows with the
-    register. A stack of more than ``4**MAX_QUBITS`` entries in all, one
-    4096 x 4096 lift, raises DimensionError as well.
+    register. A register of more than ``MAX_QUBITS`` (12) wires, or of
+    dimension ``d**num_qubits`` past ``2**MAX_QUBITS`` (4096), raises
+    DimensionError before anything is allocated, so the pentagon kernel's
+    d**3 lifts stop at d=16. A stack of more than ``4**MAX_QUBITS`` entries
+    in all, one 4096 x 4096 lift, raises DimensionError as well.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim not in (2, 3):
@@ -250,8 +252,6 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     batch, size = u.shape[:-2], _dimension(num_qubits, d)
     if (n := math.prod(batch)) * size * size > 4**MAX_QUBITS:
         raise DimensionError(f"{n} lifts of dimension {size} exceed the {4**MAX_QUBITS}-entry cap")
-    if size == 1:  # one-level wires: u is 1 x 1 and is its own lift, at any register size
-        return u.copy()
     rest = [q for q in range(num_qubits) if q not in wires]
     eye = np.eye(d ** len(rest), dtype=np.complex128)
     # u's entries times the identity's, written through a view of the result

@@ -167,12 +167,16 @@ class TestEmbed:
     def test_register_cap(self):
         with pytest.raises(DimensionError):
             embed(I4, [0, 1], 13)
-        with pytest.raises(DimensionError, match="exceeds the 4096-dimensional cap"):
-            embed(I2, (0,), np.int64(64))  # 2**64 would wrap in int64
-        # the cap is on the dimension: a register of one-level wires has
-        # dimension 1 at any size, and no work grows with its size
-        assert np.array_equal(embed(np.eye(1), (0,), 13, 1), np.eye(1))
-        assert np.array_equal(embed(-np.eye(1), (7,), 10**9, 1), -np.eye(1))
+        # the wire count is refused before d**num_qubits is computed, so a
+        # huge register costs nothing and a numpy count cannot wrap
+        with pytest.raises(DimensionError, match="register of 64 qubits exceeds the 12-qubit cap"):
+            embed(I2, (0,), np.int64(64))
+        with pytest.raises(DimensionError, match="12-qubit cap"):
+            embed(I2, (0,), 10**12)
+        # one-level wires have dimension 1, but the wire cap still holds
+        assert np.array_equal(embed(-np.eye(1), (7,), 12, 1), -np.eye(1))
+        with pytest.raises(DimensionError, match="register of 13 qubits exceeds"):
+            embed(np.eye(1), (0,), 13, 1)
 
     def test_dimension_cap(self, monkeypatch):
         # a d-level register is capped at 2**MAX_QUBITS before anything is
