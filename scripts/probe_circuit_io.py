@@ -3,20 +3,28 @@
 Builds the seed-7 ``transpile-large`` gate lists (perfbench/corpus.py) as
 fresh ``GateInstance`` objects, one per gate and none shared, the way the
 benchmark set-up writes its corpus. It times that build, ``serialize`` of
-the fresh circuit and ``parse`` of its canonical text on each checkout,
-alternating the sides. Both checkouts are imported into one process, so
-the two sides see the same host speed at the same moment. Wall time is
-used: process CPU time sums over BLAS threads, so it misjudges a change
-that alters how much work reaches BLAS.
+the fresh circuit, ``json.loads`` of its canonical text and ``parse`` of
+that text on each checkout, alternating the sides. Both checkouts are
+imported into one process, so the two sides see the same host speed at
+the same moment. Wall time is used: process CPU time sums over BLAS
+threads, so it misjudges a change that alters how much work reaches BLAS.
+
+``json.loads`` is the floor ``parse`` is measured against: the same stdlib
+call on both sides, with the cyclic collector enabled, as a caller has it.
+The two are timed after the gate lists are dropped, since a collection
+inside a timed call walks every live container: with the corpus alive,
+``json.loads`` of c40k took about half as long again as in a small process.
 
 usage: python3 scripts/probe_circuit_io.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
 ROUNDS is at least 2 (default 21). Prints one JSON object: per circuit and
 call, each side's median and quartiles in milliseconds, the ratio of the
-medians and the rounds the change won. Bad arguments print the usage line
-and exit 2. The run exits 1 unless both checkouts build gates with equal
-wires and parameters, Python types included, and serialize them to the
-same text.
+medians and the rounds the change won. Each ``parse`` row adds
+``over_json_loads``: per side, the median over the rounds of its ``parse``
+time over its ``json.loads`` time, the two timed back to back. Bad
+arguments print the usage line and exit 2. The run exits 1 unless both
+checkouts build gates with equal wires and parameters, Python types
+included, and serialize them to the same text.
 """
 
 from __future__ import annotations
@@ -84,31 +92,67 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def paired(sides: dict, run, rounds: int, per_round: int = 1, unit: str = "ms") -> dict:
-    """Time ``run(module, side)`` on both sides, alternating which goes first.
+def timed(sides: dict, calls: dict, rounds: int, per_round: int = 1, scale: float = 1e3) -> dict:
+    """Times of each ``calls[name](module, side)``, by name and side, in ms by default.
 
-    Each round times ``per_round`` calls per side in wall time
-    (``time.perf_counter``) and records the mean per call in ``unit``
-    (ms or us).
+    Each round runs both sides, alternating which goes first, and a side
+    runs the calls back to back. Each call is timed ``per_round`` times in
+    wall time (``time.perf_counter``), and the mean per call is recorded,
+    times ``scale``.
     """
-    scale = {"ms": 1e3, "us": 1e6}[unit]
-    times = {side: [] for side in sides}
+    times = {call: {side: [] for side in sides} for call in calls}
     for k in range(rounds):
-        order = list(sides) if k % 2 == 0 else list(reversed(sides))
-        for side in order:
-            gc.collect()
-            started = time.perf_counter()
-            for _ in range(per_round):
-                run(sides[side], side)
-            times[side].append(scale * (time.perf_counter() - started) / per_round)
+        for side in list(sides) if k % 2 == 0 else list(reversed(sides)):
+            for call, run in calls.items():
+                gc.collect()
+                started = time.perf_counter()
+                for _ in range(per_round):
+                    run(sides[side], side)
+                times[call][side].append(scale * (time.perf_counter() - started) / per_round)
+    return times
+
+
+def summary(times: dict, unit: str = "ms") -> dict:
+    """Each side's median and quartiles, the ratio of the medians and the rounds the change won."""
     medians = {side: statistics.median(t) for side, t in times.items()}
     return {
         f"base_{unit}": {"median": medians["base"], "quartiles": quartiles(times["base"])},
         f"change_{unit}": {"median": medians["change"], "quartiles": quartiles(times["change"])},
         "ratio": medians["change"] / medians["base"],
         "change_won": sum(b > a for a, b in zip(times["change"], times["base"])),
-        "rounds": rounds,
+        "rounds": len(times["base"]),
     }
+
+
+def paired(sides: dict, run, rounds: int, per_round: int = 1, unit: str = "ms") -> dict:
+    """``summary`` of ``run(module, side)`` timed by ``timed`` in ``unit`` (ms or us)."""
+    scale = {"ms": 1e3, "us": 1e6}[unit]
+    return summary(timed(sides, {unit: run}, rounds, per_round, scale)[unit], unit)
+
+
+def gate_rows(sides: dict, rounds: int, report: dict) -> dict:
+    """Adds each circuit's build and serialize rows to ``report``; returns its canonical text by name."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import corpus
+
+    texts = {}
+    for c in corpus.make_spec("transpile-large", 7)["circuits"]:
+        custom = corpus.REVERSED_CNOT if c["fusion"] == "custom" else None
+        gates = {side: build(pg, c, custom) for side, pg in sides.items()}
+        if stored(gates["base"]) != stored(gates["change"]):
+            raise SystemExit(f"{c['name']}: the two checkouts build different gates")
+        circuits = {side: pg.Circuit(c["qubits"], gates[side]) for side, pg in sides.items()}
+        text = {side: pg.serialize(circuits[side]) for side, pg in sides.items()}
+        if text["base"] != text["change"]:
+            raise SystemExit(f"{c['name']}: the two checkouts serialize differently")
+        calls = {
+            "build": lambda pg, side: build(pg, c, custom),
+            "serialize": lambda pg, side: pg.serialize(circuits[side]),
+        }
+        for call, run in calls.items():
+            report[f"{c['name']} {call}"] = {"gates": len(c["gates"]), **paired(sides, run, rounds)}
+        texts[c["name"]] = text["base"]
+    return texts
 
 
 def main(argv: list[str]) -> int:
@@ -116,29 +160,22 @@ def main(argv: list[str]) -> int:
     if args is None:
         return 2
     base, change, rounds = args
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import corpus
-
-    spec = corpus.make_spec("transpile-large", 7)
     sides = {"base": load(base), "change": load(change)}
     report = {}
-    for c in spec["circuits"]:
-        custom = corpus.REVERSED_CNOT if c["fusion"] == "custom" else None
-        gates = {side: build(pg, c, custom) for side, pg in sides.items()}
-        if stored(gates["base"]) != stored(gates["change"]):
-            raise SystemExit(f"{c['name']}: the two checkouts build different gates")
-        circuits = {side: pg.Circuit(c["qubits"], gates[side]) for side, pg in sides.items()}
-        texts = {side: pg.serialize(circuits[side]) for side, pg in sides.items()}
-        if texts["base"] != texts["change"]:
-            raise SystemExit(f"{c['name']}: the two checkouts serialize differently")
-        calls = {
-            "build": lambda pg, side: build(pg, c, custom),
-            "serialize": lambda pg, side: pg.serialize(circuits[side]),
-            "parse": lambda pg, side: pg.parse(texts[side]),
+    texts = gate_rows(sides, rounds, report)
+    # The gate lists are gone by now, so a collection inside json.loads or
+    # parse walks about what a CLI process holds, not this probe's corpus.
+    for name, text in texts.items():
+        calls = {"json.loads": lambda pg, side: json.loads(text),
+                 "parse": lambda pg, side: pg.parse(text)}
+        times = timed(sides, calls, rounds)
+        for call, by_side in times.items():
+            report[f"{name} {call}"] = {"gates": report[f"{name} build"]["gates"], **summary(by_side)}
+        report[f"{name} parse"]["over_json_loads"] = {
+            side: statistics.median(p / j for p, j in zip(times["parse"][side], times["json.loads"][side]))
+            for side in sides
         }
-        for call, run in calls.items():
-            report[f"{c['name']} {call}"] = {"gates": len(c["gates"]), **paired(sides, run, rounds)}
-    print(json.dumps(report, indent=1))
+    print(json.dumps(dict(sorted(report.items())), indent=1))
     return 0
 
 

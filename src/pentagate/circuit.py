@@ -23,6 +23,13 @@ each gate without parameters once. ``Circuit`` checks the register in one
 ordered walk over its gates, an isinstance test and a wire range test
 each, and names the first bad index.
 
+``parse`` costs little more per gate than the JSON decode and the checks
+themselves. A gate passes its JSON shape on one test, that it is an object
+of known fields; every other shape fault also fails the build, and only
+then is the message worked out. ``GateInstance`` stores each field once,
+after its checks. The cyclic garbage collector is paused while ``parse``
+runs, since none of the containers it allocates forms a cycle.
+
 Simulation builds the full register unitary by tensor contraction: each
 k-qubit gate is contracted into the rows of its wires, costing
 O(2**k * 4**n) per gate instead of the O(8**n) of multiplying by an
@@ -46,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import functools
+import gc
 import json
 import math
 import sys
@@ -55,8 +63,8 @@ import numpy as np
 from . import jsonio
 from .errors import DimensionError, SchemaError
 from .gates import GATES
-from .linalg import (MAX_QUBITS, _permutation_rows, as_matrix, check_integer, check_wires,
-                     is_unitary, phase_distance, real)
+from .linalg import (MAX_QUBITS, _permutation_rows, as_matrix, as_sequence, check_integer,
+                     check_wires, is_unitary, phase_distance, real)
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -87,14 +95,20 @@ class GateInstance:
     """A named, parametrized gate applied to an ordered tuple of wires.
 
     Construction is the one place a gate is checked, in this order: the
-    name is a string; the wires pass ``linalg.check_wires`` (integers, at
-    least one, no duplicate; numpy ints are stored as Python ints); the
-    parameters are finite real numbers. A custom gate then needs a
+    name is a string; the wires pass ``linalg.check_wires`` (a sequence of
+    integers, at least one, no duplicate; numpy ints are stored as Python
+    ints); the parameters are a sequence (``linalg.as_sequence``: a list,
+    tuple or numpy array, never a set, dict or scalar) of finite real
+    numbers. A custom gate then needs a
     finite ``2**k x 2**k`` matrix for its k wires, no parameters, and
     unitarity within ``CUSTOM_UNITARY_TOLERANCE``. A named gate takes no
     matrix, and its wire and parameter counts must match ``GATES``. The
     first failing check raises SchemaError with a message relative to the
     field, such as ``"params[0]: expected a number, got '1.5'"``.
+
+    The constructor is written out rather than generated: it keeps the
+    generated signature and stores each field once, after every check has
+    passed, through the slot's own setter, as the class is frozen.
     """
 
     name: str
@@ -102,52 +116,62 @@ class GateInstance:
     params: tuple[float, ...] = ()
     matrix: np.ndarray | None = None
 
-    def __post_init__(self):
-        name = self.name
+    def __init__(self, name: str, wires, params=(), matrix=None):
         if not isinstance(name, str):
             raise SchemaError("name: expected a string")
-        object.__setattr__(self, "wires", check_wires(self.wires, SchemaError))
+        wires = check_wires(wires, SchemaError)
+        if type(params) is not tuple:  # fast path: a list, as JSON gives it
+            params = (tuple(params) if type(params) is list
+                      else as_sequence(params, "params", SchemaError))
         # Fast path: nonzero finite plain floats are already in stored form;
         # anything else takes the full check and conversion.
-        params = tuple(self.params)
         for p in params:
             if type(p) is not float or not (math.isfinite(p) and p != 0.0):
                 params = _reals(params)
                 break
-        object.__setattr__(self, "params", params)
         if name == CUSTOM:
-            if self.matrix is None:
+            if matrix is None:
                 raise SchemaError("matrix: required for custom gates")
-            matrix = as_matrix(self.matrix) + 0.0
+            matrix = as_matrix(matrix) + 0.0
             matrix.flags.writeable = False  # equal gates may share it
-            object.__setattr__(self, "matrix", matrix)
             if not np.isfinite(matrix).all():
                 raise SchemaError("matrix: entries must be finite")
-            dim = 2 ** len(self.wires)
+            dim = 2 ** len(wires)
             if matrix.shape != (dim, dim):
                 raise SchemaError(
-                    f"matrix: expected {dim}x{dim} for {len(self.wires)} wires, "
+                    f"matrix: expected {dim}x{dim} for {len(wires)} wires, "
                     f"got {matrix.shape[0]}x{matrix.shape[1]}"
                 )
             if params:
                 raise SchemaError("params: custom gates take no parameters")
             if not is_unitary(matrix, CUSTOM_UNITARY_TOLERANCE):
                 raise SchemaError(f"matrix: not unitary within {CUSTOM_UNITARY_TOLERANCE}")
-            return
-        if self.matrix is not None:
-            raise SchemaError("matrix: only allowed for custom gates")
-        spec = GATES.get(name)
-        if spec is None:
-            raise SchemaError(f"name: unknown gate {name!r}")
-        arity, expected, _ = spec
-        if len(self.wires) != arity:
-            raise SchemaError(
-                f"wires: gate {name!r} acts on {arity} wire(s), got {len(self.wires)}"
-            )
-        if len(params) != expected:
-            raise SchemaError(
-                f"params: gate {name!r} takes {expected} parameter(s), got {len(params)}"
-            )
+        else:
+            if matrix is not None:
+                raise SchemaError("matrix: only allowed for custom gates")
+            spec = GATES.get(name)
+            if spec is None:
+                raise SchemaError(f"name: unknown gate {name!r}")
+            arity, expected, _ = spec
+            if len(wires) != arity:
+                raise SchemaError(
+                    f"wires: gate {name!r} acts on {arity} wire(s), got {len(wires)}"
+                )
+            if len(params) != expected:
+                raise SchemaError(
+                    f"params: gate {name!r} takes {expected} parameter(s), got {len(params)}"
+                )
+        _store_name(self, name)
+        _store_wires(self, wires)
+        _store_params(self, params)
+        _store_matrix(self, matrix)
+
+
+# The slots' own setters. The frozen class refuses attribute assignment; these
+# store past it, as ``object.__setattr__`` would, without its name lookup.
+_store_name, _store_wires, _store_params, _store_matrix = (
+    GateInstance.__dict__[f].__set__ for f in ("name", "wires", "params", "matrix")
+)
 
 
 def resolved_matrix(gate: GateInstance) -> np.ndarray:
@@ -166,14 +190,16 @@ class Circuit:
     """An ordered gate list over a fixed register; index 0 acts first.
 
     Each gate was checked when it was built; the circuit checks only what
-    needs the register: its size and that every wire lies in it.
+    needs the register: its size and that every wire lies in it. The gates
+    come as a sequence (``linalg.as_sequence``), so a set is never read in
+    an order of its own.
     """
 
     num_qubits: int
     gates: tuple[GateInstance, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "gates", as_sequence(self.gates, "gates", SchemaError))
         n = self.num_qubits
         check_integer(n, "qubits:", error=SchemaError)
         if n > MAX_QUBITS:
@@ -217,7 +243,10 @@ def _decode_matrix(raw, where: str) -> np.ndarray:
 
 
 def _load_json(text: str):
-    """``json.loads``, raising SchemaError on bad syntax, deep nesting or overlong integers."""
+    """``json.loads``, raising SchemaError on a non-str, bad syntax, deep nesting or
+    overlong integers."""
+    if not isinstance(text, str):
+        raise SchemaError(f"invalid JSON: expected a str, got {type(text).__name__}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -241,10 +270,7 @@ _GATE_KEYS = frozenset(("name", "wires", "params", "matrix"))
 
 
 def _shape_fault(raw) -> str | None:
-    """The first JSON-shape fault of one gate, as a message after ``gates[i]``.
-
-    Only a gate that fails a check pays for its message.
-    """
+    """The first JSON-shape fault of one gate, as a message after ``gates[i]``."""
     if not isinstance(raw, dict):
         return ": expected an object"
     if not _GATE_KEYS.issuperset(raw):
@@ -278,8 +304,48 @@ def _plain_key(raw) -> tuple | None:
     return None
 
 
+def _gate(raw, i: int) -> GateInstance:
+    """Gate ``i`` of the JSON gate list, built and checked.
+
+    The one shape test here is that ``raw`` is an object of known fields.
+    A missing field reads as None, and None or any other non-array wire or
+    parameter list fails ``GateInstance``, so every other shape fault
+    raises in the build; only then does ``_shape_fault`` name it, ahead of
+    the build's own message, as the check order puts it.
+    """
+    if type(raw) is dict and raw.keys() <= _GATE_KEYS:
+        try:
+            matrix = _decode_matrix(raw["matrix"], "matrix") if "matrix" in raw else None
+            return GateInstance(raw.get("name"), raw.get("wires"), raw.get("params", ()), matrix)
+        except SchemaError as exc:
+            raise SchemaError(f"gates[{i}]{_shape_fault(raw) or f'.{exc}'}") from None
+    raise SchemaError(f"gates[{i}]{_shape_fault(raw)}")
+
+
 def parse(text: str) -> Circuit:
-    """Parse circuit JSON, with field-level diagnostics on schema errors."""
+    """Parse circuit JSON, with field-level diagnostics on schema errors.
+
+    Python's cyclic garbage collector is paused while the text is decoded
+    and the circuit built. That allocates about two containers per gate,
+    none of them in a cycle, so the collections the allocations would
+    trigger walk them for nothing. The collector's state from before the
+    call is restored on every exit, a SchemaError included: a caller that
+    disabled it finds it disabled. The collector is one per process, so a
+    ``parse`` running in another thread may re-enable it when it ends, and
+    this call then loses the pause; the collector decides no check, so no
+    result changes. Likewise, a thread that disables the collector while a
+    ``parse`` runs may find it enabled again when that parse ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str) -> Circuit:
     data = _load_json(text)
     _require(isinstance(data, dict), "top level: expected an object")
     unknown = set(data) - {"qubits", "gates"}
@@ -295,16 +361,7 @@ def parse(text: str) -> Circuit:
     for i, raw in enumerate(raw_gates):
         key = _plain_key(raw)
         if (gate := built.get(key)) is None:
-            fault = _shape_fault(raw)
-            if fault:
-                raise SchemaError(f"gates[{i}]{fault}")
-            matrix = None
-            if "matrix" in raw:
-                matrix = _decode_matrix(raw["matrix"], f"gates[{i}].matrix")
-            try:
-                gate = GateInstance(raw["name"], raw["wires"], raw.get("params", ()), matrix)
-            except SchemaError as exc:
-                raise SchemaError(f"gates[{i}].{exc}") from None
+            gate = _gate(raw, i)
             if key:
                 built[key] = gate
         gates.append(gate)

@@ -18,11 +18,12 @@ Three functions here decide what the package takes as a number or a wire list:
     ``d`` of ``embed`` and ``twist``, the register size of ``embed`` and
     ``Circuit``, ``refine``'s ``max_iters`` and a ``CayleyTable``'s
     order, entries and identity index.
-  - ``check_wires`` is the one wire rule: a wire list holds Python or
-    numpy ints, never a bool, at least one and no duplicate. It checks the
-    wires of every ``GateInstance`` (SchemaError) and of every ``embed``
-    (WireError), with the same messages; each caller then checks the
-    range against its own register.
+  - ``check_wires`` is the one wire rule: a wire list is a sequence
+    (``as_sequence``: a list, tuple or numpy array, never a set, dict or
+    scalar) of Python or numpy ints, never a bool, at least one and no
+    duplicate. It checks the wires of every ``GateInstance`` (SchemaError)
+    and of every ``embed`` (WireError), with the same messages; each
+    caller then checks the range against its own register.
 
 ``_check_operator`` is the one statement of the shape rule: ``d`` is a
 count and an operator acts on k wires of dimension d. ``embed`` applies
@@ -99,14 +100,26 @@ def check_integer(value, what: str, least: int = 1, error=DimensionError) -> Non
         raise error(f"{what} must be an integer of at least {least}, got {value!r}")
 
 
+def as_sequence(values, what: str, error) -> tuple:
+    """``values`` as a tuple; ``error`` naming ``what`` unless a list, tuple or numpy array.
+
+    A set, dict, string, scalar or 0-d array is refused, so no entry is
+    read in an order the caller did not give.
+    """
+    if isinstance(values, (tuple, list)) or isinstance(values, np.ndarray) and values.ndim:
+        return tuple(values)
+    raise error(f"{what}: expected a sequence, got {values!r}")
+
+
 def check_wires(wires, error) -> tuple[int, ...]:
-    """``wires`` as a tuple of Python ints; ``error`` unless it lists at least one
-    integer and no duplicate.
+    """``wires`` as a tuple of Python ints; ``error`` unless a sequence
+    (``as_sequence``) of at least one integer and no duplicate.
 
     Python and numpy integers count; bools do not. Every entry is checked
     before any is converted, and a tuple of plain ints is returned as it is.
     """
-    wires = tuple(wires)
+    if type(wires) is not tuple:  # fast path: a list, as JSON gives it
+        wires = tuple(wires) if type(wires) is list else as_sequence(wires, "wires", error)
     for w in wires:  # fast path: plain ints are already in stored form
         if type(w) is not int:
             for j, w in enumerate(wires):

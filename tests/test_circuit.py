@@ -1,8 +1,10 @@
 """Tests for the circuit representation, JSON schema, simulation, and routing."""
 
+import gc
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from pentagate import (
     serialize,
     to_unitary,
 )
+from pentagate import circuit as circuit_module
 from pentagate.circuit import _orders, parse_matrix
 from pentagate.gates import GATES, gate_matrix
 from pentagate.linalg import _permutation_rows
@@ -183,6 +186,15 @@ class TestParse:
         with pytest.raises(SchemaError, match="cap"):
             parse('{"qubits":13,"gates":[]}')
 
+    @pytest.mark.parametrize("text, kind", [(None, "NoneType"), (b"[[[1, 0]]]", "bytes"),
+                                            (7, "int"), (["[[[1, 0]]]"], "list")],
+                             ids=["none", "bytes", "int", "list"])
+    def test_text_that_is_not_a_str_is_a_schema_error(self, text, kind):
+        for load in (parse, lambda t: parse_matrix(t, "m")):
+            with pytest.raises(SchemaError) as excinfo:
+                load(text)
+            assert str(excinfo.value) == f"invalid JSON: expected a str, got {kind}"
+
     def test_zero_qubits_rejected(self):
         with pytest.raises(SchemaError):
             parse('{"qubits":0,"gates":[]}')
@@ -279,6 +291,65 @@ class TestSharedGates:
         assert str(excinfo.value) == message
 
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.fixture
+def collector():
+    """Sets the cyclic collector's state for a test and restores it after."""
+    enabled = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """``parse`` pauses the cyclic collector while it builds and restores its state."""
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"qubits": 1, "gates": [{"name": "H", "wires": [0]}]}', None),
+        ('{"qubits": 1, "gates": [{"name": "H", "wires": [true]}]}',
+         "gates[0].wires[0]: expected an integer, got True"),
+        ("[" * 200_000, "invalid JSON: arrays or objects nested too deeply"),
+    ], ids=["parsed", "schema_error", "nested_too_deeply"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored(self, collector, enabled, text, message):
+        collector(enabled)
+        if message is None:
+            assert parse(text).gates[0].name == "H"
+        else:
+            with pytest.raises(SchemaError) as excinfo:
+                parse(text)
+            assert str(excinfo.value) == message
+        assert gc.isenabled() is enabled
+
+    def test_paused_while_gates_are_built(self, collector, monkeypatch):
+        seen, check_wires = [], circuit_module.check_wires
+
+        def recording(wires, error):
+            seen.append(gc.isenabled())
+            return check_wires(wires, error)
+
+        monkeypatch.setattr(circuit_module, "check_wires", recording)
+        collector(True)
+        parse('{"qubits": 2, "gates": [{"name": "H", "wires": [0]}, '
+              '{"name": "RZ", "wires": [1], "params": [0.5]}]}')
+        assert seen == [False, False] and gc.isenabled()
+
+    def test_parse_makes_no_reference_cycle(self, collector, rng):
+        texts = [path.read_text() for path in sorted(GOLDEN_INPUTS.glob("*.json"))]
+        texts = [t for t in texts if isinstance(json.loads(t), dict)]
+        assert len(texts) >= 20
+        gates = list(random_circuit(rng, 5, 2000).gates)
+        for k in range(0, 2000, 40):
+            gates[k] = GateInstance("custom", (k % 5,), (), haar_unitary(2, rng))
+        texts.append(serialize(Circuit(5, gates)))
+        collector(False)
+        gc.collect()
+        for text in texts:
+            parse(text)
+            assert gc.collect() == 0
+
+
 class TestSerialize:
     def test_round_trip_small(self):
         text = '{"qubits": 2, "gates": [{"name": "CNOT", "wires": [0, 1]}]}'
@@ -363,6 +434,44 @@ class TestOneValidationPath:
         with pytest.raises(SchemaError) as built:
             GateInstance(name, wires, params)
         assert str(built.value) == message
+
+    @pytest.mark.parametrize("name, wires, params, message", [
+        ("CNOT", {1, 0}, (), "wires: expected a sequence, got {0, 1}"),
+        ("H", 0, (), "wires: expected a sequence, got 0"),
+        ("RZ", (0,), {0.5: 1}, "params: expected a sequence, got {0.5: 1}"),
+        ("RZ", (0,), {0.5}, "params: expected a sequence, got {0.5}"),
+        ("RZ", (0,), 0.5, "params: expected a sequence, got 0.5"),
+        ("RZ", (0,), "0.5", "params: expected a sequence, got '0.5'"),
+        ("RZ", (0,), None, "params: expected a sequence, got None"),
+        ("RZ", {0}, 0.5, "wires: expected a sequence, got {0}"),
+    ], ids=["set_wires", "scalar_wires", "dict_params", "set_params", "scalar_params",
+            "string_params", "none_params", "wires_first"])
+    def test_wire_and_parameter_lists_are_sequences(self, name, wires, params, message):
+        with pytest.raises(SchemaError) as excinfo:
+            GateInstance(name, wires, params)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("params", [[0.5], np.array([0.5]), (np.float64(0.5),)],
+                             ids=["list", "array", "tuple"])
+    def test_sequences_of_parameters_are_stored_as_a_tuple(self, params):
+        gate = GateInstance("RZ", [0], params)
+        assert gate.params == (0.5,) and type(gate.params) is tuple
+        assert type(gate.params[0]) is float
+
+    @pytest.mark.parametrize("gates, message", [
+        (None, "gates: expected a sequence, got None"),
+        (5, "gates: expected a sequence, got 5"),
+        ({GateInstance("H", (0,))}, "gates: expected a sequence, got "
+                                    "{GateInstance(name='H', wires=(0,), params=(), matrix=None)}"),
+    ], ids=["none", "scalar", "set"])
+    def test_circuit_gates_are_a_sequence(self, gates, message):
+        with pytest.raises(SchemaError) as excinfo:
+            Circuit(2, gates)
+        assert str(excinfo.value) == message
+
+    def test_a_list_of_gates_is_stored_as_a_tuple(self):
+        gate = GateInstance("H", (0,))
+        assert Circuit(2, [gate, gate]).gates == (gate, gate)
 
     @pytest.mark.parametrize("wire, param, stored", [
         (np.int64(1), np.float64(-0.0), 0.0),

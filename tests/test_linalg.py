@@ -211,8 +211,17 @@ WIRE_CASES = {
     "str": (("0", 1), "wires[0]: expected an integer, got '0'"),
     "numpy_then_str": ((np.int64(0), "x"), "wires[1]: expected an integer, got 'x'"),
     "numpy": ((np.int64(2), np.int32(0)), None),
+    "list": ([2, 0], None),
+    "array": (np.array([2, 0]), None),
     "empty": ((), "wires: must list at least one wire"),
     "duplicate": ((1, 1), "wires: duplicate wire in [1, 1]"),
+    # a wire list is a sequence: nothing is read in an order of its own
+    "set": ({1, 0}, "wires: expected a sequence, got {0, 1}"),
+    "dict": ({5: 0, 2: 0}, "wires: expected a sequence, got {5: 0, 2: 0}"),
+    "scalar": (0, "wires: expected a sequence, got 0"),
+    "string": ("01", "wires: expected a sequence, got '01'"),
+    "zero_d_array": (np.array(1), "wires: expected a sequence, got array(1)"),
+    "none": (None, "wires: expected a sequence, got None"),
 }
 
 
