@@ -24,7 +24,6 @@ from .circuit import (
     circuit_stats,
     depth,
     parse,
-    resolved_matrix,
     route_line,
     serialize,
     to_unitary,
@@ -33,11 +32,8 @@ from .equations import (
     EquationResidual,
     check_folklore_duality,
     check_street_duality,
-    cocycle3_residual,
     pentagon_residual,
     pentagon_stack,
-    ybe13_residual,
-    ybe_residual,
 )
 from .errors import (
     DimensionError,
@@ -54,11 +50,9 @@ from .errors import (
 from .gates import (
     CayleyTable,
     a_gate,
-    b_gate,
     gate_matrix,
     group_algebra_fusion,
     heisenberg_evolution,
-    pauli,
     rotation,
     standard_gate,
     xx,
@@ -68,7 +62,6 @@ from .gates import (
 from .linalg import (
     DEFAULT_TOLERANCE,
     embed,
-    frobenius_norm,
     is_unitary,
     phase_distance,
     twist,

@@ -44,11 +44,11 @@ from .jsonio import complex_pair
 from .linalg import (
     DEFAULT_TOLERANCE,
     as_matrix,
+    as_sequence,
     check_integer,
     check_tolerance,
     frobenius_norm,
     is_unitary,
-    real,
     reals,
 )
 
@@ -299,12 +299,13 @@ def axis_points(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _normalize_axes(axes):
-    axes = list(axes)
-    if len(axes) == 3 and not any(map(np.ndim, axes)):
-        axes = [tuple(axes)] * 3
-    if len(axes) != 3:
+    axes = as_sequence(axes, "axes", GridError)
+    if not any(isinstance(axis, (tuple, list, np.ndarray)) for axis in axes):
+        axes = [reals(axes, "axes", GridError)] * 3  # one triple for every axis
+    axes = [reals(axis, f"axes[{i}]", GridError) for i, axis in enumerate(axes)]
+    if len(axes) != 3 or any(len(axis) != 3 for axis in axes):
         raise GridError("expected one (lo, hi, step) triple or three of them")
-    return [tuple(real(x, "grid bounds and step", GridError) for x in axis) for axis in axes]
+    return axes
 
 
 def scan_fusion_solutions(
@@ -314,11 +315,17 @@ def scan_fusion_solutions(
 
     ``family`` is a key of ``FAMILIES``; ``axes`` is a single (lo, hi, step)
     triple applied to every parameter, or a sequence of three such triples.
+    The axes and each triple are read by ``linalg.reals``: sequences (a
+    list, tuple or numpy array, never a set, dict, string or scalar) of
+    finite numbers, so no bound is read in an order the caller did not
+    give. Any other ``axes`` raises GridError, as does an axis that
+    ``axis_count`` refuses and a grid of more than ``MAX_GRID_POINTS``
+    points.
+
     Passing grid points are grouped into operator classes (matrices within
     ``tol`` in Frobenius norm are one class) and each class is reported once,
     represented by its lexicographically smallest canonical parameters. The
     result ordering is deterministic and independent of evaluation order.
-    Raises GridError for a grid of more than ``MAX_GRID_POINTS`` points.
     """
     tol = check_tolerance(tol)
     build, _ = _family(family)

@@ -64,30 +64,12 @@ from . import jsonio
 from .errors import DimensionError, SchemaError
 from .gates import GATES
 from .linalg import (MAX_QUBITS, _permutation_rows, as_matrix, as_sequence, check_integer,
-                     check_wires, is_unitary, phase_distance, real)
+                     check_wires, finite, is_unitary, phase_distance, reals)
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
 
 CUSTOM = "custom"
-
-
-def _number(value, where: str) -> float:
-    """``value`` read by ``linalg.real``; SchemaError naming ``where`` unless finite."""
-    x = real(value, where, SchemaError)
-    if not math.isfinite(x):
-        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
-    return x
-
-
-def _reals(params: tuple) -> tuple[float, ...]:
-    """``params`` as finite floats; SchemaError at the first bad one.
-
-    Adding 0.0 turns -0.0 into 0.0: JSON reads the "-0" that -0.0
-    serializes to as the integer 0, so a signed zero would not survive a
-    round trip and the serialized form would not be canonical.
-    """
-    return tuple(_number(p, f"params[{j}]") + 0.0 for j, p in enumerate(params))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -97,14 +79,15 @@ class GateInstance:
     Construction is the one place a gate is checked, in this order: the
     name is a string; the wires pass ``linalg.check_wires`` (a sequence of
     integers, at least one, no duplicate; numpy ints are stored as Python
-    ints); the parameters are a sequence (``linalg.as_sequence``: a list,
-    tuple or numpy array, never a set, dict or scalar) of finite real
-    numbers. A custom gate then needs a
-    finite ``2**k x 2**k`` matrix for its k wires, no parameters, and
-    unitarity within ``CUSTOM_UNITARY_TOLERANCE``. A named gate takes no
-    matrix, and its wire and parameter counts must match ``GATES``. The
-    first failing check raises SchemaError with a message relative to the
-    field, such as ``"params[0]: expected a number, got '1.5'"``.
+    ints); the parameters pass ``linalg.reals``: a sequence (a list, tuple
+    or numpy array, never a set, dict, string, scalar or 0-d array) of
+    finite real numbers, stored as floats with -0.0 read as 0.0. A custom
+    gate then needs a finite ``2**k x 2**k`` matrix for its k wires, no
+    parameters, and unitarity within ``CUSTOM_UNITARY_TOLERANCE``. A named
+    gate takes no matrix, and its wire and parameter counts must match
+    ``GATES``. The first failing check raises SchemaError with a message
+    relative to the field, such as ``"params: expected a sequence, got
+    {0.5}"`` or ``"params[0]: expected a finite number, got inf"``.
 
     The constructor is written out rather than generated: it keeps the
     generated signature and stores each field once, after every check has
@@ -121,13 +104,15 @@ class GateInstance:
             raise SchemaError("name: expected a string")
         wires = check_wires(wires, SchemaError)
         if type(params) is not tuple:  # fast path: a list, as JSON gives it
-            params = (tuple(params) if type(params) is list
-                      else as_sequence(params, "params", SchemaError))
+            params = tuple(params) if type(params) is list else reals(params, "params", SchemaError)
         # Fast path: nonzero finite plain floats are already in stored form;
-        # anything else takes the full check and conversion.
+        # anything else takes the full check and conversion. Adding 0.0 turns
+        # -0.0 into 0.0: JSON reads the "-0" that -0.0 serializes to as the
+        # integer 0, so a signed zero would not survive a round trip and the
+        # serialized form would not be canonical.
         for p in params:
             if type(p) is not float or not (math.isfinite(p) and p != 0.0):
-                params = _reals(params)
+                params = tuple(p + 0.0 for p in reals(params, "params", SchemaError))
                 break
         if name == CUSTOM:
             if matrix is None:
@@ -233,7 +218,8 @@ def _decode_matrix(raw, where: str) -> np.ndarray:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise SchemaError(f"{where}[{i}][{j}]: expected an [re, im] pair")
             try:
-                entries.append(complex(_number(pair[0], "[0]"), _number(pair[1], "[1]")))
+                entries.append(complex(finite(pair[0], "[0]", SchemaError),
+                                       finite(pair[1], "[1]", SchemaError)))
             except SchemaError as exc:
                 raise SchemaError(f"{where}[{i}][{j}]{exc}") from None
         rows.append(entries)

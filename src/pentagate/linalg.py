@@ -1,18 +1,25 @@
 """Dense complex linear algebra on tensor-product registers, and the number and wire rules.
 
-Three functions here decide what the package takes as a number or a wire list:
+These functions decide what the package takes as a number, a list of
+numbers or a wire list:
 
   - ``real`` is the one test of a real number. It accepts a Python or
     numpy int or float, never a bool, and reads a value past the float
-    range as a signed infinity, comparing integers exactly. Every checked
-    entry that takes a real goes through it: gate parameters
-    (``GateInstance``, ``gate_matrix``, ``certify(params=...)``), custom
-    matrix entries, the family triples of ``constraints`` and ``refine``,
-    ``refine``'s ``initial_step`` and every ``tol`` (both ``check_tolerance``), and
-    the scan grid bounds and steps. Each entry then refuses a value that
-    is not finite with its own error class and message. The gate
+    range as a signed infinity, comparing integers exactly. ``finite``
+    is the one scalar reader on top of it: ``real``, then the value must
+    be finite, with the caller's error class. Custom matrix entries go
+    through it directly, every list of numbers through ``reals``;
+    ``refine``'s ``initial_step`` and every ``tol`` take ``real`` through
+    ``check_tolerance``, which also asks for a positive value. The gate
     constructors below those entries (``a_gate``, ``rotation``, ...)
     convert without checking.
+  - ``reals`` is the one reader of a list of numbers: a sequence
+    (``as_sequence``) whose entries each pass ``finite``, the first bad
+    one named by its index, as in ``"params[0]: expected a finite
+    number, got inf"``. It reads the parameters of ``GateInstance``
+    (SchemaError), ``gate_matrix``, ``certify(params=...)`` and the
+    triples of ``constraints`` and ``refine`` (ValueError), and the scan
+    axes (GridError).
   - ``check_integer`` is the one test of a count: a Python or numpy int,
     never a bool, of at least a bound. It checks the local dimension
     ``d`` of ``embed`` and ``twist``, the register size of ``embed`` and
@@ -83,12 +90,24 @@ def real(value, where: str, error=ValueError) -> float:
     return float(value)
 
 
-def reals(values, what: str) -> tuple[float, ...]:
-    """``values`` read by ``real``; ValueError naming ``what`` unless all are finite."""
-    values = tuple(real(v, what) for v in values)
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} must be finite, got {list(values)}")
-    return values
+def finite(value, where: str, error=ValueError) -> float:
+    """``value`` read by ``real``; ``error`` naming ``where`` unless finite."""
+    x = real(value, where, error)
+    if not math.isfinite(x):
+        raise error(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
+def reals(values, what: str, error=ValueError) -> tuple[float, ...]:
+    """``values`` as a tuple of finite floats; ``error`` at the first bad entry.
+
+    The list must be a sequence (``as_sequence``: a list, tuple or numpy
+    array, never a set, dict, string, scalar or 0-d array), and entry j is
+    read by ``finite`` under the name ``what[j]``, as in
+    ``"params[0]: expected a finite number, got inf"``.
+    """
+    return tuple(finite(v, f"{what}[{j}]", error)
+                 for j, v in enumerate(as_sequence(values, what, error)))
 
 
 def check_integer(value, what: str, least: int = 1, error=DimensionError) -> None:

@@ -29,19 +29,19 @@ from pentagate import (
     depth,
     describe_fusion_gate,
     expand,
-    frobenius_norm,
     group_algebra_fusion,
     heisenberg_evolution,
     parse,
-    pauli,
     pentagon_residual,
     route_line,
     scan_fusion_solutions,
     serialize,
     standard_gate,
-    ybe_residual,
 )
 from pentagate.certify import IDENTITY_CLASS
+from pentagate.equations import ybe_residual
+from pentagate.gates import pauli
+from pentagate.linalg import frobenius_norm
 from conftest import (
     haar_unitary,
     random_circuit,

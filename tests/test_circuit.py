@@ -22,18 +22,16 @@ from pentagate import (
     depth,
     describe_fusion_gate,
     embed,
-    frobenius_norm,
     parse,
     phase_distance,
-    resolved_matrix,
     route_line,
     serialize,
     to_unitary,
 )
 from pentagate import circuit as circuit_module
-from pentagate.circuit import _orders, parse_matrix
+from pentagate.circuit import _orders, parse_matrix, resolved_matrix
 from pentagate.gates import GATES, gate_matrix
-from pentagate.linalg import _permutation_rows
+from pentagate.linalg import _permutation_rows, frobenius_norm
 from conftest import haar_unitary, random_circuit, template_circuit, template_gates
 from oracles import phase_distance_reference, to_unitary_reference
 

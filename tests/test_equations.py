@@ -17,18 +17,16 @@ from pentagate import (
     certify,
     check_folklore_duality,
     check_street_duality,
-    cocycle3_residual,
     embed,
-    frobenius_norm,
     group_algebra_fusion,
     pentagon_residual,
     pentagon_stack,
     standard_gate,
     twist,
-    ybe13_residual,
-    ybe_residual,
 )
-from pentagate.equations import permutation_solves_pentagon
+from pentagate.equations import (cocycle3_residual, permutation_solves_pentagon, ybe13_residual,
+                                 ybe_residual)
+from pentagate.linalg import frobenius_norm
 from conftest import haar_unitary
 from oracles import (
     CNOT_MAP,

@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra layer."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,19 +11,25 @@ from pentagate import (
     Circuit,
     DimensionError,
     GateInstance,
+    GridError,
     SchemaError,
     WireError,
+    certify,
+    constraints,
     embed,
-    frobenius_norm,
+    gate_matrix,
     is_unitary,
-    pauli,
+    parse,
     pentagon_stack,
     phase_distance,
+    refine,
+    scan_fusion_solutions,
     standard_gate,
     twist,
 )
 from pentagate import linalg
-from pentagate.linalg import _permutation_rows
+from pentagate.gates import pauli
+from pentagate.linalg import _permutation_rows, frobenius_norm
 from conftest import haar_unitary
 from oracles import embed_by_transpose_copy, matrices_equal, permutation_operator
 
@@ -255,6 +262,116 @@ class TestWireRule:
         wires = (3, 7)
         assert linalg.check_wires(wires, WireError) is wires
         assert GateInstance("XX", wires, (0.3,)).wires is wires
+
+
+#: Lists of numbers no entry may take, and the message ``linalg.reals`` gives
+#: for each after the entry's name: a list is a sequence of finite numbers.
+LIST_CASES = {
+    "none": (None, ": expected a sequence, got None"),
+    "scalar": (0.5, ": expected a sequence, got 0.5"),
+    "integer": (5, ": expected a sequence, got 5"),
+    "zero_d_array": (np.array(0.5), ": expected a sequence, got array(0.5)"),
+    "set": ({0.5}, ": expected a sequence, got {0.5}"),
+    "dict": ({0.5: 1}, ": expected a sequence, got {0.5: 1}"),
+    "string": ("0.5", ": expected a sequence, got '0.5'"),
+    "nested": ([[0.5]], "[0]: expected a number, got [0.5]"),
+    "ragged": ([0.5, [0.5, 0.5]], "[1]: expected a number, got [0.5, 0.5]"),
+    "bool": ([True], "[0]: expected a number, got True"),
+    "nan": ([math.nan], "[0]: expected a finite number, got nan"),
+    "inf": ([0.5, math.inf], "[1]: expected a finite number, got inf"),
+    "negative_inf": ([-math.inf], "[0]: expected a finite number, got -inf"),
+    "huge_integer": ([10**400], f"[0]: expected a finite number, got {10**400}"),
+    "array_nan": (np.array([0.5, math.nan]),
+                  f"[1]: expected a finite number, got {np.float64(math.nan)!r}"),
+}
+
+_AXIS = (0.0, 1.0, 1.0)
+
+
+def _with_pair(value) -> str:
+    """Circuit JSON of a one-qubit custom gate, ``value`` in place of its first
+    [re, im] pair; a value JSON cannot hold is written as its repr, a string."""
+    matrix = [[value, [0, 0]], [[0, 0], [1, 0]]]
+    gate = {"name": "custom", "wires": [0], "matrix": matrix}
+    return json.dumps({"qubits": 1, "gates": [gate]}, default=repr)
+
+
+#: Every entry that reads a list of numbers: the call that puts a value in
+#: place of the list, the class it raises and the name ``reals`` reads the
+#: list under, or None where the entry words its own refusal.
+LIST_TAKERS = {
+    "gate_matrix": (lambda v: gate_matrix("RZ", v), ValueError, "gate 'RZ' parameters"),
+    "certify_params": (lambda v: certify(standard_gate("CNOT"), params=v), ValueError,
+                       "gate parameters"),
+    "constraints": (lambda v: constraints("a", v), ValueError, "parameters"),
+    "refine_start": (lambda v: refine(v), ValueError, "parameters"),
+    "scan_axes": (lambda v: scan_fusion_solutions("a", v), GridError, None),
+    "scan_axis": (lambda v: scan_fusion_solutions("a", [v, _AXIS, _AXIS]), GridError, "axes[0]"),
+    "gate_instance_params": (lambda v: GateInstance("RZ", (0,), v), SchemaError, "params"),
+    "json_matrix_pair": (lambda v: parse(_with_pair(v)), SchemaError, None),
+}
+
+
+class TestListReader:
+    """``linalg.reals`` is the one reader of a list of numbers: each entry
+    refuses what is not a sequence of finite numbers with its own class."""
+
+    @pytest.mark.parametrize("case", sorted(LIST_CASES))
+    @pytest.mark.parametrize("entry", sorted(LIST_TAKERS))
+    def test_refuses(self, entry, case):
+        call, error, what = LIST_TAKERS[entry]
+        value, message = LIST_CASES[case]
+        with pytest.raises(Exception) as caught:
+            call(value)
+        assert type(caught.value) is error
+        if what is not None:
+            assert str(caught.value) == what + message
+
+    # JSON has one sequence, the array, which every test of ``parse`` reads
+    @pytest.mark.parametrize("entry", sorted(set(LIST_TAKERS) - {"json_matrix_pair"}))
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_sequences_are_read(self, entry, kind):
+        values = {"gate_matrix": [0.5], "certify_params": [0.1], "scan_axes": _AXIS,
+                  "scan_axis": _AXIS, "gate_instance_params": [0.5]}.get(entry, [0.1, 0.0, 0.0])
+        LIST_TAKERS[entry][0](kind(values))
+
+    @pytest.mark.parametrize("call, error, message", [
+        # a set or a dict's keys would be read in an order of their own
+        (lambda: gate_matrix("RZ", {0.5}), ValueError,
+         "gate 'RZ' parameters: expected a sequence, got {0.5}"),
+        (lambda: certify(standard_gate("CNOT"), params={0.1}), ValueError,
+         "gate parameters: expected a sequence, got {0.1}"),
+        (lambda: constraints("a", {0.1: 1, 0.2: 2, 0.3: 3}), ValueError,
+         "parameters: expected a sequence, got {0.1: 1, 0.2: 2, 0.3: 3}"),
+        # in set order this triple reads (0, 1, 3): one point per axis, not four
+        (lambda: scan_fusion_solutions("a", {0.0, 3.0, 1.0}), GridError,
+         "axes: expected a sequence, got {0.0, 1.0, 3.0}"),
+        # a scalar, or a pair in place of a triple, is no axis or parameter list
+        (lambda: gate_matrix("RZ", 0.5), ValueError,
+         "gate 'RZ' parameters: expected a sequence, got 0.5"),
+        (lambda: refine(5), ValueError, "parameters: expected a sequence, got 5"),
+        (lambda: scan_fusion_solutions("a", 5), GridError, "axes: expected a sequence, got 5"),
+        (lambda: scan_fusion_solutions("a", [(0, 1)] * 3), GridError,
+         "expected one (lo, hi, step) triple or three of them"),
+    ], ids=["gate_matrix_set", "certify_set", "constraints_dict", "scan_set", "gate_matrix_scalar",
+            "refine_scalar", "scan_scalar", "scan_pairs"])
+    def test_calls_that_read_a_list_any_way(self, call, error, message):
+        with pytest.raises(Exception) as caught:
+            call()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_ordered_scan_axes_keep_their_order(self):
+        # (0, 3, 1) is four points per axis, read in the order given
+        one = scan_fusion_solutions("a", [0.0, 3.0, 1.0])
+        assert one == scan_fusion_solutions("a", [(0.0, 3.0, 1.0)] * 3)
+        assert one == scan_fusion_solutions("a", np.array([[0.0, 3.0, 1.0]] * 3))
+
+    def test_certify_and_constraints_keep_a_negative_zero(self):
+        # the gate stores 0.0 for -0.0; the reports print the parameters as given
+        assert math.copysign(1.0, certify(standard_gate("CNOT"), params=(-0.0,)).gate_params[0]) < 0
+        assert math.copysign(1.0, constraints("a", (-0.0, 0, 0)).parameters[0]) < 0
+        assert math.copysign(1.0, GateInstance("RZ", (0,), (-0.0,)).params[0]) > 0
 
 
 class TestNormsAndUnitarity:

@@ -48,10 +48,9 @@ from pentagate import (
     standard_gate,
     to_unitary,
     transpile,
-    ybe_residual,
 )
 from pentagate.certify import CertificationReport, Witness
-from pentagate.equations import permutation_solves_pentagon
+from pentagate.equations import permutation_solves_pentagon, ybe_residual
 from pentagate.gates import GATES
 from pentagate.rewrite import _RULES, _apply_sites, _find_sites, _site_distance
 from conftest import (
