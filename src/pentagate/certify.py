@@ -44,7 +44,6 @@ from .jsonio import complex_pair
 from .linalg import (
     DEFAULT_TOLERANCE,
     as_matrix,
-    as_sequence,
     check_integer,
     check_tolerance,
     frobenius_norm,
@@ -298,29 +297,19 @@ def axis_points(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(axis_count(lo, hi, step))]
 
 
-def _normalize_axes(axes):
-    axes = as_sequence(axes, "axes", GridError)
-    if not any(isinstance(axis, (tuple, list, np.ndarray)) for axis in axes):
-        axes = [reals(axes, "axes", GridError)] * 3  # one triple for every axis
-    axes = [reals(axis, f"axes[{i}]", GridError) for i, axis in enumerate(axes)]
-    if len(axes) != 3 or any(len(axis) != 3 for axis in axes):
-        raise GridError("expected one (lo, hi, step) triple or three of them")
-    return axes
-
-
 def scan_fusion_solutions(
     family: str, axes, tol: float = SCAN_TOLERANCE
 ) -> list[SolutionPoint]:
-    """Scan a 3-parameter grid for pentagon solutions of a gate family.
+    """Scan a cube grid of 3-parameter points for pentagon solutions of a gate family.
 
-    ``family`` is a key of ``FAMILIES``; ``axes`` is a single (lo, hi, step)
-    triple applied to every parameter, or a sequence of three such triples.
-    The axes and each triple are read by ``linalg.reals``: sequences (a
-    list, tuple or numpy array, never a set, dict, string or scalar) of
-    finite numbers, so no bound is read in an order the caller did not
-    give. Any other ``axes`` raises GridError, as does an axis that
-    ``axis_count`` refuses and a grid of more than ``MAX_GRID_POINTS``
-    points.
+    ``family`` is a key of ``FAMILIES``; ``axes`` is one (lo, hi, step)
+    triple, the axis of every parameter, read by ``linalg.reals``: a
+    sequence (a list, tuple or numpy array, never a set, dict, string or
+    scalar) of finite numbers, so no bound is read in an order the caller
+    did not give. Any other ``axes`` raises GridError, as does an axis
+    that ``axis_count`` refuses and a grid of more than
+    ``MAX_GRID_POINTS`` points, before any point is built. The points are
+    walked with the first parameter slowest.
 
     Passing grid points are grouped into operator classes (matrices within
     ``tol`` in Frobenius norm are one class) and each class is reported once,
@@ -329,12 +318,13 @@ def scan_fusion_solutions(
     """
     tol = check_tolerance(tol)
     build, _ = _family(family)
-    axes = _normalize_axes(axes)
-    total = math.prod(axis_count(*axis) for axis in axes)
+    axis = reals(axes, "axes", GridError)
+    if len(axis) != 3:
+        raise GridError(f"axes: expected one (lo, hi, step) triple, got {len(axis)} values")
+    total = axis_count(*axis) ** 3
     if total > MAX_GRID_POINTS:
         raise GridError(f"grid of {total} points exceeds the cap of {MAX_GRID_POINTS} points")
-    grids = [axis_points(*axis) for axis in axes]
-    points = itertools.product(*grids)
+    points = itertools.product(axis_points(*axis), repeat=3)
     passing = []
     while chunk := list(itertools.islice(points, SCAN_CHUNK)):
         matrices = build(*np.array(chunk).T)

@@ -61,7 +61,7 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError, SchemaError, UnknownGateError
 from .gates import GATES
 from .linalg import (MAX_QUBITS, _permutation_rows, as_matrix, as_sequence, check_integer,
                      check_wires, finite, is_unitary, phase_distance, reals)
@@ -87,7 +87,10 @@ class GateInstance:
     gate takes no matrix, and its wire and parameter counts must match
     ``GATES``. The first failing check raises SchemaError with a message
     relative to the field, such as ``"params: expected a sequence, got
-    {0.5}"`` or ``"params[0]: expected a finite number, got inf"``.
+    {0.5}"`` or ``"params[0]: expected a finite number, got inf"``; an
+    unknown name raises its subclass UnknownGateError, as ``gate_matrix``
+    does, and a matrix numpy cannot read as numbers (``linalg.as_matrix``)
+    raises SchemaError too.
 
     The constructor is written out rather than generated: it keeps the
     generated signature and stores each field once, after every check has
@@ -117,7 +120,7 @@ class GateInstance:
         if name == CUSTOM:
             if matrix is None:
                 raise SchemaError("matrix: required for custom gates")
-            matrix = as_matrix(matrix) + 0.0
+            matrix = as_matrix(matrix, SchemaError) + 0.0
             matrix.flags.writeable = False  # equal gates may share it
             if not np.isfinite(matrix).all():
                 raise SchemaError("matrix: entries must be finite")
@@ -136,7 +139,7 @@ class GateInstance:
                 raise SchemaError("matrix: only allowed for custom gates")
             spec = GATES.get(name)
             if spec is None:
-                raise SchemaError(f"name: unknown gate {name!r}")
+                raise UnknownGateError(f"name: unknown gate {name!r}")
             arity, expected, _ = spec
             if len(wires) != arity:
                 raise SchemaError(
@@ -304,7 +307,7 @@ def _gate(raw, i: int) -> GateInstance:
             matrix = _decode_matrix(raw["matrix"], "matrix") if "matrix" in raw else None
             return GateInstance(raw.get("name"), raw.get("wires"), raw.get("params", ()), matrix)
         except SchemaError as exc:
-            raise SchemaError(f"gates[{i}]{_shape_fault(raw) or f'.{exc}'}") from None
+            raise type(exc)(f"gates[{i}]{_shape_fault(raw) or f'.{exc}'}") from None
     raise SchemaError(f"gates[{i}]{_shape_fault(raw)}")
 
 

@@ -65,7 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
 from .linalg import (DEFAULT_TOLERANCE, _check_operator, _permutation_rows, as_matrix,
                      check_tolerance, embed, twist)
 
@@ -123,9 +122,7 @@ def pentagon_stack(ts, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     product runs one matrix product per slice, so every slice is bitwise
     what ``pentagon_residual`` returns for that gate alone.
     """
-    ts = np.asarray(ts, dtype=np.complex128)
-    if ts.ndim != 3:
-        raise DimensionError(f"expected a stack of matrices, got {ts.ndim} dimensions")
+    ts = as_matrix(ts, ndims=(3,))
     lhs = embed(ts, (0, 1), 3, d)  # T12; this embed checks d and the gates' shape
     n, size = len(ts), d**3
     lhs = ts[:, np.newaxis] @ lhs.reshape(n, d, d * d, size)  # T23 T12, replacing T12

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGroupError, UnknownGateError
-from .linalg import check_integer, reals
+from .linalg import _dimension, check_integer, reals
 
 FOUR_PI = 4.0 * math.pi
 
@@ -154,6 +154,10 @@ class CayleyTable:
 
     ``table[i][j]`` is the index of the product g_i * g_j. The order, the
     entries and the identity index are counts under ``check_integer``.
+    The group's fusion operator acts on two wires of dimension ``order``,
+    so ``linalg._dimension`` caps the order at 64, ``order**2 <= 2**12``:
+    a larger order raises DimensionError before the table is read, and the
+    constructors below refuse one before they build it.
     Validation is eager and states each group axiom as an identity on the
     table read as an integer array ``a``: every row and every column sorts
     to ``0..order-1``, row and column ``e`` of the identity are
@@ -171,6 +175,7 @@ class CayleyTable:
     def __post_init__(self):
         n = self.order
         check_integer(n, "group order", error=InvalidGroupError)
+        _dimension(2, n)
         t = self.table
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidGroupError(f"table must be {n}x{n}")
@@ -199,6 +204,7 @@ class CayleyTable:
     def cyclic(cls, n: int) -> "CayleyTable":
         """The cyclic group Z_n with addition mod n."""
         check_integer(n, "group order", error=InvalidGroupError)
+        _dimension(2, n)
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return cls(n, table, 0)
 
@@ -206,6 +212,7 @@ class CayleyTable:
     def direct_product(cls, g: "CayleyTable", h: "CayleyTable") -> "CayleyTable":
         """Direct product with pair (i, j) indexed as i * h.order + j."""
         n, m = g.order * h.order, h.order
+        _dimension(2, n)
         # entry [i1, j1, i2, j2] is the index of (g_i1 g_i2, h_j1 h_j2)
         table = np.array(g.table)[:, None, :, None] * m + np.array(h.table)[None, :, None, :]
         return cls(n, tuple(map(tuple, table.reshape(n, n).tolist())),
@@ -215,6 +222,8 @@ class CayleyTable:
     def symmetric(cls, n: int) -> "CayleyTable":
         """The symmetric group S_n; elements are permutation tuples in lex order."""
         check_integer(n, "symmetric group degree", 0, InvalidGroupError)
+        _dimension(2, n)  # S_n has at least n elements, so n! is computed only for a small n
+        _dimension(2, math.factorial(n))
         perms = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         table = []

@@ -18,8 +18,8 @@ numbers or a wire list:
     one named by its index, as in ``"params[0]: expected a finite
     number, got inf"``. It reads the parameters of ``GateInstance``
     (SchemaError), ``gate_matrix``, ``certify(params=...)`` and the
-    triples of ``constraints`` and ``refine`` (ValueError), and the scan
-    axes (GridError).
+    triples of ``constraints`` and ``refine`` (ValueError), and the scan's
+    (lo, hi, step) triple (GridError).
   - ``check_integer`` is the one test of a count: a Python or numpy int,
     never a bool, of at least a bound. It checks the local dimension
     ``d`` of ``embed`` and ``twist``, the register size of ``embed`` and
@@ -31,6 +31,14 @@ numbers or a wire list:
     duplicate. It checks the wires of every ``GateInstance`` (SchemaError)
     and of every ``embed`` (WireError), with the same messages; each
     caller then checks the range against its own register.
+
+``as_matrix`` is the one reader of a matrix or a stack of them: what numpy
+cannot read as an array of numbers (a dict, a set, a malformed string, a
+ragged list, an integer past the float range) and an array of the wrong
+number of dimensions raise the caller's class, DimensionError by default
+and SchemaError for a custom gate. A refused value is written by
+``_shown``, which names an integer past the interpreter's digit limit by
+its size, since ``repr`` refuses such an integer.
 
 ``_check_operator`` is the one statement of the shape rule: ``d`` is a
 count and an operator acts on k wires of dimension d. ``embed`` applies
@@ -94,8 +102,20 @@ def finite(value, where: str, error=ValueError) -> float:
     """``value`` read by ``real``; ``error`` naming ``where`` unless finite."""
     x = real(value, where, error)
     if not math.isfinite(x):
-        raise error(f"{where}: expected a finite number, got {value!r}")
+        raise error(f"{where}: expected a finite number, got {_shown(value)}")
     return x
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an integer too long for ``repr``.
+
+    ``repr`` refuses an integer past the interpreter's digit limit
+    (``sys.get_int_max_str_digits``), so such a value is named by its bits.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 def reals(values, what: str, error=ValueError) -> tuple[float, ...]:
@@ -116,7 +136,7 @@ def check_integer(value, what: str, least: int = 1, error=DimensionError) -> Non
     Python and numpy integers count; bools do not.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise error(f"{what} must be an integer of at least {least}, got {value!r}")
+        raise error(f"{what} must be an integer of at least {least}, got {_shown(value)}")
 
 
 def as_sequence(values, what: str, error) -> tuple:
@@ -162,15 +182,23 @@ def check_tolerance(value, what: str = "tolerance") -> float:
     """
     x = real(value, what)
     if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+        raise ValueError(f"{what} must be finite and positive, got {_shown(value)}")
     return x
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array."""
-    m = np.asarray(values, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got {m.ndim} dimensions")
+def as_matrix(values, error=DimensionError, ndims=(2,)) -> np.ndarray:
+    """``values`` as a complex128 array of ``ndims`` dimensions, a matrix by default.
+
+    ``error`` is raised for any other number of dimensions, and for what
+    numpy cannot read as an array of numbers: a dict, a set, a malformed
+    string, a ragged list or an integer past the float range.
+    """
+    try:
+        m = np.asarray(values, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"matrix: expected an array of numbers, got {type(values).__name__}") from None
+    if m.ndim not in ndims:
+        raise error(f"matrix: expected {' or '.join(map(str, ndims))} dimensions, got {m.ndim}")
     return m
 
 
@@ -269,11 +297,7 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     d**3 lifts stop at d=16. A stack of more than ``4**MAX_QUBITS`` entries
     in all, one 4096 x 4096 lift, raises DimensionError as well.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim not in (2, 3):
-        raise DimensionError(
-            f"expected a matrix or a stack of matrices, got {u.ndim} dimensions"
-        )
+    u = as_matrix(u, ndims=(2, 3))
     check_integer(num_qubits, "register size", error=WireError)
     wires = check_wires(wires, WireError)
     for w in wires:

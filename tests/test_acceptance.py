@@ -26,7 +26,6 @@ from pentagate import (
     circuit_distance,
     compress,
     constraints,
-    depth,
     describe_fusion_gate,
     expand,
     group_algebra_fusion,
@@ -39,6 +38,7 @@ from pentagate import (
     standard_gate,
 )
 from pentagate.certify import IDENTITY_CLASS
+from pentagate.circuit import depth
 from pentagate.equations import ybe_residual
 from pentagate.gates import pauli
 from pentagate.linalg import frobenius_norm

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from pentagate import (
-    FAMILIES,
     CayleyTable,
     Circuit,
     DimensionError,
@@ -33,7 +32,7 @@ from pentagate import (
     standard_gate,
     transpile,
 )
-from pentagate.certify import IDENTITY_CLASS, axis_points
+from pentagate.certify import FAMILIES, IDENTITY_CLASS, axis_points
 from pentagate.circuit import GateInstance, _decode_matrix
 from pentagate.errors import GridError, SchemaError
 from pentagate.gates import gate_matrix
@@ -372,10 +371,10 @@ class TestScan:
             scan_fusion_solutions("a", (0.0, 999.0, 0.001))
 
     def test_grid_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("pentagate.certify"), "MAX_GRID_POINTS", 36)
-        assert scan_fusion_solutions("a", [(0.0, 2.0, 1.0)] * 2 + [(0.0, 3.0, 1.0)], 1e-9)
-        with pytest.raises(GridError, match="grid of 48 points exceeds the cap of 36 points"):
-            scan_fusion_solutions("a", [(0.0, 2.0, 1.0), (0.0, 3.0, 1.0), (0.0, 3.0, 1.0)])
+        monkeypatch.setattr(importlib.import_module("pentagate.certify"), "MAX_GRID_POINTS", 27)
+        assert scan_fusion_solutions("a", (0.0, 2.0, 1.0), 1e-9)
+        with pytest.raises(GridError, match="grid of 64 points exceeds the cap of 27 points"):
+            scan_fusion_solutions("a", (0.0, 3.0, 1.0))
 
     @pytest.mark.parametrize("family, axis", [
         ("a", (-6.2832, 6.2832, 0.3927)),  # the README grid, 33 points per axis
@@ -460,7 +459,7 @@ def _tolerance_takers():
         "heisenberg_constraints": lambda tol: constraints("heis", (0, 0, 0), tol),
         "scan_a_gate": lambda tol: scan_fusion_solutions("a", (0, 0, 1), tol),
         "scan_heisenberg": lambda tol: scan_fusion_solutions("heis", (0, 0, 1), tol),
-        "scan_fusion_solutions": lambda tol: scan_fusion_solutions("a", [(0, 0, 1)] * 3, tol),
+        "scan_fusion_solutions": lambda tol: scan_fusion_solutions("a", [0, 0, 1], tol),
         "refine": lambda tol: refine((0, 0, 0), "a", tol=tol),
         "check_street_duality": lambda tol: check_street_duality(cnot, 2, tol),
         "check_folklore_duality": lambda tol: check_folklore_duality(cnot, 2, tol),
@@ -513,7 +512,7 @@ def _real_takers():
         "refine_initial_step": (lambda v: refine((0.1, 0.0, 0.0), initial_step=v, max_iters=2),
                                 ValueError),
         "scan_bound": (lambda v: scan_fusion_solutions("a", (0.0, v, 1.0)), GridError),
-        "scan_step": (lambda v: scan_fusion_solutions("heis", [(0.0, 1.0, v)] * 3), GridError),
+        "scan_step": (lambda v: scan_fusion_solutions("heis", [0.0, 1.0, v]), GridError),
         "certify_params": (lambda v: certify(cnot, params=(v,)), ValueError),
     }
     for name, call in _tolerance_takers().items():

@@ -19,7 +19,6 @@ from pentagate import (
     circuit_stats,
     circuit_distance,
     compress,
-    depth,
     describe_fusion_gate,
     embed,
     parse,
@@ -29,7 +28,7 @@ from pentagate import (
     to_unitary,
 )
 from pentagate import circuit as circuit_module
-from pentagate.circuit import _orders, parse_matrix, resolved_matrix
+from pentagate.circuit import _orders, depth, parse_matrix, resolved_matrix
 from pentagate.gates import GATES, gate_matrix
 from pentagate.linalg import _permutation_rows, frobenius_norm
 from conftest import haar_unitary, random_circuit, template_circuit, template_gates

@@ -20,13 +20,11 @@ from pentagate import (
     embed,
     group_algebra_fusion,
     pentagon_residual,
-    pentagon_stack,
     standard_gate,
-    twist,
 )
-from pentagate.equations import (cocycle3_residual, permutation_solves_pentagon, ybe13_residual,
-                                 ybe_residual)
-from pentagate.linalg import frobenius_norm
+from pentagate.equations import (cocycle3_residual, pentagon_stack, permutation_solves_pentagon,
+                                 ybe13_residual, ybe_residual)
+from pentagate.linalg import frobenius_norm, twist
 from conftest import haar_unitary
 from oracles import (
     CNOT_MAP,

@@ -10,21 +10,18 @@ from scipy.linalg import expm
 
 from pentagate import (
     CayleyTable,
+    DimensionError,
     InvalidGroupError,
     a_gate,
     gate_matrix,
     group_algebra_fusion,
     heisenberg_evolution,
     is_unitary,
-    rotation,
     scan_fusion_solutions,
     standard_gate,
-    xx,
-    yy,
-    zz,
 )
 from pentagate.errors import UnknownGateError
-from pentagate.gates import GATES, b_gate, pauli
+from pentagate.gates import GATES, b_gate, pauli, rotation, xx, yy, zz
 from pentagate.linalg import frobenius_norm
 from oracles import group_fusion_map, matrices_equal, permutation_operator
 
@@ -199,11 +196,10 @@ class TestAGate:
             assert build(0.0, 0.0, 0.0).shape == (4, 4)
 
     def test_params_canonicalization(self):
-        # A(-2pi, 8pi, 6pi) = +I; a one-point scan reports it reduced mod 4pi
-        axes = [(-2 * PI, -2 * PI, 1.0), (8 * PI, 8 * PI, 1.0), (6 * PI, 6 * PI, 1.0)]
-        (point,) = scan_fusion_solutions("a", axes)
-        assert point.parameters == (-2 * PI, 8 * PI, 6 * PI)
-        assert point.canonical_parameters == pytest.approx((2 * PI, 0.0, 2 * PI))
+        # A(-4pi, -4pi, -4pi) = +I; a one-point scan reports it reduced mod 4pi
+        (point,) = scan_fusion_solutions("a", (-4 * PI, -4 * PI, 1.0))
+        assert point.parameters == (-4 * PI, -4 * PI, -4 * PI)
+        assert point.canonical_parameters == pytest.approx((0.0, 0.0, 0.0))
         assert all(0 <= x < 4 * PI for x in point.canonical_parameters)
 
 
@@ -300,6 +296,43 @@ class TestCayleyTable:
     def test_counts_are_integers(self, build):
         with pytest.raises(InvalidGroupError, match="must be an integer of at least"):
             build()
+
+    @pytest.mark.parametrize("build, order", [
+        (lambda: CayleyTable(65, (), 0), 65),  # before the table is read
+        (lambda: CayleyTable.cyclic(65), 65),
+        (lambda: CayleyTable.direct_product(CayleyTable.cyclic(8), CayleyTable.cyclic(9)), 72),
+        (lambda: CayleyTable.symmetric(5), 120),
+    ], ids=["table", "cyclic", "direct-product", "symmetric"])
+    def test_order_past_the_dense_cap_is_refused(self, build, order):
+        # the fusion operator acts on two wires of dimension order: order**2 <= 2**12
+        with pytest.raises(DimensionError) as excinfo:
+            build()
+        assert str(excinfo.value) == (
+            f"register of 2 wires of dimension {order} exceeds the 4096-dimensional cap"
+        )
+
+    def test_symmetric_group_past_the_cap_is_refused_before_building(self, monkeypatch):
+        # S_9 would list 362,880 permutations for a 362,880^2 table, and S_(10**9)
+        # would never end; a call past the cap must not count or list them
+        factorial = math.factorial
+
+        def small_factorial(n):
+            assert n <= 64, f"{n}! computed past the cap"
+            return factorial(n)
+
+        def no_permutations(*args):
+            raise AssertionError("permutations listed past the cap")
+
+        monkeypatch.setattr(math, "factorial", small_factorial)
+        monkeypatch.setattr(itertools, "permutations", no_permutations)
+        for degree, order in [(9, 362880), (10**9, 10**9)]:
+            with pytest.raises(DimensionError, match=f"dimension {order} exceeds"):
+                CayleyTable.symmetric(degree)
+
+    def test_dense_cap_is_inclusive(self):
+        assert CayleyTable.cyclic(64).order == 64
+        assert CayleyTable.direct_product(CayleyTable.cyclic(8), CayleyTable.cyclic(8)).order == 64
+        assert group_algebra_fusion(CayleyTable.symmetric(4)).shape == (576, 576)
 
     def test_rejects_non_associative_latin_square(self):
         # a 5x5 Latin square with two-sided identity 0 that is not a group

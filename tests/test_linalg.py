@@ -13,6 +13,7 @@ from pentagate import (
     GateInstance,
     GridError,
     SchemaError,
+    UnknownGateError,
     WireError,
     certify,
     constraints,
@@ -20,16 +21,15 @@ from pentagate import (
     gate_matrix,
     is_unitary,
     parse,
-    pentagon_stack,
     phase_distance,
     refine,
     scan_fusion_solutions,
     standard_gate,
-    twist,
 )
 from pentagate import linalg
+from pentagate.equations import pentagon_stack
 from pentagate.gates import pauli
-from pentagate.linalg import _permutation_rows, frobenius_norm
+from pentagate.linalg import _permutation_rows, frobenius_norm, twist
 from conftest import haar_unitary
 from oracles import embed_by_transpose_copy, matrices_equal, permutation_operator
 
@@ -305,8 +305,7 @@ LIST_TAKERS = {
                        "gate parameters"),
     "constraints": (lambda v: constraints("a", v), ValueError, "parameters"),
     "refine_start": (lambda v: refine(v), ValueError, "parameters"),
-    "scan_axes": (lambda v: scan_fusion_solutions("a", v), GridError, None),
-    "scan_axis": (lambda v: scan_fusion_solutions("a", [v, _AXIS, _AXIS]), GridError, "axes[0]"),
+    "scan_axes": (lambda v: scan_fusion_solutions("a", v), GridError, "axes"),
     "gate_instance_params": (lambda v: GateInstance("RZ", (0,), v), SchemaError, "params"),
     "json_matrix_pair": (lambda v: parse(_with_pair(v)), SchemaError, None),
 }
@@ -332,7 +331,7 @@ class TestListReader:
     @pytest.mark.parametrize("kind", [list, tuple, np.array])
     def test_sequences_are_read(self, entry, kind):
         values = {"gate_matrix": [0.5], "certify_params": [0.1], "scan_axes": _AXIS,
-                  "scan_axis": _AXIS, "gate_instance_params": [0.5]}.get(entry, [0.1, 0.0, 0.0])
+                  "gate_instance_params": [0.5]}.get(entry, [0.1, 0.0, 0.0])
         LIST_TAKERS[entry][0](kind(values))
 
     @pytest.mark.parametrize("call, error, message", [
@@ -352,9 +351,12 @@ class TestListReader:
         (lambda: refine(5), ValueError, "parameters: expected a sequence, got 5"),
         (lambda: scan_fusion_solutions("a", 5), GridError, "axes: expected a sequence, got 5"),
         (lambda: scan_fusion_solutions("a", [(0, 1)] * 3), GridError,
-         "expected one (lo, hi, step) triple or three of them"),
+         "axes[0]: expected a number, got (0, 1)"),
+        # the scan takes one (lo, hi, step) triple, the axis of every parameter
+        (lambda: scan_fusion_solutions("a", [0, 1]), GridError,
+         "axes: expected one (lo, hi, step) triple, got 2 values"),
     ], ids=["gate_matrix_set", "certify_set", "constraints_dict", "scan_set", "gate_matrix_scalar",
-            "refine_scalar", "scan_scalar", "scan_pairs"])
+            "refine_scalar", "scan_scalar", "scan_pairs", "scan_two_numbers"])
     def test_calls_that_read_a_list_any_way(self, call, error, message):
         with pytest.raises(Exception) as caught:
             call()
@@ -364,14 +366,63 @@ class TestListReader:
     def test_ordered_scan_axes_keep_their_order(self):
         # (0, 3, 1) is four points per axis, read in the order given
         one = scan_fusion_solutions("a", [0.0, 3.0, 1.0])
-        assert one == scan_fusion_solutions("a", [(0.0, 3.0, 1.0)] * 3)
-        assert one == scan_fusion_solutions("a", np.array([[0.0, 3.0, 1.0]] * 3))
+        assert one == scan_fusion_solutions("a", (0.0, 3.0, 1.0))
+        assert one == scan_fusion_solutions("a", np.array([0.0, 3.0, 1.0]))
 
     def test_certify_and_constraints_keep_a_negative_zero(self):
         # the gate stores 0.0 for -0.0; the reports print the parameters as given
         assert math.copysign(1.0, certify(standard_gate("CNOT"), params=(-0.0,)).gate_params[0]) < 0
         assert math.copysign(1.0, constraints("a", (-0.0, 0, 0)).parameters[0]) < 0
         assert math.copysign(1.0, GateInstance("RZ", (0,), (-0.0,)).params[0]) > 0
+
+
+#: Hostile numbers and matrices at the library's entries: the call, the class
+#: the entry documents and its message. None of them may end in numpy's or
+#: the interpreter's own TypeError or ValueError.
+HOSTILE_CALLS = {
+    # repr refuses an integer past the interpreter's digit limit
+    "gate_params_past_digit_limit": (
+        lambda: GateInstance("RZ", (0,), [10**5000]), SchemaError,
+        "params[0]: expected a finite number, got an integer of 16610 bits"),
+    "scan_bound_past_digit_limit": (
+        lambda: scan_fusion_solutions("a", (0, 10**5000, 1)), GridError,
+        "axes[1]: expected a finite number, got an integer of 16610 bits"),
+    "register_size_past_digit_limit": (
+        lambda: embed(I2, (0,), -10**5000), WireError,
+        "register size must be an integer of at least 1, got a negative integer of 16610 bits"),
+    # what numpy cannot read as an array of numbers, or reads with the wrong shape
+    "custom_matrix_dict": (lambda: GateInstance("custom", (0,), matrix={0: 1}), SchemaError,
+                           "matrix: expected an array of numbers, got dict"),
+    "custom_matrix_string": (lambda: GateInstance("custom", (0,), matrix="ab"), SchemaError,
+                             "matrix: expected an array of numbers, got str"),
+    "custom_matrix_ragged": (lambda: GateInstance("custom", (0,), matrix=[[1, 0], [0]]),
+                             SchemaError, "matrix: expected an array of numbers, got list"),
+    "custom_matrix_huge_entry": (lambda: GateInstance("custom", (0,), matrix=[[10**400]]),
+                                 SchemaError, "matrix: expected an array of numbers, got list"),
+    "custom_matrix_vector": (lambda: GateInstance("custom", (0,), matrix=[1, 0]), SchemaError,
+                             "matrix: expected 2 dimensions, got 1"),
+    "certify_string": (lambda: certify("ab"), DimensionError,
+                       "matrix: expected an array of numbers, got str"),
+    "embed_string": (lambda: embed("ab", (0,), 1), DimensionError,
+                     "matrix: expected an array of numbers, got str"),
+    "pentagon_stack_string": (lambda: pentagon_stack("ab", 2), DimensionError,
+                              "matrix: expected an array of numbers, got str"),
+    # an unknown name is the UnknownGateError that gate_matrix raises
+    "gate_instance_unknown_name": (lambda: GateInstance("FOO", (0,)), UnknownGateError,
+                                   "name: unknown gate 'FOO'"),
+    "parse_unknown_name": (
+        lambda: parse('{"qubits": 1, "gates": [{"name": "FOO", "wires": [0]}]}'),
+        UnknownGateError, "gates[0].name: unknown gate 'FOO'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CALLS))
+def test_hostile_arguments_raise_the_documented_class(name):
+    call, error, message = HOSTILE_CALLS[name]
+    with pytest.raises(Exception) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 class TestNormsAndUnitarity:

@@ -34,7 +34,6 @@ from pentagate import (
     certify,
     circuit_stats,
     compress,
-    depth,
     describe_fusion_gate,
     embed,
     expand,
@@ -42,7 +41,6 @@ from pentagate import (
     heisenberg_evolution,
     parse,
     pentagon_residual,
-    pentagon_stack,
     phase_distance,
     serialize,
     standard_gate,
@@ -50,7 +48,8 @@ from pentagate import (
     transpile,
 )
 from pentagate.certify import CertificationReport, Witness
-from pentagate.equations import permutation_solves_pentagon, ybe_residual
+from pentagate.circuit import depth
+from pentagate.equations import pentagon_stack, permutation_solves_pentagon, ybe_residual
 from pentagate.gates import GATES
 from pentagate.rewrite import _RULES, _apply_sites, _find_sites, _site_distance
 from conftest import (

@@ -15,7 +15,6 @@ from pentagate import (
     UncertifiedGateError,
     circuit_distance,
     compress,
-    depth,
     describe_fusion_gate,
     expand,
     find_compress_sites,
@@ -25,6 +24,7 @@ from pentagate import (
     standard_gate,
     transpile,
 )
+from pentagate.circuit import depth
 from pentagate.rewrite import MATCH_TOLERANCE, FusionGateDescriptor, _matches_fusion_gate
 from conftest import (
     GOLDEN_MATRICES,
