@@ -23,12 +23,18 @@ each gate without parameters once. ``Circuit`` checks the register in one
 ordered walk over its gates, an isinstance test and a wire range test
 each, and names the first bad index.
 
-``parse`` costs little more per gate than the JSON decode and the checks
-themselves. A gate passes its JSON shape on one test, that it is an object
-of known fields; every other shape fault also fails the build, and only
-then is the message worked out. ``GateInstance`` stores each field once,
-after its checks. The cyclic garbage collector is paused while ``parse``
-runs, since none of the containers it allocates forms a cycle.
+``parse`` checks only what JSON adds to the constructors' rules: that the
+top level and each gate are objects of known fields, that ``gates`` is an
+array and that a matrix is an array of [re, im] pairs. Every other fault,
+a missing or mistyped field or register size among them, is the one
+``GateInstance`` or ``Circuit`` raises, under the gate's ``gates[i].``
+prefix. ``parse`` costs little more per gate than the JSON decode and the
+checks themselves, and ``GateInstance`` stores each field once, after its
+checks. The cyclic garbage collector is paused while ``parse`` runs, since
+none of the containers it allocates forms a cycle.
+
+Every function that reads a circuit takes only a ``Circuit``
+(``check_circuit``) and raises SchemaError naming the type of anything else.
 
 Simulation builds the full register unitary by tensor contraction: each
 k-qubit gate is contracted into the rows of its wires, costing
@@ -200,6 +206,13 @@ class Circuit:
                     raise SchemaError(f"gates[{i}].wires: wire {w} out of range for {n} qubits")
 
 
+def check_circuit(circuit) -> Circuit:
+    """``circuit`` itself; SchemaError naming its type unless a ``Circuit``."""
+    if not isinstance(circuit, Circuit):
+        raise SchemaError(f"circuit: expected a Circuit, got {type(circuit).__name__}")
+    return circuit
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
@@ -258,23 +271,6 @@ def parse_matrix(text: str, where: str) -> np.ndarray:
 _GATE_KEYS = frozenset(("name", "wires", "params", "matrix"))
 
 
-def _shape_fault(raw) -> str | None:
-    """The first JSON-shape fault of one gate, as a message after ``gates[i]``."""
-    if not isinstance(raw, dict):
-        return ": expected an object"
-    if not _GATE_KEYS.issuperset(raw):
-        return f": unknown field(s) {sorted(set(raw) - _GATE_KEYS)}"
-    if "name" not in raw:
-        return ".name: missing"
-    if "wires" not in raw:
-        return ".wires: missing"
-    if not isinstance(raw["wires"], list):
-        return ".wires: expected an array"
-    if not isinstance(raw.get("params", []), list):
-        return ".params: expected an array"
-    return None
-
-
 def _plain_key(raw) -> tuple | None:
     """The key of a plain-typed gate, or None: equal keys mean equal checks.
 
@@ -297,18 +293,19 @@ def _gate(raw, i: int) -> GateInstance:
     """Gate ``i`` of the JSON gate list, built and checked.
 
     The one shape test here is that ``raw`` is an object of known fields.
-    A missing field reads as None, and None or any other non-array wire or
-    parameter list fails ``GateInstance``, so every other shape fault
-    raises in the build; only then does ``_shape_fault`` name it, ahead of
-    the build's own message, as the check order puts it.
+    A missing field reads as None, which ``GateInstance`` refuses as it
+    refuses any other value of the wrong type; its message, or the
+    matrix decoder's, gets the ``gates[i].`` prefix.
     """
-    if type(raw) is dict and raw.keys() <= _GATE_KEYS:
-        try:
-            matrix = _decode_matrix(raw["matrix"], "matrix") if "matrix" in raw else None
-            return GateInstance(raw.get("name"), raw.get("wires"), raw.get("params", ()), matrix)
-        except SchemaError as exc:
-            raise type(exc)(f"gates[{i}]{_shape_fault(raw) or f'.{exc}'}") from None
-    raise SchemaError(f"gates[{i}]{_shape_fault(raw)}")
+    if type(raw) is not dict:
+        raise SchemaError(f"gates[{i}]: expected an object")
+    if not raw.keys() <= _GATE_KEYS:
+        raise SchemaError(f"gates[{i}]: unknown field(s) {sorted(raw.keys() - _GATE_KEYS)}")
+    try:
+        matrix = _decode_matrix(raw["matrix"], "matrix") if "matrix" in raw else None
+        return GateInstance(raw.get("name"), raw.get("wires"), raw.get("params", ()), matrix)
+    except SchemaError as exc:
+        raise type(exc)(f"gates[{i}].{exc}") from None
 
 
 def parse(text: str) -> Circuit:
@@ -339,11 +336,7 @@ def _parse(text: str) -> Circuit:
     _require(isinstance(data, dict), "top level: expected an object")
     unknown = set(data) - {"qubits", "gates"}
     _require(not unknown, f"top level: unknown field(s) {sorted(unknown)}")
-    _require("qubits" in data, "qubits: missing")
     _require("gates" in data, "gates: missing")
-    qubits = data["qubits"]
-    # JSON values have exact types, so a bool is not an int here
-    _require(type(qubits) is int, f"qubits: expected an integer, got {qubits!r}")
     raw_gates = data["gates"]
     _require(isinstance(raw_gates, list), "gates: expected an array")
     gates, built = [], {}  # a plain-typed gate's key -> its checked gate
@@ -354,7 +347,7 @@ def _parse(text: str) -> Circuit:
             if key:
                 built[key] = gate
         gates.append(gate)
-    return Circuit(qubits, tuple(gates))
+    return Circuit(data.get("qubits"), tuple(gates))
 
 
 #: Each gate name as a JSON string.
@@ -371,7 +364,7 @@ def serialize(circuit: Circuit) -> str:
     """
     fmt = jsonio.format_float
     parts, texts = [], {}
-    for gate in circuit.gates:
+    for gate in check_circuit(circuit).gates:
         key = None if gate.params else gate if gate.name == CUSTOM else (gate.name, gate.wires)
         if (text := texts.get(key)) is None:
             text = f'{{"name": {_QUOTED[gate.name]}, "wires": [{", ".join(map(str, gate.wires))}]'
@@ -422,7 +415,7 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     into order in the other buffer, which is returned: C-contiguous and
     fresh on each call either way.
     """
-    n = circuit.num_qubits
+    n = check_circuit(circuit).num_qubits
     held = np.eye(2**n, dtype=np.complex128)
     free = np.empty_like(held)
     at = identity = np.arange(2**n)
@@ -448,7 +441,7 @@ def circuit_distance(a: Circuit, b: Circuit) -> float:
 
     Raises DimensionError before simulating when the registers differ.
     """
-    if a.num_qubits != b.num_qubits:
+    if check_circuit(a).num_qubits != check_circuit(b).num_qubits:
         raise DimensionError(
             f"register mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
         )
@@ -457,7 +450,7 @@ def circuit_distance(a: Circuit, b: Circuit) -> float:
 
 def depth(circuit: Circuit) -> int:
     """Number of layers under earliest-possible (ASAP) scheduling."""
-    level = [0] * circuit.num_qubits
+    level = [0] * check_circuit(circuit).num_qubits
     for gate in circuit.gates:
         wires = gate.wires
         if len(wires) == 2:
@@ -484,7 +477,8 @@ def route_line(circuit: Circuit) -> Circuit:
     equivalent to the input. Gates on one wire or on three or more wires
     pass through untouched.
     """
-    swaps = [GateInstance("SWAP", (j, j + 1)) for j in range(circuit.num_qubits - 1)]
+    n = check_circuit(circuit).num_qubits
+    swaps = [GateInstance("SWAP", (j, j + 1)) for j in range(n - 1)]
     moved = {}  # (gate, target) -> the gate on (a, target), built once
     routed: list[GateInstance] = []
     for gate in circuit.gates:
@@ -508,7 +502,7 @@ def route_line(circuit: Circuit) -> Circuit:
 
 def circuit_stats(circuit: Circuit) -> dict:
     """Gate count, depth, two-qubit count, and non-local two-qubit count."""
-    two_qubit = [g for g in circuit.gates if len(g.wires) == 2]
+    two_qubit = [g for g in check_circuit(circuit).gates if len(g.wires) == 2]
     nonlocal_count = sum(1 for g in two_qubit if abs(g.wires[0] - g.wires[1]) >= 2)
     return {
         "gate_count": len(circuit.gates),

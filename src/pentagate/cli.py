@@ -167,13 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, run, tol=DEFAULT_TOLERANCE):
+        """A subcommand; one that compares nothing passes ``tol=None`` and has no --tol."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
-        p.add_argument(
-            "--tol", type=_parse_tolerance, default=tol,
-            help="comparison tolerance (finite, positive)"
-        )
+        if tol is not None:
+            p.add_argument("--tol", type=_parse_tolerance, default=tol,
+                           help="comparison tolerance (finite, positive)")
         return p
 
     p = add("certify", "certify a two-qubit gate as a fusion operator", _cmd_certify)
@@ -208,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", dest="first", required=True)
     p.add_argument("--b", dest="second", required=True)
 
-    p = add("route", "replace non-adjacent two-qubit gates by SWAP chains", _cmd_route)
+    p = add("route", "replace non-adjacent two-qubit gates by SWAP chains", _cmd_route, None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
 
-    p = add("stats", "print gate count, depth, and locality counts", _cmd_stats)
+    p = add("stats", "print gate count, depth, and locality counts", _cmd_stats, None)
     p.add_argument("--in", dest="input", required=True)
 
     return parser

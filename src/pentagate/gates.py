@@ -2,11 +2,14 @@
 
 ``GATES`` maps every gate name a circuit may use to its arity, its
 parameter count and its constructor; ``gate_matrix`` resolves a name and
-parameters through it. The constructors cover single-qubit gates, the
-two-qubit standard gates, the commuting XX/YY/ZZ exponentials, the
-three-parameter A gate, the B gate, the two-site Heisenberg evolution
-operator, and permutation fusion operators built from finite-group
-multiplication tables.
+parameters through it. The eight fixed gates (I, X, Y, Z, H, S, CNOT,
+SWAP) are one table of matrices, ``_FIXED``: ``GATES`` takes each one's
+arity from its size, 2**k rows for k wires, and ``pauli`` and
+``standard_gate`` read the same table. The other constructors cover the
+rotations, the commuting XX/YY/ZZ exponentials, the three-parameter A
+gate, the B gate, the two-site Heisenberg evolution operator, and
+permutation fusion operators built from finite-group multiplication
+tables.
 
 Conventions:
 
@@ -42,19 +45,25 @@ FOUR_PI = 4.0 * math.pi
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+#: The fixed gates: name -> matrix. ``GATES``, ``pauli`` and
+#: ``standard_gate`` read it, and each call gets its own copy.
+_FIXED = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+    "H": _SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=np.complex128),
+    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
+    "CNOT": np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],
+    "SWAP": np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]],
 }
 
 
 def pauli(axis: str) -> np.ndarray:
     """Pauli matrix for axis 'x', 'y' or 'z'."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}, expected 'x', 'y' or 'z'") from None
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"unknown Pauli axis {axis!r}, expected 'x', 'y' or 'z'")
+    return _FIXED[axis.upper()].copy()
 
 
 def rotation(axis: str, theta: float) -> np.ndarray:
@@ -63,18 +72,10 @@ def rotation(axis: str, theta: float) -> np.ndarray:
     return math.cos(half) * np.eye(2, dtype=np.complex128) - 1j * math.sin(half) * pauli(axis)
 
 
-_STANDARD = {
-    "H": _SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=np.complex128),
-    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    "CNOT": np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],
-    "SWAP": np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]],
-}
-
-
 def standard_gate(name: str) -> np.ndarray:
-    """One of the fixed named gates H, S, CNOT, SWAP."""
+    """One of the fixed named gates I, X, Y, Z, H, S, CNOT, SWAP."""
     try:
-        return _STANDARD[name].copy()
+        return _FIXED[name].copy()
     except KeyError:
         raise UnknownGateError(f"unknown standard gate {name!r}") from None
 
@@ -250,19 +251,13 @@ def group_algebra_fusion(g: CayleyTable) -> np.ndarray:
 #: The gate table: name -> (arity, parameter count, constructor). It is the
 #: only statement of which named gates exist, how many wires each acts on
 #: and how many real parameters its constructor takes. The circuit JSON
-#: schema and every gate check read it.
+#: schema and every gate check read it. A fixed gate's arity is worked out
+#: from its matrix, of 2**k rows for k wires, and its constructor copies it.
 GATES = {
-    "I": (1, 0, lambda: np.eye(2, dtype=np.complex128)),
-    "X": (1, 0, lambda: pauli("x")),
-    "Y": (1, 0, lambda: pauli("y")),
-    "Z": (1, 0, lambda: pauli("z")),
-    "H": (1, 0, lambda: standard_gate("H")),
-    "S": (1, 0, lambda: standard_gate("S")),
+    **{name: (len(m).bit_length() - 1, 0, m.copy) for name, m in _FIXED.items()},
     "RX": (1, 1, lambda theta: rotation("x", theta)),
     "RY": (1, 1, lambda theta: rotation("y", theta)),
     "RZ": (1, 1, lambda theta: rotation("z", theta)),
-    "CNOT": (2, 0, lambda: standard_gate("CNOT")),
-    "SWAP": (2, 0, lambda: standard_gate("SWAP")),
     "B": (2, 0, b_gate),
     "XX": (2, 1, xx),
     "YY": (2, 1, yy),

@@ -32,13 +32,14 @@ numbers or a wire list:
     and of every ``embed`` (WireError), with the same messages; each
     caller then checks the range against its own register.
 
-``as_matrix`` is the one reader of a matrix or a stack of them: what numpy
-cannot read as an array of numbers (a dict, a set, a malformed string, a
-ragged list, an integer past the float range) and an array of the wrong
-number of dimensions raise the caller's class, DimensionError by default
-and SchemaError for a custom gate. A refused value is written by
-``_shown``, which names an integer past the interpreter's digit limit by
-its size, since ``repr`` refuses such an integer.
+``as_matrix`` is the one reader of a matrix or a stack of them: what is
+not an array of numbers (a dict, a set, a ragged list, an integer past the
+float range, a bool or a string, which numpy would read as a number) and
+an array of the wrong number of dimensions raise the caller's class,
+DimensionError by default and SchemaError for a custom gate. A refused
+value is written by ``_shown``, which names an integer past the
+interpreter's digit limit by its size, since ``repr`` refuses such an
+integer.
 
 ``_check_operator`` is the one statement of the shape rule: ``d`` is a
 count and an operator acts on k wires of dimension d. ``embed`` applies
@@ -190,10 +191,16 @@ def as_matrix(values, error=DimensionError, ndims=(2,)) -> np.ndarray:
     """``values`` as a complex128 array of ``ndims`` dimensions, a matrix by default.
 
     ``error`` is raised for any other number of dimensions, and for what
-    numpy cannot read as an array of numbers: a dict, a set, a malformed
-    string, a ragged list or an integer past the float range.
+    is not an array of numbers: a dict, a set, a ragged list, an integer
+    past the float range, and a bool or string array or entry, which numpy
+    would read as 1, 0 or the number the string spells. An array of a
+    numeric dtype costs only its dtype test.
     """
     try:
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iufc") and any(
+                isinstance(v, (bool, np.bool_, str, bytes))
+                for v in np.asarray(values, dtype=object).flat):
+            raise TypeError
         m = np.asarray(values, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):
         raise error(f"matrix: expected an array of numbers, got {type(values).__name__}") from None

@@ -25,10 +25,11 @@ overlap, so each gate joins at most one rewrite per pass.
 
 Verification makes one comparison: the input against the final output,
 two full-register simulations however many passes rewrote. Only when it
-fails are the sites checked one by one, each on its own 3-qubit window:
+fails are the sites checked one by one, each on its own 3-qubit window
+(``_window``: the site's gates with roles (a, b, c) on wires (0, 1, 2)):
 the gates a site skips touch none of its wires, so rewriting the site
 alone moves an n-qubit unitary by sqrt(2**(n-3)) times the distance of
-its 8x8 window. Sites with equal gates on their roles share one window.
+its 8x8 window. Sites with equal window gates share one simulation.
 A pass builds each wire triple's written side once, and its sites on that
 triple share those gates.
 """
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import CertificationReport, certify
-from .circuit import CUSTOM, Circuit, GateInstance, circuit_distance, depth, resolved_matrix
+from .circuit import (CUSTOM, Circuit, GateInstance, check_circuit, circuit_distance, depth,
+                      resolved_matrix)
 from .errors import RewriteVerificationError, SchemaError, UncertifiedGateError
 from .linalg import DEFAULT_TOLERANCE, check_tolerance
 
@@ -216,7 +218,7 @@ def _find_sites(circuit: Circuit, descriptor: FusionGateDescriptor, pattern) -> 
     no earlier site took can start a match. Gates a site skips touch
     none of its wires, so a later match never reaches a taken gate.
     """
-    gates = circuit.gates
+    gates = check_circuit(circuit).gates
     fusion = [_matches_fusion_gate(gate, descriptor) for gate in gates]
     sites: list[RewriteSite] = []
     consumed: set[int] = set()
@@ -331,38 +333,37 @@ def transpile(
     return current, report
 
 
+def _window(circuit, site) -> tuple[GateInstance, ...]:
+    """The site's gates on the 3-qubit window of roles (a, b, c) -> (0, 1, 2)."""
+    role = {wire: i for i, wire in enumerate(site.wires)}
+    return tuple(GateInstance(g.name, tuple(role[w] for w in g.wires), g.params, g.matrix)
+                 for g in map(circuit.gates.__getitem__, site.gate_indices))
+
+
 def _site_distance(circuit, site, descriptor, side) -> float:
     """The phase distance by which rewriting ``site`` alone moves ``circuit``.
 
-    Computed on the 3-qubit window of roles (a, b, c) -> (0, 1, 2) and
-    scaled to the register, since the gates the site skips touch none of
-    its wires.
+    Computed on the site's ``_window`` and scaled to the register, since
+    the gates the site skips touch none of its wires.
     """
-    role = {wire: i for i, wire in enumerate(site.wires)}
-    gates = (circuit.gates[i] for i in site.gate_indices)
-    before = tuple(
-        GateInstance(g.name, tuple(role[w] for w in g.wires), g.params, g.matrix) for g in gates
-    )
     after = tuple(_instantiate(descriptor, side, (0, 1, 2)))
     scale = math.sqrt(2 ** (circuit.num_qubits - 3))
-    return scale * circuit_distance(Circuit(3, before), Circuit(3, after))
+    return scale * circuit_distance(Circuit(3, _window(circuit, site)), Circuit(3, after))
 
 
 def _verification_error(distance, tol, rewrites, descriptor, side):
     """The error for a failed rewrite, blaming the first site that fails alone.
 
     Sites are checked pass by pass; a site's indices refer to its pass's input.
-    Sites whose gates are equal on roles (a, b, c) have bitwise equal
-    windows, so each distinct one is simulated once.
+    Sites whose ``_window`` gates are equal have bitwise equal windows, so
+    each distinct one is simulated once.
     """
     head = f"rewrite is not equivalent to the input (phase distance {distance:.6g} >= {tol:.6g})"
     largest, windows = 0.0, {}
     for p, (circuit, sites) in enumerate(rewrites, 1):
         for site in sites:
-            role = {wire: i for i, wire in enumerate(site.wires)}
-            key = tuple((g.name, tuple(role[w] for w in g.wires), g.params,
-                         g.matrix is not None and g.matrix.tobytes())
-                        for g in map(circuit.gates.__getitem__, site.gate_indices))
+            key = tuple((g.name, g.wires, g.params, g.matrix is not None and g.matrix.tobytes())
+                        for g in _window(circuit, site))
             if key not in windows:
                 windows[key] = _site_distance(circuit, site, descriptor, side)
             alone = windows[key]

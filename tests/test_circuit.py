@@ -152,19 +152,23 @@ class TestParse:
         ('["X", [0]]', "gates[1]: expected an object"),
         ('{"name": "X", "wires": [0], "zeta": 1, "alpha": 2}',
          "gates[1]: unknown field(s) ['alpha', 'zeta']"),
-        ('{"wires": [0]}', "gates[1].name: missing"),
-        ('{"name": "X"}', "gates[1].wires: missing"),
-        ('{"name": "X", "wires": 0}', "gates[1].wires: expected an array"),
-        ('{"name": "RZ", "wires": [0], "params": 0.5}', "gates[1].params: expected an array"),
+        # a missing field reads as None, which GateInstance refuses by its type
+        ('{"wires": [0]}', "gates[1].name: expected a string"),
+        ('{"name": "X"}', "gates[1].wires: expected a sequence, got None"),
+        ('{"name": "X", "wires": 0}', "gates[1].wires: expected a sequence, got 0"),
+        ('{"name": "RZ", "wires": [0], "params": 0.5}',
+         "gates[1].params: expected a sequence, got 0.5"),
         ('{"name": "custom", "wires": [0], "matrix": null}',
          "gates[1].matrix: expected a non-empty array of rows"),
-        # with several faults, the first in check order is reported
+        # with several faults, the first in check order is reported: the
+        # fields and the matrix here, then GateInstance's name, wires, params
         ('{"name": "X", "extra": 1}', "gates[1]: unknown field(s) ['extra']"),
-        ('{"params": null}', "gates[1].name: missing"),
-        ('{"name": "X", "params": {}}', "gates[1].wires: missing"),
-        ('{"name": "X", "wires": null, "params": null}', "gates[1].wires: expected an array"),
+        ('{"params": null}', "gates[1].name: expected a string"),
+        ('{"name": "X", "params": {}}', "gates[1].wires: expected a sequence, got None"),
+        ('{"name": "X", "wires": null, "params": null}',
+         "gates[1].wires: expected a sequence, got None"),
         ('{"name": "X", "wires": [0], "params": "a", "matrix": null}',
-         "gates[1].params: expected an array"),
+         "gates[1].matrix: expected a non-empty array of rows"),
         ('{"name": "CZ", "wires": [0, 0], "matrix": null}',
          "gates[1].matrix: expected a non-empty array of rows"),
         ('{"name": 7, "wires": [true], "params": ["x"]}', "gates[1].name: expected a string"),
@@ -177,6 +181,24 @@ class TestParse:
         text = '{"qubits": 2, "gates": [{"name": "H", "wires": [1]}, %s]}' % gate
         with pytest.raises(SchemaError) as excinfo:
             parse(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        ('"gates": []', "qubits: must be an integer of at least 1, got None"),
+        ('"qubits": true, "gates": []', "qubits: must be an integer of at least 1, got True"),
+        ('"qubits": 2.0, "gates": []', "qubits: must be an integer of at least 1, got 2.0"),
+        ('"qubits": "2", "gates": []', "qubits: must be an integer of at least 1, got '2'"),
+        ('"qubits": 0, "gates": []', "qubits: must be an integer of at least 1, got 0"),
+        ('"qubits": 13, "gates": []', "qubits: register of 13 exceeds the 12-qubit cap"),
+        # the gates are built before the register is read
+        ('"qubits": true, "gates": [{"name": "H"}]',
+         "gates[0].wires: expected a sequence, got None"),
+    ], ids=["missing", "bool", "float", "string", "zero", "past_cap", "with_bad_gate"])
+    def test_register_rejections(self, fields, message):
+        # the register rule is Circuit's, read through check_integer and the cap
+        with pytest.raises(SchemaError) as excinfo:
+            parse("{%s}" % fields)
+        assert type(excinfo.value) is SchemaError
         assert str(excinfo.value) == message
 
     def test_register_cap(self):

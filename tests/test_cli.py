@@ -319,6 +319,17 @@ class TestVerifyRouteStats:
         assert run_cli("stats", "--in", str(tmp_path / "absent.json"),
                        "--quiet").returncode == 2
 
+    @pytest.mark.parametrize("command", [["stats"], ["route", "--out", "routed.json"]],
+                             ids=["stats", "route"])
+    def test_commands_that_compare_nothing_take_no_tol(self, template_file, command, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main([command[0], "--in", str(template_file), *command[1:], "--tol", "1e-3"])
+        assert exited.value.code == 1
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        assert not (tmp_path / "routed.json").exists()
+
 
 class TestRoundTripStability:
     def test_cli_written_file_reparses_identically(self, template_file, tmp_path):

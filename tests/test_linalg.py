@@ -407,6 +407,27 @@ HOSTILE_CALLS = {
                      "matrix: expected an array of numbers, got str"),
     "pentagon_stack_string": (lambda: pentagon_stack("ab", 2), DimensionError,
                               "matrix: expected an array of numbers, got str"),
+    # numpy would read a bool as 1 or 0 and a string as the number it spells
+    "certify_string_cnot": (
+        lambda: certify([[str(int(x.real)) for x in row] for row in standard_gate("CNOT")]),
+        DimensionError, "matrix: expected an array of numbers, got list"),
+    "certify_bool_cnot": (lambda: certify(standard_gate("CNOT").real.astype(bool).tolist()),
+                          DimensionError, "matrix: expected an array of numbers, got list"),
+    "certify_bool_array": (lambda: certify(standard_gate("CNOT").real.astype(bool)),
+                           DimensionError, "matrix: expected an array of numbers, got ndarray"),
+    "certify_bool_among_ints": (
+        lambda: certify([[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        DimensionError, "matrix: expected an array of numbers, got list"),
+    "custom_matrix_numeric_strings": (
+        lambda: GateInstance("custom", (0,), matrix=[["1", "0"], ["0", "1"]]), SchemaError,
+        "matrix: expected an array of numbers, got list"),
+    "custom_matrix_string_array": (
+        lambda: GateInstance("custom", (0,), matrix=np.array([["1", "0"], ["0", "1"]])),
+        SchemaError, "matrix: expected an array of numbers, got ndarray"),
+    "embed_numeric_strings": (lambda: embed([["1", "0"], ["0", "1"]], (0,), 1), DimensionError,
+                              "matrix: expected an array of numbers, got list"),
+    "embed_bytes": (lambda: embed([[b"1", b"0"], [b"0", b"1"]], (0,), 1), DimensionError,
+                    "matrix: expected an array of numbers, got list"),
     # an unknown name is the UnknownGateError that gate_matrix raises
     "gate_instance_unknown_name": (lambda: GateInstance("FOO", (0,)), UnknownGateError,
                                    "name: unknown gate 'FOO'"),

@@ -24,7 +24,7 @@ from pentagate import (
     standard_gate,
     transpile,
 )
-from pentagate.circuit import depth
+from pentagate.circuit import circuit_stats, depth, route_line, to_unitary
 from pentagate.rewrite import MATCH_TOLERANCE, FusionGateDescriptor, _matches_fusion_gate
 from conftest import (
     GOLDEN_MATRICES,
@@ -341,6 +341,34 @@ class TestRebuildChecks:
         # one pair of T gates for the wire triple, written at all three sites
         assert checked == [(4, 4)] * 2
         assert len(out.gates) == 6 and len({id(g) for g in out.gates}) == 2
+
+
+#: Every function that reads a circuit, called on a value that is not one.
+CIRCUIT_READERS = {
+    "route_line": lambda c, fusion: route_line(c),
+    "circuit_stats": lambda c, fusion: circuit_stats(c),
+    "depth": lambda c, fusion: depth(c),
+    "to_unitary": lambda c, fusion: to_unitary(c),
+    "serialize": lambda c, fusion: serialize(c),
+    "circuit_distance_first": lambda c, fusion: circuit_distance(c, Circuit(1)),
+    "circuit_distance_second": lambda c, fusion: circuit_distance(Circuit(1), c),
+    "transpile": lambda c, fusion: transpile(c, fusion, "compress"),
+    "compress": lambda c, fusion: compress(c, fusion),
+    "expand": lambda c, fusion: expand(c, fusion),
+    "find_compress_sites": lambda c, fusion: find_compress_sites(c, fusion),
+    "find_expand_sites": lambda c, fusion: find_expand_sites(c, fusion),
+}
+
+
+@pytest.mark.parametrize("value, kind", [(None, "NoneType"), ("{}", "str"),
+                                         ([GateInstance("H", (0,))], "list")],
+                         ids=["none", "text", "gate_list"])
+@pytest.mark.parametrize("reader", sorted(CIRCUIT_READERS))
+def test_circuit_readers_refuse_a_non_circuit(reader, value, kind, cnot_descriptor):
+    with pytest.raises(Exception) as caught:
+        CIRCUIT_READERS[reader](value, cnot_descriptor)
+    assert type(caught.value) is SchemaError
+    assert str(caught.value) == f"circuit: expected a Circuit, got {kind}"
 
 
 class TestTranspileDriver:
