@@ -13,14 +13,19 @@ Times, on each checkout and alternating the sides as
   SWAP chains put permutation gates between the dense ones, as
   ``route`` followed by ``verify`` simulates; reported per routed gate;
 - ``circuit_distance`` of two 12-qubit circuits of a few gates that differ
-  in one gate.
+  in one gate, a dense one, so both are simulated;
+- ``circuit_distance`` of a related 12-qubit pair: a CNOT template among
+  XX gates and its compressed rewrite, which differs from it by
+  permutation gates alone, so a checkout that relabels rows simulates
+  one circuit.
 
-Before timing, it runs that ``circuit_distance`` once per side in a child
-process and reports the child's peak resident set size in MB, which holds
-every register-sized array the call makes. Both checkouts must give
-bit-identical unitaries for every timed circuit, and bit-identical
-distances between the XX and CNOT circuits at each size and for the
-12-qubit pair, or the probe exits 1; the report lists what it compared.
+Before timing, it runs each 12-qubit ``circuit_distance`` once per side
+in a child process and reports the child's peak resident set size in MB,
+which holds every register-sized array the call makes. Both checkouts
+must give bit-identical unitaries for every timed circuit, and
+bit-identical distances between the XX and CNOT circuits at each size and
+for both 12-qubit pairs, or the probe exits 1; the report lists what it
+compared.
 
 usage: python3 scripts/probe_simulate.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
@@ -53,13 +58,19 @@ ROUTED_AT = 10
 DISTANCE_GATES = [("XX", (0, 11), (0.3,)), ("CNOT", (5, 2), ()), ("H", (7,), ()),
                   ("A", (3, 9), (0.1, 0.2, 0.3)), ("RZ", (4,), (0.5,))]
 
+#: The related 12-qubit pair: XX gates around a CNOT template on wires
+#: (2, 5, 10), then its compressed rewrite.
+RELATED_FILLER = [("XX", (0, 6), (0.3,)), ("XX", (1, 7), (0.4,)), ("XX", (8, 11), (0.5,)),
+                  ("XX", (6, 9), (0.6,))]
+
 #: A child process that prints the peak RSS in MB of one circuit_distance;
-#: its arguments are the checkout's src directory and this script's directory.
+#: its arguments are the checkout's src directory, this script's directory
+#: and the pair's key in ``PAIRS``.
 CHILD = """
 import resource, sys
-sys.path[:0] = sys.argv[1:]
+sys.path[:0] = sys.argv[1:3]
 import pentagate, probe_simulate
-pentagate.circuit_distance(*probe_simulate.distance_pair(pentagate))
+pentagate.circuit_distance(*probe_simulate.PAIRS[sys.argv[3]](pentagate))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
@@ -73,6 +84,18 @@ def circuit(pg, name: str, n: int, count: int):
 def distance_pair(pg):
     gates = [pg.GateInstance(*g) for g in DISTANCE_GATES]
     return pg.Circuit(12, gates), pg.Circuit(12, gates[:-1] + [pg.GateInstance("RZ", (4,), (0.6,))])
+
+
+def related_pair(pg):
+    xx = [pg.GateInstance(*g) for g in RELATED_FILLER]
+    cnot, swap = (lambda *w: pg.GateInstance("CNOT", w)), pg.GateInstance("SWAP", (5, 10))
+    template = [cnot(5, 10), swap, cnot(2, 5), swap, cnot(2, 5)]
+    circuit = pg.Circuit(12, xx[:2] + template + xx[2:])
+    return circuit, pg.compress(circuit, pg.describe_fusion_gate("CNOT"), verify=False)[0]
+
+
+#: The 12-qubit ``circuit_distance`` pairs by report key.
+PAIRS = {"12q": distance_pair, "12q related": related_pair}
 
 
 def per_gate(result: dict, count: int) -> dict:
@@ -89,9 +112,9 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def peak_rss_mb(checkout: str) -> float:
+def peak_rss_mb(checkout: str, pair: str) -> float:
     src = str(Path(checkout).resolve() / "src")
-    argv = [sys.executable, "-c", CHILD, src, str(Path(__file__).resolve().parent)]
+    argv = [sys.executable, "-c", CHILD, src, str(Path(__file__).resolve().parent), pair]
     return float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
 
 
@@ -102,7 +125,7 @@ def main(argv: list[str]) -> int:
     base, change, rounds = args
     # The peaks come first: a child started from a large process may report
     # that process's peak as its own.
-    peaks = {"base": peak_rss_mb(base), "change": peak_rss_mb(change)}
+    peaks = {key: {"base": peak_rss_mb(base, key), "change": peak_rss_mb(change, key)} for key in PAIRS}
     sides = {"base": load(base), "change": load(change)}
     report, compared = {}, []
 
@@ -132,15 +155,17 @@ def main(argv: list[str]) -> int:
             print(f"circuit_distance at {n} qubits differs: {distances}", file=sys.stderr)
             return 1
         compared.append(f"circuit_distance XX-CNOT {n}q")
-    pairs = {side: distance_pair(pg) for side, pg in sides.items()}
-    distances = {side: pg.circuit_distance(*pairs[side]) for side, pg in sides.items()}
-    if not same_bits(distances["base"], distances["change"]):
-        print(f"circuit_distance differs: {distances}", file=sys.stderr)
-        return 1
-    compared.append("circuit_distance 12q")
-    run = lambda pg, side: pg.circuit_distance(*pairs[side])
-    report["circuit_distance 12q"] = {"gates": len(DISTANCE_GATES), **paired(sides, run, rounds)}
-    report["circuit_distance 12q peak_rss_mb"] = peaks
+    for key, make in PAIRS.items():
+        pairs = {side: make(pg) for side, pg in sides.items()}
+        distances = {side: pg.circuit_distance(*pairs[side]) for side, pg in sides.items()}
+        if not same_bits(distances["base"], distances["change"]):
+            print(f"circuit_distance {key} differs: {distances}", file=sys.stderr)
+            return 1
+        compared.append(f"circuit_distance {key}")
+        run = lambda pg, side: pg.circuit_distance(*pairs[side])
+        gates = [len(c.gates) for c in pairs["base"]]
+        report[f"circuit_distance {key}"] = {"gates": gates, **paired(sides, run, rounds)}
+        report[f"circuit_distance {key} peak_rss_mb"] = peaks[key]
     report["bit-identical"] = compared
     print(json.dumps(report, indent=1))
     return 0

@@ -39,19 +39,31 @@ Every function that reads a circuit takes only a ``Circuit``
 Simulation builds the full register unitary by tensor contraction: each
 k-qubit gate is contracted into the rows of its wires, costing
 O(2**k * 4**n) per gate instead of the O(8**n) of multiplying by an
-embedded 2**n x 2**n gate. A call allocates two register-sized buffers and
-keeps an integer row map beside them: register row r is row ``at[r]`` of
-the held buffer. A permutation gate, whose matrix has only exact 0 and 1
-entries with one 1 per row and per column (X, CNOT, SWAP, permutation
-custom gates; ``linalg._permutation_rows``), only composes its rows
-into the map, O(2**n) integers and no register data: the product would add
-``1 * x`` to exact zeros, so relabelling gives its values, and only the
-sign of a zero entry can differ. Any other gate gathers its operand
-through the map into the free buffer, the gate's wires leading, and
-``np.dot`` writes the product back, the call and operands ``np.tensordot``
-would use, so the same values. The rows are put in order once, at the end.
-Registers stay capped at 12 qubits, because the result is still a dense
-2**n x 2**n matrix.
+embedded 2**n x 2**n gate. A circuit is first made a plan (``_plan``): its
+gates' matrices, resolved once, with each run of permutation gates, whose
+matrix has only exact 0 and 1 entries with one 1 per row and per column
+(X, CNOT, SWAP, permutation custom gates; ``linalg._permutation_rows``),
+composed into one integer row map, O(2**n) integers and no register
+data: the product would add ``1 * x`` to exact zeros, so relabelling
+gives its values, and only the sign of a zero entry can differ.
+``_simulate`` runs a plan in two register-sized buffers with a row map
+beside them: register row r is row ``at[r]`` of the held buffer. Any
+other gate gathers its operand through the map into the free buffer, the
+gate's wires leading, and ``np.dot`` writes the product back, the call
+and operands ``np.tensordot`` would use, so the same values. The rows are
+put in order once, at the end. ``to_unitary`` is one ``_simulate`` of
+one plan.
+
+``circuit_distance`` walks the two plans in lockstep (``_relation``).
+When ``b`` differs from ``a`` by permutation gates alone, in that each
+dense gate is the same on both sides and the relative row map commutes
+with it, only ``a`` is simulated and ``U_b`` is ``U_a`` with its rows
+relabelled. That gives ``to_unitary(b)``'s values only where ``np.dot``
+computes each column of its operand the same way wherever the column
+sits: OpenBLAS's SkylakeX kernels do, while its Haswell and Zen kernels
+may differ in the last bits. Every rewrite with a permutation fusion gate
+(CNOT, the group fusion operators) qualifies. Registers stay capped at 12
+qubits, because the result is still a dense 2**n x 2**n matrix.
 """
 
 from __future__ import annotations
@@ -69,8 +81,8 @@ import numpy as np
 from . import jsonio
 from .errors import DimensionError, SchemaError, UnknownGateError
 from .gates import GATES
-from .linalg import (MAX_QUBITS, _permutation_rows, as_matrix, as_sequence, check_integer,
-                     check_wires, finite, is_unitary, phase_distance, reals)
+from .linalg import (MAX_QUBITS, _permutation_rows, _phase_distance, _shown, as_matrix,
+                     as_sequence, check_integer, check_wires, finite, is_unitary, reals)
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -110,7 +122,7 @@ class GateInstance:
 
     def __init__(self, name: str, wires, params=(), matrix=None):
         if not isinstance(name, str):
-            raise SchemaError("name: expected a string")
+            raise SchemaError(f"name: expected a string, got {_shown(name)}")
         wires = check_wires(wires, SchemaError)
         if type(params) is not tuple:  # fast path: a list, as JSON gives it
             params = tuple(params) if type(params) is list else reals(params, "params", SchemaError)
@@ -401,13 +413,38 @@ def _orders(n: int, wires: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return order, inverse
 
 
-def to_unitary(circuit: Circuit) -> np.ndarray:
-    """Full register unitary; gate 0 is applied first.
+def _plan(circuit: Circuit) -> list[tuple]:
+    """A circuit's gates as ``_simulate`` runs them: one step per dense gate.
+
+    A step ``(gate, matrix, before)`` holds a dense gate, its resolved
+    matrix and the row map of the permutation gates run since the dense
+    gate before it. A last step ``(None, None, after)`` holds the row map
+    of those after the last dense gate. A row map ``at`` turns a register
+    unitary U into the one whose row r is ``U[at[r]]``; None stands for the
+    identity.
+    """
+    n = check_circuit(circuit).num_qubits
+    plan, at = [], None
+    for gate in circuit.gates:
+        m = np.ascontiguousarray(resolved_matrix(gate))  # as tensordot's reshape passes it
+        if (rows := _permutation_rows(m)) is None:
+            plan.append((gate, m, at))
+            at = None
+        else:
+            order, inverse = _orders(n, gate.wires)
+            moved = order.reshape(len(m), -1)[rows].ravel()[inverse]
+            at = moved if at is None else at[moved]
+    plan.append((None, None, at))
+    return plan
+
+
+def _simulate(circuit: Circuit, plan: list[tuple]) -> np.ndarray:
+    """The register unitary of ``circuit``, run from its ``_plan``.
 
     The register lives in ``held``, one of two register-sized buffers, with
     its rows relabelled: register row r is row ``at[r]`` of ``held``. A
-    permutation gate composes its rows into ``at`` and moves no register
-    data. Any other gate gathers its operand through ``at`` into the free
+    step's row map composes into ``at`` and moves no register data. Its
+    dense gate then gathers its operand through ``at`` into the free
     buffer, the gate's wires leading (``_orders``), and ``np.dot`` writes
     the product back into ``held``, which then holds the register in the
     operand's row order. At the end ``held`` is returned when ``at`` is the
@@ -415,37 +452,87 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     into order in the other buffer, which is returned: C-contiguous and
     fresh on each call either way.
     """
-    n = check_circuit(circuit).num_qubits
+    n = circuit.num_qubits
     held = np.eye(2**n, dtype=np.complex128)
     free = np.empty_like(held)
     at = identity = np.arange(2**n)
-    for gate in circuit.gates:
-        k = len(gate.wires)
-        m = np.ascontiguousarray(resolved_matrix(gate))  # as tensordot's reshape passes it
+    for gate, m, before in plan:
+        if before is not None:
+            at = at[before]
+        if gate is None:
+            break
         order, inverse = _orders(n, gate.wires)
-        if (rows := _permutation_rows(m)) is None:
-            # the indices are a permutation; mode="clip" spares the bounds
-            # check, whose default mode buffers ``out``
-            np.take(held, at[order], axis=0, out=free, mode="clip")
-            np.dot(m, free.reshape(2**k, -1), out=held.reshape(2**k, -1))
-            at = inverse
-        else:
-            at = at[order.reshape(2**k, -1)[rows].ravel()[inverse]]
+        # the indices are a permutation; mode="clip" spares the bounds
+        # check, whose default mode buffers ``out``
+        np.take(held, at[order], axis=0, out=free, mode="clip")
+        np.dot(m, free.reshape(len(m), -1), out=held.reshape(len(m), -1))
+        at = inverse
     if np.array_equal(at, identity):
         return held
     return np.take(held, at, axis=0, out=free, mode="clip")
+
+
+def to_unitary(circuit: Circuit) -> np.ndarray:
+    """Full register unitary; gate 0 is applied first.
+
+    ``_simulate`` runs the circuit's ``_plan``: a permutation gate relabels
+    rows, any other gate is one ``np.dot`` on the register.
+    """
+    return _simulate(circuit, _plan(circuit))
+
+
+def _relation(n: int, plan_a: list[tuple], plan_b: list[tuple]) -> np.ndarray | None:
+    """The row map ``delta`` with ``U_b[r] == U_a[delta[r]]``, or None.
+
+    ``delta`` starts at the identity and follows the two plans in lockstep,
+    each side's row maps moving it. At each dense gate both sides must
+    hold the same gate, on the same wires with a matrix of the same bytes,
+    and ``delta`` must commute with it: keep the gate's wire bits and move
+    the other bits alike for every value of them. Then the operand
+    ``np.dot`` reads for b is a's with its columns relabelled, so each
+    column of the product holds the values it holds for a wherever
+    ``np.dot`` computes a column alike at every position (see the module
+    docstring). None when the plans differ in length or a step fails.
+    """
+    if len(plan_a) != len(plan_b):
+        return None
+    delta = np.arange(2**n)
+    for (gate_a, m_a, at_a), (gate_b, m_b, at_b) in zip(plan_a, plan_b):
+        if at_b is not None:
+            delta = delta[at_b]
+        if at_a is not None:
+            delta = np.argsort(at_a)[delta]  # U_a[at_a[r]] is the new U_a's row r
+        if gate_a is None:
+            return delta
+        if gate_a.wires != gate_b.wires or m_a.tobytes() != m_b.tobytes():
+            return None
+        order, inverse = _orders(n, gate_a.wires)
+        # operand row (g, x), g the gate's wire bits, must map to (g, f(x))
+        rows = inverse[delta[order]].reshape(len(m_a), -1)
+        if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
+            return None
 
 
 def circuit_distance(a: Circuit, b: Circuit) -> float:
     """``phase_distance`` of the two circuit unitaries.
 
     Raises DimensionError before simulating when the registers differ.
+    When ``b`` differs from ``a`` by permutation gates alone
+    (``_relation``), only ``a`` is simulated, and ``U_b`` is ``U_a`` with
+    its rows relabelled: the values ``to_unitary(b)`` gives, on the BLAS
+    kernels the module docstring names. Otherwise both are simulated. The
+    distance is formed in ``U_b``'s own buffer, so a related pair holds two
+    register-sized buffers at most, any other three.
     """
     if check_circuit(a).num_qubits != check_circuit(b).num_qubits:
         raise DimensionError(
             f"register mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
         )
-    return phase_distance(to_unitary(a), to_unitary(b))
+    plan_a, plan_b = _plan(a), _plan(b)
+    delta = _relation(a.num_qubits, plan_a, plan_b)
+    u_a = _simulate(a, plan_a)
+    u_b = _simulate(b, plan_b) if delta is None else np.take(u_a, delta, axis=0)
+    return _phase_distance(u_a, u_b, out=u_b)
 
 
 def depth(circuit: Circuit) -> int:

@@ -23,8 +23,11 @@ may not take a wire such a gate touched, and any other gate on a bound
 wire blocks the match. Sites are selected leftmost-first and never
 overlap, so each gate joins at most one rewrite per pass.
 
-Verification makes one comparison: the input against the final output,
-two full-register simulations however many passes rewrote. Only when it
+Verification makes one comparison (``circuit_distance``): the input
+against the final output, however many passes rewrote. With a
+permutation fusion gate (CNOT, a group fusion operator) the rewrite
+changes permutation gates alone, so that is one full-register
+simulation; with a dense fusion gate it is two. Only when it
 fails are the sites checked one by one, each on its own 3-qubit window
 (``_window``: the site's gates with roles (a, b, c) on wires (0, 1, 2)):
 the gates a site skips touch none of its wires, so rewriting the site

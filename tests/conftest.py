@@ -172,21 +172,21 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def simulations(monkeypatch) -> list:
-    """Every circuit passed to ``to_unitary`` anywhere in the package, in order.
+    """Every circuit the package simulates, in order.
 
-    The package simulates only through ``circuit.to_unitary``, which
-    ``circuit_distance`` calls by its module-level name.
+    The package simulates only through ``circuit._simulate``, which
+    ``to_unitary`` and ``circuit_distance`` call by its module-level name.
     """
     import pentagate.circuit
 
     calls = []
-    simulate = pentagate.circuit.to_unitary
+    simulate = pentagate.circuit._simulate
 
-    def counting(circuit):
+    def counting(circuit, plan):
         calls.append(circuit)
-        return simulate(circuit)
+        return simulate(circuit, plan)
 
-    monkeypatch.setattr(pentagate.circuit, "to_unitary", counting)
+    monkeypatch.setattr(pentagate.circuit, "_simulate", counting)
     return calls
 
 

@@ -4,11 +4,12 @@ import gc
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pentagate import (
@@ -153,7 +154,7 @@ class TestParse:
         ('{"name": "X", "wires": [0], "zeta": 1, "alpha": 2}',
          "gates[1]: unknown field(s) ['alpha', 'zeta']"),
         # a missing field reads as None, which GateInstance refuses by its type
-        ('{"wires": [0]}', "gates[1].name: expected a string"),
+        ('{"wires": [0]}', "gates[1].name: expected a string, got None"),
         ('{"name": "X"}', "gates[1].wires: expected a sequence, got None"),
         ('{"name": "X", "wires": 0}', "gates[1].wires: expected a sequence, got 0"),
         ('{"name": "RZ", "wires": [0], "params": 0.5}',
@@ -163,7 +164,7 @@ class TestParse:
         # with several faults, the first in check order is reported: the
         # fields and the matrix here, then GateInstance's name, wires, params
         ('{"name": "X", "extra": 1}', "gates[1]: unknown field(s) ['extra']"),
-        ('{"params": null}', "gates[1].name: expected a string"),
+        ('{"params": null}', "gates[1].name: expected a string, got None"),
         ('{"name": "X", "params": {}}', "gates[1].wires: expected a sequence, got None"),
         ('{"name": "X", "wires": null, "params": null}',
          "gates[1].wires: expected a sequence, got None"),
@@ -171,7 +172,7 @@ class TestParse:
          "gates[1].matrix: expected a non-empty array of rows"),
         ('{"name": "CZ", "wires": [0, 0], "matrix": null}',
          "gates[1].matrix: expected a non-empty array of rows"),
-        ('{"name": 7, "wires": [true], "params": ["x"]}', "gates[1].name: expected a string"),
+        ('{"name": 7, "wires": [true], "params": ["x"]}', "gates[1].name: expected a string, got 7"),
     ], ids=["non_object", "unknown_fields", "missing_name", "missing_wires", "non_array_wires",
             "non_array_params", "null_matrix", "unknown_and_missing_wires",
             "missing_name_and_wires", "missing_wires_and_bad_params",
@@ -745,6 +746,95 @@ class TestTwoBufferSimulator:
                 assert phase_distance(a, b) == phase_distance_reference(a, b)
                 assert phase_distance(a, a * np.exp(0.7j)) == phase_distance_reference(a, a * np.exp(0.7j))
                 assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+
+
+@st.composite
+def permutation_gates(draw, n: int) -> GateInstance:
+    """X, CNOT or SWAP, or a custom permutation on 1-3 wires."""
+    name = draw(st.sampled_from(("X", "CNOT", "SWAP", "custom")))
+    arity = draw(st.integers(1, min(n, 3))) if name == "custom" else GATES[name][0]
+    wires = tuple(draw(st.permutations(range(n)))[:arity])
+    if name != "custom":
+        return GateInstance(name, wires)
+    perm = np.eye(2**arity, dtype=complex)[draw(st.permutations(range(2**arity)))]
+    return GateInstance("custom", wires, (), perm)
+
+
+@st.composite
+def permutation_edits(draw) -> tuple[Circuit, Circuit, bool]:
+    """``(a, b, related)``: a circuit of 2-9 qubits, and ``b`` made from it
+    by 1-3 edits of permutation gates alone.
+
+    An edit inserts a cancelling X, CNOT or SWAP pair, moves a permutation
+    gate anywhere, legally or not, swaps two neighbours, or adds a
+    permutation gate at either end. ``related`` is True when every edit
+    was a pair or a gate added at the end, which keep ``b`` related to ``a``.
+    """
+    n = draw(st.integers(2, 9))
+    a = Circuit(n, tuple(draw(st.lists(simulator_gates(n), max_size=8))))
+    gates, related = list(a.gates), True
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("pair", "move", "swap", "start", "end")))
+        movable = [i for i, g in enumerate(gates) if _permutation_rows(resolved_matrix(g)) is not None]
+        if kind == "pair":
+            name = draw(st.sampled_from(("X", "CNOT", "SWAP")))
+            pair = [GateInstance(name, tuple(draw(st.permutations(range(n)))[:GATES[name][0]]))] * 2
+            i = draw(st.integers(0, len(gates)))
+            gates[i:i] = pair
+        elif kind == "move" and movable:
+            gate = gates.pop(draw(st.sampled_from(movable)))
+            gates.insert(draw(st.integers(0, len(gates))), gate)
+            related = False
+        elif kind == "swap" and len(gates) > 1:
+            i = draw(st.integers(0, len(gates) - 2))
+            gates[i:i + 2] = gates[i + 1], gates[i]
+            related = False
+        elif kind in ("start", "end"):
+            gates.insert(0 if kind == "start" else len(gates), draw(permutation_gates(n)))
+            related = related and kind == "end"
+    return a, Circuit(n, tuple(gates)), related
+
+
+class TestRelatedCircuits:
+    """``circuit_distance`` of circuits that differ by permutation gates alone.
+
+    Both the related pairs, of which one circuit is simulated, and the rest,
+    which fall back to two simulations, must give the reference distance
+    bitwise. A related pair's reference unitaries are one another's rows
+    relabelled, so the relation is checked without the simulator.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(permutation_edits())
+    def test_distance_after_permutation_edits(self, simulations, edit):
+        a, b, related = edit
+        del simulations[:]
+        distance = circuit_distance(a, b)
+        expected_a, expected_b = reference_unitary(a), reference_unitary(b)
+        assert distance == phase_distance_reference(expected_a, expected_b)
+        delta = circuit_module._relation(a.num_qubits, circuit_module._plan(a), circuit_module._plan(b))
+        assert simulations == ([a] if delta is not None else [a, b])
+        assert delta is not None or not related
+        if delta is not None:
+            assert np.array_equal(expected_b, expected_a[delta])
+
+    def test_related_distance_peaks_at_two_register_buffers(self):
+        # a CNOT rewrite at 10 qubits among dense XX gates: U_b is U_a's rows
+        # relabelled, and the distance is taken in U_b's buffer
+        filler = tuple(GateInstance("XX", (w, w + 1), (0.3 * w,)) for w in range(9))
+        circuit = Circuit(10, filler[:4] + tuple(template_gates("CNOT", (), (2, 7, 5))) + filler[4:])
+        rewritten, report = compress(circuit, describe_fusion_gate("CNOT"), verify=False)
+        assert report.sites_found == 1
+        buffer = 16 * 4**10
+        tracemalloc.start()
+        try:
+            distance = circuit_distance(circuit, rewritten)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distance < 1e-10
+        assert peak < 2.1 * buffer
 
 
 class TestEquivalence:

@@ -483,8 +483,9 @@ class TestMatrixFiles:
 
 class TestSimulationCounts:
     def test_verify_simulates_each_circuit_once(self, template_file, simulations, capsys):
+        # the second circuit equals the first, so its unitary is the first's
         assert main(["verify", "--a", str(template_file), "--b", str(template_file), "--quiet"]) == 0
-        assert len(simulations) == 2
+        assert len(simulations) == 1
         assert json.loads(capsys.readouterr().out)["equivalent"] is True
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -495,7 +496,8 @@ class TestSimulationCounts:
                      "--rule", "compress", "--fusion-gate", "CNOT", "--fixed-point", "--quiet"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["sites_found"] == levels
-        assert len(simulations) == 2
+        # CNOT rewrites change permutation gates alone: the input is simulated, not the output
+        assert len(simulations) == 1
 
 
 def _outcome(argv, capsys):

@@ -431,6 +431,9 @@ HOSTILE_CALLS = {
     # an unknown name is the UnknownGateError that gate_matrix raises
     "gate_instance_unknown_name": (lambda: GateInstance("FOO", (0,)), UnknownGateError,
                                    "name: unknown gate 'FOO'"),
+    # a name too long for repr is named by its size, as a number is
+    "gate_instance_huge_integer_name": (lambda: GateInstance(10**5000, (0,)), SchemaError,
+                                        "name: expected a string, got an integer of 16610 bits"),
     "parse_unknown_name": (
         lambda: parse('{"qubits": 1, "gates": [{"name": "FOO", "wires": [0]}]}'),
         UnknownGateError, "gates[0].name: unknown gate 'FOO'"),

@@ -376,8 +376,9 @@ class TestTranspileDriver:
     def test_fixed_point_matches_repeated_passes(self, cnot_descriptor, simulations, levels):
         circuit = nested_template_circuit(levels)
         out, report = transpile(circuit, cnot_descriptor, "compress", fixed_point=True)
-        # verification compares the input with the final output only
-        assert len(simulations) == 2
+        # verification compares the input with the final output only, and
+        # the output differs from it by permutation gates alone
+        assert simulations == [circuit]
         current, found = circuit, 0
         while True:
             current, step = compress(current, cnot_descriptor, verify=False)
@@ -389,6 +390,14 @@ class TestTranspileDriver:
         assert report.passes == levels + 1
         assert (report.gate_count_before, report.gate_count_after) == (1 + 4 * levels, 1 + levels)
         assert report.phase_distance == 0.0
+
+    def test_dense_fusion_gate_simulates_both_circuits(self, loose, simulations):
+        # the A gate near the identity is dense, so the rewrite changes dense
+        # gates and the output's unitary is simulated too
+        circuit = nested_template_circuit(2, "A", NEAR_IDENTITY)
+        out, report = transpile(circuit, loose, "compress", fixed_point=True, tol=LOOSE_TOL)
+        assert report.sites_found == 2 and 0.01 < report.phase_distance < LOOSE_TOL
+        assert simulations == [circuit, out]
 
     def test_single_pass_equals_compress(self, cnot_descriptor):
         circuit = nested_template_circuit(2)
