@@ -16,16 +16,22 @@ Times, on each checkout and alternating the sides as
   in one gate, a dense one, so both are simulated;
 - ``circuit_distance`` of a related 12-qubit pair: a CNOT template among
   XX gates and its compressed rewrite, which differs from it by
-  permutation gates alone, so a checkout that relabels rows simulates
-  one circuit.
+  permutation gates that cancel, so a checkout that proves such pairs
+  equal simulates nothing;
+- a verified fixed-point CNOT ``transpile`` compress of a seeded 1000-gate
+  12-qubit circuit: CNOT templates on random wire triples among XX and RZ
+  gates. A checkout that proves a permutation rewrite equal to its input
+  finishes it in well under 1 s; one that simulates its input takes tens
+  of seconds per call.
 
 Before timing, it runs each 12-qubit ``circuit_distance`` once per side
 in a child process and reports the child's peak resident set size in MB,
 which holds every register-sized array the call makes. Both checkouts
-must give bit-identical unitaries for every timed circuit, and
+must give bit-identical unitaries for every timed circuit,
 bit-identical distances between the XX and CNOT circuits at each size and
-for both 12-qubit pairs, or the probe exits 1; the report lists what it
-compared.
+for both 12-qubit pairs, and the same compressed circuit, site count and
+distance bits for the verified compress, or the probe exits 1; the report
+lists what it compared.
 
 usage: python3 scripts/probe_simulate.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
@@ -63,6 +69,9 @@ DISTANCE_GATES = [("XX", (0, 11), (0.3,)), ("CNOT", (5, 2), ()), ("H", (7,), ())
 RELATED_FILLER = [("XX", (0, 6), (0.3,)), ("XX", (1, 7), (0.4,)), ("XX", (8, 11), (0.5,)),
                   ("XX", (6, 9), (0.6,))]
 
+#: The verified compress: its circuit's gate count and seed.
+COMPRESS_GATES, COMPRESS_SEED = 1000, 11
+
 #: A child process that prints the peak RSS in MB of one circuit_distance;
 #: its arguments are the checkout's src directory, this script's directory
 #: and the pair's key in ``PAIRS``.
@@ -92,6 +101,27 @@ def related_pair(pg):
     template = [cnot(5, 10), swap, cnot(2, 5), swap, cnot(2, 5)]
     circuit = pg.Circuit(12, xx[:2] + template + xx[2:])
     return circuit, pg.compress(circuit, pg.describe_fusion_gate("CNOT"), verify=False)[0]
+
+
+def compress_circuit(pg):
+    """``COMPRESS_GATES`` gates on 12 qubits: a CNOT template on random wires
+    a fifth of the time, else an XX or RZ gate; the last template may be cut."""
+    rng = np.random.default_rng(COMPRESS_SEED)
+    wires = lambda k: tuple(int(w) for w in rng.permutation(12)[:k])
+    gates = []
+    while len(gates) < COMPRESS_GATES:
+        if rng.random() < 0.2:
+            a, b, c = wires(3)
+            cnot, swap = (lambda *w: pg.GateInstance("CNOT", w)), pg.GateInstance("SWAP", (b, c))
+            gates += [cnot(b, c), swap, cnot(a, b), swap, cnot(a, b)]
+        else:
+            name = ("XX", "RZ")[int(rng.integers(0, 2))]
+            gates.append(pg.GateInstance(name, wires(2 if name == "XX" else 1), (float(rng.uniform(0, 6.2)),)))
+    return pg.Circuit(12, gates[:COMPRESS_GATES])
+
+
+def verified_compress(pg, circuit):
+    return pg.transpile(circuit, pg.describe_fusion_gate("CNOT"), "compress", fixed_point=True)
 
 
 #: The 12-qubit ``circuit_distance`` pairs by report key.
@@ -166,6 +196,19 @@ def main(argv: list[str]) -> int:
         gates = [len(c.gates) for c in pairs["base"]]
         report[f"circuit_distance {key}"] = {"gates": gates, **paired(sides, run, rounds)}
         report[f"circuit_distance {key} peak_rss_mb"] = peaks[key]
+    circuits = {side: compress_circuit(pg) for side, pg in sides.items()}
+    results = {side: verified_compress(pg, circuits[side]) for side, pg in sides.items()}
+    texts = [pg.serialize(results[side][0]) for side, pg in sides.items()]
+    base_report, change_report = (results[side][1] for side in sides)
+    if texts[0] != texts[1] or base_report.sites_found != change_report.sites_found \
+            or not same_bits(base_report.phase_distance, change_report.phase_distance):
+        print(f"verified compress differs: {base_report} vs {change_report}", file=sys.stderr)
+        return 1
+    compared.append("verified compress 12q")
+    run = lambda pg, side: verified_compress(pg, circuits[side])
+    report["verified compress 12q"] = {"gates": COMPRESS_GATES, "sites_found": base_report.sites_found,
+                                       "phase_distance": base_report.phase_distance,
+                                       **paired(sides, run, rounds)}
     report["bit-identical"] = compared
     print(json.dumps(report, indent=1))
     return 0

@@ -54,16 +54,14 @@ and operands ``np.tensordot`` would use, so the same values. The rows are
 put in order once, at the end. ``to_unitary`` is one ``_simulate`` of
 one plan.
 
-``circuit_distance`` walks the two plans in lockstep (``_relation``).
-When ``b`` differs from ``a`` by permutation gates alone, in that each
-dense gate is the same on both sides and the relative row map commutes
-with it, only ``a`` is simulated and ``U_b`` is ``U_a`` with its rows
-relabelled. That gives ``to_unitary(b)``'s values only where ``np.dot``
-computes each column of its operand the same way wherever the column
-sits: OpenBLAS's SkylakeX kernels do, while its Haswell and Zen kernels
-may differ in the last bits. Every rewrite with a permutation fusion gate
-(CNOT, the group fusion operators) qualifies. Registers stay capped at 12
-qubits, because the result is still a dense 2**n x 2**n matrix.
+``circuit_distance`` walks the two plans in lockstep (``_same_unitary``)
+and proves ``U_b == U_a`` without simulating when ``b`` differs from
+``a`` by permutation gates alone that cancel: each dense gate is the same
+on both sides, the relative row map commutes with it, and the map ends as
+the identity. A rewrite with a permutation fusion gate (CNOT, the group
+fusion operators) is such a pair, so verifying it simulates nothing. Any
+other pair is simulated twice. Registers stay capped at 12 qubits,
+because the result is still a dense 2**n x 2**n matrix.
 """
 
 from __future__ import annotations
@@ -81,8 +79,8 @@ import numpy as np
 from . import jsonio
 from .errors import DimensionError, SchemaError, UnknownGateError
 from .gates import GATES
-from .linalg import (MAX_QUBITS, _permutation_rows, _phase_distance, _shown, as_matrix,
-                     as_sequence, check_integer, check_wires, finite, is_unitary, reals)
+from .linalg import (MAX_QUBITS, _permutation_rows, _shown, as_matrix, as_sequence, check_integer,
+                     check_wires, finite, is_unitary, phase_distance, reals)
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -481,58 +479,52 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     return _simulate(circuit, _plan(circuit))
 
 
-def _relation(n: int, plan_a: list[tuple], plan_b: list[tuple]) -> np.ndarray | None:
-    """The row map ``delta`` with ``U_b[r] == U_a[delta[r]]``, or None.
+def _same_unitary(n: int, plan_a: list[tuple], plan_b: list[tuple]) -> bool:
+    """Whether the plans prove ``U_b == U_a`` as matrices, without simulating.
 
-    ``delta`` starts at the identity and follows the two plans in lockstep,
-    each side's row maps moving it. At each dense gate both sides must
-    hold the same gate, on the same wires with a matrix of the same bytes,
-    and ``delta`` must commute with it: keep the gate's wire bits and move
-    the other bits alike for every value of them. Then the operand
-    ``np.dot`` reads for b is a's with its columns relabelled, so each
-    column of the product holds the values it holds for a wherever
-    ``np.dot`` computes a column alike at every position (see the module
-    docstring). None when the plans differ in length or a step fails.
+    A relative row map ``delta``, with ``U_b[r] == U_a[delta[r]]``, starts
+    at the identity and follows the two plans in lockstep, each side's row
+    maps moving it. At each dense gate both sides must hold the same gate,
+    on the same wires with a matrix of the same bytes, and ``delta`` must
+    commute with it: keep the gate's wire bits and move the other bits
+    alike for every value of them. True when every step holds and
+    ``delta`` ends as the identity, whatever U_a's values; False when the
+    plans differ in length, a step fails or ``delta`` moves a row.
     """
     if len(plan_a) != len(plan_b):
-        return None
-    delta = np.arange(2**n)
+        return False
+    delta = identity = np.arange(2**n)
     for (gate_a, m_a, at_a), (gate_b, m_b, at_b) in zip(plan_a, plan_b):
         if at_b is not None:
             delta = delta[at_b]
         if at_a is not None:
             delta = np.argsort(at_a)[delta]  # U_a[at_a[r]] is the new U_a's row r
         if gate_a is None:
-            return delta
+            return np.array_equal(delta, identity)
         if gate_a.wires != gate_b.wires or m_a.tobytes() != m_b.tobytes():
-            return None
+            return False
         order, inverse = _orders(n, gate_a.wires)
         # operand row (g, x), g the gate's wire bits, must map to (g, f(x))
         rows = inverse[delta[order]].reshape(len(m_a), -1)
         if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
-            return None
+            return False
 
 
 def circuit_distance(a: Circuit, b: Circuit) -> float:
     """``phase_distance`` of the two circuit unitaries.
 
     Raises DimensionError before simulating when the registers differ.
-    When ``b`` differs from ``a`` by permutation gates alone
-    (``_relation``), only ``a`` is simulated, and ``U_b`` is ``U_a`` with
-    its rows relabelled: the values ``to_unitary(b)`` gives, on the BLAS
-    kernels the module docstring names. Otherwise both are simulated. The
-    distance is formed in ``U_b``'s own buffer, so a related pair holds two
-    register-sized buffers at most, any other three.
+    0.0 without simulating when ``_same_unitary`` proves the unitaries
+    equal; otherwise both circuits are simulated.
     """
     if check_circuit(a).num_qubits != check_circuit(b).num_qubits:
         raise DimensionError(
             f"register mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
         )
     plan_a, plan_b = _plan(a), _plan(b)
-    delta = _relation(a.num_qubits, plan_a, plan_b)
-    u_a = _simulate(a, plan_a)
-    u_b = _simulate(b, plan_b) if delta is None else np.take(u_a, delta, axis=0)
-    return _phase_distance(u_a, u_b, out=u_b)
+    if _same_unitary(a.num_qubits, plan_a, plan_b):
+        return 0.0
+    return phase_distance(_simulate(a, plan_a), _simulate(b, plan_b))
 
 
 def depth(circuit: Circuit) -> int:

@@ -56,8 +56,7 @@ Conventions used throughout the package:
   - Registers are tensor products of qubits; wire 0 is the leftmost
     (most significant) tensor factor, so basis state ``|b0 b1 ... >`` has
     row index ``b0 b1 ...`` read as a binary number.
-  - Every public function is pure and never mutates its arguments;
-    ``_phase_distance`` writes the array it is given as ``out``.
+  - Every function is pure and never mutates its arguments.
 """
 
 from __future__ import annotations
@@ -338,22 +337,13 @@ def phase_distance(a, b) -> float:
     which avoids the cancellation the raw radicand suffers near zero.
     The overlap tr(b' a) is the entrywise sum of conj(b) * a, so it costs
     O(d^2) rather than the O(d^3) of forming b' a, and a - phi* b is
-    formed in one temporary the size of b (``_phase_distance``).
+    formed in one temporary the size of b.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return _phase_distance(a, b, out=np.empty_like(b))
-
-
-def _phase_distance(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> float:
-    """``phase_distance`` of two complex128 arrays of one shape, a - phi* b
-    formed in ``out``, which may be ``b`` itself: each entry of ``b`` is
-    read before its own entry of ``out`` is written, so the values are the
-    same either way.
-    """
     overlap = complex(np.vdot(b, a))
     if abs(overlap) == 0.0:
         return math.sqrt(frobenius_norm(a) ** 2 + frobenius_norm(b) ** 2)
-    np.multiply(overlap / abs(overlap), b, out=out)
-    return frobenius_norm(np.subtract(a, out, out=out))
+    diff = np.multiply(overlap / abs(overlap), b)
+    return frobenius_norm(np.subtract(a, diff, out=diff))

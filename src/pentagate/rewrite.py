@@ -26,8 +26,8 @@ overlap, so each gate joins at most one rewrite per pass.
 Verification makes one comparison (``circuit_distance``): the input
 against the final output, however many passes rewrote. With a
 permutation fusion gate (CNOT, a group fusion operator) the rewrite
-changes permutation gates alone, so that is one full-register
-simulation; with a dense fusion gate it is two. Only when it
+changes permutation gates alone, so the two are proven equal without
+simulating; with a dense fusion gate both are simulated. Only when it
 fails are the sites checked one by one, each on its own 3-qubit window
 (``_window``: the site's gates with roles (a, b, c) on wires (0, 1, 2)):
 the gates a site skips touch none of its wires, so rewriting the site

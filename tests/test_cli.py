@@ -8,15 +8,19 @@ import argparse
 import importlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pentagate.cli
-from pentagate import Circuit, jsonio, parse, serialize
+from pentagate import (Circuit, GateInstance, compress, describe_fusion_gate, jsonio, parse,
+                       phase_distance, serialize, to_unitary)
 from pentagate.cli import _fold_negative_values, build_parser, main
 from conftest import nested_template_circuit, run_cli, template_circuit
 from test_rewrite import LOOSE_TOL, NEAR_IDENTITY
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 CNOT = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -482,11 +486,11 @@ class TestMatrixFiles:
 
 
 class TestSimulationCounts:
-    def test_verify_simulates_each_circuit_once(self, template_file, simulations, capsys):
-        # the second circuit equals the first, so its unitary is the first's
+    def test_verify_of_equal_circuits_simulates_nothing(self, template_file, simulations, capsys):
+        # the plans prove the two unitaries equal
         assert main(["verify", "--a", str(template_file), "--b", str(template_file), "--quiet"]) == 0
-        assert len(simulations) == 1
-        assert json.loads(capsys.readouterr().out)["equivalent"] is True
+        assert simulations == []
+        assert json.loads(capsys.readouterr().out)["phase_distance"] == 0.0
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_fixed_point_transpile(self, levels, tmp_path, simulations, capsys):
@@ -496,8 +500,24 @@ class TestSimulationCounts:
                      "--rule", "compress", "--fusion-gate", "CNOT", "--fixed-point", "--quiet"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["sites_found"] == levels
-        # CNOT rewrites change permutation gates alone: the input is simulated, not the output
-        assert len(simulations) == 1
+        # CNOT rewrites change permutation gates alone: the output is proven equal to the input
+        assert simulations == []
+
+    def test_verify_of_a_permuted_rewrite_simulates_both(self, tmp_path, simulations, capsys):
+        # the compressed circuit with X(0) appended differs from the input by
+        # permutation gates alone, but they do not cancel
+        a = parse((GOLDEN_INPUTS / "cnot_exact_5q.json").read_text(encoding="utf-8"))
+        out = compress(a, describe_fusion_gate("CNOT"), verify=False)[0]
+        b = Circuit(a.num_qubits, out.gates + (GateInstance("X", (0,)),))
+        path = tmp_path / "permuted.json"
+        path.write_text(serialize(b) + "\n")
+        distance = phase_distance(to_unitary(a), to_unitary(b))
+        del simulations[:]
+        code = main(["verify", "--a", str(GOLDEN_INPUTS / "cnot_exact_5q.json"), "--b", str(path), "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().out == jsonio.dumps(
+            {"equivalent": False, "phase_distance": distance, "tolerance": 1e-10}) + "\n"
+        assert [serialize(c) for c in simulations] == [serialize(a), serialize(b)]
 
 
 def _outcome(argv, capsys):

@@ -377,8 +377,9 @@ class TestTranspileDriver:
         circuit = nested_template_circuit(levels)
         out, report = transpile(circuit, cnot_descriptor, "compress", fixed_point=True)
         # verification compares the input with the final output only, and
-        # the output differs from it by permutation gates alone
-        assert simulations == [circuit]
+        # the output differs from it by permutation gates that cancel, so
+        # the two are proven equal without simulating
+        assert simulations == []
         current, found = circuit, 0
         while True:
             current, step = compress(current, cnot_descriptor, verify=False)
