@@ -22,15 +22,21 @@ Times, on each checkout and alternating the sides as
   12-qubit circuit: CNOT templates on random wire triples among XX and RZ
   gates. A checkout that proves a permutation rewrite equal to its input
   finishes it in well under 1 s; one that simulates its input takes tens
-  of seconds per call.
+  of seconds per call;
+- the same call on a seeded 40,000-gate 12-qubit circuit shaped like the
+  benchmark's ``c40k``: 1,600 CNOT templates among filler, built gate by
+  gate rather than parsed, so equal gates are distinct objects but for
+  each template's SWAP. It is timed verified and unverified on each side, with the
+  ratio of the two medians, which is the cost of verification.
 
-Before timing, it runs each 12-qubit ``circuit_distance`` once per side
-in a child process and reports the child's peak resident set size in MB,
-which holds every register-sized array the call makes. Both checkouts
+Before timing, it runs each 12-qubit ``circuit_distance`` and the
+verified 40,000-gate compress once per side in a child process and
+reports the child's peak resident set size in MB, which holds every
+register-sized array the call makes. Both checkouts
 must give bit-identical unitaries for every timed circuit,
 bit-identical distances between the XX and CNOT circuits at each size and
 for both 12-qubit pairs, and the same compressed circuit, site count and
-distance bits for the verified compress, or the probe exits 1; the report
+distance bits for both verified compresses, or the probe exits 1; the report
 lists what it compared.
 
 usage: python3 scripts/probe_simulate.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
@@ -72,14 +78,20 @@ RELATED_FILLER = [("XX", (0, 6), (0.3,)), ("XX", (1, 7), (0.4,)), ("XX", (8, 11)
 #: The verified compress: its circuit's gate count and seed.
 COMPRESS_GATES, COMPRESS_SEED = 1000, 11
 
-#: A child process that prints the peak RSS in MB of one circuit_distance;
+#: The large verified compress, shaped like the benchmark's ``c40k``: its
+#: gate count, template count and seed. Each template comes after
+#: ``LARGE_GAP`` filler gates and takes 10 gates with its own filler.
+LARGE_GATES, LARGE_TEMPLATES, LARGE_SEED = 40000, 1600, 12
+LARGE_GAP = LARGE_GATES // LARGE_TEMPLATES - 10
+
+#: A child process that prints the peak RSS in MB of one ``peak_call``;
 #: its arguments are the checkout's src directory, this script's directory
-#: and the pair's key in ``PAIRS``.
+#: and the call's key.
 CHILD = """
 import resource, sys
 sys.path[:0] = sys.argv[1:3]
 import pentagate, probe_simulate
-pentagate.circuit_distance(*probe_simulate.PAIRS[sys.argv[3]](pentagate))
+probe_simulate.peak_call(pentagate, sys.argv[3])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
@@ -120,12 +132,49 @@ def compress_circuit(pg):
     return pg.Circuit(12, gates[:COMPRESS_GATES])
 
 
-def verified_compress(pg, circuit):
-    return pg.transpile(circuit, pg.describe_fusion_gate("CNOT"), "compress", fixed_point=True)
+def large_compress_circuit(pg):
+    """``LARGE_GATES`` gates on 12 qubits holding ``LARGE_TEMPLATES`` CNOT
+    templates. A template on wires (a, b, c) has a filler gate on the other
+    wires after its second and fourth gates and H on a, b and c after it,
+    so no site reaches across templates. Filler gates are XX or ZZ with a
+    seeded angle half the time, else H, X or RZ with a seeded angle."""
+    rng = np.random.default_rng(LARGE_SEED)
+
+    def filler(wires):
+        if rng.random() < 0.5:
+            a, b = (int(w) for w in rng.choice(wires, size=2, replace=False))
+            return pg.GateInstance(("XX", "ZZ")[int(rng.integers(0, 2))], (a, b), (float(rng.uniform(0, 6.2)),))
+        name, w = ("H", "X", "RZ")[int(rng.integers(0, 3))], int(rng.choice(wires))
+        return pg.GateInstance(name, (w,), (float(rng.uniform(0, 6.2)),) if name == "RZ" else ())
+
+    gates = []
+    for _ in range(LARGE_TEMPLATES):
+        gates += [filler(range(12)) for _ in range(LARGE_GAP)]
+        a, b, c = (int(w) for w in rng.permutation(12)[:3])
+        others = [w for w in range(12) if w not in (a, b, c)]
+        cnot, swap = (lambda *w: pg.GateInstance("CNOT", w)), pg.GateInstance("SWAP", (b, c))
+        gates += [cnot(b, c), swap, filler(others), cnot(a, b), swap, filler(others), cnot(a, b)]
+        gates += [pg.GateInstance("H", (w,)) for w in (a, b, c)]
+    return pg.Circuit(12, gates)
+
+
+def verified_compress(pg, circuit, verify=True):
+    return pg.transpile(circuit, pg.describe_fusion_gate("CNOT"), "compress", fixed_point=True, verify=verify)
 
 
 #: The 12-qubit ``circuit_distance`` pairs by report key.
 PAIRS = {"12q": distance_pair, "12q related": related_pair}
+
+#: The report key of the large verified compress.
+LARGE = "verified compress 40k 12q"
+
+
+def peak_call(pg, key: str):
+    """The call whose child peak RSS is reported under ``key``: a pair's
+    ``circuit_distance`` or the large verified compress."""
+    if key == LARGE:
+        return verified_compress(pg, large_compress_circuit(pg))
+    return pg.circuit_distance(*PAIRS[key](pg))
 
 
 def per_gate(result: dict, count: int) -> dict:
@@ -142,9 +191,9 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def peak_rss_mb(checkout: str, pair: str) -> float:
+def peak_rss_mb(checkout: str, key: str) -> float:
     src = str(Path(checkout).resolve() / "src")
-    argv = [sys.executable, "-c", CHILD, src, str(Path(__file__).resolve().parent), pair]
+    argv = [sys.executable, "-c", CHILD, src, str(Path(__file__).resolve().parent), key]
     return float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
 
 
@@ -155,7 +204,7 @@ def main(argv: list[str]) -> int:
     base, change, rounds = args
     # The peaks come first: a child started from a large process may report
     # that process's peak as its own.
-    peaks = {key: {"base": peak_rss_mb(base, key), "change": peak_rss_mb(change, key)} for key in PAIRS}
+    peaks = {key: {"base": peak_rss_mb(base, key), "change": peak_rss_mb(change, key)} for key in (*PAIRS, LARGE)}
     sides = {"base": load(base), "change": load(change)}
     report, compared = {}, []
 
@@ -196,19 +245,26 @@ def main(argv: list[str]) -> int:
         gates = [len(c.gates) for c in pairs["base"]]
         report[f"circuit_distance {key}"] = {"gates": gates, **paired(sides, run, rounds)}
         report[f"circuit_distance {key} peak_rss_mb"] = peaks[key]
-    circuits = {side: compress_circuit(pg) for side, pg in sides.items()}
-    results = {side: verified_compress(pg, circuits[side]) for side, pg in sides.items()}
-    texts = [pg.serialize(results[side][0]) for side, pg in sides.items()]
-    base_report, change_report = (results[side][1] for side in sides)
-    if texts[0] != texts[1] or base_report.sites_found != change_report.sites_found \
-            or not same_bits(base_report.phase_distance, change_report.phase_distance):
-        print(f"verified compress differs: {base_report} vs {change_report}", file=sys.stderr)
-        return 1
-    compared.append("verified compress 12q")
-    run = lambda pg, side: verified_compress(pg, circuits[side])
-    report["verified compress 12q"] = {"gates": COMPRESS_GATES, "sites_found": base_report.sites_found,
-                                       "phase_distance": base_report.phase_distance,
-                                       **paired(sides, run, rounds)}
+    for key, make in (("verified compress 12q", compress_circuit),
+                      (LARGE, large_compress_circuit)):
+        circuits = {side: make(pg) for side, pg in sides.items()}
+        results = {side: verified_compress(pg, circuits[side]) for side, pg in sides.items()}
+        texts = [pg.serialize(results[side][0]) for side, pg in sides.items()]
+        base_report, change_report = (results[side][1] for side in sides)
+        if texts[0] != texts[1] or base_report.sites_found != change_report.sites_found \
+                or not same_bits(base_report.phase_distance, change_report.phase_distance):
+            print(f"{key} differs: {base_report} vs {change_report}", file=sys.stderr)
+            return 1
+        compared.append(key)
+        run = lambda pg, side: verified_compress(pg, circuits[side])
+        report[key] = {"gates": len(circuits["base"].gates), "sites_found": base_report.sites_found,
+                       "phase_distance": base_report.phase_distance, **paired(sides, run, rounds)}
+    # ``circuits`` holds the large circuit, the loop's last
+    unverified = paired(sides, lambda pg, side: verified_compress(pg, circuits[side], verify=False), rounds)
+    report["unverified compress 40k 12q"] = unverified
+    report["verified/unverified 40k 12q"] = {
+        side: report[LARGE][f"{side}_ms"]["median"] / unverified[f"{side}_ms"]["median"] for side in ("base", "change")}
+    report[f"{LARGE} peak_rss_mb"] = peaks[LARGE]
     report["bit-identical"] = compared
     print(json.dumps(report, indent=1))
     return 0

@@ -43,9 +43,12 @@ embedded 2**n x 2**n gate. A circuit is first made a plan (``_plan``): its
 gates' matrices, resolved once, with each run of permutation gates, whose
 matrix has only exact 0 and 1 entries with one 1 per row and per column
 (X, CNOT, SWAP, permutation custom gates; ``linalg._permutation_rows``),
-composed into one integer row map, O(2**n) integers and no register
-data: the product would add ``1 * x`` to exact zeros, so relabelling
-gives its values, and only the sign of a zero entry can differ.
+composed into one integer row map (``_run``), O(2**n) integers and no
+register data: the product would add ``1 * x`` to exact zeros, so
+relabelling gives its values, and only the sign of a zero entry can
+differ. A named gate's matrix and its class are cached per name and
+parameters, and a permutation gate's row map per register size, wires
+and rows, both in bounded caches, so no gate object holds a row map.
 ``_simulate`` runs a plan in two register-sized buffers with a row map
 beside them: register row r is row ``at[r]`` of the held buffer. Any
 other gate gathers its operand through the map into the free buffer, the
@@ -54,14 +57,18 @@ and operands ``np.tensordot`` would use, so the same values. The rows are
 put in order once, at the end. ``to_unitary`` is one ``_simulate`` of
 one plan.
 
-``circuit_distance`` walks the two plans in lockstep (``_same_unitary``)
-and proves ``U_b == U_a`` without simulating when ``b`` differs from
-``a`` by permutation gates alone that cancel: each dense gate is the same
-on both sides, the relative row map commutes with it, and the map ends as
-the identity. A rewrite with a permutation fusion gate (CNOT, the group
-fusion operators) is such a pair, so verifying it simulates nothing. Any
-other pair is simulated twice. Registers stay capped at 12 qubits,
-because the result is still a dense 2**n x 2**n matrix.
+``circuit_distance`` walks the two gate lists in lockstep
+(``_same_unitary``) and proves ``U_b == U_a`` without simulating when
+``b`` differs from ``a`` by permutation gates alone that cancel: each
+dense gate is the same on both sides, the relative row map commutes with
+it, and the map ends as the identity. Where the two lists hold the same
+gate and the map is the identity, the walk steps past it without
+resolving it, so its cost grows with the gates the lists do not share. A
+rewrite with a permutation fusion gate (CNOT, the group fusion operators)
+is such a pair, so verifying it simulates nothing. Any other pair is
+planned and simulated twice; only a circuit that is simulated is
+planned. Registers stay capped at 12 qubits, because the result is still
+a dense 2**n x 2**n matrix.
 """
 
 from __future__ import annotations
@@ -411,29 +418,82 @@ def _orders(n: int, wires: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return order, inverse
 
 
+#: Bound of the ``_row_map`` cache. An entry holds ``2**n`` integers, 32 KiB
+#: at 12 qubits, so the cache holds at most 8 MiB.
+_ROW_MAPS_CACHED = 256
+
+
+@functools.lru_cache(maxsize=_ROW_MAPS_CACHED)
+def _row_map(n: int, wires: tuple[int, ...], rows: tuple[int, ...]) -> np.ndarray:
+    """Read-only register row map of a permutation gate on ``wires`` of ``n``
+    qubits whose row i has its 1 in column ``rows[i]``."""
+    order, inverse = _orders(n, wires)
+    moved = order.reshape(len(rows), -1)[list(rows)].ravel()[inverse]
+    moved.flags.writeable = False
+    return moved
+
+
+def _classify(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """``m`` C-contiguous, as tensordot's reshape passes it, and its
+    ``_permutation_rows`` as a tuple, or None when it is dense."""
+    m = np.ascontiguousarray(m)
+    rows = _permutation_rows(m)
+    return m, None if rows is None else tuple(rows.tolist())
+
+
+#: Bound of the ``_classified`` cache. An entry holds a named gate's matrix,
+#: at most 4x4 entries or 256 bytes, so the cache holds at most 256 KiB.
+_CLASSIFIED_CACHED = 1024
+
+
+@functools.lru_cache(maxsize=_CLASSIFIED_CACHED)
+def _classified(name: str, params: tuple[float, ...]) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """``_classify`` of the read-only matrix of the named gate ``name`` with ``params``."""
+    m, rows = _classify(GATES[name][2](*params))
+    m.flags.writeable = False
+    return m, rows
+
+
+def _run(n: int, gates: tuple[GateInstance, ...], i: int) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """``(k, at, m)``: the index k of the first dense gate from gate ``i`` on,
+    the row map ``at`` of the permutation gates before it (None for the
+    identity) and its resolved matrix ``m``; ``m`` is None and k is
+    ``len(gates)`` when no dense gate is left.
+
+    A gate is a permutation gate when its resolved matrix passes
+    ``_permutation_rows``: X, CNOT and SWAP, and also RZ(0), XX(0) and a
+    custom identity. A row map ``at`` turns a register unitary U into the
+    one whose row r is ``U[at[r]]``, so the run composes as ``at[moved]``.
+    """
+    at = None
+    for k in range(i, len(gates)):
+        gate = gates[k]
+        m, rows = _classified(gate.name, gate.params) if gate.name != CUSTOM else _classify(gate.matrix)
+        if rows is None:
+            return k, at, m
+        moved = _row_map(n, gate.wires, rows)
+        at = moved if at is None else at[moved]
+    return len(gates), at, None
+
+
 def _plan(circuit: Circuit) -> list[tuple]:
     """A circuit's gates as ``_simulate`` runs them: one step per dense gate.
 
     A step ``(gate, matrix, before)`` holds a dense gate, its resolved
     matrix and the row map of the permutation gates run since the dense
-    gate before it. A last step ``(None, None, after)`` holds the row map
-    of those after the last dense gate. A row map ``at`` turns a register
-    unitary U into the one whose row r is ``U[at[r]]``; None stands for the
-    identity.
+    gate before it (``_run``). A last step ``(None, None, after)`` holds
+    the row map of those after the last dense gate. None stands for the
+    identity. Only a circuit that is simulated is planned.
     """
-    n = check_circuit(circuit).num_qubits
-    plan, at = [], None
-    for gate in circuit.gates:
-        m = np.ascontiguousarray(resolved_matrix(gate))  # as tensordot's reshape passes it
-        if (rows := _permutation_rows(m)) is None:
-            plan.append((gate, m, at))
-            at = None
-        else:
-            order, inverse = _orders(n, gate.wires)
-            moved = order.reshape(len(m), -1)[rows].ravel()[inverse]
-            at = moved if at is None else at[moved]
-    plan.append((None, None, at))
-    return plan
+    n, gates = check_circuit(circuit).num_qubits, circuit.gates
+    plan, i = [], 0
+    while True:
+        i, at, m = _run(n, gates, i)
+        if m is None:
+            plan.append((None, None, at))
+            return plan
+        plan.append((gates[i], m, at))
+        i += 1
 
 
 def _simulate(circuit: Circuit, plan: list[tuple]) -> np.ndarray:
@@ -479,52 +539,86 @@ def to_unitary(circuit: Circuit) -> np.ndarray:
     return _simulate(circuit, _plan(circuit))
 
 
-def _same_unitary(n: int, plan_a: list[tuple], plan_b: list[tuple]) -> bool:
-    """Whether the plans prove ``U_b == U_a`` as matrices, without simulating.
+def _same_gate(g: GateInstance, h: GateInstance) -> bool:
+    """Whether two gates are one gate: the same object, or the same name,
+    wires and parameters, with custom matrices of the same bytes."""
+    return g is h or (g.name == h.name and g.wires == h.wires and g.params == h.params
+                      and (g.matrix is None or g.matrix.tobytes() == h.matrix.tobytes()))
 
-    A relative row map ``delta``, with ``U_b[r] == U_a[delta[r]]``, starts
-    at the identity and follows the two plans in lockstep, each side's row
-    maps moving it. At each dense gate both sides must hold the same gate,
-    on the same wires with a matrix of the same bytes, and ``delta`` must
-    commute with it: keep the gate's wire bits and move the other bits
-    alike for every value of them. True when every step holds and
-    ``delta`` ends as the identity, whatever U_a's values; False when the
-    plans differ in length, a step fails or ``delta`` moves a row.
+
+def _same_unitary(a: Circuit, b: Circuit) -> bool:
+    """Whether the gate lists prove ``U_b == U_a`` as matrices, without simulating.
+
+    A relative row map ``delta``, with ``U_b[r] == U_a[delta[r]]`` for the
+    gates read so far, starts at the identity. While it is the identity,
+    the walk steps past every position where both lists hold the same gate
+    (``_same_gate``), which leaves it the identity, resolving nothing.
+    Elsewhere each side reads its run of permutation gates up to its next
+    dense gate (``_run``), and the runs move ``delta``: side b's map
+    composes on its right, the inverse of side a's, made by a scatter, on
+    its left. Both sides must then hold the same dense gate, on the same
+    wires with a matrix of the same bytes, and ``delta`` must commute with
+    it: keep the gate's wire bits and move the other bits alike for every
+    value of them. That holds without a check when the gate's wires are
+    disjoint from those of every permutation gate read since ``delta`` was
+    last the identity, since ``delta`` then moves only those bits, as a
+    function of them alone. When ``delta`` is the identity again, the walk
+    goes back to skipping shared gates.
+
+    True when every step holds and ``delta`` ends as the identity, whatever
+    U_a's values; False when the lists differ in their number of dense
+    gates, a step fails or ``delta`` ends moving a row. The registers must
+    be of one size.
     """
-    if len(plan_a) != len(plan_b):
-        return False
-    delta = identity = np.arange(2**n)
-    for (gate_a, m_a, at_a), (gate_b, m_b, at_b) in zip(plan_a, plan_b):
-        if at_b is not None:
-            delta = delta[at_b]
-        if at_a is not None:
-            delta = np.argsort(at_a)[delta]  # U_a[at_a[r]] is the new U_a's row r
-        if gate_a is None:
-            return np.array_equal(delta, identity)
-        if gate_a.wires != gate_b.wires or m_a.tobytes() != m_b.tobytes():
-            return False
-        order, inverse = _orders(n, gate_a.wires)
-        # operand row (g, x), g the gate's wire bits, must map to (g, f(x))
-        rows = inverse[delta[order]].reshape(len(m_a), -1)
-        if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
-            return False
+    n, gates_a, gates_b = a.num_qubits, a.gates, b.gates
+    identity = np.arange(2**n)
+    i = j = 0
+    while True:
+        while i < len(gates_a) and j < len(gates_b) and _same_gate(gates_a[i], gates_b[j]):
+            i, j = i + 1, j + 1
+        delta, support = identity, set()
+        while True:
+            dense_a, at_a, m_a = _run(n, gates_a, i)
+            dense_b, at_b, m_b = _run(n, gates_b, j)
+            for gate in gates_a[i:dense_a] + gates_b[j:dense_b]:
+                support.update(gate.wires)
+            if at_b is not None:
+                delta = delta[at_b]
+            if at_a is not None:
+                inverse = np.empty_like(at_a)
+                inverse[at_a] = identity  # U_a[at_a[r]] is the new U_a's row r
+                delta = inverse[delta]
+            if m_a is None or m_b is None:
+                return m_a is None and m_b is None and np.array_equal(delta, identity)
+            wires = gates_a[dense_a].wires
+            if wires != gates_b[dense_b].wires or m_a.tobytes() != m_b.tobytes():
+                return False
+            i, j = dense_a + 1, dense_b + 1
+            if np.array_equal(delta, identity):
+                break
+            if not support.isdisjoint(wires):
+                order, inverse = _orders(n, wires)
+                # operand row (g, x), g the gate's wire bits, must map to (g, f(x))
+                rows = inverse[delta[order]].reshape(len(m_a), -1)
+                if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
+                    return False
 
 
 def circuit_distance(a: Circuit, b: Circuit) -> float:
     """``phase_distance`` of the two circuit unitaries.
 
     Raises DimensionError before simulating when the registers differ.
-    0.0 without simulating when ``_same_unitary`` proves the unitaries
-    equal; otherwise both circuits are simulated.
+    0.0 without planning or simulating when ``_same_unitary`` proves the
+    unitaries equal from the gate lists; otherwise both circuits are
+    planned and simulated, ``U_a`` held while ``U_b`` is simulated.
     """
     if check_circuit(a).num_qubits != check_circuit(b).num_qubits:
         raise DimensionError(
             f"register mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
         )
-    plan_a, plan_b = _plan(a), _plan(b)
-    if _same_unitary(a.num_qubits, plan_a, plan_b):
+    if _same_unitary(a, b):
         return 0.0
-    return phase_distance(_simulate(a, plan_a), _simulate(b, plan_b))
+    return phase_distance(to_unitary(a), to_unitary(b))
 
 
 def depth(circuit: Circuit) -> int:

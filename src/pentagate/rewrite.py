@@ -26,10 +26,13 @@ overlap, so each gate joins at most one rewrite per pass.
 Verification makes one comparison (``circuit_distance``): the input
 against the final output, however many passes rewrote. With a
 permutation fusion gate (CNOT, a group fusion operator) the rewrite
-changes permutation gates alone, so the two are proven equal without
-simulating; with a dense fusion gate both are simulated. Only when it
-fails are the sites checked one by one, each on its own 3-qubit window
-(``_window``: the site's gates with roles (a, b, c) on wires (0, 1, 2)):
+changes permutation gates alone, so the two are proven equal from their
+gate lists without planning or simulating: the walk steps past the gates
+the rewrite kept, which the output shares with the input, and reads only
+those around its sites. With a dense fusion gate both circuits are
+planned and simulated. Only when it fails are the sites checked one by
+one, each on its own 3-qubit window (``_window``: the site's gates with
+roles (a, b, c) on wires (0, 1, 2)):
 the gates a site skips touch none of its wires, so rewriting the site
 alone moves an n-qubit unitary by sqrt(2**(n-3)) times the distance of
 its 8x8 window. Sites with equal window gates share one simulation.

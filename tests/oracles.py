@@ -163,3 +163,38 @@ def phase_distance_reference(a, b) -> float:
     if abs(overlap) == 0.0:
         return math.sqrt(np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2)
     return float(np.linalg.norm(a - (overlap / abs(overlap)) * b))
+
+
+def same_unitary_reference(a, b) -> bool:
+    """Whether the two circuits' plans prove ``U_b == U_a``: the walk over
+    ``circuit._plan`` of both circuits, one step per dense gate.
+
+    The reference for ``circuit._same_unitary``'s walk over the gate lists,
+    which must decide the same. A relative row map ``delta``, with
+    ``U_b[r] == U_a[delta[r]]``, starts at the identity and follows the two
+    plans in lockstep, each side's row maps moving it. At each dense gate
+    both sides must hold the same gate, on the same wires with a matrix of
+    the same bytes, and ``delta`` must commute with it: keep the gate's
+    wire bits and move the other bits alike for every value of them. True
+    when every step holds and ``delta`` ends as the identity.
+    """
+    from pentagate.circuit import _orders, _plan
+
+    n, plan_a, plan_b = a.num_qubits, _plan(a), _plan(b)
+    if len(plan_a) != len(plan_b):
+        return False
+    delta = identity = np.arange(2**n)
+    for (gate_a, m_a, at_a), (gate_b, m_b, at_b) in zip(plan_a, plan_b):
+        if at_b is not None:
+            delta = delta[at_b]
+        if at_a is not None:
+            delta = np.argsort(at_a)[delta]  # U_a[at_a[r]] is the new U_a's row r
+        if gate_a is None:
+            return np.array_equal(delta, identity)
+        if gate_a.wires != gate_b.wires or m_a.tobytes() != m_b.tobytes():
+            return False
+        order, inverse = _orders(n, gate_a.wires)
+        # operand row (g, x), g the gate's wire bits, must map to (g, f(x))
+        rows = inverse[delta[order]].reshape(len(m_a), -1)
+        if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
+            return False

@@ -33,7 +33,7 @@ from pentagate.circuit import _orders, depth, parse_matrix, resolved_matrix
 from pentagate.gates import GATES, gate_matrix
 from pentagate.linalg import _permutation_rows, frobenius_norm
 from conftest import haar_unitary, random_circuit, template_circuit, template_gates
-from oracles import phase_distance_reference, to_unitary_reference
+from oracles import phase_distance_reference, same_unitary_reference, to_unitary_reference
 
 PI = math.pi
 
@@ -841,7 +841,7 @@ class TestRelatedCircuits:
         del simulations[:]
         distance = circuit_distance(a, b)
         assert distance == phase_distance_reference(reference_unitary(a), reference_unitary(b))
-        proven = circuit_module._same_unitary(a.num_qubits, circuit_module._plan(a), circuit_module._plan(b))
+        proven = circuit_module._same_unitary(a, b)
         assert proven or not equal
         assert simulations == ([] if proven else [a, b])
         assert distance == 0.0 or not proven
@@ -883,6 +883,76 @@ class TestRelatedCircuits:
         assert distance > 1.0
         assert peaks[0] < 0.05 * buffer
         assert peaks[1] < 3.1 * buffer
+
+
+@st.composite
+def verdict_pairs(draw) -> tuple[Circuit, Circuit]:
+    """A ``permutation_edits`` or ``wrapped_dense_gates`` pair, with one more
+    edit half of the time: XX(0) or RZ(0), both permutation gates, inserted
+    into ``b`` on a wire one of its gates touches, or an RZ gate put first
+    in both circuits, its angle one ulp larger in ``b``."""
+    a, b, _ = draw(st.one_of(permutation_edits(), wrapped_dense_gates()))
+    n, gates = a.num_qubits, list(b.gates)
+    kind = draw(st.sampled_from((None, None, None, "XX", "RZ", "ulp")))
+    if kind in ("XX", "RZ"):
+        site = draw(st.sampled_from(gates)).wires if gates else (0,)
+        w = draw(st.sampled_from(site))
+        wires = (w, draw(st.sampled_from([v for v in range(n) if v != w]))) if kind == "XX" else (w,)
+        gates.insert(draw(st.integers(0, len(gates))), GateInstance(kind, wires, (0.0,)))
+    elif kind == "ulp":
+        angle, w = draw(st.sampled_from((0.0, 0.7, -2.5, 3.0))), draw(st.integers(0, n - 1))
+        a = Circuit(n, (GateInstance("RZ", (w,), (angle,)),) + a.gates)
+        gates.insert(0, GateInstance("RZ", (w,), (math.nextafter(angle, math.inf),)))
+    return a, Circuit(n, tuple(gates))
+
+
+class TestSameUnitary:
+    """``_same_unitary`` walks the gate lists and decides as the plan walk
+    of ``oracles.same_unitary_reference`` does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(verdict_pairs())
+    def test_verdict_equals_the_plan_walk(self, pair):
+        # b as drawn shares a's gate objects; re-read, its gates are new
+        # objects, so the walk compares them by content
+        a, b = pair
+        for other in (b, parse(serialize(b))):
+            assert circuit_module._same_unitary(a, other) == same_unitary_reference(a, other)
+
+    @pytest.mark.parametrize("wrap", [("X", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 0)), ("SWAP", (0, 1))])
+    def test_dense_gate_on_the_row_maps_wires_is_not_proven_equal(self, rng, wrap):
+        # the row map is off the identity at H(0) and moves or reads wire 0,
+        # so it does not commute with H; it is the identity again at the end
+        filler = [GateInstance("XX", (w, w + 1), (0.3 * w + 0.1,)) for w in range(1, 5)]
+        wrap = [GateInstance("X", (3,)), GateInstance(*wrap)]
+        plain = lambda gate: Circuit(6, tuple(filler[:3] + [gate] + filler[3:]))
+        wrapped = lambda gate: Circuit(6, tuple(filler[:3] + wrap + [gate] + wrap[::-1] + filler[3:]))
+        a, b = plain(GateInstance("H", (0,))), wrapped(GateInstance("H", (0,)))
+        assert not circuit_module._same_unitary(a, b) and not same_unitary_reference(a, b)
+        assert circuit_distance(a, b) == reference_distance(a, b) > 0.1
+        # the same wrap around a gate on wires it leaves alone is proven equal
+        far = GateInstance("custom", (4, 5), (), haar_unitary(4, rng))
+        assert circuit_module._same_unitary(plain(far), wrapped(far))
+
+    def test_walk_memory_is_bounded_for_distinct_gate_objects(self):
+        # 2,000 distinct gates on wires 0-10, half CNOTs; b is a copy of
+        # them between two X(11), so the row map is off the identity at
+        # every gate and the walk reads each one. One row map per gate, or
+        # one per dense step as a plan keeps, would take 62.5 or 31.25 MiB.
+        n = 12
+        gates = [GateInstance("XX", (k % 10, k % 10 + 1), (0.001 * k + 0.1,)) if k % 2 else
+                 GateInstance("CNOT", (k % 11, (k + 5) % 11)) for k in range(2000)]
+        copy = [GateInstance(g.name, g.wires, g.params) for g in gates]
+        a, b = Circuit(n, tuple(gates)), Circuit(n, (GateInstance("X", (11,)), *copy, GateInstance("X", (11,))))
+        tracemalloc.start()
+        try:
+            proven = circuit_module._same_unitary(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proven
+        assert peak < 4 * 2**20
+        assert circuit_module._row_map.cache_info().maxsize is not None
 
 
 class TestEquivalence:
