@@ -79,7 +79,7 @@ FAMILIES = {
 def _family(family: str):
     try:
         return FAMILIES[family]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown family {family!r}, expected 'a' or 'heis'") from None
 
 

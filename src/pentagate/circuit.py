@@ -39,36 +39,34 @@ Every function that reads a circuit takes only a ``Circuit``
 Simulation builds the full register unitary by tensor contraction: each
 k-qubit gate is contracted into the rows of its wires, costing
 O(2**k * 4**n) per gate instead of the O(8**n) of multiplying by an
-embedded 2**n x 2**n gate. A circuit is first made a plan (``_plan``): its
-gates' matrices, resolved once, with each run of permutation gates, whose
-matrix has only exact 0 and 1 entries with one 1 per row and per column
-(X, CNOT, SWAP, permutation custom gates; ``linalg._permutation_rows``),
-composed into one integer row map (``_run``), O(2**n) integers and no
-register data: the product would add ``1 * x`` to exact zeros, so
+embedded 2**n x 2**n gate. One walker, ``_run``, reads a gate list: from
+a position to the next dense gate, it resolves each gate and composes each
+run of permutation gates, whose matrix has only exact 0 and 1 entries with
+one 1 per row and per column (X, CNOT, SWAP, permutation custom gates;
+``linalg._permutation_rows``), into one integer row map, O(2**n) integers
+and no register data: the product would add ``1 * x`` to exact zeros, so
 relabelling gives its values, and only the sign of a zero entry can
 differ. A named gate's matrix and its class are cached per name and
 parameters, and a permutation gate's row map per register size, wires
 and rows, both in bounded caches, so no gate object holds a row map.
-``_simulate`` runs a plan in two register-sized buffers with a row map
-beside them: register row r is row ``at[r]`` of the held buffer. Any
-other gate gathers its operand through the map into the free buffer, the
-gate's wires leading, and ``np.dot`` writes the product back, the call
-and operands ``np.tensordot`` would use, so the same values. The rows are
-put in order once, at the end. ``to_unitary`` is one ``_simulate`` of
-one plan.
+``to_unitary`` simulates as it walks, in two register-sized buffers with a
+row map beside them: register row r is row ``at[r]`` of the held buffer.
+Any other gate gathers its operand through the map into the free buffer,
+the gate's wires leading, and ``np.dot`` writes the product back, the
+call and operands ``np.tensordot`` would use, so the same values. The
+rows are put in order once, at the end.
 
 ``circuit_distance`` walks the two gate lists in lockstep
 (``_same_unitary``) and proves ``U_b == U_a`` without simulating when
 ``b`` differs from ``a`` by permutation gates alone that cancel: each
 dense gate is the same on both sides, the relative row map commutes with
 it, and the map ends as the identity. Where the two lists hold the same
-gate and the map is the identity, the walk steps past it without
-resolving it, so its cost grows with the gates the lists do not share. A
-rewrite with a permutation fusion gate (CNOT, the group fusion operators)
-is such a pair, so verifying it simulates nothing. Any other pair is
-planned and simulated twice; only a circuit that is simulated is
-planned. Registers stay capped at 12 qubits, because the result is still
-a dense 2**n x 2**n matrix.
+gate (``_gate_key``) and the map is the identity, the walk steps past it
+without resolving it, so its cost grows with the gates the lists do not
+share. A rewrite with a permutation fusion gate (CNOT, the group fusion
+operators) is such a pair, so verifying it simulates nothing. Any other
+pair is simulated twice. Registers stay capped at 12 qubits, because the
+result is still a dense 2**n x 2**n matrix.
 """
 
 from __future__ import annotations
@@ -143,7 +141,7 @@ class GateInstance:
         if name == CUSTOM:
             if matrix is None:
                 raise SchemaError("matrix: required for custom gates")
-            matrix = as_matrix(matrix, SchemaError) + 0.0
+            matrix = np.ascontiguousarray(as_matrix(matrix, SchemaError) + 0.0)
             matrix.flags.writeable = False  # equal gates may share it
             if not np.isfinite(matrix).all():
                 raise SchemaError("matrix: entries must be finite")
@@ -186,14 +184,13 @@ _store_name, _store_wires, _store_params, _store_matrix = (
 
 
 def resolved_matrix(gate: GateInstance) -> np.ndarray:
-    """The unitary a gate instance denotes.
+    """The read-only unitary a gate instance denotes, as simulation reads it.
 
     The gate's parameters were checked when it was built, so its
-    constructor in ``GATES`` builds the matrix without checking them again.
+    constructor in ``GATES`` builds the matrix without checking them again,
+    once per name and parameters (``_classified``).
     """
-    if gate.name == CUSTOM:
-        return gate.matrix
-    return GATES[gate.name][2](*gate.params)
+    return gate.matrix if gate.name == CUSTOM else _classified(gate.name, gate.params)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,14 +430,6 @@ def _row_map(n: int, wires: tuple[int, ...], rows: tuple[int, ...]) -> np.ndarra
     return moved
 
 
-def _classify(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """``m`` C-contiguous, as tensordot's reshape passes it, and its
-    ``_permutation_rows`` as a tuple, or None when it is dense."""
-    m = np.ascontiguousarray(m)
-    rows = _permutation_rows(m)
-    return m, None if rows is None else tuple(rows.tolist())
-
-
 #: Bound of the ``_classified`` cache. An entry holds a named gate's matrix,
 #: at most 4x4 entries or 256 bytes, so the cache holds at most 256 KiB.
 _CLASSIFIED_CACHED = 1024
@@ -448,10 +437,12 @@ _CLASSIFIED_CACHED = 1024
 
 @functools.lru_cache(maxsize=_CLASSIFIED_CACHED)
 def _classified(name: str, params: tuple[float, ...]) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """``_classify`` of the read-only matrix of the named gate ``name`` with ``params``."""
-    m, rows = _classify(GATES[name][2](*params))
+    """The read-only matrix of the named gate ``name`` with ``params``, and its
+    ``_permutation_rows`` as a tuple, or None when it is dense."""
+    m = GATES[name][2](*params)
     m.flags.writeable = False
-    return m, rows
+    rows = _permutation_rows(m)
+    return m, None if rows is None else tuple(rows.tolist())
 
 
 def _run(n: int, gates: tuple[GateInstance, ...], i: int) -> tuple[int, np.ndarray | None, np.ndarray | None]:
@@ -464,11 +455,17 @@ def _run(n: int, gates: tuple[GateInstance, ...], i: int) -> tuple[int, np.ndarr
     ``_permutation_rows``: X, CNOT and SWAP, and also RZ(0), XX(0) and a
     custom identity. A row map ``at`` turns a register unitary U into the
     one whose row r is ``U[at[r]]``, so the run composes as ``at[moved]``.
+    Both kinds of matrix are C-contiguous, as tensordot's reshape passes
+    them: a named gate's is built fresh, a custom gate's is stored so.
     """
     at = None
     for k in range(i, len(gates)):
         gate = gates[k]
-        m, rows = _classified(gate.name, gate.params) if gate.name != CUSTOM else _classify(gate.matrix)
+        if gate.name == CUSTOM:
+            m, rows = gate.matrix, _permutation_rows(gate.matrix)
+            rows = rows if rows is None else tuple(rows.tolist())
+        else:
+            m, rows = _classified(gate.name, gate.params)
         if rows is None:
             return k, at, m
         moved = _row_map(n, gate.wires, rows)
@@ -476,85 +473,60 @@ def _run(n: int, gates: tuple[GateInstance, ...], i: int) -> tuple[int, np.ndarr
     return len(gates), at, None
 
 
-def _plan(circuit: Circuit) -> list[tuple]:
-    """A circuit's gates as ``_simulate`` runs them: one step per dense gate.
+def to_unitary(circuit: Circuit) -> np.ndarray:
+    """Full register unitary; gate 0 is applied first.
 
-    A step ``(gate, matrix, before)`` holds a dense gate, its resolved
-    matrix and the row map of the permutation gates run since the dense
-    gate before it (``_run``). A last step ``(None, None, after)`` holds
-    the row map of those after the last dense gate. None stands for the
-    identity. Only a circuit that is simulated is planned.
+    The walk reads the gates run by run (``_run``): a permutation gate
+    relabels rows, any other gate is one ``np.dot`` on the register. The
+    register lives in ``held``, one of two register-sized buffers, with its
+    rows relabelled: register row r is row ``at[r]`` of ``held``. A run's
+    row map composes into ``at`` and moves no register data. Its dense
+    gate then gathers its operand through ``at`` into the free buffer, the
+    gate's wires leading (``_orders``), and ``np.dot`` writes the product
+    back into ``held``, which then holds the register in the operand's row
+    order. At the end ``held`` is returned when ``at`` is the identity, as
+    it is after no gate, and otherwise its rows are gathered into order in
+    the other buffer, which is returned: C-contiguous and fresh on each
+    call either way.
     """
     n, gates = check_circuit(circuit).num_qubits, circuit.gates
-    plan, i = [], 0
-    while True:
-        i, at, m = _run(n, gates, i)
-        if m is None:
-            plan.append((None, None, at))
-            return plan
-        plan.append((gates[i], m, at))
-        i += 1
-
-
-def _simulate(circuit: Circuit, plan: list[tuple]) -> np.ndarray:
-    """The register unitary of ``circuit``, run from its ``_plan``.
-
-    The register lives in ``held``, one of two register-sized buffers, with
-    its rows relabelled: register row r is row ``at[r]`` of ``held``. A
-    step's row map composes into ``at`` and moves no register data. Its
-    dense gate then gathers its operand through ``at`` into the free
-    buffer, the gate's wires leading (``_orders``), and ``np.dot`` writes
-    the product back into ``held``, which then holds the register in the
-    operand's row order. At the end ``held`` is returned when ``at`` is the
-    identity, as it is after no gate, and otherwise its rows are gathered
-    into order in the other buffer, which is returned: C-contiguous and
-    fresh on each call either way.
-    """
-    n = circuit.num_qubits
     held = np.eye(2**n, dtype=np.complex128)
     free = np.empty_like(held)
     at = identity = np.arange(2**n)
-    for gate, m, before in plan:
+    i = 0
+    while True:
+        i, before, m = _run(n, gates, i)
         if before is not None:
             at = at[before]
-        if gate is None:
+        if m is None:
             break
-        order, inverse = _orders(n, gate.wires)
+        order, inverse = _orders(n, gates[i].wires)
         # the indices are a permutation; mode="clip" spares the bounds
         # check, whose default mode buffers ``out``
         np.take(held, at[order], axis=0, out=free, mode="clip")
         np.dot(m, free.reshape(len(m), -1), out=held.reshape(len(m), -1))
-        at = inverse
+        at, i = inverse, i + 1
     if np.array_equal(at, identity):
         return held
     return np.take(held, at, axis=0, out=free, mode="clip")
 
 
-def to_unitary(circuit: Circuit) -> np.ndarray:
-    """Full register unitary; gate 0 is applied first.
-
-    ``_simulate`` runs the circuit's ``_plan``: a permutation gate relabels
-    rows, any other gate is one ``np.dot`` on the register.
-    """
-    return _simulate(circuit, _plan(circuit))
-
-
-def _same_gate(g: GateInstance, h: GateInstance) -> bool:
-    """Whether two gates are one gate: the same object, or the same name,
-    wires and parameters, with custom matrices of the same bytes."""
-    return g is h or (g.name == h.name and g.wires == h.wires and g.params == h.params
-                      and (g.matrix is None or g.matrix.tobytes() == h.matrix.tobytes()))
+def _gate_key(gate: GateInstance) -> tuple:
+    """What makes two gates one gate, as a key: the name, wires and
+    parameters, and a custom gate's matrix bytes."""
+    return gate.name, gate.wires, gate.params, gate.matrix is not None and gate.matrix.tobytes()
 
 
 def _same_unitary(a: Circuit, b: Circuit) -> bool:
     """Whether the gate lists prove ``U_b == U_a`` as matrices, without simulating.
 
     A relative row map ``delta``, with ``U_b[r] == U_a[delta[r]]`` for the
-    gates read so far, starts at the identity. While it is the identity,
-    the walk steps past every position where both lists hold the same gate
-    (``_same_gate``), which leaves it the identity, resolving nothing.
-    Elsewhere each side reads its run of permutation gates up to its next
-    dense gate (``_run``), and the runs move ``delta``: side b's map
+    gates read so far, starts as the ``identity`` object and is set back to
+    it whenever it is the identity again. While it is, the walk steps past
+    every position where both lists hold the same gate (the same object or
+    the same ``_gate_key``), which leaves it the identity, resolving
+    nothing. Then each side reads its run of permutation gates up to its
+    next dense gate (``_run``), and the runs move ``delta``: side b's map
     composes on its right, the inverse of side a's, made by a scatter, on
     its left. Both sides must then hold the same dense gate, on the same
     wires with a matrix of the same bytes, and ``delta`` must commute with
@@ -562,8 +534,7 @@ def _same_unitary(a: Circuit, b: Circuit) -> bool:
     value of them. That holds without a check when the gate's wires are
     disjoint from those of every permutation gate read since ``delta`` was
     last the identity, since ``delta`` then moves only those bits, as a
-    function of them alone. When ``delta`` is the identity again, the walk
-    goes back to skipping shared gates.
+    function of them alone.
 
     True when every step holds and ``delta`` ends as the identity, whatever
     U_a's values; False when the lists differ in their number of dense
@@ -571,46 +542,47 @@ def _same_unitary(a: Circuit, b: Circuit) -> bool:
     be of one size.
     """
     n, gates_a, gates_b = a.num_qubits, a.gates, b.gates
-    identity = np.arange(2**n)
+    delta = identity = np.arange(2**n)
     i = j = 0
     while True:
-        while i < len(gates_a) and j < len(gates_b) and _same_gate(gates_a[i], gates_b[j]):
-            i, j = i + 1, j + 1
-        delta, support = identity, set()
-        while True:
-            dense_a, at_a, m_a = _run(n, gates_a, i)
-            dense_b, at_b, m_b = _run(n, gates_b, j)
-            for gate in gates_a[i:dense_a] + gates_b[j:dense_b]:
-                support.update(gate.wires)
-            if at_b is not None:
-                delta = delta[at_b]
-            if at_a is not None:
-                inverse = np.empty_like(at_a)
-                inverse[at_a] = identity  # U_a[at_a[r]] is the new U_a's row r
-                delta = inverse[delta]
-            if m_a is None or m_b is None:
-                return m_a is None and m_b is None and np.array_equal(delta, identity)
-            wires = gates_a[dense_a].wires
-            if wires != gates_b[dense_b].wires or m_a.tobytes() != m_b.tobytes():
+        if delta is identity:
+            while i < len(gates_a) and j < len(gates_b) and (
+                    gates_a[i] is gates_b[j] or _gate_key(gates_a[i]) == _gate_key(gates_b[j])):
+                i, j = i + 1, j + 1
+            support = set()
+        dense_a, at_a, m_a = _run(n, gates_a, i)
+        dense_b, at_b, m_b = _run(n, gates_b, j)
+        for gate in gates_a[i:dense_a] + gates_b[j:dense_b]:
+            support.update(gate.wires)
+        if at_b is not None:
+            delta = delta[at_b]
+        if at_a is not None:
+            inverse = np.empty_like(at_a)
+            inverse[at_a] = identity  # U_a[at_a[r]] is the new U_a's row r
+            delta = inverse[delta]
+        if m_a is None or m_b is None:
+            return m_a is None and m_b is None and np.array_equal(delta, identity)
+        wires = gates_a[dense_a].wires
+        if wires != gates_b[dense_b].wires or m_a.tobytes() != m_b.tobytes():
+            return False
+        i, j = dense_a + 1, dense_b + 1
+        if np.array_equal(delta, identity):
+            delta = identity
+        elif not support.isdisjoint(wires):
+            order, inverse = _orders(n, wires)
+            # operand row (g, x), g the gate's wire bits, must map to (g, f(x))
+            rows = inverse[delta[order]].reshape(len(m_a), -1)
+            if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
                 return False
-            i, j = dense_a + 1, dense_b + 1
-            if np.array_equal(delta, identity):
-                break
-            if not support.isdisjoint(wires):
-                order, inverse = _orders(n, wires)
-                # operand row (g, x), g the gate's wire bits, must map to (g, f(x))
-                rows = inverse[delta[order]].reshape(len(m_a), -1)
-                if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
-                    return False
 
 
 def circuit_distance(a: Circuit, b: Circuit) -> float:
     """``phase_distance`` of the two circuit unitaries.
 
     Raises DimensionError before simulating when the registers differ.
-    0.0 without planning or simulating when ``_same_unitary`` proves the
-    unitaries equal from the gate lists; otherwise both circuits are
-    planned and simulated, ``U_a`` held while ``U_b`` is simulated.
+    0.0 without simulating when ``_same_unitary`` proves the unitaries
+    equal from the gate lists; otherwise both circuits are simulated,
+    ``U_a`` held while ``U_b`` is simulated.
     """
     if check_circuit(a).num_qubits != check_circuit(b).num_qubits:
         raise DimensionError(

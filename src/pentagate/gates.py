@@ -89,7 +89,7 @@ def standard_gate(name: str) -> np.ndarray:
     """One of the fixed named gates I, X, Y, Z, H, S, CNOT, SWAP."""
     try:
         return _FIXED[name].copy()
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownGateError(f"unknown standard gate {name!r}") from None
 
 
@@ -252,7 +252,10 @@ def group_algebra_fusion(g: CayleyTable) -> np.ndarray:
     Acts on basis vectors of C^n (x) C^n by e_g (x) e_h -> e_g (x) e_{g h},
     i.e. the composite of the diagonal coproduct g -> g (x) g with the group
     product. Always an exact pentagon solution; for Z_2 this is CNOT.
+    Anything but a ``CayleyTable`` raises InvalidGroupError.
     """
+    if not isinstance(g, CayleyTable):
+        raise InvalidGroupError(f"group: expected a CayleyTable, got {type(g).__name__}")
     n = g.order
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
     # column a*n + b holds its 1 in row a*n + ab
@@ -283,7 +286,7 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
     """Resolve a gate name plus parameters to its unitary matrix."""
     try:
         _, expected, build = GATES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownGateError(f"unknown gate name {name!r}") from None
     params = reals(params, f"gate {name!r} parameters")
     if len(params) != expected:

@@ -27,10 +27,10 @@ Verification makes one comparison (``circuit_distance``): the input
 against the final output, however many passes rewrote. With a
 permutation fusion gate (CNOT, a group fusion operator) the rewrite
 changes permutation gates alone, so the two are proven equal from their
-gate lists without planning or simulating: the walk steps past the gates
-the rewrite kept, which the output shares with the input, and reads only
+gate lists without simulating: the walk steps past the gates the
+rewrite kept, which the output shares with the input, and reads only
 those around its sites. With a dense fusion gate both circuits are
-planned and simulated. Only when it fails are the sites checked one by
+simulated. Only when it fails are the sites checked one by
 one, each on its own 3-qubit window (``_window``: the site's gates with
 roles (a, b, c) on wires (0, 1, 2)):
 the gates a site skips touch none of its wires, so rewriting the site
@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import CertificationReport, certify
-from .circuit import (CUSTOM, Circuit, GateInstance, check_circuit, circuit_distance, depth,
-                      resolved_matrix)
+from .circuit import (CUSTOM, Circuit, GateInstance, _gate_key, check_circuit, circuit_distance,
+                      depth, resolved_matrix)
 from .errors import RewriteVerificationError, SchemaError, UncertifiedGateError
 from .linalg import DEFAULT_TOLERANCE, check_tolerance
 
@@ -222,9 +222,14 @@ def _find_sites(circuit: Circuit, descriptor: FusionGateDescriptor, pattern) -> 
 
     Both template sides begin with a T slot, so only a fusion gate that
     no earlier site took can start a match. Gates a site skips touch
-    none of its wires, so a later match never reaches a taken gate.
+    none of its wires, so a later match never reaches a taken gate. Every
+    rewrite entry comes here, where a descriptor that is not a
+    ``FusionGateDescriptor`` raises UncertifiedGateError.
     """
     gates = check_circuit(circuit).gates
+    if not isinstance(descriptor, FusionGateDescriptor):
+        raise UncertifiedGateError(
+            f"descriptor: expected a FusionGateDescriptor, got {type(descriptor).__name__}")
     fusion = [_matches_fusion_gate(gate, descriptor) for gate in gates]
     sites: list[RewriteSite] = []
     consumed: set[int] = set()
@@ -307,7 +312,7 @@ def transpile(
     tol = check_tolerance(tol)
     try:
         pattern, side = _RULES[rule]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown rule {rule!r}, expected 'compress' or 'expand'") from None
     current = circuit
     rewrites = []  # (pass input, its sites) for every rewriting pass
@@ -361,15 +366,14 @@ def _verification_error(distance, tol, rewrites, descriptor, side):
     """The error for a failed rewrite, blaming the first site that fails alone.
 
     Sites are checked pass by pass; a site's indices refer to its pass's input.
-    Sites whose ``_window`` gates are equal have bitwise equal windows, so
-    each distinct one is simulated once.
+    Sites whose ``_window`` gates are equal (``circuit._gate_key``) have
+    bitwise equal windows, so each distinct one is simulated once.
     """
     head = f"rewrite is not equivalent to the input (phase distance {distance:.6g} >= {tol:.6g})"
     largest, windows = 0.0, {}
     for p, (circuit, sites) in enumerate(rewrites, 1):
         for site in sites:
-            key = tuple((g.name, g.wires, g.params, g.matrix is not None and g.matrix.tobytes())
-                        for g in _window(circuit, site))
+            key = tuple(map(_gate_key, _window(circuit, site)))
             if key not in windows:
                 windows[key] = _site_distance(circuit, site, descriptor, side)
             alone = windows[key]

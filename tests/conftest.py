@@ -174,19 +174,19 @@ def rng() -> np.random.Generator:
 def simulations(monkeypatch) -> list:
     """Every circuit the package simulates, in order.
 
-    The package simulates only through ``circuit._simulate``, which
-    ``to_unitary`` and ``circuit_distance`` call by its module-level name.
+    The package simulates only through ``circuit.to_unitary``, which
+    ``circuit_distance`` calls by its module-level name.
     """
     import pentagate.circuit
 
     calls = []
-    simulate = pentagate.circuit._simulate
+    simulate = pentagate.circuit.to_unitary
 
-    def counting(circuit, plan):
+    def counting(circuit):
         calls.append(circuit)
-        return simulate(circuit, plan)
+        return simulate(circuit)
 
-    monkeypatch.setattr(pentagate.circuit, "_simulate", counting)
+    monkeypatch.setattr(pentagate.circuit, "to_unitary", counting)
     return calls
 
 

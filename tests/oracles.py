@@ -165,9 +165,30 @@ def phase_distance_reference(a, b) -> float:
     return float(np.linalg.norm(a - (overlap / abs(overlap)) * b))
 
 
+def _plan(circuit) -> list[tuple]:
+    """A circuit's gates as one step per dense gate, read by ``circuit._run``.
+
+    A step ``(gate, matrix, before)`` holds a dense gate, its resolved
+    matrix and the row map of the permutation gates run since the dense
+    gate before it. A last step ``(None, None, after)`` holds the row map
+    of those after the last dense gate. None stands for the identity.
+    """
+    from pentagate.circuit import _run
+
+    n, gates = circuit.num_qubits, circuit.gates
+    plan, i = [], 0
+    while True:
+        i, at, m = _run(n, gates, i)
+        if m is None:
+            plan.append((None, None, at))
+            return plan
+        plan.append((gates[i], m, at))
+        i += 1
+
+
 def same_unitary_reference(a, b) -> bool:
     """Whether the two circuits' plans prove ``U_b == U_a``: the walk over
-    ``circuit._plan`` of both circuits, one step per dense gate.
+    ``_plan`` of both circuits, one step per dense gate.
 
     The reference for ``circuit._same_unitary``'s walk over the gate lists,
     which must decide the same. A relative row map ``delta``, with
@@ -178,7 +199,7 @@ def same_unitary_reference(a, b) -> bool:
     wire bits and move the other bits alike for every value of them. True
     when every step holds and ``delta`` ends as the identity.
     """
-    from pentagate.circuit import _orders, _plan
+    from pentagate.circuit import _orders
 
     n, plan_a, plan_b = a.num_qubits, _plan(a), _plan(b)
     if len(plan_a) != len(plan_b):

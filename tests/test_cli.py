@@ -487,7 +487,7 @@ class TestMatrixFiles:
 
 class TestSimulationCounts:
     def test_verify_of_equal_circuits_simulates_nothing(self, template_file, simulations, capsys):
-        # the plans prove the two unitaries equal
+        # the gate-list walk proves the two unitaries equal
         assert main(["verify", "--a", str(template_file), "--b", str(template_file), "--quiet"]) == 0
         assert simulations == []
         assert json.loads(capsys.readouterr().out)["phase_distance"] == 0.0

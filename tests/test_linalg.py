@@ -12,19 +12,28 @@ from pentagate import (
     DimensionError,
     GateInstance,
     GridError,
+    InvalidGroupError,
     SchemaError,
+    UncertifiedGateError,
     UnknownGateError,
     WireError,
     certify,
+    compress,
     constraints,
+    describe_fusion_gate,
     embed,
+    expand,
+    find_compress_sites,
+    find_expand_sites,
     gate_matrix,
+    group_algebra_fusion,
     is_unitary,
     parse,
     phase_distance,
     refine,
     scan_fusion_solutions,
     standard_gate,
+    transpile,
 )
 from pentagate import linalg
 from pentagate.equations import pentagon_stack
@@ -437,6 +446,38 @@ HOSTILE_CALLS = {
     "parse_unknown_name": (
         lambda: parse('{"qubits": 1, "gates": [{"name": "FOO", "wires": [0]}]}'),
         UnknownGateError, "gates[0].name: unknown gate 'FOO'"),
+    # an unhashable name is an unknown one, not a bare TypeError
+    "gate_matrix_list_name": (lambda: gate_matrix(["X"]), UnknownGateError,
+                              "unknown gate name ['X']"),
+    "standard_gate_list_name": (lambda: standard_gate(["X"]), UnknownGateError,
+                                "unknown standard gate ['X']"),
+    "refine_list_family": (lambda: refine((0.1, 0.2, 0.3), family=["a"]), ValueError,
+                           "unknown family ['a'], expected 'a' or 'heis'"),
+    "constraints_list_family": (lambda: constraints(["a"], (0.1, 0.2, 0.3)), ValueError,
+                                "unknown family ['a'], expected 'a' or 'heis'"),
+    "scan_list_family": (lambda: scan_fusion_solutions(["a"], (0, 1, 1)), ValueError,
+                         "unknown family ['a'], expected 'a' or 'heis'"),
+    "transpile_list_rule": (
+        lambda: transpile(Circuit(3, ()), describe_fusion_gate("CNOT"), ["compress"]), ValueError,
+        "unknown rule ['compress'], expected 'compress' or 'expand'"),
+    # a rewrite entry refuses anything but a descriptor before reading it
+    "transpile_none_descriptor": (
+        lambda: transpile(Circuit(3, ()), None, "compress"), UncertifiedGateError,
+        "descriptor: expected a FusionGateDescriptor, got NoneType"),
+    "compress_name_descriptor": (
+        lambda: compress(Circuit(3, (GateInstance("CNOT", (0, 1)),)), "CNOT"), UncertifiedGateError,
+        "descriptor: expected a FusionGateDescriptor, got str"),
+    "expand_none_descriptor": (
+        lambda: expand(Circuit(3, ()), None), UncertifiedGateError,
+        "descriptor: expected a FusionGateDescriptor, got NoneType"),
+    "find_compress_sites_none_descriptor": (
+        lambda: find_compress_sites(Circuit(3, ()), None), UncertifiedGateError,
+        "descriptor: expected a FusionGateDescriptor, got NoneType"),
+    "find_expand_sites_name_descriptor": (
+        lambda: find_expand_sites(Circuit(3, ()), "CNOT"), UncertifiedGateError,
+        "descriptor: expected a FusionGateDescriptor, got str"),
+    "group_algebra_fusion_none": (lambda: group_algebra_fusion(None), InvalidGroupError,
+                                  "group: expected a CayleyTable, got NoneType"),
 }
 
 
