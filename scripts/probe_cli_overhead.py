@@ -6,6 +6,9 @@ Times, on each checkout and alternating the sides as
 - one in-process ``cli.main`` call of ``certify`` and of ``constraints``
   at a d=2 A-gate point, with stdout captured, as the ``scan`` and
   ``certify`` benchmark workloads make them;
+- one in-process ``cli.main`` ``scan`` of the README's default 33**3
+  A-gate grid and of the benchmark's Heisenberg grid (-pi:pi step pi/8),
+  with stdout captured;
 - ``linalg.embed`` of one d=12 gate on factors (1, 3) of three (T13 of
   the pentagon equation), and of a d=2 stack of one gate on factors
   (1, 2) and (1, 3), as one d=2 ``certify`` or ``constraints`` call
@@ -19,6 +22,8 @@ usage: python3 scripts/probe_cli_overhead.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUN
 ROUNDS is at least 2 (default 21). Prints one JSON object: per call, each
 side's median and quartiles per call, the ratio of the medians and the
 rounds the change won. Bad arguments print the usage line and exit 2.
+The run exits 1 unless both checkouts print the same stdout for each
+``cli.main`` call.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,7 +42,14 @@ from probe_circuit_io import ROOT, arguments, fresh, load, paired
 CLI_CALLS = {
     "main certify": ["certify", "--gate", "A", "--params", "0.1,0.2,0.3", "--quiet"],
     "main constraints": ["constraints", "--family", "a", "--params", "0.1,0.2,0.3", "--quiet"],
+    "main scan a 33^3": ["scan", "--family", "a", "--range=-6.2832:6.2832", "--step", "0.3927",
+                         "--quiet"],
+    "main scan heis pi/8": ["scan", "--family", "heis", f"--range={-math.pi!r}:{math.pi!r}",
+                            "--step", repr(math.pi / 8), "--quiet"],
 }
+
+#: Calls per round of each ``CLI_CALLS`` entry: a scan takes milliseconds.
+PER_ROUND = {"main scan a 33^3": 3, "main scan heis pi/8": 3}
 
 
 def main(argv: list[str]) -> int:
@@ -53,9 +66,14 @@ def main(argv: list[str]) -> int:
 
     for call, cli_argv in CLI_CALLS.items():
         def run(pg, side, cli_argv=cli_argv):
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
                 pg.cli.main(cli_argv)
-        report[call] = paired(sides, run, rounds, per_round=50, unit="us")
+            return out.getvalue()
+
+        if run(sides["base"], "base") != run(sides["change"], "change"):
+            raise SystemExit(f"{call}: the two checkouts print different stdout")
+        per_round = PER_ROUND.get(call, 50)
+        report[call] = paired(sides, run, rounds, per_round, "ms" if per_round < 50 else "us")
 
     rng = np.random.default_rng(12)
     t12 = rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))

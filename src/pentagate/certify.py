@@ -11,12 +11,16 @@ solution classes; ``refine`` polishes a near-solution with a
 derivative-free compass search.
 
 Both evaluate many parameter points through the stacked kernel
-``equations.pentagon_stack``: the scanner builds and evaluates the grid
-in chunks of ``SCAN_CHUNK`` points, one stacked family-constructor call
-and one kernel call per chunk, and ``refine`` evaluates its six compass
-polls in one call per iteration. Each slice is bitwise the one-point
-result, so verdicts, classes, residuals and iterates do not depend on
-the chunking.
+``equations.pentagon_stack``. The scanner builds the grid in chunks of
+``SCAN_CHUNK`` points, one stacked family-constructor call per chunk,
+and computes for every point the cheap lower bound
+``equations._pentagon_column_bound`` of its residual; only the points
+whose bound is under ``tol + SCAN_SLACK`` go to one kernel call per
+chunk, and the kernel's residual decides each of them. ``refine``
+evaluates its six compass polls in one kernel call per iteration. Each
+slice is bitwise the one-point result, so verdicts, classes, residuals
+and iterates depend neither on the chunking nor on which points the
+bound skips.
 
 Known solution structure of the A-gate family: pentagon solutions on the
 grid are exactly the points where the matrix equals +I. Since xx, yy and
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import (EquationResidual, pentagon_residual, pentagon_stack,
-                        permutation_solves_pentagon)
+from .equations import (EquationResidual, _pentagon_column_bound, pentagon_residual,
+                        pentagon_stack, permutation_solves_pentagon)
 from .errors import GridError, NonUnitaryError
 from .gates import FOUR_PI, a_gate, heisenberg_evolution
 from .jsonio import complex_pair
@@ -62,9 +66,25 @@ MAX_AXIS_POINTS = 10**6
 #: lengths; a larger grid is refused before any point is built.
 MAX_GRID_POINTS = 10**8
 
-#: Grid points built and evaluated per stacked call. Building the whole
-#: default grid at once costs far more memory for no further speed.
-SCAN_CHUNK = 64
+#: Grid points built and bounded per stacked call. At 1024 the per-call
+#: overhead is spread thin; a larger chunk costs peak memory for little
+#: further speed.
+SCAN_CHUNK = 1024
+
+#: Margin over ``tol`` under which a point's column bound sends it to the
+#: kernel. In exact arithmetic the bound is at most the residual. For a
+#: unitary gate every lift is unitary, so each entry of either side, in
+#: the kernel or in the bound, is a sum of at most 4 products per factor
+#: whose moduli sum to at most 1 (Cauchy-Schwarz on a unit row and a unit
+#: column), and at most three factors deep: each is computed to within
+#: about 30 * 2**-53 < 4e-15. Over the 64 entries of the kernel's
+#: difference and the 8 of the bound's column, with the rounding of both
+#: norms (the residual is at most 2 * sqrt(8)), the computed bound exceeds
+#: the computed residual by under 2e-13, a fifth of this margin; the
+#: measured gap between the bound and the dense column norm is under
+#: 1e-15 on A, Heisenberg and Haar gates. So every point whose residual
+#: is under ``tol`` has its bound under ``tol + SCAN_SLACK``.
+SCAN_SLACK = 1e-12
 
 IDENTITY_CLASS = "identity_up_to_tolerance"
 OTHER_CLASS = "other"
@@ -311,6 +331,14 @@ def scan_fusion_solutions(
     ``MAX_GRID_POINTS`` points, before any point is built. The points are
     walked with the first parameter slowest.
 
+    The grid is built in chunks of ``SCAN_CHUNK`` points. A point whose
+    column bound (``equations._pentagon_column_bound``, at most its
+    residual up to rounding) is not under ``tol + SCAN_SLACK`` cannot pass
+    and is skipped, a NaN bound included; the others take one
+    ``pentagon_stack`` call per chunk, and a point passes when its residual
+    is under ``tol``. The residual of a slice does not depend on the rest
+    of the stack, so the result is the one the kernel gives on every point.
+
     Passing grid points are grouped into operator classes (matrices within
     ``tol`` in Frobenius norm are one class) and each class is reported once,
     represented by its lexicographically smallest canonical parameters. The
@@ -328,10 +356,12 @@ def scan_fusion_solutions(
     passing = []
     while chunk := list(itertools.islice(points, SCAN_CHUNK)):
         matrices = build(*np.array(chunk).T)
-        residuals = pentagon_stack(matrices, 2)[2]
-        for params, residual, matrix in zip(chunk, residuals, matrices):
+        kept = np.flatnonzero(_pentagon_column_bound(matrices) < tol + SCAN_SLACK)
+        if not kept.size:
+            continue
+        for i, residual in zip(kept, pentagon_stack(matrices[kept], 2)[2]):
             if residual < tol:
-                passing.append((_canonical(params), params, float(residual), matrix))
+                passing.append((_canonical(chunk[i]), chunk[i], float(residual), matrices[i]))
     passing.sort(key=lambda item: (item[0], item[1]))
 
     classes: list[tuple[np.ndarray, SolutionPoint]] = []

@@ -29,8 +29,11 @@ factors are applied as reshaped products of the gates themselves, which
 costs O(d**8) per gate instead of the O(d**9) of dense d**3 x d**3
 products. Each stacked product runs one matrix product per slice, so
 every slice is bitwise the one-gate result. ``pentagon_residual`` is its
-one-gate case. The other equations are evaluated with dense lifts; they
-are only called at small d.
+one-gate case. At d=2, ``_pentagon_column_bound`` gives a lower bound of
+each residual, the norm of one column of the difference, for a fraction
+of the kernel's cost; the scanner uses it to skip points that cannot
+pass. The other equations are evaluated with dense lifts; they are only
+called at small d.
 
 A permutation gate, one whose matrix has only exact 0 and 1 entries with
 one 1 per row and per column (``linalg._permutation_rows``), is also
@@ -133,6 +136,28 @@ def pentagon_stack(ts, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     re, im = diff.real, diff.imag
     residuals = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
     return lhs, rhs, residuals
+
+
+def _pentagon_column_bound(ts: np.ndarray) -> np.ndarray:
+    """Lower bounds of the ``pentagon_stack`` residuals of a stack of d=2 gates.
+
+    ``ts`` has shape ``(n, 4, 4)``. Returns, per gate, the norm of column
+    |001> of ``lhs - rhs``, ||(T23 T12 - T12 T13 T23)|001>||_2; for a unit
+    vector e, ||(L - R) e||_2 <= ||L - R||_F. Writing T[xy, x'y'], the
+    columns are T23 T12|001>: (x, yz) -> sum_b T[xb, 00] T[yz, b1], and
+    T12 T13 T23|001>: (xy, z) -> sum_k T[xy, k] v[k, z] with
+    v[x'y', z] = sum_w T[x'z, 0w] T[y'w, 01]. Each is a two- or four-term
+    sum of gathered columns over the whole stack, with no per-slice
+    product. A gate with a NaN entry gets a NaN bound.
+    """
+    c0, c1 = ts[:, :, 0], ts[:, :, 1]
+    lhs = c0[:, 0::2, None] * ts[:, None, :, 1] + c0[:, 1::2, None] * ts[:, None, :, 3]
+    v = (c0.reshape(-1, 2, 1, 2) * c1[:, None, 0::2, None]
+         + c1.reshape(-1, 2, 1, 2) * c1[:, None, 1::2, None]).reshape(-1, 4, 2)
+    rhs = (ts[:, :, 0, None] * v[:, None, 0] + ts[:, :, 1, None] * v[:, None, 1]
+           + ts[:, :, 2, None] * v[:, None, 2] + ts[:, :, 3, None] * v[:, None, 3])
+    diff = (lhs.reshape(-1, 8) - rhs.reshape(-1, 8)).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def pentagon_residual(t, d: int) -> EquationResidual:

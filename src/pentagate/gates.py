@@ -223,7 +223,12 @@ class CayleyTable:
 
     @classmethod
     def direct_product(cls, g: "CayleyTable", h: "CayleyTable") -> "CayleyTable":
-        """Direct product with pair (i, j) indexed as i * h.order + j."""
+        """Direct product with pair (i, j) indexed as i * h.order + j.
+
+        Anything but two ``CayleyTable`` instances raises InvalidGroupError.
+        """
+        _check_group(g, "g")
+        _check_group(h, "h")
         n, m = g.order * h.order, h.order
         _dimension(2, n)
         # entry [i1, j1, i2, j2] is the index of (g_i1 g_i2, h_j1 h_j2)
@@ -246,6 +251,11 @@ class CayleyTable:
         return cls(len(perms), tuple(table), index[tuple(range(n))])
 
 
+def _check_group(g, what: str) -> None:
+    if not isinstance(g, CayleyTable):
+        raise InvalidGroupError(f"{what}: expected a CayleyTable, got {type(g).__name__}")
+
+
 def group_algebra_fusion(g: CayleyTable) -> np.ndarray:
     """Permutation fusion operator of a finite group.
 
@@ -254,8 +264,7 @@ def group_algebra_fusion(g: CayleyTable) -> np.ndarray:
     product. Always an exact pentagon solution; for Z_2 this is CNOT.
     Anything but a ``CayleyTable`` raises InvalidGroupError.
     """
-    if not isinstance(g, CayleyTable):
-        raise InvalidGroupError(f"group: expected a CayleyTable, got {type(g).__name__}")
+    _check_group(g, "group")
     n = g.order
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
     # column a*n + b holds its 1 in row a*n + ab

@@ -219,3 +219,38 @@ def same_unitary_reference(a, b) -> bool:
         rows = inverse[delta[order]].reshape(len(m_a), -1)
         if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
             return False
+
+
+def scan_reference(family: str, axes, tol: float) -> list:
+    """``certify.scan_fusion_solutions`` without its column-bound pruning.
+
+    The scan loop as it was before the bound: every grid point, in chunks
+    of 64, goes through ``equations.pentagon_stack``, and a point passes
+    when its residual is under ``tol``. Passing points are grouped into
+    operator classes as the scanner groups them. ``axes`` is one valid
+    (lo, hi, step) triple; nothing is checked.
+    """
+    import itertools
+
+    from pentagate.certify import (FAMILIES, SolutionPoint, _canonical, _operator_class,
+                                   axis_points)
+    from pentagate.equations import pentagon_stack
+    from pentagate.linalg import frobenius_norm
+
+    build = FAMILIES[family][0]
+    points = itertools.product(axis_points(*axes), repeat=3)
+    passing = []
+    while chunk := list(itertools.islice(points, 64)):
+        matrices = build(*np.array(chunk).T)
+        residuals = pentagon_stack(matrices, 2)[2]
+        for params, residual, matrix in zip(chunk, residuals, matrices):
+            if residual < tol:
+                passing.append((_canonical(params), params, float(residual), matrix))
+    passing.sort(key=lambda item: (item[0], item[1]))
+    classes = []
+    for canonical, params, residual, matrix in passing:
+        if any(frobenius_norm(matrix - rep) < tol for rep, _ in classes):
+            continue
+        kind = _operator_class(matrix, tol)
+        classes.append((matrix, SolutionPoint(params, residual, canonical, kind)))
+    return [point for _, point in classes]

@@ -34,10 +34,12 @@ from pentagate import (
 )
 from pentagate.certify import FAMILIES, IDENTITY_CLASS, axis_points
 from pentagate.circuit import GateInstance, _decode_matrix
+from pentagate.equations import pentagon_stack
 from pentagate.errors import GridError, SchemaError
 from pentagate.gates import gate_matrix
 from pentagate import jsonio
 from conftest import haar_unitary, template_circuit
+from oracles import scan_reference
 
 PI = math.pi
 I4 = np.eye(4, dtype=complex)
@@ -389,6 +391,48 @@ class TestScan:
     def test_empty_grid_error(self):
         with pytest.raises(GridError):
             scan_fusion_solutions("a", (1.0, 0.0, 0.5))
+
+
+def _scan_cases():
+    """The README's default A grid, the benchmark's Heisenberg grid, and
+    seeded grids at tolerances from below rounding to above every residual."""
+    yield "a", (-6.2832, 6.2832, 0.3927), 1e-9
+    yield "heis", (-PI, PI, PI / 8), 1e-9
+    rng = np.random.default_rng(2901)
+    for tol in (1e-15, 1e-9, 0.5, 2.0, 10.0):
+        for k in range(8):
+            step = (PI / 4, PI / 8, float(rng.uniform(0.05, 2.0)))[k % 3]
+            count = int(rng.integers(3, 13))
+            # the first four grids hold the origin, a solution of both families
+            lo = -step * int(rng.integers(0, count)) if k < 4 else float(rng.uniform(-15.0, 15.0))
+            yield ("a", "heis")[k % 2], (lo, lo + (count - 1) * step, step), tol
+
+
+class TestScanPruning:
+    """The column bound only skips points the kernel would refuse, so the
+    scan's output is byte-for-byte the unpruned reference's."""
+
+    @pytest.mark.parametrize("family, axis, tol", list(_scan_cases()))
+    def test_output_is_the_unpruned_reference(self, family, axis, tol):
+        got = scan_fusion_solutions(family, axis, tol)
+        want = scan_reference(family, axis, tol)
+        assert jsonio.dumps([p.to_jsonable() for p in got]) == jsonio.dumps(
+            [p.to_jsonable() for p in want])
+
+    def test_kernel_sees_only_the_points_the_bound_keeps(self, monkeypatch):
+        module = importlib.import_module("pentagate.certify")
+        seen = []
+
+        def counting(ts, d):
+            seen.append(len(ts))
+            return pentagon_stack(ts, d)
+
+        monkeypatch.setattr(module, "pentagon_stack", counting)
+        points = scan_fusion_solutions("a", (-6.2832, 6.2832, 0.3927), 1e-9)
+        assert [p.parameters for p in points] == [(0.0, 0.0, 0.0)]
+        # of 33**3 points in 36 chunks the bound keeps three: the origin and
+        # (-+6.2832, +-6.2832, 0), whose gates lie within 1e-5 of +I
+        assert sum(seen) == 3 and len(seen) <= 3
 
 
 class TestRefine:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pentagate import (
+    CayleyTable,
     Circuit,
     DimensionError,
     GateInstance,
@@ -478,6 +479,11 @@ HOSTILE_CALLS = {
         "descriptor: expected a FusionGateDescriptor, got str"),
     "group_algebra_fusion_none": (lambda: group_algebra_fusion(None), InvalidGroupError,
                                   "group: expected a CayleyTable, got NoneType"),
+    "direct_product_none": (lambda: CayleyTable.direct_product(None, None), InvalidGroupError,
+                            "g: expected a CayleyTable, got NoneType"),
+    "direct_product_string_factor": (
+        lambda: CayleyTable.direct_product(CayleyTable.cyclic(2), "ab"), InvalidGroupError,
+        "h: expected a CayleyTable, got str"),
 }
 
 

@@ -9,9 +9,11 @@ stacked kernel runs one matrix product per slice, so its lifts, sides,
 residuals and stacked gate constructors must equal the one-gate calls
 bitwise as well. Against the dense lifts and products of
 ``conftest.dense_pentagon_stack`` the kernel must agree bitwise at d=2
-and to rounding beyond. ``serialize`` must write the bytes of
-``conftest.reference_serialize``, and ``depth`` must equal the ASAP layer
-count of ``oracles.asap_depth``.
+and to rounding beyond. The scanner's column bound must equal the norm
+of column |001> of their difference to rounding and never exceed the
+kernel's residual by more than ``certify.SCAN_SLACK``. ``serialize``
+must write the bytes of ``conftest.reference_serialize``, and ``depth``
+must equal the ASAP layer count of ``oracles.asap_depth``.
 """
 
 import json
@@ -47,9 +49,10 @@ from pentagate import (
     to_unitary,
     transpile,
 )
-from pentagate.certify import CertificationReport, Witness
+from pentagate.certify import SCAN_SLACK, CertificationReport, Witness
 from pentagate.circuit import depth
-from pentagate.equations import pentagon_stack, permutation_solves_pentagon, ybe_residual
+from pentagate.equations import (_pentagon_column_bound, pentagon_stack,
+                                 permutation_solves_pentagon, ybe_residual)
 from pentagate.gates import GATES
 from pentagate.rewrite import _RULES, _apply_sites, _find_sites, _site_distance
 from conftest import (
@@ -303,6 +306,27 @@ def test_kernel_agrees_with_the_dense_products_on_haar_gates(d, count, seed):
     assert np.max(np.abs(lhs - want_lhs)) <= bound
     assert np.max(np.abs(rhs - want_rhs)) <= bound
     assert np.max(np.abs(residuals - want_residuals)) <= bound
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(("a", "heis", "haar")), st.integers(1, 1024), st.integers(0, 2**32 - 1))
+def test_column_bound_is_the_dense_column_and_at_most_the_residual(family, count, seed):
+    # half the coordinates lie on the pi/2 lattice, where the +-I points
+    # and the exact solutions of both families are; the first gate of
+    # every stack is the identity, whose bound and residual are both 0
+    rng = np.random.default_rng(seed)
+    if family == "haar":
+        stack = np.stack([np.eye(4, dtype=complex)] + [haar_unitary(4, rng) for _ in range(count - 1)])
+    else:
+        lattice = rng.integers(-8, 9, (3, count)) * (math.pi / 2)
+        params = np.where(rng.random((3, count)) < 0.5, lattice, rng.uniform(-40.0, 40.0, (3, count)))
+        params[:, 0] = 0.0
+        stack = (a_gate if family == "a" else heisenberg_evolution)(*params)
+    bound = _pentagon_column_bound(stack)
+    lhs, rhs, _ = dense_pentagon_stack(stack, 2)
+    column = np.linalg.norm((lhs - rhs)[:, :, 1], axis=1)  # column |001>
+    assert np.max(np.abs(bound - column)) <= 1e-14
+    assert np.all(bound <= pentagon_stack(stack, 2)[2] + SCAN_SLACK)
 
 
 @PROPERTY_SETTINGS
