@@ -11,16 +11,16 @@ solution classes; ``refine`` polishes a near-solution with a
 derivative-free compass search.
 
 Both evaluate many parameter points through the stacked kernel
-``equations.pentagon_stack``. The scanner builds the grid in chunks of
-``SCAN_CHUNK`` points, one stacked family-constructor call per chunk,
-and computes for every point the cheap lower bound
-``equations._pentagon_column_bound`` of its residual; only the points
-whose bound is under ``tol + SCAN_SLACK`` go to one kernel call per
-chunk, and the kernel's residual decides each of them. ``refine``
-evaluates its six compass polls in one kernel call per iteration. Each
-slice is bitwise the one-point result, so verdicts, classes, residuals
-and iterates depend neither on the chunking nor on which points the
-bound skips.
+``equations.pentagon_stack``. The scanner builds the grid in blocks of
+at most ``SCAN_CHUNK`` points, each one family-constructor call on three
+broadcast slices of the axis, and computes for every point the cheap
+lower bound ``equations._pentagon_column_bound`` of its residual; only
+the points whose bound is under ``tol + SCAN_SLACK`` go to one kernel
+call per block, and the kernel's residual decides each of them.
+``refine`` evaluates its six compass polls in one kernel call per
+iteration. Each slice is bitwise the one-point result, so verdicts,
+classes, residuals and iterates depend neither on the blocks nor on
+which points the bound skips.
 
 Known solution structure of the A-gate family: pentagon solutions on the
 grid are exactly the points where the matrix equals +I. Since xx, yy and
@@ -34,7 +34,6 @@ cube of a global phase on one side and the square on the other.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,9 +65,11 @@ MAX_AXIS_POINTS = 10**6
 #: lengths; a larger grid is refused before any point is built.
 MAX_GRID_POINTS = 10**8
 
-#: Grid points built and bounded per stacked call. At 1024 the per-call
-#: overhead is spread thin; a larger chunk costs peak memory for little
-#: further speed.
+#: Most grid points built and bounded per block, one family-constructor
+#: call on broadcast axis slices. A block never splits the third axis, and
+#: the grid cap keeps an axis under 465 points, so each block holds at
+#: least two runs of it. At 1024 the per-call overhead is spread thin; a
+#: larger block costs peak memory for little further speed.
 SCAN_CHUNK = 1024
 
 #: Margin over ``tol`` under which a point's column bound sends it to the
@@ -317,9 +318,7 @@ def axis_points(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(axis_count(lo, hi, step))]
 
 
-def scan_fusion_solutions(
-    family: str, axes, tol: float = SCAN_TOLERANCE
-) -> list[SolutionPoint]:
+def scan_fusion_solutions(family: str, axes, tol: float = SCAN_TOLERANCE) -> list[SolutionPoint]:
     """Scan a cube grid of 3-parameter points for pentagon solutions of a gate family.
 
     ``family`` is a key of ``FAMILIES``; ``axes`` is one (lo, hi, step)
@@ -328,16 +327,25 @@ def scan_fusion_solutions(
     scalar) of finite numbers, so no bound is read in an order the caller
     did not give. Any other ``axes`` raises GridError, as does an axis
     that ``axis_count`` refuses and a grid of more than
-    ``MAX_GRID_POINTS`` points, before any point is built. The points are
-    walked with the first parameter slowest.
+    ``MAX_GRID_POINTS`` points, before any point is built.
 
-    The grid is built in chunks of ``SCAN_CHUNK`` points. A point whose
-    column bound (``equations._pentagon_column_bound``, at most its
-    residual up to rounding) is not under ``tol + SCAN_SLACK`` cannot pass
-    and is skipped, a NaN bound included; the others take one
-    ``pentagon_stack`` call per chunk, and a point passes when its residual
-    is under ``tol``. The residual of a slice does not depend on the rest
-    of the stack, so the result is the one the kernel gives on every point.
+    The axis is read once as an array, and the grid is built in blocks of
+    at most ``SCAN_CHUNK`` points, each one family-constructor call on
+    three broadcast slices of it: ``SCAN_CHUNK // n**2`` values of the
+    first parameter by the whole plane of the other two when a plane of
+    n**2 points fits, else one value by ``SCAN_CHUNK // n`` values of the
+    second by the whole third axis. So ``a_gate`` takes its cosines and
+    sines once per (c1, c2) pair and its exponentials once per c3 value,
+    and ``heisenberg_evolution`` forms ``Ez @ Ey`` once per (ty, tz) pair;
+    each block is bitwise the per-point stack. A point whose column bound
+    (``equations._pentagon_column_bound``, at most its residual up to
+    rounding) is not under ``tol + SCAN_SLACK`` cannot pass and is
+    skipped, a NaN bound included; the others take one ``pentagon_stack``
+    call per block, and a point passes when its residual is under
+    ``tol``. Its parameters are read from the block's slices by index, the
+    floats ``axis_points`` gives. The residual of a slice does not depend
+    on the rest of the stack, so the result is the one the kernel gives on
+    every point.
 
     Passing grid points are grouped into operator classes (matrices within
     ``tol`` in Frobenius norm are one class) and each class is reported once,
@@ -349,19 +357,24 @@ def scan_fusion_solutions(
     axis = reals(axes, "axes", GridError)
     if len(axis) != 3:
         raise GridError(f"axes: expected one (lo, hi, step) triple, got {len(axis)} values")
-    total = axis_count(*axis) ** 3
-    if total > MAX_GRID_POINTS:
-        raise GridError(f"grid of {total} points exceeds the cap of {MAX_GRID_POINTS} points")
-    points = itertools.product(axis_points(*axis), repeat=3)
+    n = axis_count(*axis)
+    if n**3 > MAX_GRID_POINTS:
+        raise GridError(f"grid of {n**3} points exceeds the cap of {MAX_GRID_POINTS} points")
+    points = np.array(axis_points(*axis))
+    # r values of the first axis by the whole plane, or one by c of the second
+    r, c = max(SCAN_CHUNK // n**2, 1), max(SCAN_CHUNK // n, 1)
     passing = []
-    while chunk := list(itertools.islice(points, SCAN_CHUNK)):
-        matrices = build(*np.array(chunk).T)
+    for a0, a1 in [(points[i:i + r], points[j:j + c]) for i in range(0, n, r)
+                   for j in range(0, n, c)]:
+        matrices = build(a0[:, None, None], a1[None, :, None], points).reshape(-1, 4, 4)
         kept = np.flatnonzero(_pentagon_column_bound(matrices) < tol + SCAN_SLACK)
         if not kept.size:
             continue
-        for i, residual in zip(kept, pentagon_stack(matrices[kept], 2)[2]):
+        index = np.unravel_index(kept, (len(a0), len(a1), n))
+        for k, x, y, z, residual in zip(kept, *index, pentagon_stack(matrices[kept], 2)[2]):
             if residual < tol:
-                passing.append((_canonical(chunk[i]), chunk[i], float(residual), matrices[i]))
+                params = (float(a0[x]), float(a1[y]), float(points[z]))
+                passing.append((_canonical(params), params, float(residual), matrices[k]))
     passing.sort(key=lambda item: (item[0], item[1]))
 
     classes: list[tuple[np.ndarray, SolutionPoint]] = []
@@ -369,9 +382,7 @@ def scan_fusion_solutions(
         if any(frobenius_norm(matrix - rep) < tol for rep, _ in classes):
             continue
         kind = _operator_class(matrix, tol)
-        classes.append(
-            (matrix, SolutionPoint(params, residual, canonical, kind))
-        )
+        classes.append((matrix, SolutionPoint(params, residual, canonical, kind)))
     return [point for _, point in classes]
 
 

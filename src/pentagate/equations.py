@@ -132,7 +132,7 @@ def pentagon_stack(ts, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rhs = ts @ embed(ts, (0, 2), 3, d).reshape(n, d * d, d * size)  # T12 T13
     rhs = rhs.reshape(n, size * d, d * d) @ ts  # (T12 T13) T23
     lhs, rhs = lhs.reshape(n, size, size), rhs.reshape(n, size, size)
-    diff = (lhs - rhs).reshape(n, 1, -1)
+    diff = (lhs - rhs).reshape(n, 1, size * size)
     re, im = diff.real, diff.imag
     residuals = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
     return lhs, rhs, residuals

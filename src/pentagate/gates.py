@@ -26,8 +26,11 @@ families coincide under parameter doubling:
   heisenberg_evolution(tx, ty, tz) == a_gate(2 tx, 2 ty, 2 tz)
 
 ``a_gate`` and ``heisenberg_evolution`` also take arrays of parameters
-and return the stack of gates, slice for slice equal to the scalar calls;
-the grid scanner and the refiner build their points that way.
+of one broadcast shape and return the stack of gates, slice for slice
+bitwise the scalar calls. The refiner builds its polls as one stack; the
+grid scanner builds each block of its grid from three axis slices of
+shapes (r, 1, 1), (1, c, 1) and (1, 1, n), so each factor that depends
+on fewer parameters is computed once per value it depends on.
 """
 
 from __future__ import annotations
@@ -152,7 +155,10 @@ def heisenberg_evolution(theta_x, theta_y, theta_z) -> np.ndarray:
     Product of the three commuting component exponentials
     exp(i theta_a sigma_a (x) sigma_a); equals a_gate(2 tx, 2 ty, 2 tz).
     Like ``a_gate``, it takes arrays of angles and returns the stack of
-    operators, one matrix product per slice.
+    operators, associated as (Ez @ Ey) @ Ex with one matrix product per
+    slice. On broadcast axis slices Ez @ Ey is formed once per (ty, tz)
+    pair and only the product with Ex per point, and every slice is
+    bitwise the one-point result.
     """
     return (
         _two_site_exponential("z", theta_z)

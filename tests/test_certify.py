@@ -1,6 +1,8 @@
 """Tests for certification, constraint systems, scanning, and refinement."""
 
+import functools
 import importlib
+import itertools
 import json
 import math
 import sys
@@ -34,7 +36,7 @@ from pentagate import (
 )
 from pentagate.certify import FAMILIES, IDENTITY_CLASS, axis_points
 from pentagate.circuit import GateInstance, _decode_matrix
-from pentagate.equations import pentagon_stack
+from pentagate.equations import _pentagon_column_bound, pentagon_stack
 from pentagate.errors import GridError, SchemaError
 from pentagate.gates import gate_matrix
 from pentagate import jsonio
@@ -408,9 +410,50 @@ def _scan_cases():
             yield ("a", "heis")[k % 2], (lo, lo + (count - 1) * step, step), tol
 
 
+@functools.lru_cache(maxsize=None)
+def _block_edge_grid(family, n, step, shift, tol):
+    """A grid of n points per axis from -(n // 3) step - shift, and the
+    reference scan's JSON on it."""
+    lo = -step * (n // 3) - shift
+    axis = (lo, lo + (n - 1) * step, step)
+    assert len(axis_points(*axis)) == n
+    return axis, jsonio.dumps([p.to_jsonable() for p in scan_reference(family, axis, tol)])
+
+
 class TestScanPruning:
     """The column bound only skips points the kernel would refuse, so the
     scan's output is byte-for-byte the unpruned reference's."""
+
+    # a block is SCAN_CHUNK // n**2 first-axis values by the plane when a
+    # plane fits, else one value by SCAN_CHUNK // n of the second axis: the
+    # sizes take both shapes, partial last blocks, and one second-axis
+    # value per block where SCAN_CHUNK < 2 n. The pi/4 grids hold the
+    # origin, an exact solution; on the offset grids up to four classes of
+    # near-solutions pass at tol 1, each reported by its own parameters.
+    @pytest.mark.parametrize("step, shift, tol", [(PI / 4, 0.0, 1e-9), (0.37, 0.1, 1.0)],
+                             ids=["lattice", "offset"])
+    @pytest.mark.parametrize("n", [1, 2, 13, 17, 33])
+    @pytest.mark.parametrize("family", ["a", "heis"])
+    @pytest.mark.parametrize("chunk", [1, 7, 169, 1024])
+    def test_block_edges_change_no_output(self, monkeypatch, chunk, family, n, step, shift, tol):
+        module = importlib.import_module("pentagate.certify")
+        blocks = []
+
+        def recording(ts):
+            blocks.append(ts)
+            return _pentagon_column_bound(ts)
+
+        monkeypatch.setattr(module, "SCAN_CHUNK", chunk)
+        monkeypatch.setattr(module, "_pentagon_column_bound", recording)
+        axis, want = _block_edge_grid(family, n, step, shift, tol)
+        got = scan_fusion_solutions(family, axis, tol)
+        assert jsonio.dumps([p.to_jsonable() for p in got]) == want
+        # in walk order the blocks are the grid in product order, bit for bit,
+        # each of at most SCAN_CHUNK points or one run of the third axis
+        assert max(len(b) for b in blocks) <= max(chunk, n)
+        grid = np.array(list(itertools.product(axis_points(*axis), repeat=3)))
+        build = FAMILIES[family][0]
+        assert np.concatenate(blocks).tobytes() == build(*grid.T).tobytes()
 
     @pytest.mark.parametrize("family, axis, tol", list(_scan_cases()))
     def test_output_is_the_unpruned_reference(self, family, axis, tol):
@@ -430,7 +473,7 @@ class TestScanPruning:
         monkeypatch.setattr(module, "pentagon_stack", counting)
         points = scan_fusion_solutions("a", (-6.2832, 6.2832, 0.3927), 1e-9)
         assert [p.parameters for p in points] == [(0.0, 0.0, 0.0)]
-        # of 33**3 points in 36 chunks the bound keeps three: the origin and
+        # of 33**3 points in 66 blocks the bound keeps three: the origin and
         # (-+6.2832, +-6.2832, 0), whose gates lie within 1e-5 of +I
         assert sum(seen) == 3 and len(seen) <= 3
 

@@ -151,6 +151,12 @@ class TestLifts:
         assert rhs[0, 0, 0] == pytest.approx(lam**3)
         assert residuals[0] == pytest.approx(abs(lam**2 - lam**3))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_stack_has_empty_sides_and_residuals(self, d):
+        lhs, rhs, residuals = pentagon_stack(np.zeros((0, d * d, d * d), dtype=complex), d)
+        assert lhs.shape == rhs.shape == (0, d**3, d**3)
+        assert residuals.shape == (0,)
+
 
 class TestPentagonResidual:
     def test_identity_is_exactly_zero(self):

@@ -276,6 +276,20 @@ def test_stacked_family_points_match_one_gate_calls(build, points):
 
 
 @PROPERTY_SETTINGS
+@given(
+    st.sampled_from((a_gate, heisenberg_evolution)),
+    *(st.lists(ANGLES, min_size=1, max_size=12) for _ in range(3)),
+)
+def test_broadcast_axis_slices_are_bitwise_the_point_calls(build, first, second, third):
+    # the scanner builds each grid block from slices of shape (r, 1, 1),
+    # (1, c, 1) and (1, 1, n); the bytes are compared, so a signed zero counts
+    a0, a1, a2 = (np.array(axis) for axis in (first, second, third))
+    got = build(a0[:, None, None], a1[None, :, None], a2[None, None, :]).reshape(-1, 4, 4)
+    points = np.array([(x, y, z) for x in first for y in second for z in third])
+    assert np.array_equal(got.view(np.uint8), build(*points.T).view(np.uint8))
+
+
+@PROPERTY_SETTINGS
 @given(st.sampled_from((2, 3, 4)), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_stacked_haar_gates_match_one_gate_calls(d, count, seed):
     rng = np.random.default_rng(seed)
