@@ -4,10 +4,11 @@ Certifies the fusion operator of each of the 14 groups of the ``certify``
 workload (perfbench/corpus.py ``GROUPS``) and of the symmetric group S4
 (d=24), then CNOT and SWAP, on each checkout, alternating the sides as
 ``probe_circuit_io.py`` does (one process, wall time). Both checkouts
-must give equal reports (``to_jsonable()``) for every gate, or the probe
-exits 1. Both checkouts must decide permutation gates on index maps: one
-that forms the dense d**3 x d**3 sides of the pentagon equation needs
-about 3 GB for S4.
+must write the same report bytes for every gate, each side's
+``jsonio.dumps(report.to_jsonable())`` with its own ``jsonio``, or the
+probe exits 1. Both checkouts must decide permutation gates on index
+maps: one that forms the dense d**3 x d**3 sides of the pentagon
+equation needs about 3 GB for S4.
 
 It then times building the ``CayleyTable`` and the fusion operator
 (``group_algebra_fusion``) of each group in ``BUILDS``, 10 builds per
@@ -68,14 +69,15 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
 
-    sides = {"base": load(base), "change": load(change)}
+    sides = {"base": load(base, "jsonio"), "change": load(change, "jsonio")}
     cases = {side: gates(pg, corpus.GROUPS + ("S4",)) for side, pg in sides.items()}
     report = {}
     for label, (_, d) in cases["base"].items():
         def run(pg, side):
             return pg.certify(*cases[side][label], name=label)
 
-        reports = {side: run(pg, side).to_jsonable() for side, pg in sides.items()}
+        reports = {side: pg.jsonio.dumps(run(pg, side).to_jsonable())
+                   for side, pg in sides.items()}
         if reports["base"] != reports["change"]:
             print(f"{label}: the two checkouts certify differently", file=sys.stderr)
             return 1

@@ -43,7 +43,6 @@ from .equations import (EquationResidual, _pentagon_column_bound, pentagon_resid
                         pentagon_stack, permutation_solves_pentagon)
 from .errors import GridError, NonUnitaryError
 from .gates import FOUR_PI, a_gate, heisenberg_evolution
-from .jsonio import complex_pair
 from .linalg import (
     DEFAULT_TOLERANCE,
     as_matrix,
@@ -120,14 +119,6 @@ class Witness:
     lhs: complex
     rhs: complex
 
-    def to_jsonable(self) -> dict:
-        return {
-            "row": self.row,
-            "col": self.col,
-            "lhs": complex_pair(self.lhs),
-            "rhs": complex_pair(self.rhs),
-        }
-
 
 @dataclass(frozen=True)
 class CertificationReport:
@@ -147,15 +138,12 @@ class CertificationReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "gate_descriptor": {
-                "name": self.gate_name,
-                "params": [float(p) for p in self.gate_params],
-            },
+            "gate_descriptor": {"name": self.gate_name, "params": self.gate_params},
             "equation": self.equation,
             "residual": self.residual,
             "tolerance": self.tolerance,
             "verdict": self.verdict,
-            "witnesses": [w.to_jsonable() for w in self.witnesses],
+            "witnesses": self.witnesses,
         }
 
 
@@ -237,7 +225,7 @@ class ConstraintResiduals:
         names = FAMILIES[self.family][1]
         return {
             "parameter_point": dict(zip(names, self.parameters)),
-            "entry_residuals": [[float(x) for x in row] for row in self.entry_residuals],
+            "entry_residuals": self.entry_residuals.tolist(),
             "active_count": self.active_count,
             "max_residual": self.max_residual,
             "tolerance": self.tolerance,
@@ -273,14 +261,6 @@ class SolutionPoint:
     residual: float
     canonical_parameters: tuple[float, float, float]
     operator_class: str
-
-    def to_jsonable(self) -> dict:
-        return {
-            "parameters": [float(p) for p in self.parameters],
-            "residual": self.residual,
-            "canonical_parameters": [float(p) for p in self.canonical_parameters],
-            "operator_class": self.operator_class,
-        }
 
 
 def _canonical(params) -> tuple[float, float, float]:
@@ -396,16 +376,6 @@ class RefineResult:
     iterations: int
     evaluations: int
     solution: SolutionPoint | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "converged": self.converged,
-            "parameters": [float(p) for p in self.parameters],
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "evaluations": self.evaluations,
-            "solution": None if self.solution is None else self.solution.to_jsonable(),
-        }
 
 
 #: Compass search stops once the poll step shrinks below this.

@@ -223,14 +223,14 @@ def _cmd_certify(args) -> int:
     if matrix is None:
         matrix = gate_matrix(name, params)
     report = certify(matrix, 2, args.tol, name=name, params=params)
-    _emit(report.to_jsonable())
+    _emit(report)
     _diag(f"verdict: {report.verdict} (residual {report.residual:.6g})", args.quiet)
     return EXIT_OK if report.is_fusion else EXIT_NEGATIVE
 
 
 def _cmd_constraints(args) -> int:
     residuals = constraints(args.family, _parse_params(args.params), args.tol)
-    _emit(residuals.to_jsonable())
+    _emit(residuals)
     _diag(
         f"max residual {residuals.max_residual:.6g}, "
         f"{residuals.active_count} active entries",
@@ -245,7 +245,7 @@ def _cmd_scan(args) -> int:
     solutions = scan_fusion_solutions(args.family, (lo, hi, args.step), args.tol)
     elapsed = time.perf_counter() - started
     per_axis = axis_count(lo, hi, args.step)
-    _emit([s.to_jsonable() for s in solutions])
+    _emit(solutions)
     _diag(
         f"scanned {per_axis ** 3} grid points in {elapsed:.2f} s; "
         f"{len(solutions)} solution class(es)",
@@ -263,7 +263,7 @@ def _cmd_transpile(args) -> int:
         fixed_point=args.fixed_point, verify=not args.no_verify, tol=args.tol,
     )
     _write_text(args.output, serialize(current))
-    _emit(report.to_jsonable())
+    _emit(report)
     _diag(
         f"{args.rule}: {report.sites_found} site(s) over {report.passes} pass(es); "
         f"wrote {args.output}",

@@ -4,12 +4,12 @@
 parameter count and its constructor; ``gate_matrix`` resolves a name and
 parameters through it. The eight fixed gates (I, X, Y, Z, H, S, CNOT,
 SWAP) are one table of matrices, ``_FIXED``: ``GATES`` takes each one's
-arity from its size, 2**k rows for k wires, and ``pauli`` and
-``standard_gate`` read the same table. The other constructors cover the
-rotations, the commuting XX/YY/ZZ exponentials, the three-parameter A
-gate, the B gate, the two-site Heisenberg evolution operator, and
-permutation fusion operators built from finite-group multiplication
-tables.
+arity from its size, 2**k rows for k wires, ``standard_gate`` returns a
+copy of any of them, and ``rotation`` reads its Pauli matrix there. The
+other constructors cover the commuting XX/YY/ZZ exponentials, the
+three-parameter A gate, the B gate, the two-site Heisenberg evolution
+operator, and permutation fusion operators built from finite-group
+multiplication tables.
 
 Conventions:
 
@@ -48,8 +48,8 @@ FOUR_PI = 4.0 * math.pi
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-#: The fixed gates: name -> read-only matrix. ``GATES``, ``pauli`` and
-#: ``standard_gate`` read it, and each call gets its own copy.
+#: The fixed gates: name -> read-only matrix. ``GATES`` and ``standard_gate``
+#: read it, and each call gets its own copy; ``rotation`` reads its Paulis.
 _FIXED = {
     "I": np.eye(2, dtype=np.complex128),
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -75,11 +75,6 @@ def _pauli(axis: str) -> np.ndarray:
     if axis not in ("x", "y", "z"):
         raise ValueError(f"unknown Pauli axis {axis!r}, expected 'x', 'y' or 'z'")
     return _FIXED[axis.upper()]
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Pauli matrix for axis 'x', 'y' or 'z'."""
-    return _pauli(axis).copy()
 
 
 def rotation(axis: str, theta: float) -> np.ndarray:

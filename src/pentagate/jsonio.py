@@ -1,9 +1,11 @@
 """Deterministic JSON emission for CLI reports; circuits share its float format.
 
 ``dumps`` writes the types reports hold: None, bool, str, int, float, and
-dicts, lists and tuples of them. Anything else, a numpy scalar or array
-or a complex number among them, raises TypeError; reports convert first,
-a complex number with ``complex_pair`` to a two-element ``[re, im]`` list.
+dicts, lists and tuples of them. A complex number is written as its
+``[re, im]`` pair. An object with a ``to_jsonable`` method is written as
+what that method returns, and any other dataclass instance as the dict of
+its fields in declaration order. Anything else, a numpy integer, float32
+or array or a dataclass class among them, raises TypeError.
 Floats are written with 17 significant digits so output is byte-stable and
 round-trips losslessly through a JSON parser. Dicts keep insertion order;
 nothing is sorted, so the caller controls field order.
@@ -23,13 +25,8 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def dumps(value) -> str:
-    """Serialize a dict/list/scalar tree to canonical JSON text."""
+    """Serialize a report, or a dict/list/scalar tree, to canonical JSON text."""
     parts: list[str] = []
     _emit(value, parts)
     return "".join(parts)
@@ -62,5 +59,11 @@ def _emit(value, parts: list[str]) -> None:
                 parts.append(", ")
             _emit(item, parts)
         parts.append("]")
+    elif isinstance(value, complex):
+        parts.append(f"[{format_float(value.real)}, {format_float(value.imag)}]")
+    elif hasattr(type(value), "to_jsonable"):
+        _emit(value.to_jsonable(), parts)
+    elif hasattr(type(value), "__dataclass_fields__"):
+        _emit({name: getattr(value, name) for name in type(value).__dataclass_fields__}, parts)
     else:
         raise TypeError(f"cannot emit {type(value).__name__} as JSON")

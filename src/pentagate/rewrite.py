@@ -301,6 +301,19 @@ def transpile(
     passes, the last finding no site. ``expand`` grows the circuit and has
     no such argument; its pass count is only tested.
 
+    ``compress`` never deepens the circuit: ``depth_after <= depth_before``.
+    A site on wires (a, b, c) is T(b,c), SWAP(b,c), T(a,b), SWAP(b,c),
+    T(a,b), and no gate between them touches a, b or c. Let M be the
+    largest ASAP level of a, b and c before the site. The five gates leave
+    a and b at level M + 3 or more and c at M + 2 or more; the two written
+    gates, placed at the site's first index, leave a at M + 1 or less and
+    b and c at M + 2 or less. The gates the site skips keep their levels,
+    and a level feeds later levels monotonically, so no later gate's level,
+    and not the depth, can rise. That holds site by site, so for a pass,
+    and pass by pass, so for a fixed-point run. ``expand`` has no such
+    bound: a written site can lift a wire from below M up to M + 5, and every
+    later gate on that wire with it.
+
     With ``verify`` the final circuit is checked against the input up to
     global phase, and the report carries their phase distance. On failure
     nothing is returned: :class:`RewriteVerificationError` names the first

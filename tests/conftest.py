@@ -63,7 +63,7 @@ def reference_serialize(circuit: Circuit) -> str:
         if gate.params:
             entry["params"] = list(gate.params)
         if gate.name == "custom":
-            entry["matrix"] = [[jsonio.complex_pair(z) for z in row] for row in gate.matrix]
+            entry["matrix"] = [[[z.real, z.imag] for z in row] for row in gate.matrix]
         doc_gates.append(entry)
     return jsonio.dumps({"qubits": circuit.num_qubits, "gates": doc_gates})
 

@@ -254,3 +254,71 @@ def scan_reference(family: str, axes, tol: float) -> list:
         kind = _operator_class(matrix, tol)
         classes.append((matrix, SolutionPoint(params, residual, canonical, kind)))
     return [point for _, point in classes]
+
+
+def report_reference(x):
+    """A report as the plain dict/list tree of its hand-written layout.
+
+    These are the bodies of the six ``to_jsonable`` methods the report
+    classes had before ``jsonio.dumps`` wrote dataclasses field by field;
+    ``jsonio.dumps(x)`` must equal ``jsonio.dumps(report_reference(x))``
+    byte for byte. A list or tuple is converted entry by entry, so a
+    scan's list of solution points is one report.
+    """
+    from pentagate.certify import (FAMILIES, CertificationReport, ConstraintResiduals,
+                                   RefineResult, SolutionPoint, Witness)
+    from pentagate.rewrite import RewriteReport
+
+    def pair(z):
+        z = complex(z)
+        return [z.real, z.imag]
+
+    if isinstance(x, (list, tuple)):
+        return [report_reference(item) for item in x]
+    if isinstance(x, Witness):
+        return {"row": x.row, "col": x.col, "lhs": pair(x.lhs), "rhs": pair(x.rhs)}
+    if isinstance(x, CertificationReport):
+        return {
+            "gate_descriptor": {"name": x.gate_name, "params": [float(p) for p in x.gate_params]},
+            "equation": x.equation,
+            "residual": x.residual,
+            "tolerance": x.tolerance,
+            "verdict": x.verdict,
+            "witnesses": [report_reference(w) for w in x.witnesses],
+        }
+    if isinstance(x, ConstraintResiduals):
+        return {
+            "parameter_point": dict(zip(FAMILIES[x.family][1], x.parameters)),
+            "entry_residuals": [[float(e) for e in row] for row in x.entry_residuals],
+            "active_count": x.active_count,
+            "max_residual": x.max_residual,
+            "tolerance": x.tolerance,
+        }
+    if isinstance(x, SolutionPoint):
+        return {
+            "parameters": [float(p) for p in x.parameters],
+            "residual": x.residual,
+            "canonical_parameters": [float(p) for p in x.canonical_parameters],
+            "operator_class": x.operator_class,
+        }
+    if isinstance(x, RefineResult):
+        return {
+            "converged": x.converged,
+            "parameters": [float(p) for p in x.parameters],
+            "residual": x.residual,
+            "iterations": x.iterations,
+            "evaluations": x.evaluations,
+            "solution": None if x.solution is None else report_reference(x.solution),
+        }
+    if isinstance(x, RewriteReport):
+        return {
+            "sites_found": x.sites_found,
+            "sites_rewritten": x.sites_found,
+            "gate_count_before": x.gate_count_before,
+            "gate_count_after": x.gate_count_after,
+            "depth_before": x.depth_before,
+            "depth_after": x.depth_after,
+            "equivalence_verified": x.equivalence_verified,
+            "phase_distance": x.phase_distance,
+        }
+    raise TypeError(f"no reference layout for {type(x).__name__}")

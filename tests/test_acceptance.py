@@ -40,7 +40,6 @@ from pentagate import (
 from pentagate.certify import IDENTITY_CLASS
 from pentagate.circuit import depth
 from pentagate.equations import ybe_residual
-from pentagate.gates import pauli
 from pentagate.linalg import frobenius_norm
 from conftest import (
     haar_unitary,
@@ -132,9 +131,9 @@ def test_criterion_5_heisenberg_matches_a_gate():
         for _ in range(20):
             tx, ty, tz = rng.uniform(-7, 7, 3)
             oracle = (
-                expm(1j * tx * np.kron(pauli("x"), pauli("x")))
-                @ expm(1j * ty * np.kron(pauli("y"), pauli("y")))
-                @ expm(1j * tz * np.kron(pauli("z"), pauli("z")))
+                expm(1j * tx * np.kron(standard_gate("X"), standard_gate("X")))
+                @ expm(1j * ty * np.kron(standard_gate("Y"), standard_gate("Y")))
+                @ expm(1j * tz * np.kron(standard_gate("Z"), standard_gate("Z")))
             )
             assert frobenius_norm(heisenberg_evolution(tx, ty, tz) - oracle) < 1e-10
 

@@ -41,7 +41,7 @@ from pentagate.errors import GridError, SchemaError
 from pentagate.gates import gate_matrix
 from pentagate import jsonio
 from conftest import haar_unitary, template_circuit
-from oracles import scan_reference
+from oracles import report_reference, scan_reference
 
 PI = math.pi
 I4 = np.eye(4, dtype=complex)
@@ -167,11 +167,11 @@ class TestCertify:
 
     def test_json_shape(self):
         report = certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP")
-        doc = report.to_jsonable()
+        text = jsonio.dumps(report)
+        doc = json.loads(text)
         assert set(doc) == {
             "gate_descriptor", "equation", "residual", "tolerance", "verdict", "witnesses",
         }
-        text = jsonio.dumps(doc)
         assert text.startswith('{"gate_descriptor"')
         w = doc["witnesses"][0]
         assert isinstance(w["lhs"], list) and len(w["lhs"]) == 2
@@ -417,7 +417,7 @@ def _block_edge_grid(family, n, step, shift, tol):
     lo = -step * (n // 3) - shift
     axis = (lo, lo + (n - 1) * step, step)
     assert len(axis_points(*axis)) == n
-    return axis, jsonio.dumps([p.to_jsonable() for p in scan_reference(family, axis, tol)])
+    return axis, jsonio.dumps(report_reference(scan_reference(family, axis, tol)))
 
 
 class TestScanPruning:
@@ -447,7 +447,7 @@ class TestScanPruning:
         monkeypatch.setattr(module, "_pentagon_column_bound", recording)
         axis, want = _block_edge_grid(family, n, step, shift, tol)
         got = scan_fusion_solutions(family, axis, tol)
-        assert jsonio.dumps([p.to_jsonable() for p in got]) == want
+        assert jsonio.dumps(got) == want
         # in walk order the blocks are the grid in product order, bit for bit,
         # each of at most SCAN_CHUNK points or one run of the third axis
         assert max(len(b) for b in blocks) <= max(chunk, n)
@@ -459,8 +459,7 @@ class TestScanPruning:
     def test_output_is_the_unpruned_reference(self, family, axis, tol):
         got = scan_fusion_solutions(family, axis, tol)
         want = scan_reference(family, axis, tol)
-        assert jsonio.dumps([p.to_jsonable() for p in got]) == jsonio.dumps(
-            [p.to_jsonable() for p in want])
+        assert jsonio.dumps(got) == jsonio.dumps(report_reference(want))
 
     def test_kernel_sees_only_the_points_the_bound_keeps(self, monkeypatch):
         module = importlib.import_module("pentagate.certify")
@@ -510,17 +509,18 @@ class TestRefine:
 
     def test_solution_json_roundtrip_shape(self):
         result = refine((0.0, 0.0, 0.0), "a", tol=1e-10)
-        doc = result.to_jsonable()
+        doc = json.loads(jsonio.dumps(result))
         assert doc["converged"] is True
         assert set(doc["solution"]) == {
             "parameters", "residual", "canonical_parameters", "operator_class",
         }
 
 
-#: ``refine(...).to_jsonable()`` for starts near and far from solutions in
-#: both families, including runs that stop on a shrunk step and on the
-#: iteration budget. Recorded with the refine that evaluated its six polls
-#: one call at a time, before they moved onto the stacked kernel.
+#: ``refine(...)`` in its report layout, ``oracles.report_reference``, and
+#: ``json.dumps``, for starts near and far from solutions in both families,
+#: including runs that stop on a shrunk step and on the iteration budget.
+#: Recorded with the refine that evaluated its six polls one call at a
+#: time, before they moved onto the stacked kernel.
 REFINE_GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "refine.json").read_text(encoding="utf-8")
 )
@@ -529,7 +529,8 @@ REFINE_GOLDEN = json.loads(
 @pytest.mark.parametrize("case", REFINE_GOLDEN, ids=[c["name"] for c in REFINE_GOLDEN])
 def test_refine_golden_iterates(case):
     result = refine(tuple(case["start"]), case["family"], **case["kwargs"])
-    assert json.dumps(result.to_jsonable()) == case["result"]
+    assert json.dumps(report_reference(result)) == case["result"]
+    assert jsonio.dumps(result) == jsonio.dumps(report_reference(result))
 
 
 BAD_TOLERANCES = [0.0, -1.0, math.nan, math.inf, -math.inf]

@@ -7,17 +7,22 @@ input, 3 negative verdict.
 import argparse
 import importlib
 import json
+import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pentagate.cli
-from pentagate import (Circuit, GateInstance, compress, describe_fusion_gate, jsonio, parse,
-                       phase_distance, serialize, to_unitary)
+from pentagate import (Circuit, GateInstance, a_gate, certify, compress, constraints,
+                       describe_fusion_gate, jsonio, parse, phase_distance, refine,
+                       scan_fusion_solutions, serialize, standard_gate, to_unitary, transpile)
+from pentagate.certify import Witness
 from pentagate.cli import _fold_negative_values, build_parser, main
-from conftest import nested_template_circuit, run_cli, template_circuit
+from conftest import haar_unitary, nested_template_circuit, run_cli, template_circuit
+from oracles import report_reference
 from test_rewrite import LOOSE_TOL, NEAR_IDENTITY
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -591,14 +596,65 @@ class TestParserReuse:
         assert len(calls) == built
 
 
+@dataclass(frozen=True)
+class _ArrayHolder:
+    values: np.ndarray
+
+
 class TestJsonio:
     def test_report_types(self):
         doc = {"a": (1, -0.5, None, True, "x"), "b": [np.float64(0.25), []], 3: {}}
         assert jsonio.dumps(doc) == '{"a": [1, -0.5, null, true, "x"], "b": [0.25, []], "3": {}}'
 
-    @pytest.mark.parametrize("value", [np.int64(1), 1j, np.zeros(2), [np.float32(1.0)]],
-                             ids=["numpy-int", "complex", "array", "numpy-float32"])
+    @pytest.mark.parametrize("value, text", [
+        (1j, "[0, 1]"),
+        (Witness(1, 2, 0.5 - 1j, np.complex128(2.0)),
+         '{"row": 1, "col": 2, "lhs": [0.5, -1], "rhs": [2, 0]}'),
+    ], ids=["complex", "witness"])
+    def test_accepted_layouts(self, value, text):
+        # a complex number is its [re, im] pair; a dataclass without a
+        # to_jsonable method is the dict of its fields in declaration order
+        assert jsonio.dumps(value) == text
+
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.inf)],
+                             ids=["nan-real", "inf-imag"])
+    def test_non_finite_complex_is_refused(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dumps(value)
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.zeros(2), [np.float32(1.0)],
+                                       _ArrayHolder(np.zeros(2)), Witness],
+                             ids=["numpy-int", "array", "numpy-float32",
+                                  "dataclass-with-array", "dataclass-class"])
     def test_other_types_are_refused(self, value):
-        # reports convert first: complex numbers with jsonio.complex_pair
         with pytest.raises(TypeError, match="cannot emit"):
             jsonio.dumps(value)
+
+
+#: One report of every kind the CLI prints, both outcomes where a kind has
+#: two: label -> a call that returns the report.
+REPORTS = {
+    "certify-SWAP": lambda: certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP"),
+    "certify-CNOT": lambda: certify(standard_gate("CNOT"), 2, 1e-10, name="CNOT"),
+    "certify-A": lambda: certify(a_gate(0.3, -1.2, 2.5), 2, 1e-10, name="A",
+                                 params=(0.3, -1.2, 2.5)),
+    "certify-haar-d3": lambda: certify(haar_unitary(9, np.random.default_rng(31)), 3, 1e-10),
+    "constraints-a": lambda: constraints("a", (0.1, -0.2, 0.3), 1e-10),
+    "constraints-heis": lambda: constraints("heis", (math.pi / 8, 0.0, -2.0), 1e-10),
+    "scan-a-default": lambda: scan_fusion_solutions("a", (-6.2832, 6.2832, 0.3927), 1e-9),
+    "scan-heis-pi/8": lambda: scan_fusion_solutions("heis", (-math.pi, math.pi, math.pi / 8), 1e-9),
+    "refine-converged": lambda: refine((1e-3, -1e-3, 1e-3), "a", tol=1e-10),
+    "refine-not-converged": lambda: refine((1.0, 2.0, 0.5), "heis", max_iters=5, tol=1e-10),
+    "transpile-verified": lambda: transpile(template_circuit(), describe_fusion_gate("CNOT"),
+                                            "compress")[1],
+    "transpile-no-verify": lambda: transpile(template_circuit(), describe_fusion_gate("CNOT"),
+                                             "compress", verify=False)[1],
+}
+
+
+@pytest.mark.parametrize("label", list(REPORTS))
+def test_reports_keep_their_layout(label):
+    # jsonio.dumps writes a report from its fields and its to_jsonable
+    # method; the bytes must be those of the hand-written layout
+    report = REPORTS[label]()
+    assert jsonio.dumps(report) == jsonio.dumps(report_reference(report))

@@ -21,7 +21,7 @@ from pentagate import (
     standard_gate,
 )
 from pentagate.errors import UnknownGateError
-from pentagate.gates import GATES, b_gate, pauli, rotation, xx, yy, zz
+from pentagate.gates import GATES, b_gate, rotation, xx, yy, zz
 from pentagate.linalg import frobenius_norm
 from oracles import group_fusion_map, matrices_equal, permutation_operator
 
@@ -69,14 +69,14 @@ PI = math.pi
 
 class TestPauliAndRotation:
     def test_pauli_squares(self):
-        for axis in "xyz":
-            assert matrices_equal(pauli(axis) @ pauli(axis), I2, 0.0)
+        for name in "XYZ":
+            assert matrices_equal(standard_gate(name) @ standard_gate(name), I2, 0.0)
 
     def test_rotation_at_zero(self):
         assert np.array_equal(rotation("z", 0.0), I2)
 
     def test_rotation_x_at_pi(self):
-        assert matrices_equal(rotation("x", PI), -1j * pauli("x"), 1e-15)
+        assert matrices_equal(rotation("x", PI), -1j * standard_gate("X"), 1e-15)
 
     def test_rotation_y_is_real_and_unitary(self):
         r = rotation("y", 1.234)
@@ -85,7 +85,7 @@ class TestPauliAndRotation:
 
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
-            pauli("w")
+            rotation("w", 0.0)
         with pytest.raises(ValueError):
             rotation("q", 1.0)
 
@@ -159,7 +159,7 @@ class TestTwoSiteExponentials:
     def test_matches_direct_matrix_exponential(self, rng):
         for _ in range(20):
             c = float(rng.uniform(-7, 7))
-            direct = expm(0.5j * c * np.kron(pauli("x"), pauli("x")))
+            direct = expm(0.5j * c * np.kron(standard_gate("X"), standard_gate("X")))
             assert frobenius_norm(xx(c) - direct) < 1e-13
 
 
@@ -238,9 +238,9 @@ class TestHeisenbergEvolution:
         for _ in range(30):
             tx, ty, tz = rng.uniform(-7, 7, 3)
             direct = (
-                expm(1j * tx * np.kron(pauli("x"), pauli("x")))
-                @ expm(1j * ty * np.kron(pauli("y"), pauli("y")))
-                @ expm(1j * tz * np.kron(pauli("z"), pauli("z")))
+                expm(1j * tx * np.kron(standard_gate("X"), standard_gate("X")))
+                @ expm(1j * ty * np.kron(standard_gate("Y"), standard_gate("Y")))
+                @ expm(1j * tz * np.kron(standard_gate("Z"), standard_gate("Z")))
             )
             assert frobenius_norm(heisenberg_evolution(tx, ty, tz) - direct) < 1e-10
 

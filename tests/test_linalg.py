@@ -38,7 +38,6 @@ from pentagate import (
 )
 from pentagate import linalg
 from pentagate.equations import pentagon_stack
-from pentagate.gates import pauli
 from pentagate.linalg import _permutation_rows, frobenius_norm, twist
 from conftest import haar_unitary
 from oracles import embed_by_transpose_copy, matrices_equal, permutation_operator
@@ -53,8 +52,8 @@ class TestMatmul:
         assert np.array_equal(I2 @ I2, I2)
 
     def test_pauli_squares_to_identity(self):
-        for axis in "xyz":
-            assert matrices_equal(pauli(axis) @ pauli(axis), I2, 0.0)
+        for name in "XYZ":
+            assert matrices_equal(standard_gate(name) @ standard_gate(name), I2, 0.0)
 
     def test_swap_is_involutive(self):
         assert np.array_equal(SWAP @ SWAP, I4)
@@ -249,7 +248,7 @@ class TestWireRule:
             gate = GateInstance("XX", wires, (0.3,))
             assert gate.wires == tuple(map(int, wires))
             assert all(type(w) is int for w in gate.wires)
-            u = np.kron(pauli("x"), I2)
+            u = np.kron(standard_gate("X"), I2)
             assert np.array_equal(embed(u, wires, 3), embed(u, gate.wires, 3))
         else:
             with pytest.raises(SchemaError) as gate_error:
@@ -541,7 +540,7 @@ class TestPhaseDistance:
 
     def test_orthogonal_traceless_pair(self):
         # tr(sigma_z' I) = 0, so the distance is sqrt(2 + 2) = 2
-        assert phase_distance(I2, pauli("z")) == pytest.approx(2.0, abs=1e-15)
+        assert phase_distance(I2, standard_gate("Z")) == pytest.approx(2.0, abs=1e-15)
 
     def test_zero_iff_phase_related(self, rng):
         for _ in range(20):

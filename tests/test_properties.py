@@ -50,7 +50,7 @@ from pentagate import (
     transpile,
 )
 from pentagate.certify import SCAN_SLACK, CertificationReport, Witness
-from pentagate.circuit import depth
+from pentagate.circuit import depth, parse_matrix
 from pentagate.equations import (_pentagon_column_bound, pentagon_stack,
                                  permutation_solves_pentagon, ybe_residual)
 from pentagate.gates import GATES
@@ -674,6 +674,49 @@ def test_verified_rewrites_preserve_the_unitary_under_interleaving(circuit):
         out, report = rewrite(circuit, CNOT)  # verified: raises on a bad rewrite
         assert report.equivalence_verified
         assert phase_distance(before, to_unitary(out)) < 1e-10
+
+
+#: The golden dense fusion gate: a U (x) U conjugate of CNOT.
+CUSTOM_FUSION = describe_fusion_gate(matrix=parse_matrix(
+    (GOLDEN / "inputs" / "custom_fusion.json").read_text(encoding="utf-8"), "custom_fusion.json"),
+    tol=1e-10)
+
+
+@st.composite
+def planted_compress_sites(draw):
+    """CNOT or the golden custom fusion gate, and a 3-7 qubit circuit with
+    1-3 planted compress templates of it, each with gates on the other
+    wires inside it, between random gates on any wires."""
+    descriptor = draw(st.sampled_from((CNOT, CUSTOM_FUSION)))
+    fusion = descriptor.gate
+    t = lambda w: GateInstance(fusion.name, w, fusion.params, fusion.matrix)
+    n = draw(st.integers(3, 7))
+    gates = draw(st.lists(noise_gates(n), max_size=6))
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c, *others = draw(st.permutations(range(n)))
+        swap = GateInstance("SWAP", (b, c))
+        for gate in (t((b, c)), swap, t((a, b)), swap, t((a, b))):
+            gates.append(gate)
+            # noise drawn on three wires, kept when it fits on the others
+            for filler in draw(st.lists(noise_gates(3), max_size=2)):
+                if max(filler.wires) < len(others):
+                    gates.append(GateInstance(filler.name, tuple(others[w] for w in filler.wires),
+                                              filler.params, filler.matrix))
+    gates += draw(st.lists(noise_gates(n), max_size=6))
+    return descriptor, Circuit(n, tuple(gates))
+
+
+@PROPERTY_SETTINGS
+@given(planted_compress_sites(), st.booleans())
+def test_compress_never_deepens_a_circuit(case, fixed_point):
+    # the level argument of the transpile docstring: each site leaves no
+    # wire at a higher ASAP level, so no later gate and not the depth rises
+    descriptor, circuit = case
+    out, report = transpile(circuit, descriptor, "compress", fixed_point=fixed_point,
+                            verify=False)
+    assert report.sites_found >= 1
+    assert (report.depth_before, report.depth_after) == (depth(circuit), depth(out))
+    assert report.depth_after <= report.depth_before
 
 
 def _near_cnot(eps: float) -> np.ndarray:
