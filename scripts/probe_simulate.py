@@ -18,6 +18,9 @@ Times, on each checkout and alternating the sides as
   XX gates and its compressed rewrite, which differs from it by
   permutation gates that cancel, so a checkout that proves such pairs
   equal simulates nothing;
+- ``circuit_distance`` of the 12-qubit XX circuit and its ``route_line``
+  output, as ``verify`` of a ``route`` result compares them: a checkout
+  that proves a routed pair equal simulates nothing;
 - a verified fixed-point CNOT ``transpile`` compress of a seeded 1000-gate
   12-qubit circuit: CNOT templates on random wire triples among XX and RZ
   gates. A checkout that proves a permutation rewrite equal to its input
@@ -35,7 +38,7 @@ reports the child's peak resident set size in MB, which holds every
 register-sized array the call makes. Both checkouts
 must give bit-identical unitaries for every timed circuit,
 bit-identical distances between the XX and CNOT circuits at each size and
-for both 12-qubit pairs, and the same compressed circuit, site count and
+for the three 12-qubit pairs, and the same compressed circuit, site count and
 distance bits for both verified compresses, or the probe exits 1; the report
 lists what it compared.
 
@@ -115,6 +118,11 @@ def related_pair(pg):
     return circuit, pg.compress(circuit, pg.describe_fusion_gate("CNOT"), verify=False)[0]
 
 
+def routed_pair(pg):
+    xx = circuit(pg, "XX", 12, GATES_AT[12])
+    return xx, pg.route_line(xx)
+
+
 def compress_circuit(pg):
     """``COMPRESS_GATES`` gates on 12 qubits: a CNOT template on random wires
     a fifth of the time, else an XX or RZ gate; the last template may be cut."""
@@ -163,7 +171,7 @@ def verified_compress(pg, circuit, verify=True):
 
 
 #: The 12-qubit ``circuit_distance`` pairs by report key.
-PAIRS = {"12q": distance_pair, "12q related": related_pair}
+PAIRS = {"12q": distance_pair, "12q related": related_pair, "12q routed": routed_pair}
 
 #: The report key of the large verified compress.
 LARGE = "verified compress 40k 12q"

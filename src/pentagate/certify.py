@@ -34,7 +34,6 @@ cube of a global phase on one side and the square on the other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +55,9 @@ from .linalg import (
 #: Default grid-scan tolerance on the pentagon residual.
 SCAN_TOLERANCE = 1e-9
 
-#: Largest number of grid points on one scan axis; a longer axis is refused
-#: before any point is built.
-MAX_AXIS_POINTS = 10**6
-
-#: Largest number of points in a scan grid, the product of its axis
-#: lengths; a larger grid is refused before any point is built.
+#: Largest number of points in a scan grid, the cube of its axis length;
+#: ``axis_points`` refuses the axis of a larger grid before building any
+#: point, so no axis holds more than 464 points.
 MAX_GRID_POINTS = 10**8
 
 #: Most grid points built and bounded per block, one family-constructor
@@ -273,29 +269,29 @@ def _operator_class(matrix: np.ndarray, tol: float) -> str:
     return IDENTITY_CLASS if frobenius_norm(matrix - eye) < tol else OTHER_CLASS
 
 
-def axis_count(lo: float, hi: float, step: float) -> int:
-    """Number of grid points lo, lo+step, ... up to hi (endpoint included when integral).
+def axis_points(lo: float, hi: float, step: float) -> list[float]:
+    """The grid points lo, lo+step, ... up to hi of one axis (hi included when integral).
 
-    Raises GridError for a malformed range or step, and for an axis of more
-    than ``MAX_AXIS_POINTS`` points, the count not finite included.
+    The three values are read by ``linalg.reals`` as ``axes[0]`` to
+    ``axes[2]``: a bool, string, None or non-finite value raises GridError,
+    as do a step that is not positive, a range with hi < lo, and an axis
+    whose cube grid has more than ``MAX_GRID_POINTS`` points, before any
+    point is built. An axis of more than ``MAX_GRID_POINTS`` points, one
+    whose (hi - lo) / step overflows included, is refused without cubing
+    its count, so no message names a count of more than 25 digits.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
-        raise GridError("grid bounds and step must be finite")
+    lo, hi, step = reals((lo, hi, step), "axes", GridError)
     if step <= 0:
         raise GridError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise GridError(f"empty grid range {lo}:{hi}")
     span = (hi - lo) / step + 1e-9  # infinite when hi - lo overflows
-    if not span < MAX_AXIS_POINTS:
-        raise GridError(
-            f"grid range {lo}:{hi} at step {step} has more than {MAX_AXIS_POINTS} points per axis"
-        )
-    return int(math.floor(span)) + 1
-
-
-def axis_points(lo: float, hi: float, step: float) -> list[float]:
-    """The ``axis_count`` grid points lo, lo+step, ... of one axis."""
-    return [lo + k * step for k in range(axis_count(lo, hi, step))]
+    if not span < MAX_GRID_POINTS:
+        raise GridError(f"grid range {lo}:{hi} at step {step} has more than {MAX_GRID_POINTS} points")
+    n = int(span) + 1
+    if n**3 > MAX_GRID_POINTS:
+        raise GridError(f"grid of {n**3} points exceeds the cap of {MAX_GRID_POINTS} points")
+    return [lo + k * step for k in range(n)]
 
 
 def scan_fusion_solutions(family: str, axes, tol: float = SCAN_TOLERANCE) -> list[SolutionPoint]:
@@ -306,12 +302,12 @@ def scan_fusion_solutions(family: str, axes, tol: float = SCAN_TOLERANCE) -> lis
     sequence (a list, tuple or numpy array, never a set, dict, string or
     scalar) of finite numbers, so no bound is read in an order the caller
     did not give. Any other ``axes`` raises GridError, as does an axis
-    that ``axis_count`` refuses and a grid of more than
-    ``MAX_GRID_POINTS`` points, before any point is built.
+    that ``axis_points`` refuses, its grid of more than ``MAX_GRID_POINTS``
+    points among them, before any point is built.
 
-    The axis is read once as an array, and the grid is built in blocks of
-    at most ``SCAN_CHUNK`` points, each one family-constructor call on
-    three broadcast slices of it: ``SCAN_CHUNK // n**2`` values of the
+    The axis is read once, as the array of ``axis_points``, and the grid
+    is built in blocks of at most ``SCAN_CHUNK`` points, each one
+    family-constructor call on three broadcast slices of it: ``SCAN_CHUNK // n**2`` values of the
     first parameter by the whole plane of the other two when a plane of
     n**2 points fits, else one value by ``SCAN_CHUNK // n`` values of the
     second by the whole third axis. So ``a_gate`` takes its cosines and
@@ -337,10 +333,8 @@ def scan_fusion_solutions(family: str, axes, tol: float = SCAN_TOLERANCE) -> lis
     axis = reals(axes, "axes", GridError)
     if len(axis) != 3:
         raise GridError(f"axes: expected one (lo, hi, step) triple, got {len(axis)} values")
-    n = axis_count(*axis)
-    if n**3 > MAX_GRID_POINTS:
-        raise GridError(f"grid of {n**3} points exceeds the cap of {MAX_GRID_POINTS} points")
     points = np.array(axis_points(*axis))
+    n = len(points)
     # r values of the first axis by the whole plane, or one by c of the second
     r, c = max(SCAN_CHUNK // n**2, 1), max(SCAN_CHUNK // n, 1)
     passing = []

@@ -522,19 +522,23 @@ def _same_unitary(a: Circuit, b: Circuit) -> bool:
 
     A relative row map ``delta``, with ``U_b[r] == U_a[delta[r]]`` for the
     gates read so far, starts as the ``identity`` object and is set back to
-    it whenever it is the identity again. While it is, the walk steps past
-    every position where both lists hold the same gate (the same object or
-    the same ``_gate_key``), which leaves it the identity, resolving
-    nothing. Then each side reads its run of permutation gates up to its
-    next dense gate (``_run``), and the runs move ``delta``: side b's map
-    composes on its right, the inverse of side a's, made by a scatter, on
-    its left. Both sides must then hold the same dense gate, on the same
-    wires with a matrix of the same bytes, and ``delta`` must commute with
-    it: keep the gate's wire bits and move the other bits alike for every
-    value of them. That holds without a check when the gate's wires are
-    disjoint from those of every permutation gate read since ``delta`` was
-    last the identity, since ``delta`` then moves only those bits, as a
-    function of them alone.
+    it when it is the identity again at a dense step on equal wires. While
+    it is, the walk steps past every position where both lists hold the
+    same gate (the same object or the same ``_gate_key``), which leaves it
+    the identity, resolving nothing. Then each side reads its run of
+    permutation gates up to its next dense gate (``_run``), and the runs
+    move ``delta``: side b's map composes on its right, the inverse of side
+    a's, made by a scatter, on its left. Both sides must then hold dense
+    gates whose matrices have the same bytes, and ``delta`` must carry b's
+    gate onto a's: send operand row (g, x) of b's gate, g its wire bits, to
+    operand row (g, f(x)) of a's, one f for every g. Then ``delta`` holds
+    after both gates. The wires may differ, as where ``route_line`` moved a
+    gate inside SWAP chains, and are then always checked. On equal wires
+    this says ``delta`` commutes with the gate, which holds without a check
+    when ``delta`` is the identity or when the gate's wires are disjoint
+    from those of every permutation gate read since ``delta`` was last the
+    identity, since ``delta`` then moves only those bits, as a function of
+    them alone.
 
     True when every step holds and ``delta`` ends as the identity, whatever
     U_a's values; False when the lists differ in their number of dense
@@ -562,16 +566,15 @@ def _same_unitary(a: Circuit, b: Circuit) -> bool:
             delta = inverse[delta]
         if m_a is None or m_b is None:
             return m_a is None and m_b is None and np.array_equal(delta, identity)
-        wires = gates_a[dense_a].wires
-        if wires != gates_b[dense_b].wires or m_a.tobytes() != m_b.tobytes():
+        wires_a, wires_b = gates_a[dense_a].wires, gates_b[dense_b].wires
+        if m_a.tobytes() != m_b.tobytes():
             return False
         i, j = dense_a + 1, dense_b + 1
-        if np.array_equal(delta, identity):
+        if wires_a == wires_b and np.array_equal(delta, identity):
             delta = identity
-        elif not support.isdisjoint(wires):
-            order, inverse = _orders(n, wires)
-            # operand row (g, x), g the gate's wire bits, must map to (g, f(x))
-            rows = inverse[delta[order]].reshape(len(m_a), -1)
+        elif wires_a != wires_b or not support.isdisjoint(wires_a):
+            # b's operand row (g, x), g its gate's wire bits, must map to a's (g, f(x))
+            rows = _orders(n, wires_a)[1][delta[_orders(n, wires_b)[0]]].reshape(len(m_a), -1)
             if not np.array_equal(rows, rows[0] + rows.shape[1] * np.arange(len(m_a))[:, None]):
                 return False
 

@@ -32,7 +32,7 @@ from . import jsonio
 from .certify import (
     FAMILIES,
     SCAN_TOLERANCE,
-    axis_count,
+    axis_points,
     certify,
     constraints,
     scan_fusion_solutions,
@@ -244,7 +244,7 @@ def _cmd_scan(args) -> int:
     started = time.perf_counter()
     solutions = scan_fusion_solutions(args.family, (lo, hi, args.step), args.tol)
     elapsed = time.perf_counter() - started
-    per_axis = axis_count(lo, hi, args.step)
+    per_axis = len(axis_points(lo, hi, args.step))
     _emit(solutions)
     _diag(
         f"scanned {per_axis ** 3} grid points in {elapsed:.2f} s; "

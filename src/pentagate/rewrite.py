@@ -43,7 +43,7 @@ triple share those gates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,18 +66,24 @@ _RULES = {"compress": (_FIVE, _TWO), "expand": (_TWO, _FIVE)}
 
 @dataclass(frozen=True, eq=False)
 class FusionGateDescriptor:
-    """A two-qubit gate together with its fusion certification.
+    """A two-qubit gate together with its fusion certification at ``tol``.
 
-    A descriptor is certified by construction: it raises
-    UncertifiedGateError unless the certification is a fusion verdict, so
-    every rewrite entry may take its gate as a pentagon solution.
+    A descriptor is certified by construction: it certifies its gate's
+    matrix itself and raises UncertifiedGateError unless the verdict is
+    fusion, so every rewrite entry may take its gate as a pentagon
+    solution. A gate that is not a ``GateInstance`` raises SchemaError.
     """
 
     gate: GateInstance
-    certification: CertificationReport
+    tol: float = DEFAULT_TOLERANCE
+    certification: CertificationReport = field(init=False)
 
     def __post_init__(self):
-        report = self.certification
+        gate = self.gate
+        if not isinstance(gate, GateInstance):
+            raise SchemaError(f"fusion gate: expected a GateInstance, got {type(gate).__name__}")
+        report = certify(resolved_matrix(gate), 2, self.tol, name=gate.name, params=gate.params)
+        object.__setattr__(self, "certification", report)
         if not report.is_fusion:
             raise UncertifiedGateError(
                 f"gate {report.gate_name!r} is not a fusion operator: pentagon residual "
@@ -92,7 +98,7 @@ def describe_fusion_gate(
     matrix=None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> FusionGateDescriptor:
-    """Certify a gate and wrap it for rewriting.
+    """Build a gate and wrap it for rewriting; the descriptor certifies it.
 
     Accepts either a built-in two-qubit gate name with parameters, or a
     custom 4x4 matrix, named ``custom`` when ``name`` is None. The gate is
@@ -107,8 +113,7 @@ def describe_fusion_gate(
         gate = GateInstance(name, (0, 1), params, matrix)
     except SchemaError as exc:
         raise SchemaError(f"fusion gate {name!r}: {exc}") from None
-    report = certify(resolved_matrix(gate), 2, tol, name=name, params=gate.params)
-    return FusionGateDescriptor(gate, report)
+    return FusionGateDescriptor(gate, tol)
 
 
 @dataclass(frozen=True)

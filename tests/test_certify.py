@@ -306,20 +306,38 @@ class TestAxisPoints:
         with pytest.raises(GridError):
             axis_points(1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("lo, hi, step, message", [
+        ("0", 1.0, 0.5, r"^axes\[0\]: expected a number, got '0'$"),
+        (0.0, None, 0.5, r"^axes\[1\]: expected a number, got None$"),
+        (0.0, 1.0, True, r"^axes\[2\]: expected a number, got True$"),
+        (0.0, math.inf, 1.0, r"^axes\[1\]: expected a finite number, got inf$"),
+    ], ids=["str", "none", "bool", "inf"])
+    def test_bounds_are_read_as_the_scan_reads_them(self, lo, hi, step, message):
+        with pytest.raises(GridError, match=message):
+            axis_points(lo, hi, step)
+
     def test_count_too_large_to_represent(self):
         # (hi - lo) / step overflows to infinity
-        with pytest.raises(GridError, match="more than 1000000 points per axis"):
+        message = r"^grid range -1e\+308:1e\+308 at step 1.0 has more than 100000000 points$"
+        with pytest.raises(GridError, match=message):
             axis_points(-1e308, 1e308, 1.0)
 
     def test_count_above_the_cap(self):
-        with pytest.raises(GridError, match="more than 1000000 points per axis"):
+        message = r"^grid range 0.0:1.0 at step 1e-12 has more than 100000000 points$"
+        with pytest.raises(GridError, match=message):
             axis_points(0.0, 1.0, 1e-12)
+
+    def test_the_grid_cap_bounds_the_axis(self):
+        # 464**3 = 99,897,344 points fit under MAX_GRID_POINTS = 10**8; 465**3 do not
+        assert len(axis_points(0.0, 463.0, 1.0)) == 464
+        with pytest.raises(GridError, match=r"^grid of 100544625 points exceeds the cap of 100000000 points$"):
+            axis_points(0.0, 464.0, 1.0)
 
     def test_cap_is_inclusive(self, monkeypatch):
         # the package's ``certify`` attribute is the function; patch the module
-        monkeypatch.setattr(importlib.import_module("pentagate.certify"), "MAX_AXIS_POINTS", 10)
+        monkeypatch.setattr(importlib.import_module("pentagate.certify"), "MAX_GRID_POINTS", 1000)
         assert len(axis_points(0.0, 9.0, 1.0)) == 10
-        with pytest.raises(GridError, match="more than 10 points per axis"):
+        with pytest.raises(GridError, match="grid of 1331 points exceeds the cap of 1000 points"):
             axis_points(0.0, 10.0, 1.0)
 
 

@@ -1030,7 +1030,54 @@ class TestDepth:
         assert depth(c) == 2
 
 
+@st.composite
+def routed_pairs(draw) -> tuple[Circuit, Circuit, bool]:
+    """``(a, b, changed)``: a circuit of 3-7 qubits with 1-3 XX, A or
+    Haar-random gates on wires at least two apart among up to 6 other
+    gates, ``b`` its ``route_line`` output, and half the time one gate of
+    ``b`` changed: a SWAP made a CNOT, a two-wire gate's wires reversed
+    (which leaves XX as it was), or a gate dropped."""
+    n = draw(st.integers(3, 7))
+    gates = draw(st.lists(simulator_gates(n), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    far = [(p, q) for p in range(n) for q in range(n) if abs(p - q) > 1]
+    for _ in range(draw(st.integers(1, 3))):
+        wires, kind = draw(st.sampled_from(far)), draw(st.sampled_from(("XX", "A", "custom")))
+        gate = (GateInstance("custom", wires, (), haar_unitary(4, rng)) if kind == "custom" else
+                GateInstance(kind, wires, tuple(rng.uniform(-4.0, 4.0, GATES[kind][1]))))
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    a = Circuit(n, tuple(gates))
+    gates = list(route_line(a).gates)
+    kind = draw(st.sampled_from((None, None, None, "cnot", "reverse", "drop")))
+    swaps = [k for k, g in enumerate(gates) if g.name == "SWAP"]
+    pairs = [k for k, g in enumerate(gates) if len(g.wires) == 2]
+    if kind == "cnot" and swaps:
+        k = draw(st.sampled_from(swaps))
+        gates[k] = GateInstance("CNOT", gates[k].wires)
+    elif kind == "reverse" and pairs:
+        k = draw(st.sampled_from(pairs))
+        gates[k] = GateInstance(gates[k].name, gates[k].wires[::-1], gates[k].params, gates[k].matrix)
+    elif kind == "drop":
+        del gates[draw(st.integers(0, len(gates) - 1))]
+    else:
+        kind = None
+    return a, Circuit(n, tuple(gates)), kind is not None
+
+
 class TestRouteLine:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(routed_pairs())
+    def test_routed_pairs_are_proven_equal(self, pair):
+        # the walk lets a dense gate change wires where the row map carries
+        # one onto the other, so every routed pair is proven equal, and no
+        # changed pair it proves is more than rounding apart
+        a, b, changed = pair
+        proven = circuit_module._same_unitary(a, b)
+        assert proven or changed
+        if proven:
+            assert reference_distance(a, b) < 1e-12
+            assert circuit_distance(a, b) == 0.0
+
     def test_relocated_gate_is_built_once(self, rng, monkeypatch):
         import pentagate.circuit
 

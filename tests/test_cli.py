@@ -155,8 +155,14 @@ class TestScanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: grid range -1e+308:1e+308 at step 1.0 has more than 1000000 points per axis\n"
+            "error: grid range -1e+308:1e+308 at step 1.0 has more than 100000000 points\n"
         )
+
+    @pytest.mark.parametrize("axis_range, step, points", [
+        ("0:3.1416", "1.5708", 27), ("-6.2832:6.2832", "0.3927", 35937)])
+    def test_summary_counts_the_cube(self, capsys, axis_range, step, points):
+        assert main(["scan", "--family", "a", f"--range={axis_range}", "--step", step]) == 0
+        assert capsys.readouterr().err.startswith(f"scanned {points} grid points in ")
 
 
 class TestTranspileCommand:

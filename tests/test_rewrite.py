@@ -24,7 +24,9 @@ from pentagate import (
     standard_gate,
     transpile,
 )
+from pentagate.certify import certify
 from pentagate.circuit import circuit_stats, depth, route_line, to_unitary
+from pentagate.gates import gate_matrix
 from pentagate.rewrite import MATCH_TOLERANCE, FusionGateDescriptor, _matches_fusion_gate
 from conftest import (
     GOLDEN_MATRICES,
@@ -64,6 +66,30 @@ class TestDescriptor:
     def test_one_qubit_name_rejected(self):
         with pytest.raises(ValueError):
             describe_fusion_gate(name="H", tol=1e-10)
+
+    @pytest.mark.parametrize("name, params, tol", [
+        ("CNOT", (), 1e-10), ("XX", (0.3,), 10.0), ("A", (0.0, 2 * PI, 2 * PI), 1e-9)])
+    def test_descriptor_certifies_its_own_gate(self, name, params, tol):
+        gate = GateInstance(name, (1, 0), params)
+        descriptor = FusionGateDescriptor(gate, tol)
+        assert descriptor.gate is gate and descriptor.tol == tol
+        assert descriptor.certification == certify(gate_matrix(name, params), 2, tol, name=name, params=params)
+        assert descriptor.certification == describe_fusion_gate(name, params, tol=tol).certification
+
+    def test_certification_of_another_gate_is_refused(self):
+        # a CNOT report beside a SWAP gate would let compress rewrite SWAP
+        # templates at phase distance 2 sqrt(2) without an error
+        cnot_report = certify(standard_gate("CNOT"), name="CNOT")
+        with pytest.raises(ValueError, match=r"^tolerance: expected a number, got CertificationReport\("):
+            FusionGateDescriptor(GateInstance("SWAP", (0, 1)), cnot_report)
+        with pytest.raises(UncertifiedGateError, match=r"^gate 'SWAP' is not a fusion operator"):
+            FusionGateDescriptor(GateInstance("SWAP", (0, 1)))
+
+    @pytest.mark.parametrize("gate", [None, "CNOT", standard_gate("CNOT")], ids=["none", "name", "matrix"])
+    def test_gate_that_is_not_a_gate_instance_is_refused(self, gate):
+        message = rf"^fusion gate: expected a GateInstance, got {type(gate).__name__}$"
+        with pytest.raises(SchemaError, match=message):
+            FusionGateDescriptor(gate)
 
     def test_gate_the_circuit_schema_rejects_is_refused(self):
         # certify accepts it at tol 1e-6, but no circuit may hold it: a
@@ -161,16 +187,13 @@ class TestCompress:
         assert report.phase_distance == 0.0
 
     def test_not_fusion_descriptor_refused_before_matching(self):
-        from pentagate.certify import certify
-        from pentagate.gates import standard_gate
-
         # a descriptor is certified by construction, so no rewrite entry sees one
         report = certify(standard_gate("SWAP"), 2, 1e-10, name="SWAP")
         assert not report.is_fusion
         message = r"^gate 'SWAP' is not a fusion operator: pentagon residual 2.82843 >= tolerance 1e-10$"
         with pytest.raises(UncertifiedGateError, match=message) as err:
-            FusionGateDescriptor(GateInstance("SWAP", (0, 1)), report)
-        assert err.value.report is report
+            FusionGateDescriptor(GateInstance("SWAP", (0, 1)), 1e-10)
+        assert err.value.report == report
 
     def test_loosely_certified_gate_fails_verification(self):
         loose = describe_fusion_gate(name="XX", params=(0.3,), tol=10.0)
