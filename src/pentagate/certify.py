@@ -47,6 +47,7 @@ from .linalg import (
     as_matrix,
     check_integer,
     check_tolerance,
+    entry,
     frobenius_norm,
     is_unitary,
     reals,
@@ -93,10 +94,7 @@ FAMILIES = {
 
 
 def _family(family: str):
-    try:
-        return FAMILIES[family]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown family {family!r}, expected 'a' or 'heis'") from None
+    return entry(FAMILIES, family, "family", ValueError, ", expected 'a' or 'heis'")
 
 
 def _triple(params) -> tuple[float, float, float]:
@@ -172,21 +170,15 @@ def certify(
     params = reals(params, "gate parameters")
     t = as_matrix(t)
     if permutation_solves_pentagon(t, d):
-        return CertificationReport(name, params, "pentagon", 0.0, tol, "fusion", ())
-    if not is_unitary(t, tol=max(tol, 1e-12)):
-        raise NonUnitaryError("candidate gate is not unitary; certification refused")
-    res = pentagon_residual(t, d)
-    verdict = "fusion" if res.residual < tol else "not_fusion"
-    return CertificationReport(
-        gate_name=name,
-        gate_params=params,
-        equation=res.equation,
-        residual=res.residual,
-        tolerance=tol,
-        verdict=verdict,
+        residual, witnesses = 0.0, ()
+    else:
+        if not is_unitary(t, tol=max(tol, 1e-12)):
+            raise NonUnitaryError("candidate gate is not unitary; certification refused")
+        res = pentagon_residual(t, d)
         # an exact solution has no mismatch, so skip sorting the d**6 entries
-        witnesses=_witnesses(res) if res.mismatch.any() else (),
-    )
+        residual, witnesses = res.residual, _witnesses(res) if res.mismatch.any() else ()
+    verdict = "fusion" if residual < tol else "not_fusion"
+    return CertificationReport(name, params, "pentagon", residual, tol, verdict, witnesses)
 
 
 def _witnesses(res: EquationResidual, limit: int = 5) -> tuple[Witness, ...]:

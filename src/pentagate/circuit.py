@@ -85,7 +85,7 @@ from . import jsonio
 from .errors import DimensionError, SchemaError, UnknownGateError
 from .gates import GATES
 from .linalg import (MAX_QUBITS, _permutation_rows, _shown, as_matrix, as_sequence, check_integer,
-                     check_wires, finite, is_unitary, phase_distance, reals)
+                     check_wires, finite, instance, is_unitary, phase_distance, reals)
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -160,7 +160,7 @@ class GateInstance:
                 raise SchemaError("matrix: only allowed for custom gates")
             spec = GATES.get(name)
             if spec is None:
-                raise UnknownGateError(f"name: unknown gate {name!r}")
+                raise UnknownGateError(f"name: unknown gate {_shown(name)}")
             arity, expected, _ = spec
             if len(wires) != arity:
                 raise SchemaError(
@@ -222,9 +222,7 @@ class Circuit:
 
 def check_circuit(circuit) -> Circuit:
     """``circuit`` itself; SchemaError naming its type unless a ``Circuit``."""
-    if not isinstance(circuit, Circuit):
-        raise SchemaError(f"circuit: expected a Circuit, got {type(circuit).__name__}")
-    return circuit
+    return instance(circuit, Circuit, "circuit", SchemaError)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -261,8 +259,7 @@ def _decode_matrix(raw, where: str) -> np.ndarray:
 def _load_json(text: str):
     """``json.loads``, raising SchemaError on a non-str, bad syntax, deep nesting or
     overlong integers."""
-    if not isinstance(text, str):
-        raise SchemaError(f"invalid JSON: expected a str, got {type(text).__name__}")
+    instance(text, str, "invalid JSON", SchemaError)  # before the try: SchemaError is a ValueError
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -314,7 +311,7 @@ def _gate(raw, i: int) -> GateInstance:
     if type(raw) is not dict:
         raise SchemaError(f"gates[{i}]: expected an object")
     if not raw.keys() <= _GATE_KEYS:
-        raise SchemaError(f"gates[{i}]: unknown field(s) {sorted(raw.keys() - _GATE_KEYS)}")
+        raise SchemaError(f"gates[{i}]: unknown field(s) {_shown(sorted(raw.keys() - _GATE_KEYS))}")
     try:
         matrix = _decode_matrix(raw["matrix"], "matrix") if "matrix" in raw else None
         return GateInstance(raw.get("name"), raw.get("wires"), raw.get("params", ()), matrix)
@@ -349,7 +346,7 @@ def _parse(text: str) -> Circuit:
     data = _load_json(text)
     _require(isinstance(data, dict), "top level: expected an object")
     unknown = set(data) - {"qubits", "gates"}
-    _require(not unknown, f"top level: unknown field(s) {sorted(unknown)}")
+    _require(not unknown, f"top level: unknown field(s) {_shown(sorted(unknown))}")
     _require("gates" in data, "gates: missing")
     raw_gates = data["gates"]
     _require(isinstance(raw_gates, list), "gates: expected an array")

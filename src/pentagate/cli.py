@@ -114,16 +114,17 @@ def _load_circuit(path: str) -> Circuit:
 def _resolve_gate_spec(name: str | None, params: str, matrix_path: str | None):
     """Name + params, or a matrix file, to (display name, params, matrix or None).
 
-    Reads the flags and the matrix file and builds no gate: the matrix is
-    None for a named gate, and the library checks whatever is returned.
+    Exactly one of ``name`` and ``matrix_path`` is given; argparse sees to
+    that. Reads the flags and the matrix file and builds no gate: the
+    matrix is None for a named gate, and the library checks whatever is
+    returned. A matrix gate takes no parameters, so parameters given with
+    one raise ValueError before the file is read.
     """
     values = _parse_params(params)
-    if matrix_path is not None and name is not None:
-        raise ValueError("give either a gate name or a matrix file, not both")
-    if matrix_path is None and name is None:
-        raise ValueError("no gate given")
     if matrix_path is None and not name.startswith("@"):
         return name, values, None
+    if values:
+        raise ValueError("a matrix gate takes no parameters")
     path = name[1:] if matrix_path is None else matrix_path
     return CUSTOM, (), parse_matrix(_read_text(path), path)
 
@@ -177,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("certify", "certify a two-qubit gate as a fusion operator", _cmd_certify)
-    p.add_argument("--gate", help="built-in gate name, or @file.json for a matrix")
+    gate = p.add_mutually_exclusive_group(required=True)
+    gate.add_argument("--gate", help="built-in gate name, or @file.json for a matrix")
+    gate.add_argument("--matrix", help="JSON file with a 4x4 matrix of [re, im] pairs")
     p.add_argument("--params", default="", help="comma-separated gate parameters")
-    p.add_argument("--matrix", help="JSON file with a 4x4 matrix of [re, im] pairs")
 
     p = add("constraints", "evaluate the pentagon constraints at a parameter point",
             _cmd_constraints)

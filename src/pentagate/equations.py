@@ -210,23 +210,22 @@ def cocycle3_residual(tp, d: int) -> EquationResidual:
     return _residual("cocycle3", l12 @ mid @ l12, l23 @ l12 @ l23)
 
 
+def _biconditional(first, second, m, d: int, tol) -> bool:
+    """True iff (m solves ``first``) == (tau m solves ``second``), both at ``tol``."""
+    check_tolerance(tol)
+    m = as_matrix(m)
+    return (first(m, d).residual < tol) == (second(twist(d) @ m, d).residual < tol)
+
+
 def check_street_duality(t, d: int, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True iff (T solves the pentagon equation) == (tau T solves the 3-cocycle).
 
     Tests the biconditional at a shared tolerance; the duality relates
     zero-sets, not residual magnitudes.
     """
-    check_tolerance(tol)
-    t = as_matrix(t)
-    is_fusion = pentagon_residual(t, d).residual < tol
-    is_cocycle = cocycle3_residual(twist(d) @ t, d).residual < tol
-    return is_fusion == is_cocycle
+    return _biconditional(pentagon_residual, cocycle3_residual, t, d, tol)
 
 
 def check_folklore_duality(r, d: int, tol: float = DEFAULT_TOLERANCE) -> bool:
     """True iff (R solves the braid YBE) == (tau R solves the 13-form YBE)."""
-    check_tolerance(tol)
-    r = as_matrix(r)
-    is_braid = ybe_residual(r, d).residual < tol
-    is_alt = ybe13_residual(twist(d) @ r, d).residual < tol
-    return is_braid == is_alt
+    return _biconditional(ybe_residual, ybe13_residual, r, d, tol)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGroupError, UnknownGateError
-from .linalg import _dimension, check_integer, reals
+from .linalg import _dimension, check_integer, entry, instance, reals
 
 FOUR_PI = 4.0 * math.pi
 
@@ -70,25 +70,17 @@ for _m in (*_FIXED.values(), *_PAIRS.values(), _EYE4):
     _m.flags.writeable = False
 
 
-def _pauli(axis: str) -> np.ndarray:
-    """The read-only Pauli matrix for axis 'x', 'y' or 'z'."""
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"unknown Pauli axis {axis!r}, expected 'x', 'y' or 'z'")
-    return _FIXED[axis.upper()]
-
-
 def rotation(axis: str, theta: float) -> np.ndarray:
-    """Single-qubit rotation exp(-i theta/2 sigma_axis)."""
+    """Single-qubit rotation exp(-i theta/2 sigma_axis); ValueError unless
+    ``axis`` is 'x', 'y' or 'z'."""
+    entry(_PAIRS, axis, "Pauli axis", ValueError, ", expected 'x', 'y' or 'z'")  # keyed by axis
     half = 0.5 * float(theta)
-    return math.cos(half) * _FIXED["I"] - 1j * math.sin(half) * _pauli(axis)
+    return math.cos(half) * _FIXED["I"] - 1j * math.sin(half) * _FIXED[axis.upper()]
 
 
 def standard_gate(name: str) -> np.ndarray:
     """One of the fixed named gates I, X, Y, Z, H, S, CNOT, SWAP."""
-    try:
-        return _FIXED[name].copy()
-    except (KeyError, TypeError):
-        raise UnknownGateError(f"unknown standard gate {name!r}") from None
+    return entry(_FIXED, name, "standard gate", UnknownGateError).copy()
 
 
 def _two_site_exponential(axis: str, theta) -> np.ndarray:
@@ -228,8 +220,8 @@ class CayleyTable:
 
         Anything but two ``CayleyTable`` instances raises InvalidGroupError.
         """
-        _check_group(g, "g")
-        _check_group(h, "h")
+        instance(g, CayleyTable, "g", InvalidGroupError)
+        instance(h, CayleyTable, "h", InvalidGroupError)
         n, m = g.order * h.order, h.order
         _dimension(2, n)
         # entry [i1, j1, i2, j2] is the index of (g_i1 g_i2, h_j1 h_j2)
@@ -252,11 +244,6 @@ class CayleyTable:
         return cls(len(perms), tuple(table), index[tuple(range(n))])
 
 
-def _check_group(g, what: str) -> None:
-    if not isinstance(g, CayleyTable):
-        raise InvalidGroupError(f"{what}: expected a CayleyTable, got {type(g).__name__}")
-
-
 def group_algebra_fusion(g: CayleyTable) -> np.ndarray:
     """Permutation fusion operator of a finite group.
 
@@ -265,8 +252,7 @@ def group_algebra_fusion(g: CayleyTable) -> np.ndarray:
     product. Always an exact pentagon solution; for Z_2 this is CNOT.
     Anything but a ``CayleyTable`` raises InvalidGroupError.
     """
-    _check_group(g, "group")
-    n = g.order
+    n = instance(g, CayleyTable, "group", InvalidGroupError).order
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
     # column a*n + b holds its 1 in row a*n + ab
     mat[(np.arange(n)[:, None] * n + np.array(g.table)).ravel(), np.arange(n * n)] = 1.0
@@ -294,10 +280,7 @@ GATES = {
 
 def gate_matrix(name: str, params=()) -> np.ndarray:
     """Resolve a gate name plus parameters to its unitary matrix."""
-    try:
-        _, expected, build = GATES[name]
-    except (KeyError, TypeError):
-        raise UnknownGateError(f"unknown gate name {name!r}") from None
+    _, expected, build = entry(GATES, name, "gate name", UnknownGateError)
     params = reals(params, f"gate {name!r} parameters")
     if len(params) != expected:
         raise ValueError(

@@ -31,15 +31,25 @@ numbers or a wire list:
     duplicate. It checks the wires of every ``GateInstance`` (SchemaError)
     and of every ``embed`` (WireError), with the same messages; each
     caller then checks the range against its own register.
+  - ``instance`` is the one type check of an argument: ``"{what}:
+    expected a {Kind}, got {type}"``, for a circuit, a group, a fusion
+    gate, a rewrite descriptor and the text ``parse`` reads.
+  - ``entry`` is the one lookup in a fixed table: a missing or unhashable
+    key reads ``"unknown {what} {key}{expected}"``, for ``GATES``, the
+    standard gates, the gate families, the rewrite rules and the Pauli
+    axes.
 
 ``as_matrix`` is the one reader of a matrix or a stack of them: what is
 not an array of numbers (a dict, a set, a ragged list, an integer past the
 float range, a bool or a string, which numpy would read as a number) and
 an array of the wrong number of dimensions raise the caller's class,
-DimensionError by default and SchemaError for a custom gate. A refused
-value is written by ``_shown``, which names an integer past the
-interpreter's digit limit by its size, since ``repr`` refuses such an
-integer.
+DimensionError by default and SchemaError for a custom gate.
+
+The readers above, and the refusals elsewhere that name a caller's
+value, name it through ``_shown``: its ``repr`` when that is at most 500
+characters, else its type and size (an integer by its bits, as ``repr``
+refuses one past the interpreter's digit limit), so the message stays
+short.
 
 ``_check_operator`` is the one statement of the shape rule: ``d`` is a
 count and an operator acts on k wires of dimension d. ``embed`` applies
@@ -63,6 +73,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sized
 
 import numpy as np
 
@@ -93,7 +104,7 @@ def real(value, where: str, error=ValueError) -> float:
     although ``float`` would round it down to the largest float.
     """
     if isinstance(value, bool) or not isinstance(value, _REAL):
-        raise error(f"{where}: expected a number, got {value!r}")
+        raise error(f"{where}: expected a number, got {_shown(value)}")
     if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return math.inf if value > 0 else -math.inf
     return float(value)
@@ -108,15 +119,41 @@ def finite(value, where: str, error=ValueError) -> float:
 
 
 def _shown(value) -> str:
-    """``repr(value)``, or the size of an integer too long for ``repr``.
+    """``repr(value)`` when it is at most 500 characters; otherwise the value's
+    type and size, as in ``"a str of length 100000"``.
 
-    ``repr`` refuses an integer past the interpreter's digit limit
-    (``sys.get_int_max_str_digits``), so such a value is named by its bits.
+    An integer is named by its bits when its repr would be longer, that is
+    outside (-10**499, 10**500); ``repr`` refuses one past the interpreter's
+    digit limit (``sys.get_int_max_str_digits``, at least 640). An array is
+    named by its shape, another sized value by its length, anything else by
+    its type alone.
     """
-    try:
-        return repr(value)
-    except ValueError:
+    if isinstance(value, int) and not -10**499 < value < 10**500:
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    if len(text := repr(value)) <= 500:
+        return text
+    if isinstance(value, np.ndarray):
+        return f"an array of shape {value.shape}"
+    kind = type(value).__name__
+    size = f" of length {len(value)}" if isinstance(value, Sized) else ""
+    return f"{'an' if kind[0].lower() in 'aeiou' else 'a'} {kind}{size}"
+
+
+def instance(value, kind: type, what: str, error):
+    """``value`` itself; ``error`` naming ``what`` and both types unless a ``kind``,
+    as in ``"circuit: expected a Circuit, got NoneType"``."""
+    if not isinstance(value, kind):
+        raise error(f"{what}: expected a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def entry(table, key, what: str, error=ValueError, expected: str = ""):
+    """``table[key]``; ``error`` reading ``"unknown {what} {key}{expected}"`` when
+    ``key`` is missing or cannot be hashed, the key named by ``_shown``."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise error(f"unknown {what} {_shown(key)}{expected}") from None
 
 
 def reals(values, what: str, error=ValueError) -> tuple[float, ...]:
@@ -148,7 +185,7 @@ def as_sequence(values, what: str, error) -> tuple:
     """
     if isinstance(values, (tuple, list)) or isinstance(values, np.ndarray) and values.ndim:
         return tuple(values)
-    raise error(f"{what}: expected a sequence, got {values!r}")
+    raise error(f"{what}: expected a sequence, got {_shown(values)}")
 
 
 def check_wires(wires, error) -> tuple[int, ...]:
@@ -164,13 +201,13 @@ def check_wires(wires, error) -> tuple[int, ...]:
         if type(w) is not int:
             for j, w in enumerate(wires):
                 if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-                    raise error(f"wires[{j}]: expected an integer, got {w!r}")
+                    raise error(f"wires[{j}]: expected an integer, got {_shown(w)}")
             wires = tuple(map(int, wires))
             break
     if not wires:
         raise error("wires: must list at least one wire")
     if len(wires) > 1 and len(set(wires)) != len(wires):
-        raise error(f"wires: duplicate wire in {list(wires)}")
+        raise error(f"wires: duplicate wire in {_shown(list(wires))}")
     return wires
 
 

@@ -51,7 +51,7 @@ from .certify import CertificationReport, certify
 from .circuit import (CUSTOM, Circuit, GateInstance, _gate_key, check_circuit, circuit_distance,
                       depth, resolved_matrix)
 from .errors import RewriteVerificationError, SchemaError, UncertifiedGateError
-from .linalg import DEFAULT_TOLERANCE, check_tolerance
+from .linalg import DEFAULT_TOLERANCE, _shown, check_tolerance, entry, instance
 
 #: Parameters and custom matrices must match the fusion gate this tightly.
 MATCH_TOLERANCE = 1e-10
@@ -79,9 +79,7 @@ class FusionGateDescriptor:
     certification: CertificationReport = field(init=False)
 
     def __post_init__(self):
-        gate = self.gate
-        if not isinstance(gate, GateInstance):
-            raise SchemaError(f"fusion gate: expected a GateInstance, got {type(gate).__name__}")
+        gate = instance(self.gate, GateInstance, "fusion gate", SchemaError)
         report = certify(resolved_matrix(gate), 2, self.tol, name=gate.name, params=gate.params)
         object.__setattr__(self, "certification", report)
         if not report.is_fusion:
@@ -112,7 +110,7 @@ def describe_fusion_gate(
     try:
         gate = GateInstance(name, (0, 1), params, matrix)
     except SchemaError as exc:
-        raise SchemaError(f"fusion gate {name!r}: {exc}") from None
+        raise SchemaError(f"fusion gate {_shown(name)}: {exc}") from None
     return FusionGateDescriptor(gate, tol)
 
 
@@ -232,9 +230,7 @@ def _find_sites(circuit: Circuit, descriptor: FusionGateDescriptor, pattern) -> 
     ``FusionGateDescriptor`` raises UncertifiedGateError.
     """
     gates = check_circuit(circuit).gates
-    if not isinstance(descriptor, FusionGateDescriptor):
-        raise UncertifiedGateError(
-            f"descriptor: expected a FusionGateDescriptor, got {type(descriptor).__name__}")
+    instance(descriptor, FusionGateDescriptor, "descriptor", UncertifiedGateError)
     fusion = [_matches_fusion_gate(gate, descriptor) for gate in gates]
     sites: list[RewriteSite] = []
     consumed: set[int] = set()
@@ -328,10 +324,7 @@ def transpile(
     the per-site errors add up.
     """
     tol = check_tolerance(tol)
-    try:
-        pattern, side = _RULES[rule]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown rule {rule!r}, expected 'compress' or 'expand'") from None
+    pattern, side = entry(_RULES, rule, "rule", ValueError, ", expected 'compress' or 'expand'")
     current = circuit
     rewrites = []  # (pass input, its sites) for every rewriting pass
     passes = 0

@@ -74,6 +74,18 @@ class TestCertifyCommand:
     def test_missing_command_usage_error(self):
         assert run_cli().returncode == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        ([], "one of the arguments --gate --matrix is required"),
+        (["--gate", "CNOT", "--matrix", "m.json"],
+         "argument --matrix: not allowed with argument --gate"),
+    ], ids=["neither", "both"])
+    def test_gate_flags_are_one_required_argument(self, flags, message):
+        # a missing or doubled argument is a usage error, as the cli docstring says
+        result = run_cli("certify", *flags)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.endswith(f"pentagate certify: error: {message}\n")
+
 
 @pytest.mark.parametrize("argv, folded", [
     (["--range", "-1:1", "--step", "1"], ["--range=-1:1", "--step", "1"]),
@@ -472,6 +484,24 @@ class TestMatrixFiles:
             assert captured.err == (
                 f"error: operator of shape ({size}, {size}) does not act on 2 wires of dimension 2\n"
             )
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("flags, matrix", [
+        (["certify", "--gate", "@m.json", "--params", "1,2,3"], "haar_4x4.json"),
+        (["certify", "--matrix", "m.json", "--params", "1"], "custom_fusion.json"),
+        (["transpile", "--in", "c.json", "--out", "out.json", "--rule", "compress",
+          "--fusion-gate", "@m.json", "--fusion-params", "1"], "custom_fusion.json"),
+    ], ids=["gate", "matrix", "fusion_gate"])
+    def test_parameters_with_a_matrix_gate_invalid_input(self, flags, matrix, tmp_path,
+                                                         monkeypatch, capsys):
+        # a matrix gate has no parameters to give; they are refused, not dropped
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text((GOLDEN_INPUTS / matrix).read_text())
+        (tmp_path / "c.json").write_text(serialize(template_circuit()))
+        assert main(flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a matrix gate takes no parameters\n"
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("flags", [["stats", "--in", "deep.json"],

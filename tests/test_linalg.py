@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentagate import (
     CayleyTable,
@@ -33,11 +35,14 @@ from pentagate import (
     phase_distance,
     refine,
     scan_fusion_solutions,
+    serialize,
     standard_gate,
     transpile,
 )
 from pentagate import linalg
 from pentagate.equations import pentagon_stack
+from pentagate.gates import rotation
+from pentagate.rewrite import FusionGateDescriptor
 from pentagate.linalg import _permutation_rows, frobenius_norm, twist
 from conftest import haar_unitary
 from oracles import embed_by_transpose_copy, matrices_equal, permutation_operator
@@ -483,6 +488,55 @@ HOSTILE_CALLS = {
     "direct_product_string_factor": (
         lambda: CayleyTable.direct_product(CayleyTable.cyclic(2), "ab"), InvalidGroupError,
         "h: expected a CayleyTable, got str"),
+    # a refused value whose repr is longer than 500 characters is named by its
+    # type and size, an integer by its bits
+    "certify_tolerance_long_array": (
+        lambda: certify(I4, tol=np.ones(1000)), ValueError,
+        "tolerance: expected a number, got an array of shape (1000,)"),
+    "certify_tolerance_long_integer": (
+        lambda: certify(I4, tol=10**600), ValueError,
+        "tolerance must be finite and positive, got an integer of 1994 bits"),
+    "embed_long_string_wires": (
+        lambda: embed(I2, "x" * 10**5, 1), WireError,
+        "wires: expected a sequence, got a str of length 100000"),
+    "embed_long_duplicate_wires": (
+        lambda: embed(I2, [0] * 10**4, 1), WireError,
+        "wires: duplicate wire in a list of length 10000"),
+    "gate_instance_long_string_wire": (
+        lambda: GateInstance("X", ["x" * 1000]), SchemaError,
+        "wires[0]: expected an integer, got a str of length 1000"),
+    "gate_instance_long_string_params": (
+        lambda: GateInstance("RZ", (0,), "x" * 10**5), SchemaError,
+        "params: expected a sequence, got a str of length 100000"),
+    "gate_instance_long_name": (
+        lambda: GateInstance("x" * 10**5, (0,)), UnknownGateError,
+        "name: unknown gate a str of length 100000"),
+    "parse_long_name": (
+        lambda: parse(json.dumps({"qubits": 1, "gates": [{"name": "x" * 10**5, "wires": [0]}]})),
+        UnknownGateError, "gates[0].name: unknown gate a str of length 100000"),
+    "describe_fusion_gate_long_name": (
+        lambda: describe_fusion_gate("y" * 10**5), SchemaError,
+        "fusion gate a str of length 100000: name: unknown gate a str of length 100000"),
+    "gate_matrix_long_name": (lambda: gate_matrix("x" * 10**5), UnknownGateError,
+                              "unknown gate name a str of length 100000"),
+    "standard_gate_long_name": (lambda: standard_gate("x" * 10**5), UnknownGateError,
+                                "unknown standard gate a str of length 100000"),
+    "constraints_long_family": (
+        lambda: constraints("x" * 10**5, (0.1, 0.2, 0.3)), ValueError,
+        "unknown family a str of length 100000, expected 'a' or 'heis'"),
+    "rotation_long_axis": (
+        lambda: rotation("x" * 10**5, 0.0), ValueError,
+        "unknown Pauli axis a str of length 100000, expected 'x', 'y' or 'z'"),
+    "parse_long_gate_field": (
+        lambda: parse(json.dumps(
+            {"qubits": 1, "gates": [{"name": "X", "wires": [0], "k" * 10**5: 1}]})),
+        SchemaError, "gates[0]: unknown field(s) a list of length 1"),
+    "parse_many_top_level_fields": (
+        lambda: parse(json.dumps({"qubits": 1, "gates": [], **{f"k{i}": 1 for i in range(10**4)}})),
+        SchemaError, "top level: unknown field(s) a list of length 10000"),
+    "transpile_long_rule": (
+        lambda: transpile(Circuit(3, ()), describe_fusion_gate("CNOT"), ["compress"] * 10**4),
+        ValueError, "unknown rule a list of length 10000, expected 'compress' or 'expand'"),
 }
 
 
@@ -493,6 +547,54 @@ def test_hostile_arguments_raise_the_documented_class(name):
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+_CNOT_DESCRIPTOR = describe_fusion_gate("CNOT")
+
+#: Every public caller of a refusal that names a caller's value, its type or
+#: a table key: the hostile value's slot, the documented class, and how many
+#: times its message names the value.
+REFUSING_CALLERS = {
+    "check_circuit": (serialize, SchemaError, 0),
+    "group_algebra_fusion": (group_algebra_fusion, InvalidGroupError, 0),
+    "direct_product": (lambda v: CayleyTable.direct_product(CayleyTable.cyclic(2), v),
+                       InvalidGroupError, 0),
+    "fusion_gate": (FusionGateDescriptor, SchemaError, 0),
+    "descriptor": (lambda v: find_compress_sites(Circuit(3, ()), v), UncertifiedGateError, 0),
+    "parse_text": (parse, SchemaError, 0),
+    "family": (lambda v: constraints(v, (0.1, 0.2, 0.3)), ValueError, 1),
+    "rule": (lambda v: transpile(Circuit(3, ()), _CNOT_DESCRIPTOR, v), ValueError, 1),
+    "standard_gate": (standard_gate, UnknownGateError, 1),
+    "gate_matrix": (gate_matrix, UnknownGateError, 1),
+    "rotation_axis": (lambda v: rotation(v, 0.0), ValueError, 1),
+    "tolerance": (lambda v: certify(I4, tol=v), ValueError, 1),
+    "params": (lambda v: GateInstance("RZ", (0,), v), SchemaError, 1),
+    "embed_wires": (lambda v: embed(I2, v, 1), WireError, 1),
+    "gate_wires": (lambda v: GateInstance("X", v), SchemaError, 1),
+    "gate_name": (lambda v: GateInstance(v, (0,)), SchemaError, 1),
+    # the prefix names the fusion gate, and the gate's own refusal names it again
+    "describe_fusion_gate": (describe_fusion_gate, SchemaError, 2),
+}
+
+#: Values no caller above accepts. No table has a key made of these
+#: characters, and a list holds only entries no reader takes.
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from([None, True, False, {0, 1}, {"a": 1}, 10**400, -10**400, 10**5000,
+                     np.array(0.5), np.ones(1000)]),
+    st.builds(lambda n, c: c * n, st.integers(1, 10**5), st.sampled_from(["Q", "é", "\x00", "'"])),
+    st.builds(lambda n, item: [item] * n, st.integers(0, 10**4), st.sampled_from([None, "Q"])),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(caller=st.sampled_from(sorted(REFUSING_CALLERS)), value=HOSTILE_VALUES)
+def test_refusals_of_hostile_values_are_bounded(caller, value):
+    """Every refusal raises its documented class, and its message holds at
+    most 100 characters of its own and 500 for each time it names the value."""
+    call, error, names = REFUSING_CALLERS[caller]
+    with pytest.raises(error) as caught:
+        call(value)
+    assert len(str(caught.value)) <= 100 + 500 * names
 
 
 class TestNormsAndUnitarity:
