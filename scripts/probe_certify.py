@@ -19,7 +19,8 @@ usage: python3 scripts/probe_certify.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
 ROUNDS is at least 2 (default 21). Prints one JSON object: per gate, its
 local dimension d, each side's median and quartiles in milliseconds, the
-ratio of the medians and the rounds the change won; then each side's sum
+ratio of the medians, the rounds the change won and each side's minor
+page faults per call (``probe_circuit_io.timed``); then each side's sum
 of the medians over all gates; then the same timings per build, under
 "<group> table" and "<group> fusion operator". Bad arguments print the
 usage line and exit 2.

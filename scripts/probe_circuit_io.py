@@ -19,7 +19,8 @@ usage: python3 scripts/probe_circuit_io.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS
 
 ROUNDS is at least 2 (default 21). Prints one JSON object: per circuit and
 call, each side's median and quartiles in milliseconds, the ratio of the
-medians and the rounds the change won. Each ``parse`` row adds
+medians, the rounds the change won and each side's median minor page
+faults per call (``timed``). Each ``parse`` row adds
 ``over_json_loads``: per side, the median over the rounds of its ``parse``
 time over its ``json.loads`` time, the two timed back to back. Bad
 arguments print the usage line and exit 2. The run exits 1 unless both
@@ -32,6 +33,7 @@ from __future__ import annotations
 import gc
 import importlib
 import json
+import resource
 import statistics
 import sys
 import time
@@ -92,28 +94,39 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def timed(sides: dict, calls: dict, rounds: int, per_round: int = 1, scale: float = 1e3) -> dict:
-    """Times of each ``calls[name](module, side)``, by name and side, in ms by default.
+def timed(sides: dict, calls: dict, rounds: int, per_round: int = 1,
+          scale: float = 1e3) -> tuple[dict, dict]:
+    """Times of each ``calls[name](module, side)``, by name and side, in ms
+    by default, and the minor page faults per call.
 
     Each round runs both sides, alternating which goes first, and a side
     runs the calls back to back. Each call is timed ``per_round`` times in
     wall time (``time.perf_counter``), and the mean per call is recorded,
-    times ``scale``.
+    times ``scale``. Beside it goes the mean count of minor page faults
+    per call, read from ``ru_minflt`` of this process's own
+    ``RUSAGE_SELF`` (its BLAS threads count, no other process does): a
+    call whose temporaries are mapped and unmapped each time faults their
+    pages in again on every call.
     """
     times = {call: {side: [] for side in sides} for call in calls}
+    faults = {call: {side: [] for side in sides} for call in calls}
     for k in range(rounds):
         for side in list(sides) if k % 2 == 0 else list(reversed(sides)):
             for call, run in calls.items():
                 gc.collect()
+                faulted = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 started = time.perf_counter()
                 for _ in range(per_round):
                     run(sides[side], side)
                 times[call][side].append(scale * (time.perf_counter() - started) / per_round)
-    return times
+                faulted = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faulted
+                faults[call][side].append(faulted / per_round)
+    return times, faults
 
 
-def summary(times: dict, unit: str = "ms") -> dict:
-    """Each side's median and quartiles, the ratio of the medians and the rounds the change won."""
+def summary(times: dict, faults: dict, unit: str = "ms") -> dict:
+    """Each side's median and quartiles, the ratio of the medians, the
+    rounds the change won and each side's median minor page faults per call."""
     medians = {side: statistics.median(t) for side, t in times.items()}
     return {
         f"base_{unit}": {"median": medians["base"], "quartiles": quartiles(times["base"])},
@@ -121,13 +134,15 @@ def summary(times: dict, unit: str = "ms") -> dict:
         "ratio": medians["change"] / medians["base"],
         "change_won": sum(b > a for a, b in zip(times["change"], times["base"])),
         "rounds": len(times["base"]),
+        "faults_per_call": {side: statistics.median(f) for side, f in faults.items()},
     }
 
 
 def paired(sides: dict, run, rounds: int, per_round: int = 1, unit: str = "ms") -> dict:
     """``summary`` of ``run(module, side)`` timed by ``timed`` in ``unit`` (ms or us)."""
     scale = {"ms": 1e3, "us": 1e6}[unit]
-    return summary(timed(sides, {unit: run}, rounds, per_round, scale)[unit], unit)
+    times, faults = timed(sides, {unit: run}, rounds, per_round, scale)
+    return summary(times[unit], faults[unit], unit)
 
 
 def gate_rows(sides: dict, rounds: int, report: dict) -> dict:
@@ -168,9 +183,10 @@ def main(argv: list[str]) -> int:
     for name, text in texts.items():
         calls = {"json.loads": lambda pg, side: json.loads(text),
                  "parse": lambda pg, side: pg.parse(text)}
-        times = timed(sides, calls, rounds)
+        times, faults = timed(sides, calls, rounds)
         for call, by_side in times.items():
-            report[f"{name} {call}"] = {"gates": report[f"{name} build"]["gates"], **summary(by_side)}
+            report[f"{name} {call}"] = {"gates": report[f"{name} build"]["gates"],
+                                        **summary(by_side, faults[call])}
         report[f"{name} parse"]["over_json_loads"] = {
             side: statistics.median(p / j for p, j in zip(times["parse"][side], times["json.loads"][side]))
             for side in sides

@@ -20,10 +20,13 @@ Times, on each checkout and alternating the sides as
 usage: python3 scripts/probe_cli_overhead.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
 ROUNDS is at least 2 (default 21). Prints one JSON object: per call, each
-side's median and quartiles per call, the ratio of the medians and the
-rounds the change won. Bad arguments print the usage line and exit 2.
-The run exits 1 unless both checkouts print the same stdout for each
-``cli.main`` call.
+side's median and quartiles per call, the ratio of the medians, the rounds
+the change won and each side's median minor page faults per call
+(``faults_per_call``, from ``ru_minflt`` of this process alone). A call
+whose temporaries cross the C allocator's mmap threshold faults their
+pages in again on every call, which the times alone do not show. Bad
+arguments print the usage line and exit 2. The run exits 1 unless both
+checkouts print the same stdout for each ``cli.main`` call.
 """
 
 from __future__ import annotations

@@ -45,8 +45,9 @@ lists what it compared.
 usage: python3 scripts/probe_simulate.py BASE_CHECKOUT CHANGE_CHECKOUT [ROUNDS]
 
 ROUNDS is at least 2 (default 21). Prints one JSON object: per call, each
-side's median and quartiles, the ratio of the medians and the rounds the
-change won. Bad arguments print the usage line and exit 2.
+side's median and quartiles, the ratio of the medians, the rounds the
+change won and each side's minor page faults per call
+(``probe_circuit_io.timed``). Bad arguments print the usage line and exit 2.
 """
 
 from __future__ import annotations

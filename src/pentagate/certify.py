@@ -14,9 +14,11 @@ Both evaluate many parameter points through the stacked kernel
 ``equations.pentagon_stack``. The scanner builds the grid in blocks of
 at most ``SCAN_CHUNK`` points, each one family-constructor call on three
 broadcast slices of the axis, and computes for every point the cheap
-lower bound ``equations._pentagon_column_bound`` of its residual; only
-the points whose bound is under ``tol + SCAN_SLACK`` go to one kernel
-call per block, and the kernel's residual decides each of them.
+lower bound ``equations._pentagon_column_bound`` of its residual, which
+evaluates a block in entry-major pieces of at most
+``equations.COLUMN_BOUND_PIECE`` gates; only the points whose bound is
+under ``tol + SCAN_SLACK`` go to one kernel call per block, and the
+kernel's residual decides each of them.
 ``refine`` evaluates its six compass polls in one kernel call per
 iteration. Each slice is bitwise the one-point result, so verdicts,
 classes, residuals and iterates depend neither on the blocks nor on
@@ -65,7 +67,11 @@ MAX_GRID_POINTS = 10**8
 #: call on broadcast axis slices. A block never splits the third axis, and
 #: the grid cap keeps an axis under 465 points, so each block holds at
 #: least two runs of it. At 1024 the per-call overhead is spread thin; a
-#: larger block costs peak memory for little further speed.
+#: larger block costs peak memory for little further speed. The column
+#: bound splits a block into pieces of ``equations.COLUMN_BOUND_PIECE``
+#: gates, so its temporaries stay small at any block size. On the ``scan``
+#: benchmark (3 seeds, 2-core VM) 1024 read 1.38-1.40 M points/s, 512
+#: 1.20-1.21 M and 2048 1.35-1.36 M.
 SCAN_CHUNK = 1024
 
 #: Margin over ``tol`` under which a point's column bound sends it to the
@@ -74,12 +80,19 @@ SCAN_CHUNK = 1024
 #: the kernel or in the bound, is a sum of at most 4 products per factor
 #: whose moduli sum to at most 1 (Cauchy-Schwarz on a unit row and a unit
 #: column), and at most three factors deep: each is computed to within
-#: about 30 * 2**-53 < 4e-15. Over the 64 entries of the kernel's
-#: difference and the 8 of the bound's column, with the rounding of both
-#: norms (the residual is at most 2 * sqrt(8)), the computed bound exceeds
-#: the computed residual by under 2e-13, a fifth of this margin; the
-#: measured gap between the bound and the dense column norm is under
-#: 1e-15 on A, Heisenberg and Haar gates. So every point whose residual
+#: about 30 * 2**-53 < 4e-15. The bound subtracts rhs's four products
+#: from lhs one at a time: four roundings of partial sums of modulus at
+#: most 2, 8 * 2**-53, where summing rhs and then taking the difference
+#: would round three sums of modulus at most 1 and one of at most 2,
+#: 5 * 2**-53. With the 4 * 2**-53 of its lhs and the 11 * 2**-53 of
+#: rhs's products, each entry of its column is within 23 * 2**-53 of the
+#: exact difference, inside that 30 * 2**-53. Over the 64 entries of the
+#: kernel's difference and the 8 of the bound's column, with the rounding
+#: of both norms (the residual is at most 2 * sqrt(8)), the computed bound
+#: exceeds the computed residual by under 2e-13, a fifth of this margin;
+#: the measured gap between the bound and the dense column norm is under
+#: 1e-15 (6.7e-16 at most over 3,000 each of A, Heisenberg and Haar
+#: gates). So every point whose residual
 #: is under ``tol`` has its bound under ``tol + SCAN_SLACK``.
 SCAN_SLACK = 1e-12
 

@@ -211,13 +211,15 @@ class Circuit:
         n = self.num_qubits
         check_integer(n, "qubits:", error=SchemaError)
         if n > MAX_QUBITS:
-            raise SchemaError(f"qubits: register of {n} exceeds the {MAX_QUBITS}-qubit cap")
+            raise SchemaError(
+                f"qubits: register of {_shown(int(n))} exceeds the {MAX_QUBITS}-qubit cap")
         for i, gate in enumerate(self.gates):
             if not isinstance(gate, GateInstance):
                 raise SchemaError(f"gates[{i}]: not a GateInstance")
             for w in gate.wires:
                 if not 0 <= w < n:
-                    raise SchemaError(f"gates[{i}].wires: wire {w} out of range for {n} qubits")
+                    raise SchemaError(
+                        f"gates[{i}].wires: wire {_shown(w)} out of range for {n} qubits")
 
 
 def check_circuit(circuit) -> Circuit:

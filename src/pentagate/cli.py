@@ -53,7 +53,7 @@ from .errors import (
     RewriteVerificationError,
 )
 from .gates import gate_matrix
-from .linalg import DEFAULT_TOLERANCE, check_tolerance
+from .linalg import DEFAULT_TOLERANCE, _shown, check_tolerance
 from .rewrite import describe_fusion_gate, transpile
 
 EXIT_OK = 0
@@ -76,17 +76,18 @@ def _parse_params(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse parameter list {text!r}") from None
+        raise ValueError(f"cannot parse parameter list {_shown(text)}") from None
 
 
 def _parse_range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {_shown(text)}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"range bounds must be numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"range bounds must be numbers, got {_shown(text)}") from None
 
 
 def _parse_tolerance(text: str) -> float:

@@ -32,7 +32,9 @@ every slice is bitwise the one-gate result. ``pentagon_residual`` is its
 one-gate case. At d=2, ``_pentagon_column_bound`` gives a lower bound of
 each residual, the norm of one column of the difference, for a fraction
 of the kernel's cost; the scanner uses it to skip points that cannot
-pass. The other equations are evaluated with dense lifts; they are only
+pass. It copies the gates entry-major, in pieces of at most
+``COLUMN_BOUND_PIECE``, so each of its products runs over one row of
+gates. The other equations are evaluated with dense lifts; they are only
 called at small d.
 
 A permutation gate, one whose matrix has only exact 0 and 1 entries with
@@ -138,6 +140,19 @@ def pentagon_stack(ts, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lhs, rhs, residuals
 
 
+#: Most gates ``_pentagon_column_bound`` evaluates at a time. A piece's
+#: entry-major copy of its gates takes 128 KiB and each temporary 64 KiB,
+#: within glibc's 128 KiB mmap threshold, so they are reused from the
+#: heap. A whole 1,024-point scan block doubles both, and then the
+#: temporaries are mapped and faulted in again on every call: about 95
+#: minor page faults per call, 2,300-2,700 in the bound per pass of the
+#: ``scan`` benchmark's seven scans, where in 512-gate pieces the whole
+#: pass faults 130-720 times, the bound alone 0-530 (which call touches
+#: the heap's trimmed top first varies from process to process). Each
+#: ufunc still runs over 512 contiguous values.
+COLUMN_BOUND_PIECE = 512
+
+
 def _pentagon_column_bound(ts: np.ndarray) -> np.ndarray:
     """Lower bounds of the ``pentagon_stack`` residuals of a stack of d=2 gates.
 
@@ -146,18 +161,40 @@ def _pentagon_column_bound(ts: np.ndarray) -> np.ndarray:
     vector e, ||(L - R) e||_2 <= ||L - R||_F. Writing T[xy, x'y'], the
     columns are T23 T12|001>: (x, yz) -> sum_b T[xb, 00] T[yz, b1], and
     T12 T13 T23|001>: (xy, z) -> sum_k T[xy, k] v[k, z] with
-    v[x'y', z] = sum_w T[x'z, 0w] T[y'w, 01]. Each is a two- or four-term
-    sum of gathered columns over the whole stack, with no per-slice
-    product. A gate with a NaN entry gets a NaN bound.
+    v[x'y', z] = sum_w T[x'z, 0w] T[y'w, 01]. A gate with a NaN entry gets
+    a NaN bound, as every entry enters the second column.
+
+    The stack is evaluated in pieces of at most ``COLUMN_BOUND_PIECE``
+    gates, each copied once entry-major: entry T[r, c] of every gate of
+    the piece is one contiguous row, so each product and sum above is one
+    ufunc call over whole rows, where in the gates' own layout every call
+    would run 2- to 4-element strided inner loops. The column of
+    ``lhs - rhs`` is built in one ``(8, n)`` array, the two terms of lhs
+    added and the four of rhs subtracted in place, and each gate's norm is
+    read from that array's float view. The bound of a gate depends on no
+    other gate, so the pieces change no bit of it; the summation order
+    moves the bound by at most 2 ulps from that of the gates' own layout
+    (``certify.SCAN_SLACK`` covers it).
     """
-    c0, c1 = ts[:, :, 0], ts[:, :, 1]
-    lhs = c0[:, 0::2, None] * ts[:, None, :, 1] + c0[:, 1::2, None] * ts[:, None, :, 3]
-    v = (c0.reshape(-1, 2, 1, 2) * c1[:, None, 0::2, None]
-         + c1.reshape(-1, 2, 1, 2) * c1[:, None, 1::2, None]).reshape(-1, 4, 2)
-    rhs = (ts[:, :, 0, None] * v[:, None, 0] + ts[:, :, 1, None] * v[:, None, 1]
-           + ts[:, :, 2, None] * v[:, None, 2] + ts[:, :, 3, None] * v[:, None, 3])
-    diff = (lhs.reshape(-1, 8) - rhs.reshape(-1, 8)).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    bounds = np.empty(len(ts))
+    for start in range(0, len(ts), COLUMN_BOUND_PIECE):
+        piece = ts[start:start + COLUMN_BOUND_PIECE]
+        n = len(piece)
+        t = np.ascontiguousarray(piece.reshape(n, 16).T).reshape(4, 4, n)  # t[r, c] over gates
+        diff = np.empty((8, n), dtype=np.complex128)
+        lhs = diff.reshape(2, 4, n)  # (x, yz)
+        np.multiply(t[0::2, 0, None], t[None, :, 1], out=lhs)
+        lhs += t[1::2, 0, None] * t[None, :, 3]
+        v = (t[:, 0].reshape(2, 1, 2, n) * t[0::2, 1].reshape(1, 2, 1, n)
+             + t[:, 1].reshape(2, 1, 2, n) * t[1::2, 1].reshape(1, 2, 1, n)).reshape(4, 2, n)
+        rhs = diff.reshape(4, 2, n)  # (xy, z)
+        for k in range(4):
+            rhs -= t[:, k, None] * v[k]
+        squares = diff.view(np.float64)  # (8, 2n): re, im interleaved
+        squares *= squares
+        sums = squares.sum(axis=0)
+        bounds[start:start + n] = np.sqrt(sums[0::2] + sums[1::2])
+    return bounds
 
 
 def pentagon_residual(t, d: int) -> EquationResidual:

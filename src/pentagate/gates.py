@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGroupError, UnknownGateError
-from .linalg import _dimension, check_integer, entry, instance, reals
+from .linalg import _dimension, _shown, check_integer, entry, instance, reals
 
 FOUR_PI = 4.0 * math.pi
 
@@ -198,7 +198,7 @@ class CayleyTable:
         e = self.identity_index
         check_integer(e, "identity index", 0, InvalidGroupError)
         if e >= n:
-            raise InvalidGroupError(f"identity index {e} out of range")
+            raise InvalidGroupError(f"identity index {_shown(int(e))} out of range")
         if not ((a[e] == full) & (a[:, e] == full)).all():
             raise InvalidGroupError(f"element {e} is not a two-sided identity")
         for x in range(n):

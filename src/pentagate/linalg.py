@@ -268,11 +268,12 @@ def _dimension(num_qubits, d) -> int:
     power is taken with Python ints, so numpy counts cannot wrap.
     """
     if num_qubits > MAX_QUBITS:
-        raise DimensionError(f"register of {num_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap")
+        raise DimensionError(
+            f"register of {_shown(int(num_qubits))} qubits exceeds the {MAX_QUBITS}-qubit cap")
     size = int(d) ** int(num_qubits)
     if size > 2**MAX_QUBITS:
         raise DimensionError(
-            f"register of {num_qubits} wires of dimension {d} exceeds the "
+            f"register of {num_qubits} wires of dimension {_shown(int(d))} exceeds the "
             f"{2**MAX_QUBITS}-dimensional cap"
         )
     return size
@@ -346,7 +347,8 @@ def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:
     wires = check_wires(wires, WireError)
     for w in wires:
         if not 0 <= w < num_qubits:
-            raise WireError(f"wires: wire {w} out of range for {num_qubits} qubits")
+            raise WireError(
+                f"wires: wire {_shown(w)} out of range for {_shown(int(num_qubits))} qubits")
     k = len(wires)
     _check_operator(u, k, d)
     batch, size = u.shape[:-2], _dimension(num_qubits, d)

@@ -102,15 +102,18 @@ def describe_fusion_gate(
     custom 4x4 matrix, named ``custom`` when ``name`` is None. The gate is
     built on wires (0, 1) first, so a gate no circuit could hold, a name
     given with a matrix, or neither, raises SchemaError naming the fusion
-    gate. A pentagon residual at or above ``tol`` gives a not_fusion
-    certification, which the descriptor refuses with UncertifiedGateError.
+    gate once: ``fusion gate NAME: ...``, or ``fusion gate: name: ...``
+    when the gate's own refusal is of the name and names it. A pentagon
+    residual at or above ``tol`` gives a not_fusion certification, which
+    the descriptor refuses with UncertifiedGateError.
     """
     if name is None:
         name = CUSTOM
     try:
         gate = GateInstance(name, (0, 1), params, matrix)
-    except SchemaError as exc:
-        raise SchemaError(f"fusion gate {_shown(name)}: {exc}") from None
+    except SchemaError as exc:  # a refusal of the name names it already
+        named = "" if str(exc).startswith("name:") else f" {_shown(name)}"
+        raise SchemaError(f"fusion gate{named}: {exc}") from None
     return FusionGateDescriptor(gate, tol)
 
 

@@ -494,6 +494,43 @@ class TestScanPruning:
         # (-+6.2832, +-6.2832, 0), whose gates lie within 1e-5 of +I
         assert sum(seen) == 3 and len(seen) <= 3
 
+    def test_a_nan_gate_has_a_nan_bound_and_is_skipped(self, monkeypatch):
+        # the origin, the one solution of this grid, with entry (3, 2) of its
+        # gate made NaN: that entry enters the bound only through one of the
+        # four products of rhs, and no other gate's bound is touched
+        module = importlib.import_module("pentagate.certify")
+        build, names = FAMILIES["a"]
+        seen = []
+
+        def poisoned(c1, c2, c3):
+            gates = build(c1, c2, c3)
+            gates[(c1 == 0.0) & (c2 == 0.0) & (c3 == 0.0), 3, 2] = np.nan
+            return gates
+
+        def counting(ts, d):
+            seen.append(len(ts))
+            return pentagon_stack(ts, d)
+
+        axis = (-PI / 2, PI / 2, PI / 2)
+        assert [p.parameters for p in scan_fusion_solutions("a", axis)] == [(0.0, 0.0, 0.0)]
+        bound = _pentagon_column_bound(poisoned(*np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]).T))
+        assert np.isnan(bound[0]) and np.isfinite(bound[1])
+        monkeypatch.setitem(module.FAMILIES, "a", (poisoned, names))
+        monkeypatch.setattr(module, "pentagon_stack", counting)
+        assert scan_fusion_solutions("a", axis) == []
+        assert sum(seen) == 0
+
+    def test_bound_of_an_empty_stack_is_empty(self):
+        assert _pentagon_column_bound(np.empty((0, 4, 4), dtype=complex)).shape == (0,)
+
+    @pytest.mark.parametrize("view", [lambda s: s[::-1], lambda s: s[::2]], ids=["reversed", "every_other"])
+    def test_bound_of_a_view_is_the_bound_of_its_copy(self, view):
+        # 1,100 gates, so the views span more than one piece
+        stack = view(a_gate(*np.random.default_rng(34).uniform(-7.0, 7.0, (3, 1100))))
+        assert not stack.flags.c_contiguous
+        want = _pentagon_column_bound(np.ascontiguousarray(stack))
+        assert np.max(np.abs(_pentagon_column_bound(stack) - want)) <= 1e-15
+
 
 class TestRefine:
     def test_already_solved_point_returns_immediately(self):

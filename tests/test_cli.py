@@ -431,6 +431,24 @@ class TestInputBoundary:
         assert main(["certify", "--matrix", "f.json", "--tol", "1e-6", "--quiet"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "fusion"
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["certify", "--gate", "A", "--params", "x" * 10**5], 2,
+         "error: cannot parse parameter list a str of length 100000"),
+        (["scan", "--family", "a", "--step", "1", "--range", "x" * 10**5], 1,
+         "range must look like lo:hi, got a str of length 100000"),
+        (["scan", "--family", "a", "--step", "1", "--range", "x" * 10**5 + ":1"], 1,
+         "range bounds must be numbers, got a str of length 100002"),
+    ], ids=["params", "range", "range_bounds"])
+    def test_long_flag_text_is_named_by_its_size(self, argv, code, message, capsys):
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:  # argparse refuses a bad --range
+            assert exc.code == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert max(len(line) for line in captured.err.splitlines()) <= 600
+
 
 class TestMatrixFiles:
     """Matrix files follow the circuit schema's rules for custom matrices."""

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pentagate import (
@@ -404,6 +404,24 @@ HOSTILE_CALLS = {
     "register_size_past_digit_limit": (
         lambda: embed(I2, (0,), -10**5000), WireError,
         "register size must be an integer of at least 1, got a negative integer of 16610 bits"),
+    "embed_wire_past_digit_limit": (
+        lambda: embed(I2, [10**5000], 1), WireError,
+        "wires: wire an integer of 16610 bits out of range for 1 qubits"),
+    "embed_register_past_digit_limit": (
+        lambda: embed(I2, (0,), 10**5000), DimensionError,
+        "register of an integer of 16610 bits qubits exceeds the 12-qubit cap"),
+    "circuit_register_past_digit_limit": (
+        lambda: Circuit(10**5000, ()), SchemaError,
+        "qubits: register of an integer of 16610 bits exceeds the 12-qubit cap"),
+    "circuit_wire_past_digit_limit": (
+        lambda: Circuit(1, (GateInstance("X", [10**5000]),)), SchemaError,
+        "gates[0].wires: wire an integer of 16610 bits out of range for 1 qubits"),
+    "group_identity_past_digit_limit": (
+        lambda: CayleyTable(1, ((0,),), 10**5000), InvalidGroupError,
+        "identity index an integer of 16610 bits out of range"),
+    "group_order_past_digit_limit": (
+        lambda: CayleyTable(10**5000, (), 0), DimensionError,
+        "register of 2 wires of dimension an integer of 16610 bits exceeds the 4096-dimensional cap"),
     # what numpy cannot read as an array of numbers, or reads with the wrong shape
     "custom_matrix_dict": (lambda: GateInstance("custom", (0,), matrix={0: 1}), SchemaError,
                            "matrix: expected an array of numbers, got dict"),
@@ -514,9 +532,13 @@ HOSTILE_CALLS = {
     "parse_long_name": (
         lambda: parse(json.dumps({"qubits": 1, "gates": [{"name": "x" * 10**5, "wires": [0]}]})),
         UnknownGateError, "gates[0].name: unknown gate a str of length 100000"),
+    # a refusal of the name names it once, not in the prefix as well
     "describe_fusion_gate_long_name": (
         lambda: describe_fusion_gate("y" * 10**5), SchemaError,
-        "fusion gate a str of length 100000: name: unknown gate a str of length 100000"),
+        "fusion gate: name: unknown gate a str of length 100000"),
+    "describe_fusion_gate_name_under_the_bound": (
+        lambda: describe_fusion_gate("y" * 497), SchemaError,
+        f"fusion gate: name: unknown gate {'y' * 497!r}"),
     "gate_matrix_long_name": (lambda: gate_matrix("x" * 10**5), UnknownGateError,
                               "unknown gate name a str of length 100000"),
     "standard_gate_long_name": (lambda: standard_gate("x" * 10**5), UnknownGateError,
@@ -572,8 +594,7 @@ REFUSING_CALLERS = {
     "embed_wires": (lambda v: embed(I2, v, 1), WireError, 1),
     "gate_wires": (lambda v: GateInstance("X", v), SchemaError, 1),
     "gate_name": (lambda v: GateInstance(v, (0,)), SchemaError, 1),
-    # the prefix names the fusion gate, and the gate's own refusal names it again
-    "describe_fusion_gate": (describe_fusion_gate, SchemaError, 2),
+    "describe_fusion_gate": (describe_fusion_gate, SchemaError, 1),
 }
 
 #: Values no caller above accepts. No table has a key made of these
@@ -588,6 +609,7 @@ HOSTILE_VALUES = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(caller=st.sampled_from(sorted(REFUSING_CALLERS)), value=HOSTILE_VALUES)
+@example(caller="describe_fusion_gate", value="y" * 497)  # a repr just under the bound
 def test_refusals_of_hostile_values_are_bounded(caller, value):
     """Every refusal raises its documented class, and its message holds at
     most 100 characters of its own and 500 for each time it names the value."""

@@ -51,7 +51,7 @@ from pentagate import (
 )
 from pentagate.certify import SCAN_SLACK, CertificationReport, Witness
 from pentagate.circuit import depth, parse_matrix
-from pentagate.equations import (_pentagon_column_bound, pentagon_stack,
+from pentagate.equations import (COLUMN_BOUND_PIECE, _pentagon_column_bound, pentagon_stack,
                                  permutation_solves_pentagon, ybe_residual)
 from pentagate.gates import GATES
 from pentagate.rewrite import _RULES, _apply_sites, _find_sites, _site_distance
@@ -322,25 +322,43 @@ def test_kernel_agrees_with_the_dense_products_on_haar_gates(d, count, seed):
     assert np.max(np.abs(residuals - want_residuals)) <= bound
 
 
-@PROPERTY_SETTINGS
-@given(st.sampled_from(("a", "heis", "haar")), st.integers(1, 1024), st.integers(0, 2**32 - 1))
-def test_column_bound_is_the_dense_column_and_at_most_the_residual(family, count, seed):
-    # half the coordinates lie on the pi/2 lattice, where the +-I points
-    # and the exact solutions of both families are; the first gate of
-    # every stack is the identity, whose bound and residual are both 0
+def _column_bound_stack(family: str, count: int, seed: int) -> np.ndarray:
+    """``count`` gates of a family: the identity, then random points.
+
+    Half the coordinates lie on the pi/2 lattice, where the +-I points and
+    the exact solutions of both families are; the identity's bound and
+    residual are both 0.
+    """
     rng = np.random.default_rng(seed)
     if family == "haar":
-        stack = np.stack([np.eye(4, dtype=complex)] + [haar_unitary(4, rng) for _ in range(count - 1)])
-    else:
-        lattice = rng.integers(-8, 9, (3, count)) * (math.pi / 2)
-        params = np.where(rng.random((3, count)) < 0.5, lattice, rng.uniform(-40.0, 40.0, (3, count)))
-        params[:, 0] = 0.0
-        stack = (a_gate if family == "a" else heisenberg_evolution)(*params)
+        return np.stack([np.eye(4, dtype=complex)] + [haar_unitary(4, rng) for _ in range(count - 1)])
+    lattice = rng.integers(-8, 9, (3, count)) * (math.pi / 2)
+    params = np.where(rng.random((3, count)) < 0.5, lattice, rng.uniform(-40.0, 40.0, (3, count)))
+    params[:, 0] = 0.0
+    return (a_gate if family == "a" else heisenberg_evolution)(*params)
+
+
+def _check_column_bound(stack: np.ndarray) -> None:
     bound = _pentagon_column_bound(stack)
     lhs, rhs, _ = dense_pentagon_stack(stack, 2)
     column = np.linalg.norm((lhs - rhs)[:, :, 1], axis=1)  # column |001>
     assert np.max(np.abs(bound - column)) <= 1e-14
     assert np.all(bound <= pentagon_stack(stack, 2)[2] + SCAN_SLACK)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(("a", "heis", "haar")), st.integers(1, 1024), st.integers(0, 2**32 - 1))
+def test_column_bound_is_the_dense_column_and_at_most_the_residual(family, count, seed):
+    _check_column_bound(_column_bound_stack(family, count, seed))
+
+
+@pytest.mark.parametrize("count", [COLUMN_BOUND_PIECE + k for k in (-1, 0, 1)]
+                         + [2 * COLUMN_BOUND_PIECE + k for k in (0, 1)])
+@pytest.mark.parametrize("family", ["a", "heis", "haar"])
+def test_column_bound_property_across_piece_edges(family, count):
+    # a stack of a piece less one gate, a piece, a piece and one gate, two
+    # pieces, and two pieces and one gate
+    _check_column_bound(_column_bound_stack(family, count, count))
 
 
 @PROPERTY_SETTINGS
