@@ -46,9 +46,11 @@ one 1 per row and per column (X, CNOT, SWAP, permutation custom gates;
 ``linalg._permutation_rows``), into one integer row map, O(2**n) integers
 and no register data: the product would add ``1 * x`` to exact zeros, so
 relabelling gives its values, and only the sign of a zero entry can
-differ. A named gate's matrix and its class are cached per name and
-parameters, and a permutation gate's row map per register size, wires
-and rows, both in bounded caches, so no gate object holds a row map.
+differ. A permutation gate's row map is its rows lifted onto its wires
+by ``linalg._row_map``, the layer the pentagon certifier lifts with too.
+A named gate's matrix and its class are cached per name and parameters,
+and a qubit row map per register size, wires and rows, both in bounded
+caches, so no gate object holds a row map.
 ``to_unitary`` simulates as it walks, in two register-sized buffers with a
 row map beside them: register row r is row ``at[r]`` of the held buffer.
 Any other gate gathers its operand through the map into the free buffer,
@@ -81,11 +83,12 @@ import sys
 
 import numpy as np
 
-from . import jsonio
+from . import jsonio, linalg
 from .errors import DimensionError, SchemaError, UnknownGateError
 from .gates import GATES
-from .linalg import (MAX_QUBITS, _permutation_rows, _shown, as_matrix, as_sequence, check_integer,
-                     check_wires, finite, instance, is_unitary, phase_distance, reals)
+from .linalg import (MAX_QUBITS, _orders, _permutation_rows, _shown, as_matrix, as_sequence,
+                     check_integer, check_wires, finite, instance, is_unitary, phase_distance,
+                     reals)
 
 #: Custom gate matrices must be unitary within this bound.
 CUSTOM_UNITARY_TOLERANCE = 1e-10
@@ -393,40 +396,12 @@ def serialize(circuit: Circuit) -> str:
     return f'{{"qubits": {int(circuit.num_qubits)}, "gates": [{", ".join(parts)}]}}'
 
 
-#: Bound of the ``_orders`` cache. An entry holds two arrays of ``2**n``
-#: integers, 64 KiB at 12 qubits, so the cache holds at most 16 MiB.
-_ORDERS_CACHED = 256
-
-
-@functools.lru_cache(maxsize=_ORDERS_CACHED)
-def _orders(n: int, wires: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(order, inverse)`` for a gate on ``wires`` of ``n`` qubits.
-
-    Row i of the gate's operand is register row ``order[i]``: the operand
-    lists the rows with the gate's wires as the leading bits, in their
-    order, and the other wires after them in register order. ``inverse``
-    sends a register row to its row in the operand.
-    """
-    order = np.moveaxis(np.arange(2**n).reshape((2,) * n), wires, range(len(wires))).ravel()
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(2**n)
-    order.flags.writeable = inverse.flags.writeable = False
-    return order, inverse
-
-
 #: Bound of the ``_row_map`` cache. An entry holds ``2**n`` integers, 32 KiB
-#: at 12 qubits, so the cache holds at most 8 MiB.
+#: at 12 qubits, so the cache holds at most 8 MiB. It caches qubit lifts
+#: only; ``linalg._row_map`` itself keeps none.
 _ROW_MAPS_CACHED = 256
 
-
-@functools.lru_cache(maxsize=_ROW_MAPS_CACHED)
-def _row_map(n: int, wires: tuple[int, ...], rows: tuple[int, ...]) -> np.ndarray:
-    """Read-only register row map of a permutation gate on ``wires`` of ``n``
-    qubits whose row i has its 1 in column ``rows[i]``."""
-    order, inverse = _orders(n, wires)
-    moved = order.reshape(len(rows), -1)[list(rows)].ravel()[inverse]
-    moved.flags.writeable = False
-    return moved
+_row_map = functools.lru_cache(maxsize=_ROW_MAPS_CACHED)(linalg._row_map)
 
 
 #: Bound of the ``_classified`` cache. An entry holds a named gate's matrix,
@@ -440,8 +415,7 @@ def _classified(name: str, params: tuple[float, ...]) -> tuple[np.ndarray, tuple
     ``_permutation_rows`` as a tuple, or None when it is dense."""
     m = GATES[name][2](*params)
     m.flags.writeable = False
-    rows = _permutation_rows(m)
-    return m, None if rows is None else tuple(rows.tolist())
+    return m, _permutation_rows(m)
 
 
 def _run(n: int, gates: tuple[GateInstance, ...], i: int) -> tuple[int, np.ndarray | None, np.ndarray | None]:
@@ -460,11 +434,8 @@ def _run(n: int, gates: tuple[GateInstance, ...], i: int) -> tuple[int, np.ndarr
     at = None
     for k in range(i, len(gates)):
         gate = gates[k]
-        if gate.name == CUSTOM:
-            m, rows = gate.matrix, _permutation_rows(gate.matrix)
-            rows = rows if rows is None else tuple(rows.tolist())
-        else:
-            m, rows = _classified(gate.name, gate.params)
+        m, rows = (_classified(gate.name, gate.params) if gate.name != CUSTOM
+                   else (gate.matrix, _permutation_rows(gate.matrix)))
         if rows is None:
             return k, at, m
         moved = _row_map(n, gate.wires, rows)

@@ -39,8 +39,9 @@ called at small d.
 
 A permutation gate, one whose matrix has only exact 0 and 1 entries with
 one 1 per row and per column (``linalg._permutation_rows``), is also
-decided without a lift by ``permutation_solves_pentagon``. Each lift of
-such a gate maps basis state i of V (x) V (x) V to one basis state, and a
+decided without a dense lift by ``permutation_solves_pentagon``. Each lift
+of such a gate maps basis state i of V (x) V (x) V to one basis state,
+its rows as ``linalg._row_map`` lifts them for the simulator, and a
 product of such matrices composes those maps, so the sides are equal
 exactly when the composed index maps of T23 T12 and T12 T13 T23 agree on
 the d**3 basis states. That costs O(d**3) where the dense sides cost
@@ -70,8 +71,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOLERANCE, _check_operator, _permutation_rows, as_matrix,
-                     check_tolerance, embed, twist)
+from .linalg import (DEFAULT_TOLERANCE, _check_operator, _permutation_rows, _row_map,
+                     as_matrix, check_tolerance, embed, twist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,19 +210,16 @@ def permutation_solves_pentagon(t, d: int) -> bool:
     Refuses a bad ``d`` or shape with the shape rule's DimensionError
     first. A gate that is not a permutation, or whose maps disagree, gives
     False; ``certify`` checks its unitarity and leaves it to the dense
-    kernel, which reports its residual and where the sides differ. Row i of a permutation matrix
-    holds its 1 in column ``rows[i]``, so the rows of a product A B are
-    ``rows_B[rows_A]``. Each lift's rows are an array over the d**3 basis
-    states, built from the gate's rows read as a d x d table of pair indices.
+    kernel, which reports its residual and where the sides differ. Each
+    lift's rows are ``linalg._row_map`` of the gate's rows, and the rows of
+    a product A B are ``rows_B[rows_A]``.
     """
     t = as_matrix(t)
     _check_operator(t, 2, d)
     if (rows := _permutation_rows(t)) is None:
         return False
-    i, r, dd = np.arange(d), rows.reshape(d, d), d * d  # state (x, y, z) is x*dd + y*d + z
-    t12 = (r[:, :, np.newaxis] * d + i).ravel()  # (x, y, z) -> (r[x, y], z)
-    t23 = (i[:, np.newaxis, np.newaxis] * dd + r).ravel()  # (x, y, z) -> (x, r[y, z])
-    t13 = ((r // d * dd + r % d)[:, np.newaxis] + i[:, np.newaxis] * d).ravel()  # r[x, z] on x, z
+    rows = np.array(rows)  # converted once for the three lifts
+    t12, t23, t13 = (_row_map(3, wires, rows, d) for wires in ((0, 1), (1, 2), (0, 2)))
     return bool((t12[t23] == t23[t13[t12]]).all())
 
 

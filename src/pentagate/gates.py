@@ -115,10 +115,14 @@ def a_gate(c1, c2, c3) -> np.ndarray:
     gates; the matrix is 4*pi-periodic in every parameter. The parameters
     may be arrays of one broadcast shape s; the result is then the stack
     of shape ``s + (4, 4)``, slice for slice equal to the scalar calls.
+    Each parameter is halved before the half-sum and half-difference are
+    formed: halving a float is exact, and a sum of two floats near the
+    float maximum would overflow, so the gate is finite and unitary at
+    every finite point.
     """
     c1, c2, c3 = (np.asarray(c, dtype=float) for c in (c1, c2, c3))
-    half_diff = 0.5 * (c1 - c2)
-    half_sum = 0.5 * (c1 + c2)
+    half_diff = 0.5 * c1 - 0.5 * c2
+    half_sum = 0.5 * c1 + 0.5 * c2
     ep = np.exp(0.5j * c3)
     em = np.exp(-0.5j * c3)
     cd, sd = np.cos(half_diff), np.sin(half_diff)

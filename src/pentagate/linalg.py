@@ -60,6 +60,13 @@ leave the rule to their first lift. ``_permutation_rows`` is the one
 test of a permutation matrix, exact 0/1 entries with one 1 per row and
 per column, shared by the simulator and the index-map check.
 
+``_orders`` and ``_row_map`` are the one permutation layer: ``_row_map(n,
+wires, rows, d)`` lifts a permutation gate's rows onto ``wires`` of n
+d-level wires, the rows of its ``embed`` lift, in O(d**n) integers and no
+matrix. The simulator composes qubit lifts into row maps (``circuit``
+caches them), and ``equations.permutation_solves_pentagon`` lifts a gate
+onto T12, T23 and T13 of V (x) V (x) V, uncached.
+
 Conventions used throughout the package:
 
   - Operators are numpy ``complex128`` arrays of shape ``(d, d)``.
@@ -71,6 +78,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Sized
@@ -251,13 +259,19 @@ def frobenius_norm(a) -> float:
 
 
 def is_unitary(a, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """True iff ||a' a - I||_F < tol; requires a square matrix."""
+    """True iff ||a' a - I||_F < tol; requires a square matrix.
+
+    An entry past about 1e154 overflows ``a' a``; the norm is then inf or
+    nan and the answer False, so numpy's overflow warnings are silenced
+    rather than raised or printed.
+    """
     check_tolerance(tol)
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"is_unitary needs a square matrix, got {a.shape}")
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    return frobenius_norm(a.conj().T @ a - eye) < tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frobenius_norm(a.conj().T @ a - eye) < tol
 
 
 def _dimension(num_qubits, d) -> int:
@@ -303,22 +317,65 @@ def _check_operator(u: np.ndarray, k: int, d) -> None:
         )
 
 
-def _permutation_rows(m: np.ndarray) -> np.ndarray | None:
-    """Column of the 1 in each row when ``m`` is a permutation matrix: only
-    exact 0 and 1 entries, one 1 per row and one per column; otherwise None.
+def _permutation_rows(m: np.ndarray) -> tuple[int, ...] | None:
+    """Column of the 1 in each row, as a tuple of ints, when ``m`` is a
+    permutation matrix: only exact 0 and 1 entries, one 1 per row and one
+    per column; otherwise None.
 
     Such a matrix is exactly unitary. Multiplying by it adds ``1 * x`` to
     exact zeros, so copying row ``rows[i]`` into row i gives the product's
     values; only the sign of a zero entry can differ, and ``==`` treats the
     two zeros as equal. Counting the nonzero entries first refuses most
-    other matrices cheaply.
+    other matrices cheaply. The tuple is hashable, so the simulator keys its
+    caches by it.
     """
     if np.count_nonzero(m) != len(m):
         return None
     ones = m == 1
     if (ones | (m == 0)).all() and (ones.sum(axis=1) == 1).all() and ones.any(axis=0).all():
-        return ones.argmax(axis=1)
+        return tuple(ones.argmax(axis=1).tolist())
     return None
+
+
+#: Bound of the ``_orders`` cache. A qubit entry holds two arrays of ``2**n``
+#: integers, 64 KiB at 12 qubits, so the simulator's entries take at most
+#: 16 MiB. ``equations.permutation_solves_pentagon`` adds at most three
+#: entries for each local dimension d it is called with, ``6 * d**3``
+#: integers in all: 81 KiB at d=12, 12 MiB at d=64, kept until evicted.
+_ORDERS_CACHED = 256
+
+
+@functools.lru_cache(maxsize=_ORDERS_CACHED)
+def _orders(n: int, wires: tuple[int, ...], d: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(order, inverse)`` for a gate on ``wires`` of ``n`` d-level wires.
+
+    Row i of the gate's operand is register row ``order[i]``: the operand
+    lists the rows with the gate's wires as the leading digits, in their
+    order, and the other wires after them in register order. ``inverse``
+    sends a register row to its row in the operand.
+    """
+    order = np.moveaxis(np.arange(d**n).reshape((d,) * n), wires, range(len(wires))).ravel()
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(d**n)
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
+
+
+def _row_map(n: int, wires: tuple[int, ...], rows, d: int = 2) -> np.ndarray:
+    """Read-only rows of a permutation gate whose row i has its 1 in column
+    ``rows[i]``, lifted onto ``wires`` of ``n`` d-level wires.
+
+    Row r of the lift has its 1 in column ``moved[r]``, so it is the
+    ``_permutation_rows`` of ``embed(gate, wires, n, d)``, built from
+    ``_orders`` in O(d**n) integers. Row r of the lift applied to U is
+    ``U[moved[r]]``, and the rows of a product A B are ``rows_B[rows_A]``.
+    ``rows`` is a tuple, as the simulator's cache keys it, or an integer
+    array, which a caller lifting one gate several times converts once.
+    """
+    order, inverse = _orders(n, wires, d)
+    moved = order.reshape(len(rows), -1)[np.asarray(rows)].ravel()[inverse]
+    moved.flags.writeable = False
+    return moved
 
 
 def embed(u, wires, num_qubits: int, d: int = 2) -> np.ndarray:

@@ -62,6 +62,23 @@ class TestCertifyCommand:
         result = run_cli("certify", "--matrix", str(path), "--quiet")
         assert result.returncode == 0
 
+    def test_a_gate_at_huge_parameters_is_certified(self):
+        result = run_cli("certify", "--gate", "A", "--params", "1e308,1e308,0", "--quiet")
+        assert result.returncode == 3
+        assert json.loads(result.stdout)["verdict"] == "not_fusion"
+        assert result.stderr == ""
+
+    def test_overflowing_matrix_warns_nothing(self, tmp_path, monkeypatch):
+        # with numpy's warnings made errors, the unitarity check still refuses
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([[[1e200 if i == j == 0 else float(i == j), 0.0]
+                                     for j in range(4)] for i in range(4)]))
+        result = run_cli("certify", "--matrix", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: candidate gate is not unitary; certification refused\n"
+
     def test_unknown_gate_invalid_input(self):
         assert run_cli("certify", "--gate", "NOPE", "--quiet").returncode == 2
 
@@ -108,6 +125,13 @@ class TestConstraintsCommand:
         doc = json.loads(result.stdout)
         assert doc["max_residual"] == 0.0
         assert doc["active_count"] == 0
+
+    def test_huge_parameters_give_a_report(self):
+        # the A gate is unitary at every finite point, 1e308 + 1e308 included
+        result = run_cli("constraints", "--family", "a", "--params", "1e308,1e308,0", "--quiet")
+        assert result.returncode == 3
+        assert json.loads(result.stdout)["parameter_point"] == {"c1": 1e308, "c2": 1e308, "c3": 0}
+        assert result.stderr == ""
 
     def test_phase_flipped_point(self):
         result = run_cli(

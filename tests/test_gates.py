@@ -179,6 +179,16 @@ class TestAGate:
         for _ in range(200):
             assert is_unitary(a_gate(*rng.uniform(-20, 20, 3)), 1e-12)
 
+    @pytest.mark.parametrize("params", [(1e308, 1e308, 0.0), (-1e308, -1e308, 1.0),
+                                        (1.7e308, -1.7e308, 0.5)])
+    def test_finite_and_unitary_at_huge_parameters(self, params):
+        # c1 + c2 would overflow; each is halved first
+        gate = a_gate(*params)
+        assert np.isfinite(gate).all()
+        assert is_unitary(gate, 1e-12)
+        c1, c2, c3 = params
+        assert frobenius_norm(gate - zz(c3) @ yy(c2) @ xx(c1)) < 1e-12
+
     def test_four_pi_periodicity(self, rng):
         for _ in range(10):
             c1, c2, c3 = rng.uniform(-7, 7, 3)

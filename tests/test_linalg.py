@@ -16,6 +16,7 @@ from pentagate import (
     GateInstance,
     GridError,
     InvalidGroupError,
+    NonUnitaryError,
     SchemaError,
     UncertifiedGateError,
     UnknownGateError,
@@ -393,6 +394,9 @@ class TestListReader:
 #: Hostile numbers and matrices at the library's entries: the call, the class
 #: the entry documents and its message. None of them may end in numpy's or
 #: the interpreter's own TypeError or ValueError.
+#: Finite, but its entries square past the float range.
+_HUGE = 1e200 * np.eye(4)
+
 HOSTILE_CALLS = {
     # repr refuses an integer past the interpreter's digit limit
     "gate_params_past_digit_limit": (
@@ -559,6 +563,21 @@ HOSTILE_CALLS = {
     "transpile_long_rule": (
         lambda: transpile(Circuit(3, ()), describe_fusion_gate("CNOT"), ["compress"] * 10**4),
         ValueError, "unknown rule a list of length 10000, expected 'compress' or 'expand'"),
+    # a' a overflows past about 1e154; the suite turns numpy's warning into an error
+    "gate_instance_overflowing_matrix": (
+        lambda: GateInstance("custom", (0, 1), matrix=_HUGE), SchemaError,
+        "matrix: not unitary within 1e-10"),
+    "parse_overflowing_matrix": (
+        lambda: parse(json.dumps({"qubits": 2, "gates": [
+            {"name": "custom", "wires": [0, 1], "matrix": [[[x, 0] for x in row]
+                                                           for row in _HUGE.tolist()]}]})),
+        SchemaError, "gates[0].matrix: not unitary within 1e-10"),
+    "certify_overflowing_matrix": (
+        lambda: certify(_HUGE), NonUnitaryError,
+        "candidate gate is not unitary; certification refused"),
+    "describe_fusion_gate_overflowing_matrix": (
+        lambda: describe_fusion_gate(matrix=_HUGE), SchemaError,
+        "fusion gate 'custom': matrix: not unitary within 1e-10"),
 }
 
 
@@ -634,6 +653,13 @@ class TestNormsAndUnitarity:
         with pytest.raises(DimensionError):
             is_unitary(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e300])
+    def test_overflowing_entries_are_not_unitary(self, tol):
+        # a' a overflows to inf or nan, so the norm is never below tol, and
+        # no warning escapes
+        assert not is_unitary(1e200 * I4, tol)
+        assert not is_unitary(np.full((2, 2), 1e160), tol)
+
     def test_permutation_rows_accepts_exactly_the_permutation_matrices(self):
         # every 4x4 0/1 matrix with four ones: only the 24 permutations pass,
         # and each is exactly unitary, which certify relies on
@@ -643,7 +669,7 @@ class TestNormsAndUnitarity:
             m[list(cells)] = 1
             m = m.reshape(4, 4)
             if (rows := _permutation_rows(m)) is not None:
-                assert np.array_equal(m, I4[rows])
+                assert np.array_equal(m, I4[list(rows)])
                 assert np.array_equal(m.conj().T @ m, I4)
                 accepted.append(tuple(rows))
         assert sorted(accepted) == sorted(itertools.permutations(range(4)))

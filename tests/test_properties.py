@@ -16,6 +16,7 @@ must write the bytes of ``conftest.reference_serialize``, and ``depth``
 must equal the ASAP layer count of ``oracles.asap_depth``.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -54,6 +55,7 @@ from pentagate.circuit import depth, parse_matrix
 from pentagate.equations import (COLUMN_BOUND_PIECE, _pentagon_column_bound, pentagon_stack,
                                  permutation_solves_pentagon, ybe_residual)
 from pentagate.gates import GATES
+from pentagate.linalg import _permutation_rows, _row_map, twist
 from pentagate.rewrite import _RULES, _apply_sites, _find_sites, _site_distance
 from conftest import (
     SITES_GOLDEN,
@@ -67,6 +69,7 @@ from conftest import (
 from oracles import (
     asap_depth,
     braid_ybe_sides,
+    group_fusion_map,
     pentagon_sides,
     permutation_map,
     permutation_operator,
@@ -80,9 +83,9 @@ ANGLES = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
 
 
 @st.composite
-def permutation_gates(draw, d=None):
-    """(d, basis map, matrix) of a random permutation of C^d (x) C^d, d in {2, 3}."""
-    d = draw(st.sampled_from((2, 3))) if d is None else d
+def permutation_gates(draw, d=None, dims=(2, 3)):
+    """(d, basis map, matrix) of a random permutation of C^d (x) C^d, d in ``dims``."""
+    d = draw(st.sampled_from(dims)) if d is None else d
     tmap = permutation_map(draw(st.permutations(range(d * d))), d)
     return d, tmap, permutation_operator(tmap, d, 2)
 
@@ -134,11 +137,42 @@ def test_street_and_folklore_dualities(gate):
     assert check_folklore_duality(t, d)
 
 
+_FACTORS = [CayleyTable.cyclic(n) for n in range(1, 13)] + [CayleyTable.symmetric(n)
+                                                            for n in range(4)]
+#: The cyclic and symmetric groups of order at most 12, and their direct products.
+CYCLIC_SYMMETRIC_PRODUCTS = _FACTORS + [CayleyTable.direct_product(g, h) for g in _FACTORS
+                                        for h in _FACTORS if g.order * h.order <= 12]
+
+
+@st.composite
+def group_operators(draw):
+    """(d, basis map, matrix) of the fusion operator of a group from
+    ``CYCLIC_SYMMETRIC_PRODUCTS``, or of that operator after the twist, which
+    solves the pentagon equation only for the trivial group."""
+    g = draw(st.sampled_from(CYCLIC_SYMMETRIC_PRODUCTS))
+    d, t, tmap = g.order, group_algebra_fusion(g), group_fusion_map(g.table)
+    if draw(st.booleans()):
+        t, tmap = twist(d) @ t, lambda pair, fused=tmap: fused(pair)[::-1]
+    return d, tmap, t
+
+
 @PROPERTY_SETTINGS
-@given(permutation_gates())
+@given(st.one_of(permutation_gates(dims=(2, 3, 4, 5, 6)), group_operators()))
 def test_index_maps_decide_like_the_oracle(gate):
     d, tmap, t = gate
     assert permutation_solves_pentagon(t, d) == (residual_norm(pentagon_sides(tmap, d)) == 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from((2, 3, 4)), st.integers(2, 4), st.data())
+def test_row_map_lifts_like_embed(d, n, data):
+    # the lifted rows of a permutation gate are the rows of its dense lift, on
+    # every ordered wire pair
+    p = np.eye(d * d, dtype=complex)[data.draw(st.permutations(range(d * d)))]
+    rows = _permutation_rows(p)
+    for wires in itertools.permutations(range(n), 2):
+        lifted = _row_map(n, wires, rows, d)
+        assert tuple(lifted.tolist()) == _permutation_rows(embed(p, wires, n, d))
 
 
 def matrix_group(*generators) -> CayleyTable:
